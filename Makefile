@@ -7,21 +7,23 @@ GO ?= go
 # sharded similarity cache and parallel labeler (internal/label), the
 # heap agglomerator driven by batch-parallel rows (internal/cluster), the
 # chunked enumeration / per-network uniqueness fan-outs (internal/motif)
-# on top of the randnet generators, the serving stack (request handlers
-# over the LRU cache, singleflight group, and atomic counters) plus the
-# artifact codec it loads, the fleet router (membership probes, hedged
-# requests, rolling rollout against live replicas), the observability
-# layer (lock-free histograms, the access-log ring and its drain
-# goroutine), the analysis engine (parallel per-package rule execution
-# over shared engine state), and the bulk-query engine (chunk-parallel
-# scans writing index-addressed output slots and shared bitsets).
+# on top of the randnet generators and the graph, ontology and directed-
+# motif packages they share, the serving stack (request handlers over one
+# atomically swapped model, pooled scratch buffers and atomic counters)
+# plus the artifact codec and parallel index build it loads, the fleet
+# router (membership probes, hedged requests, rolling rollout against
+# live replicas), the observability layer (lock-free histograms, the
+# access-log ring and its drain goroutine), the analysis engine (parallel
+# per-package rule execution over shared engine state), and the
+# bulk-query engine (chunk-parallel scans writing index-addressed output
+# slots and shared bitsets). CI runs this list through `make race`.
 RACEPKGS = ./internal/par/... ./internal/label/... ./internal/cluster/... \
 	./internal/motif/... ./internal/graph/... ./internal/ontology/... \
 	./internal/dimotif/... ./internal/randnet/... \
 	./internal/serve/... ./internal/fleet/... ./internal/artifact/... \
 	./internal/obs/... ./internal/analysis/... ./internal/query/...
 
-.PHONY: all build vet govet lamovet vet-json lint test race alloc alloc-build bench-smoke bench-json serve-smoke load-smoke fleet-smoke query-smoke trace-smoke ci
+.PHONY: all build vet govet lamovet vet-json lint test race alloc alloc-build fuzz bench-smoke bench-json serve-smoke load-smoke fleet-smoke query-smoke trace-smoke ci
 
 # The dated trajectory snapshot bench-json writes (and lamoload merges into).
 BENCHFILE ?= BENCH_$(shell date +%Y-%m-%d).json
@@ -74,6 +76,13 @@ alloc:
 alloc-build:
 	$(GO) test -run TestMinerBeamAllocBudget -v .
 
+# fuzz mutates artifact payloads through artifact.Decode for 20 s,
+# starting from the committed seed corpus
+# (internal/artifact/testdata/fuzz/FuzzDecode): no input may panic, and
+# any accepted one must re-encode to a stable byte form.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s ./internal/artifact
+
 # bench-smoke compiles and executes every benchmark exactly once — a CI
 # guard against benchmark rot, not a measurement.
 bench-smoke:
@@ -121,4 +130,4 @@ query-smoke:
 trace-smoke:
 	./scripts/trace_smoke.sh
 
-ci: build lint test race alloc alloc-build bench-smoke serve-smoke load-smoke fleet-smoke query-smoke trace-smoke
+ci: build lint test race alloc alloc-build fuzz bench-smoke serve-smoke load-smoke fleet-smoke query-smoke trace-smoke

@@ -250,8 +250,6 @@ func runMetrics(args []string, stdout, stderr io.Writer) int {
 		snap.Requests, snap.Errors, ratio(snap.Errors, snap.Requests))
 	_, _ = fmt.Fprintf(stdout, "predictions=%d index_hits=%d index_hit_rate=%s\n",
 		snap.Predictions, snap.IndexHits, ratio(snap.IndexHits, snap.Predictions))
-	_, _ = fmt.Fprintf(stdout, "cache_hits=%d cache_misses=%d cache_hit_rate=%s\n",
-		snap.CacheHits, snap.CacheMisses, ratio(snap.CacheHits, snap.CacheHits+snap.CacheMisses))
 	_, _ = fmt.Fprintf(stdout, "access_log_dropped=%d\n", snap.AccessLogDropped)
 	if lat, ok := snap.Latency["predict"]; ok {
 		_, _ = fmt.Fprintf(stdout, "predict_p50_us=%d predict_p90_us=%d predict_p99_us=%d\n",
@@ -749,7 +747,6 @@ func writeQueryTable(body []byte, stdout, stderr io.Writer) int {
 type inspectSummary struct {
 	Artifact     string        `json:"artifact"`
 	Format       int           `json:"format"`
-	Indexed      bool          `json:"indexed"`
 	Dataset      string        `json:"dataset"`
 	Note         string        `json:"note,omitempty"`
 	Proteins     int           `json:"proteins"`
@@ -800,13 +797,6 @@ func runInspect(args []string, stdout, stderr io.Writer) int {
 		errf(stderr, "lamoctl inspect: %v\n", err)
 		return 1
 	}
-	format := artifact.Version1
-	if art.Index != nil {
-		format = artifact.Version
-	}
-	if len(art.Stats) > 0 {
-		format += 2 // v3 = v1 + build stats, v4 = v2 + build stats
-	}
 	stats := make([]inspectStat, 0, len(art.Stats))
 	for _, st := range art.Stats {
 		is := inspectStat{
@@ -824,8 +814,7 @@ func runInspect(args []string, stdout, stderr io.Writer) int {
 	}
 	sum := inspectSummary{
 		Artifact:     digest,
-		Format:       format,
-		Indexed:      art.Index != nil,
+		Format:       artifact.Version,
 		Dataset:      art.Dataset,
 		Note:         art.Note,
 		Proteins:     art.Graph.N(),

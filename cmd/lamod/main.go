@@ -13,13 +13,13 @@
 // Usage:
 //
 //	lamod build -out FILE [-quick] [-proteins N] [-edges M] [-seed S] [-note TEXT]
-//	            [-noindex] [-index-parallelism N] [-stats]
+//	            [-stats]
 //	lamod query -artifact FILE [-plan FILE] [-topk N] [-group-by category]
 //	            [-min-degree N] [-max-degree N] [-min-score X]
 //	            [-annotated BOOL] [-proteins A,B] [-project COLS]
 //	            [-parallelism N]
 //	lamod serve -artifact FILE [-addr HOST:PORT] [-parallelism N]
-//	            [-cache N] [-timeout D] [-drain D] [-pprof]
+//	            [-timeout D] [-drain D] [-pprof]
 //	            [-reload] [-reload-dir DIR]
 //	            [-log-level LEVEL] [-log-format json|logfmt] [-access-log-size N]
 //	lamod gateway -replicas HOST:PORT,HOST:PORT,... [-addr HOST:PORT]
@@ -35,10 +35,10 @@
 // swaps (restricted to -reload-dir when set); gateway drives that
 // endpoint fleet-wide via POST /v1/admin/rollout, one replica at a time.
 //
-// build computes the dense score index by default, so the daemon answers
-// /v1/predict straight from precomputed rankings (format v2); -noindex
-// writes the smaller v1 artifact and the daemon scores on demand instead.
-// Either artifact serves byte-identical responses.
+// build always computes the dense score index (artifact format v4), so
+// the daemon answers /v1/predict straight from precomputed rankings and
+// /v1/query from the same score columns; serve -parallelism sizes the
+// query scan only.
 package main
 
 import (
@@ -93,8 +93,6 @@ func runBuild(args []string) int {
 	edges := fs.Int("edges", 0, "override interaction count (0 = preset)")
 	seed := fs.Int64("seed", 0, "override dataset seed (0 = preset)")
 	note := fs.String("note", "", "free-form note stored in the artifact")
-	noindex := fs.Bool("noindex", false, "skip the score index: smaller artifact, on-demand serving")
-	indexWorkers := fs.Int("index-parallelism", 0, "workers building the score index (0 = GOMAXPROCS)")
 	stats := fs.Bool("stats", false, "print the per-stage build trace after the build")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -140,14 +138,12 @@ func runBuild(args []string) int {
 		fmt.Fprintf(os.Stderr, "lamod build: %v\n", err)
 		return 1
 	}
-	if !*noindex {
-		st := rec.Start("ranking")
-		art.BuildIndex(*indexWorkers)
-		st.End(int64(art.Graph.N()), par.Workers(*indexWorkers))
-	}
-	// The stage trace rides inside the artifact (format v3/v4) so `lamoctl
-	// inspect` can show where build time went; it is excluded from the
-	// identity digest, so rebuilds of the same model keep one digest.
+	st := rec.Start("ranking")
+	art.BuildIndex(0)
+	st.End(int64(art.Graph.N()), par.Workers(0))
+	// The stage trace rides inside the artifact so `lamoctl inspect` can
+	// show where build time went; it is excluded from the identity digest,
+	// so rebuilds of the same model keep one digest.
 	art.Stats = rec.Stages()
 	if err := art.SaveFile(*out); err != nil {
 		fmt.Fprintf(os.Stderr, "lamod build: %v\n", err)
@@ -158,12 +154,8 @@ func runBuild(args []string) int {
 		fmt.Fprintf(os.Stderr, "lamod build: %v\n", err)
 		return 1
 	}
-	indexed := "indexed (format v4)"
-	if art.Index == nil {
-		indexed = "unindexed (format v3)"
-	}
 	fmt.Printf("wrote %s\n", *out)
-	fmt.Printf("  artifact %s %s\n", digest, indexed)
+	fmt.Printf("  artifact %s indexed (format v%d)\n", digest, artifact.Version)
 	fmt.Printf("  proteins=%d interactions=%d functions=%d\n",
 		art.Graph.N(), art.Graph.M(), art.NumFunctions)
 	fmt.Printf("  mined=%d unique=%d labeled=%d\n",
@@ -229,8 +221,7 @@ func runServe(args []string) int {
 	fs := flag.NewFlagSet("lamod serve", flag.ContinueOnError)
 	path := fs.String("artifact", "", "artifact file to serve (required)")
 	addr := fs.String("addr", "127.0.0.1:8077", "listen address")
-	parallelism := fs.Int("parallelism", 0, "scoring workers per batch (0 = GOMAXPROCS)")
-	cacheSize := fs.Int("cache", 0, "LRU entries (0 = default)")
+	parallelism := fs.Int("parallelism", 0, "query scan workers per /v1/query plan (0 = GOMAXPROCS)")
 	timeout := fs.Duration("timeout", 0, "per-request deadline (0 = default)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
 	enablePprof := fs.Bool("pprof", false, "expose /debug/pprof/ (stacks and heap contents; opt-in only)")
@@ -282,7 +273,6 @@ func runServe(args []string) int {
 	}
 	s, err := serve.New(art, serve.Config{
 		Parallelism:      *parallelism,
-		CacheSize:        *cacheSize,
 		RequestTimeout:   *timeout,
 		EnablePprof:      *enablePprof,
 		AllowReload:      *allowReload,
@@ -300,11 +290,7 @@ func runServe(args []string) int {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	mode := "index"
-	if !s.Indexed() {
-		mode = "on-demand"
-	}
-	fmt.Printf("serving %s on %s (artifact %s, %s scoring)\n", *path, *addr, s.Digest(), mode)
+	fmt.Printf("serving %s on %s (artifact %s, index scoring)\n", *path, *addr, s.Digest())
 	if err := s.ListenAndServe(ctx, *addr, *drain); err != nil {
 		fmt.Fprintf(os.Stderr, "lamod serve: %v\n", err)
 		return 1

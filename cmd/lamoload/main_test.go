@@ -285,6 +285,7 @@ func TestDigestMismatchRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	other.BuildIndex(0)
 	otherPath := filepath.Join(t.TempDir(), "other.lamoart")
 	if err := other.SaveFile(otherPath); err != nil {
 		t.Fatal(err)

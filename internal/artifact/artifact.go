@@ -56,17 +56,16 @@ type Artifact struct {
 	// Motifs are the mined labeled motifs with their occurrence sets.
 	Motifs []*label.LabeledMotif
 
-	// Index is the optional build-time score index (see ScoreIndex). When
-	// present the artifact encodes as format version 2 and the daemon
-	// serves predictions without scoring; when nil it encodes as version 1
-	// and the daemon scores on demand.
+	// Index is the build-time score index (see ScoreIndex) the daemon
+	// serves from. Build leaves it nil; BuildIndex attaches it, and Encode
+	// refuses an artifact without one.
 	Index *ScoreIndex
 
 	// Stats optionally records per-stage build telemetry (wall time, item
 	// counts, worker utilization) from the mining pipeline. Stats are
-	// stored after the payload (format versions 3/4) and excluded from the
-	// identity digest, so two builds of the same model keep one digest
-	// regardless of how long each stage took.
+	// stored after the payload and excluded from the identity digest, so
+	// two builds of the same model keep one digest regardless of how long
+	// each stage took.
 	Stats []obs.StageStat
 
 	digest string // hex SHA-256 of header+payload, cached by Encode/Load

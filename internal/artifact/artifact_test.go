@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"bytes"
+	"encoding/binary"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,10 +13,19 @@ import (
 	"lamofinder/internal/predict"
 )
 
-// testArtifact hand-builds a small but fully populated artifact: a 6-protein
-// network, a 5-term ontology slice, annotations, and one labeled triangle
-// motif with two occurrences.
-func testArtifact(t *testing.T) *Artifact {
+// testArtifact hand-builds a small but fully populated, indexed artifact: a
+// 6-protein network, a 5-term ontology slice, annotations, and one labeled
+// triangle motif with two occurrences.
+func testArtifact(t testing.TB) *Artifact {
+	t.Helper()
+	a := unindexedArtifact(t)
+	a.BuildIndex(1)
+	return a
+}
+
+// unindexedArtifact is testArtifact straight out of Build, before
+// BuildIndex.
+func unindexedArtifact(t testing.TB) *Artifact {
 	t.Helper()
 	b := ontology.NewBuilder()
 	b.AddTerm("T:root", "root")
@@ -172,6 +182,25 @@ func TestTamperDetection(t *testing.T) {
 	}
 	if _, err := Decode(good[:10]); err == nil {
 		t.Fatal("accepted header-only artifact")
+	}
+}
+
+// TestOldVersionsRejected: re-signed version 1, 2 and 3 files (the
+// unindexed and stats-free variants this package no longer reads) fail
+// Decode with an error naming the one readable version.
+func TestOldVersionsRejected(t *testing.T) {
+	a := testArtifact(t)
+	good, err := a.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []uint32{1, 2, 3} {
+		old := append([]byte(nil), good[:len(good)-32]...)
+		binary.LittleEndian.PutUint32(old[len(Magic):], v)
+		_, err := Decode(seal(old))
+		if err == nil || !strings.Contains(err.Error(), "version 4") {
+			t.Fatalf("version %d file not refused with a version-4 error: %v", v, err)
+		}
 	}
 }
 

@@ -18,49 +18,36 @@ import (
 // On-disk layout (all integers little-endian):
 //
 //	offset 0   magic   "LAMOART\n" (8 bytes)
-//	offset 8   version uint32 (1, 2, 3 or 4)
+//	offset 8   version uint32 (always 4)
 //	offset 12  plen    uint64 — payload length
-//	offset 20  payload plen bytes, canonical encoding of the Artifact
-//	offset 20+plen     [versions 3/4 only] build-stats section
+//	offset 20  payload plen bytes: the canonical encoding of the model,
+//	           then the score-index section (see index.go)
+//	offset 20+plen     build-stats section (stage count, then per stage)
 //	trailing 32 bytes  SHA-256 digest of every preceding byte
 //
-// A version-2 payload is the version-1 payload followed by the score-index
-// section (see index.go): the dense protein×function score matrix and the
-// per-protein full rankings precomputed at build time. Versions 3 and 4
-// are versions 1 and 2 with a build-stats section (per-stage wall time,
-// item counts and worker utilization from the mining pipeline) appended
-// after the payload. Encode picks the lowest version that represents the
-// artifact — index and stats each bump it — so every model still has
-// exactly one canonical byte form and save→load→save stays byte-identical
-// in all four formats.
+// Version 4 is the only format: every artifact carries its score index,
+// and its build-stats section (empty when no stats were recorded). The
+// numbering keeps the history — versions 1-3 were the unindexed and
+// stats-free variants of the same payload — so an old file fails with a
+// version error instead of a misread.
 //
 // The payload encoding is a pure function of the Artifact's contents —
 // every list is written in its canonical in-memory order (adjacency and
 // annotation lists are kept sorted by their owners) and no map is ever
-// iterated — so identical models produce identical bytes, and the digest
-// doubles as a model identity for caches and client pinning. Build stats
-// carry wall-clock measurements that differ between otherwise identical
-// builds, so the identity digest is computed over header+payload only
-// (for versions 1 and 2 that is exactly the stored trailer, preserving
-// historical digests); the trailer still covers the stats section, so
-// tampering with stats is detected even though it cannot change identity.
+// iterated — so identical models produce identical bytes, save→load→save
+// is byte-identical, and the digest doubles as a model identity for
+// caches and client pinning. Build stats carry wall-clock measurements
+// that differ between otherwise identical builds, so the identity digest
+// is computed over header+payload only; the trailer still covers the
+// stats section, so tampering with stats is detected even though it
+// cannot change identity.
 
 // Magic identifies a lamod artifact file.
 const Magic = "LAMOART\n"
 
-// Version1 is the unindexed format: model payload only.
-const Version1 = 1
-
-// Version is the indexed format, written for artifacts carrying a score
-// index but no build stats.
-const Version = 2
-
-// Version3 and Version4 mirror versions 1 and 2 with a build-stats
-// section appended after the payload. Load accepts versions 1-4.
-const (
-	Version3 = 3
-	Version4 = 4
-)
+// Version is the artifact format version: indexed payload plus build
+// stats. Decode refuses every other version.
+const Version = 4
 
 const headerLen = len(Magic) + 4 + 8
 
@@ -69,37 +56,33 @@ const headerLen = len(Magic) + 4 + 8
 // multi-gigabyte allocation before the digest even gets verified.
 const maxCount = 1 << 28
 
-// Encode renders the artifact to its canonical byte form (header, payload,
-// optional stats section, digest) and caches the identity digest.
+// Encode renders the artifact to its canonical byte form (header, payload
+// with score index, stats section, digest) and caches the identity
+// digest. An artifact without a score index cannot be encoded: call
+// BuildIndex first.
 func (a *Artifact) Encode() ([]byte, error) {
+	if a.Index == nil {
+		return nil, fmt.Errorf("artifact: no score index to encode (call BuildIndex)")
+	}
 	e := &enc{}
 	if err := a.encodePayload(e); err != nil {
 		return nil, err
 	}
-	version := uint32(Version1)
-	if a.Index != nil {
-		version = Version
-		if err := a.encodeIndex(e); err != nil {
-			return nil, err
-		}
-	}
-	if len(a.Stats) > 0 {
-		version += 2 // 1→3, 2→4
+	if err := a.encodeIndex(e); err != nil {
+		return nil, err
 	}
 	out := make([]byte, 0, headerLen+len(e.buf)+sha256.Size)
 	out = append(out, Magic...)
-	out = binary.LittleEndian.AppendUint32(out, version)
+	out = binary.LittleEndian.AppendUint32(out, Version)
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(e.buf)))
 	out = append(out, e.buf...)
 	// Identity stops at the payload: stats carry wall-clock noise that must
 	// not distinguish otherwise identical models.
 	id := sha256.Sum256(out)
 	a.digest = hex.EncodeToString(id[:])
-	if len(a.Stats) > 0 {
-		se := &enc{}
-		encodeStats(se, a.Stats)
-		out = append(out, se.buf...)
-	}
+	se := &enc{}
+	encodeStats(se, a.Stats)
+	out = append(out, se.buf...)
 	sum := sha256.Sum256(out)
 	out = append(out, sum[:]...)
 	return out, nil
@@ -134,19 +117,13 @@ func Decode(b []byte) (*Artifact, error) {
 	if string(b[:len(Magic)]) != Magic {
 		return nil, fmt.Errorf("artifact: not a lamod artifact (bad magic)")
 	}
-	version := binary.LittleEndian.Uint32(b[len(Magic):])
-	if version < Version1 || version > Version4 {
-		return nil, fmt.Errorf("artifact: format version %d, this build reads versions %d-%d", version, Version1, Version4)
+	if version := binary.LittleEndian.Uint32(b[len(Magic):]); version != Version {
+		return nil, fmt.Errorf("artifact: format version %d, this build reads version %d only (rebuild with lamod build)", version, Version)
 	}
-	hasStats := version >= Version3
-	hasIndex := version == Version || version == Version4
 	body := uint64(len(b) - headerLen - sha256.Size)
 	plen := binary.LittleEndian.Uint64(b[len(Magic)+4:])
-	if hasStats && plen >= body {
+	if plen >= body {
 		return nil, fmt.Errorf("artifact: payload length %d leaves no stats section in %d-byte file", plen, len(b))
-	}
-	if !hasStats && plen != body {
-		return nil, fmt.Errorf("artifact: payload length %d does not match file size %d", plen, len(b))
 	}
 	sum := sha256.Sum256(b[:len(b)-sha256.Size])
 	var stored [sha256.Size]byte
@@ -159,25 +136,18 @@ func Decode(b []byte) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	if hasIndex {
-		ix, err := decodeIndex(d, a)
-		if err != nil {
-			return nil, err
-		}
-		a.Index = ix
+	if a.Index, err = decodeIndex(d, a); err != nil {
+		return nil, err
 	}
 	if d.off != len(d.b) {
 		return nil, fmt.Errorf("artifact: %d trailing payload bytes", len(d.b)-d.off)
 	}
-	if hasStats {
-		sd := &dec{b: b[headerLen+int(plen) : len(b)-sha256.Size]}
-		a.Stats, err = decodeStats(sd)
-		if err != nil {
-			return nil, err
-		}
-		if sd.off != len(sd.b) {
-			return nil, fmt.Errorf("artifact: %d trailing stats bytes", len(sd.b)-sd.off)
-		}
+	sd := &dec{b: b[headerLen+int(plen) : len(b)-sha256.Size]}
+	if a.Stats, err = decodeStats(sd); err != nil {
+		return nil, err
+	}
+	if sd.off != len(sd.b) {
+		return nil, fmt.Errorf("artifact: %d trailing stats bytes", len(sd.b)-sd.off)
 	}
 	id := sha256.Sum256(b[:headerLen+int(plen)])
 	a.digest = hex.EncodeToString(id[:])
@@ -304,7 +274,7 @@ func decodePayload(d *dec) (*Artifact, error) {
 	a.Dataset = d.str()
 	a.Note = d.str()
 
-	n := d.count(1)
+	n := d.count(4) // every protein has a name, at least its length prefix
 	if d.err != nil {
 		return nil, d.err
 	}

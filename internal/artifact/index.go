@@ -7,40 +7,40 @@ import (
 	"lamofinder/internal/predict"
 )
 
-// ScoreIndex is the build-time score index introduced by format version 2:
-// the dense protein×function Eq.-5 score matrix plus the full ranking of
-// every protein, both computed once at `lamod build` time. A serving
-// process answers a prediction from the index with two slice reads — no
-// scoring, no sorting, no allocation — and a v1 artifact without an index
-// simply falls back to on-demand scoring.
+// ScoreIndex is the build-time score index every artifact carries: the
+// dense protein×function Eq.-5 score matrix plus the full ranking of every
+// protein, both computed once at `lamod build` time. A serving process
+// answers a prediction from the rankings with two slice reads — no
+// scoring, no sorting, no allocation — and a bulk query scans the score
+// matrix one contiguous category column at a time.
 //
 // The index is derived state: it is a pure function of the rest of the
-// artifact (the same scorer constructor every offline consumer uses), so
-// an indexed and an unindexed artifact of the same model serve identical
-// bytes. It is nevertheless carried inside the checksummed payload, not
-// recomputed at load, because recomputing would put the expensive half of
-// Eq. 5 back on the serving path the index exists to remove.
+// artifact (the same scorer constructor every offline consumer uses). It
+// is nevertheless carried inside the checksummed payload, not recomputed
+// at load, because recomputing would put the expensive half of Eq. 5 back
+// on the serving path the index exists to remove.
+//
+// In memory the matrix is category-major, the layout the query engine
+// scans. On disk the section is row-major (one protein's scores after
+// another), so that artifacts written before the in-memory layout
+// changed keep their bytes and digests; encodeIndex and decodeIndex
+// convert between the two.
 type ScoreIndex struct {
-	numFunctions int
-	// scores[p*numFunctions+f] is protein p's score for function f.
-	scores []float64
-	// ranked[p] is protein p's full ranking — predict.TopK(row p, 0) —
-	// with scores materialized, so serving top-k is a subslice.
+	n, nf int // proteins, functions
+	// cols[f*n+p] is protein p's score for function f.
+	cols []float64
+	// ranked[p] is protein p's full ranking — predict.TopK of its scores
+	// with k=0 — with scores materialized, so serving top-k is a subslice.
 	ranked [][]predict.Ranked
 }
 
 // NumProteins returns the number of indexed proteins.
-func (ix *ScoreIndex) NumProteins() int {
-	if ix.numFunctions == 0 {
-		return 0
-	}
-	return len(ix.scores) / ix.numFunctions
-}
+func (ix *ScoreIndex) NumProteins() int { return ix.n }
 
-// Row returns protein p's dense score vector. The slice aliases the index
-// and must be treated read-only.
-func (ix *ScoreIndex) Row(p int) []float64 {
-	return ix.scores[p*ix.numFunctions : (p+1)*ix.numFunctions]
+// Column returns function f's scores for every protein, indexed by
+// protein. The slice aliases the index and must be treated read-only.
+func (ix *ScoreIndex) Column(f int) []float64 {
+	return ix.cols[f*ix.n : (f+1)*ix.n]
 }
 
 // Ranking returns protein p's full descending ranking (positive scores
@@ -53,38 +53,43 @@ func (ix *ScoreIndex) Ranking(p int) []predict.Ranked {
 }
 
 // BuildIndex scores every protein on the worker pool and attaches the
-// result as the artifact's score index, upgrading its encoded form to
-// format version 2. parallelism <= 0 uses GOMAXPROCS workers; the result
-// is identical at any setting because each protein writes only its own
-// row and ranking slot.
+// result as the artifact's score index. parallelism <= 0 uses GOMAXPROCS
+// workers; the result is identical at any setting because each protein
+// writes only its own matrix slots and ranking slot.
 func (a *Artifact) BuildIndex(parallelism int) {
 	scorer := a.NewScorer()
 	n, nf := a.Graph.N(), a.NumFunctions
 	ix := &ScoreIndex{
-		numFunctions: nf,
-		scores:       make([]float64, n*nf),
-		ranked:       make([][]predict.Ranked, n),
+		n:      n,
+		nf:     nf,
+		cols:   make([]float64, n*nf),
+		ranked: make([][]predict.Ranked, n),
 	}
 	par.Do(n, par.Workers(parallelism), func(p int) {
 		row := scorer.Scores(p)
-		copy(ix.scores[p*nf:(p+1)*nf], row)
+		for f, s := range row {
+			ix.cols[f*n+p] = s
+		}
 		ix.ranked[p] = predict.TopK(row, 0)
 	})
 	a.Index = ix
 	a.digest = "" // the encoded form (and so the identity) changed
 }
 
-// encodeIndex appends the score-index section (format v2 only).
+// encodeIndex appends the score-index section: the function count, the
+// matrix row-major, then each protein's ranking as function ids.
 func (a *Artifact) encodeIndex(e *enc) error {
 	ix := a.Index
-	n := a.Graph.N()
-	if ix.numFunctions != a.NumFunctions || len(ix.scores) != n*a.NumFunctions || len(ix.ranked) != n {
+	n, nf := a.Graph.N(), a.NumFunctions
+	if ix.n != n || ix.nf != nf || len(ix.cols) != n*nf || len(ix.ranked) != n {
 		return fmt.Errorf("artifact: score index shape %d×%d does not match model %d×%d",
-			len(ix.ranked), ix.numFunctions, n, a.NumFunctions)
+			ix.n, ix.nf, n, nf)
 	}
-	e.u32(uint32(ix.numFunctions))
-	for _, s := range ix.scores {
-		e.f64(s)
+	e.u32(uint32(nf))
+	for p := 0; p < n; p++ {
+		for f := 0; f < nf; f++ {
+			e.f64(ix.cols[f*n+p])
+		}
 	}
 	for p := 0; p < n; p++ {
 		rk := ix.ranked[p]
@@ -100,7 +105,8 @@ func (a *Artifact) encodeIndex(e *enc) error {
 // rankings are only function ids; scores come from the matrix, and the
 // section is rejected unless each ranking is exactly predict.TopK of its
 // row — complete over the positive scores, strictly ordered by descending
-// score with ties toward the smaller function index.
+// score with ties toward the smaller function index. All rankings share
+// one backing array, sized from the matrix's positive scores.
 func decodeIndex(d *dec, a *Artifact) (*ScoreIndex, error) {
 	n := a.Graph.N()
 	nf := d.count(0)
@@ -110,45 +116,46 @@ func decodeIndex(d *dec, a *Artifact) (*ScoreIndex, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	ix := &ScoreIndex{numFunctions: nf}
 	if got, want := len(d.b)-d.off, 8*n*nf; got < want {
 		return nil, fmt.Errorf("artifact: score matrix needs %d bytes, %d remain", want, got)
 	}
-	ix.scores = make([]float64, n*nf)
-	for i := range ix.scores {
-		ix.scores[i] = d.f64()
-	}
-	ix.ranked = make([][]predict.Ranked, n)
-	for p := 0; p < n && d.err == nil; p++ {
-		row := ix.Row(p)
-		positive := 0
-		for _, s := range row {
+	ix := &ScoreIndex{n: n, nf: nf, cols: make([]float64, n*nf), ranked: make([][]predict.Ranked, n)}
+	positive := make([]int, n)
+	total := 0
+	for p := 0; p < n; p++ {
+		for f := 0; f < nf; f++ {
+			s := d.f64()
+			ix.cols[f*n+p] = s
 			if s > 0 {
-				positive++
+				positive[p]++
 			}
 		}
+		total += positive[p]
+	}
+	all := make([]predict.Ranked, 0, total)
+	for p := 0; p < n && d.err == nil; p++ {
 		c := d.count(4)
-		if d.err == nil && c != positive {
-			d.fail("protein %d ranking lists %d functions, row has %d positive scores", p, c, positive)
+		if d.err == nil && c != positive[p] {
+			d.fail("protein %d ranking lists %d functions, row has %d positive scores", p, c, positive[p])
 		}
-		rk := make([]predict.Ranked, 0, c)
+		start := len(all)
 		for i := 0; i < c && d.err == nil; i++ {
 			f := d.index(nf, "ranked function")
 			if d.err != nil {
 				break
 			}
-			cur := predict.Ranked{Function: f, Score: row[f]}
+			cur := predict.Ranked{Function: f, Score: ix.cols[f*n+p]}
 			if cur.Score <= 0 {
 				d.fail("protein %d ranks function %d with non-positive score", p, f)
 				break
 			}
-			if i > 0 && !rankedBefore(rk[i-1], cur) {
+			if i > 0 && !rankedBefore(all[len(all)-1], cur) {
 				d.fail("protein %d ranking out of order at position %d", p, i)
 				break
 			}
-			rk = append(rk, cur)
+			all = append(all, cur)
 		}
-		ix.ranked[p] = rk
+		ix.ranked[p] = all[start:len(all):len(all)]
 	}
 	if d.err != nil {
 		return nil, d.err

@@ -3,6 +3,7 @@ package artifact
 import (
 	"bytes"
 	"encoding/binary"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -15,25 +16,26 @@ func fileVersion(b []byte) uint32 {
 	return binary.LittleEndian.Uint32(b[len(Magic):])
 }
 
+// TestEncodeVersionTracksIndex: an indexed artifact encodes as the one
+// format version, and an artifact without an index does not encode at all.
 func TestEncodeVersionTracksIndex(t *testing.T) {
-	a := testArtifact(t)
-	plain, err := a.Encode()
-	if err != nil {
-		t.Fatal(err)
+	plain := unindexedArtifact(t)
+	if _, err := plain.Encode(); err == nil || !strings.Contains(err.Error(), "BuildIndex") {
+		t.Fatalf("Encode without an index: %v", err)
 	}
-	if v := fileVersion(plain); v != Version1 {
-		t.Fatalf("unindexed artifact encoded as version %d, want %d", v, Version1)
+	if _, err := plain.Digest(); err == nil {
+		t.Fatal("Digest without an index succeeded")
 	}
-	a.BuildIndex(2)
-	indexed, err := a.Encode()
+	if err := plain.SaveFile(filepath.Join(t.TempDir(), "m.lamoart")); err == nil {
+		t.Fatal("SaveFile without an index succeeded")
+	}
+	plain.BuildIndex(2)
+	indexed, err := plain.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v := fileVersion(indexed); v != Version {
 		t.Fatalf("indexed artifact encoded as version %d, want %d", v, Version)
-	}
-	if len(indexed) <= len(plain) {
-		t.Fatalf("index section added no bytes: %d vs %d", len(indexed), len(plain))
 	}
 }
 
@@ -59,62 +61,42 @@ func TestIndexRoundTripByteIdentical(t *testing.T) {
 		t.Fatalf("v2 save→load→save not byte-identical: %d vs %d bytes", len(first), len(second))
 	}
 
-	// The reconstructed index must replay the scorer exactly.
+	// The reconstructed index must replay the scorer exactly: the
+	// category-major columns hold each protein's row, and the rankings
+	// are TopK of it.
 	scorer := a.NewScorer()
+	ix := loaded.Index
+	if ix.NumProteins() != a.Graph.N() {
+		t.Fatalf("index covers %d proteins, model has %d", ix.NumProteins(), a.Graph.N())
+	}
 	for p := 0; p < a.Graph.N(); p++ {
 		row := scorer.Scores(p)
-		if !reflect.DeepEqual(loaded.Index.Row(p), row) {
-			t.Fatalf("protein %d: index row %v, scorer %v", p, loaded.Index.Row(p), row)
+		for f, s := range row {
+			if got := ix.Column(f)[p]; got != s {
+				t.Fatalf("protein %d function %d: index %v, scorer %v", p, f, got, s)
+			}
 		}
-		if want := predict.TopK(row, 0); !reflect.DeepEqual(loaded.Index.Ranking(p), want) {
-			t.Fatalf("protein %d: index ranking %v, TopK %v", p, loaded.Index.Ranking(p), want)
+		if want := predict.TopK(row, 0); !reflect.DeepEqual(ix.Ranking(p), want) {
+			t.Fatalf("protein %d: index ranking %v, TopK %v", p, ix.Ranking(p), want)
 		}
 	}
 }
 
-// TestV1ArtifactStillLoads pins backward compatibility: version-1 bytes
-// (what every pre-index build wrote) decode into a working, unindexed
-// artifact.
-func TestV1ArtifactStillLoads(t *testing.T) {
-	a := testArtifact(t)
-	v1, err := a.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fileVersion(v1) != Version1 {
-		t.Fatalf("fixture encoded as version %d", fileVersion(v1))
-	}
-	loaded, err := Decode(v1)
-	if err != nil {
-		t.Fatalf("v1 artifact refused: %v", err)
-	}
-	if loaded.Index != nil {
-		t.Fatal("v1 artifact decoded with an index")
-	}
-	if loaded.NewScorer().Coverage() == 0 {
-		t.Fatal("v1 artifact lost its motifs")
-	}
-}
-
-// TestIndexTamperRejected flips bits across the index section (the bytes a
-// v1 payload does not have) and requires every variant to be rejected by
-// the digest check.
+// TestIndexTamperRejected flips bits across the index section (the payload
+// bytes after the model encoding) and requires every variant to be
+// rejected by the digest check.
 func TestIndexTamperRejected(t *testing.T) {
 	a := testArtifact(t)
-	plainLen := func() int {
-		b, err := a.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(b)
-	}()
-	a.BuildIndex(1)
+	e := &enc{}
+	if err := a.encodePayload(e); err != nil {
+		t.Fatal(err)
+	}
+	indexStart := headerLen + len(e.buf)
 	good, err := a.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The index section occupies the payload bytes beyond the v1 encoding.
-	for off := plainLen - 40; off < len(good); off += 3 {
+	for off := indexStart - 8; off < len(good); off += 3 {
 		bad := append([]byte(nil), good...)
 		bad[off] ^= 0x08
 		if _, err := Decode(bad); err == nil {
@@ -170,41 +152,30 @@ func TestIndexConsistencyValidated(t *testing.T) {
 	}, "positive scores")
 }
 
-// TestDigestChangesIffIndexChanges: attaching the index changes the model
-// identity, rebuilding the same index does not, and rebuilding at a
-// different parallelism does not either.
+// TestDigestChangesIffIndexChanges: the index is part of the model
+// identity — rebuilding it at any parallelism keeps the digest, and a
+// changed index (here one forged score, re-signed) changes it.
 func TestDigestChangesIffIndexChanges(t *testing.T) {
 	digest := func(t *testing.T, build func(a *Artifact)) string {
 		t.Helper()
-		a := testArtifact(t)
-		if build != nil {
-			build(a)
-		}
+		a := unindexedArtifact(t)
+		build(a)
 		d, err := a.Digest()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return d
 	}
-	plain := digest(t, nil)
 	ix1 := digest(t, func(a *Artifact) { a.BuildIndex(1) })
 	ix4 := digest(t, func(a *Artifact) { a.BuildIndex(4) })
-	if plain == ix1 {
-		t.Fatal("digest unchanged by adding the score index")
-	}
 	if ix1 != ix4 {
 		t.Fatalf("index digest depends on build parallelism: %s vs %s", ix1, ix4)
 	}
-	// Dropping the index restores the v1 identity.
-	a := testArtifact(t)
-	a.BuildIndex(2)
-	a.Index = nil
-	a.digest = ""
-	d, err := a.Digest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != plain {
-		t.Fatalf("dropping the index did not restore the v1 digest: %s vs %s", d, plain)
+	forged := digest(t, func(a *Artifact) {
+		a.BuildIndex(1)
+		a.Index.cols[0] += 0.5
+	})
+	if forged == ix1 {
+		t.Fatal("digest unchanged by a different score index")
 	}
 }

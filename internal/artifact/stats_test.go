@@ -19,56 +19,44 @@ func testStats() []obs.StageStat {
 	}
 }
 
-// TestStatsRoundTrip covers both stats-carrying formats: version 3
-// (unindexed) and version 4 (indexed). Stats must survive
-// save→load→save byte-identically.
+// TestStatsRoundTrip: stats must survive save→load→save byte-identically.
 func TestStatsRoundTrip(t *testing.T) {
-	for _, indexed := range []bool{false, true} {
-		a := testArtifact(t)
-		if indexed {
-			a.BuildIndex(2)
+	a := testArtifact(t)
+	a.Stats = testStats()
+	first, err := a.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := fileVersion(first); v != Version {
+		t.Fatalf("encoded as version %d, want %d", v, Version)
+	}
+	loaded, err := Decode(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(loaded.Stats) != len(a.Stats) {
+		t.Fatalf("loaded %d stages, want %d", len(loaded.Stats), len(a.Stats))
+	}
+	for i, s := range loaded.Stats {
+		if s != a.Stats[i] {
+			t.Fatalf("stage %d = %+v, want %+v", i, s, a.Stats[i])
 		}
-		a.Stats = testStats()
-		first, err := a.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := uint32(Version3)
-		if indexed {
-			want = Version4
-		}
-		if v := fileVersion(first); v != want {
-			t.Fatalf("indexed=%v encoded as version %d, want %d", indexed, v, want)
-		}
-		loaded, err := Decode(first)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(loaded.Stats) != len(a.Stats) {
-			t.Fatalf("loaded %d stages, want %d", len(loaded.Stats), len(a.Stats))
-		}
-		for i, s := range loaded.Stats {
-			if s != a.Stats[i] {
-				t.Fatalf("stage %d = %+v, want %+v", i, s, a.Stats[i])
-			}
-		}
-		if indexed && loaded.Index == nil {
-			t.Fatal("index lost on stats-carrying artifact")
-		}
-		second, err := loaded.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(first, second) {
-			t.Fatalf("save→load→save not byte-identical with stats (indexed=%v)", indexed)
-		}
+	}
+	if loaded.Index == nil {
+		t.Fatal("index lost on stats-carrying artifact")
+	}
+	second, err := loaded.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, second) {
+		t.Fatal("save→load→save not byte-identical with stats")
 	}
 }
 
 // TestStatsExcludedFromIdentity is the determinism property the layout was
 // designed for: two builds of the same model whose stages took different
-// wall times must report the same digest, and dropping the stats entirely
-// only changes the digest through the version field, never the payload.
+// wall times, or recorded none, must report the same digest.
 func TestStatsExcludedFromIdentity(t *testing.T) {
 	a := testArtifact(t)
 	a.Stats = testStats()
@@ -85,6 +73,13 @@ func TestStatsExcludedFromIdentity(t *testing.T) {
 	}
 	if d1 != d2 {
 		t.Fatalf("wall-time noise changed model identity: %s vs %s", d1, d2)
+	}
+	d3, err := testArtifact(t).Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d3 != d1 {
+		t.Fatalf("recording no stats changed model identity: %s vs %s", d3, d1)
 	}
 
 	// A loaded stats-carrying artifact reports the same identity it was
@@ -130,25 +125,23 @@ func TestStatsTamperDetected(t *testing.T) {
 	}
 }
 
-// TestStatsEmptyKeepsLegacyFormat: artifacts without stats must emit
-// exactly the historical version 1/2 bytes, so PR 3/4 artifacts and their
-// digests are untouched.
+// TestStatsEmptyKeepsLegacyFormat: an artifact without stats still
+// encodes in the one format, with an empty stats section, and setting then
+// clearing stats restores exactly the bytes of never having had them.
 func TestStatsEmptyKeepsLegacyFormat(t *testing.T) {
 	a := testArtifact(t)
-	if v := mustEncodeVersion(t, a); v != Version1 {
-		t.Fatalf("plain artifact encoded as version %d", v)
-	}
-	a.BuildIndex(1)
 	if v := mustEncodeVersion(t, a); v != Version {
-		t.Fatalf("indexed artifact encoded as version %d", v)
+		t.Fatalf("stats-free artifact encoded as version %d", v)
 	}
-
-	// Stats set then cleared: bytes identical to never having stats.
-	b := testArtifact(t)
-	withNever, err := b.Encode()
+	withNever, err := a.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
+	plen := binary.LittleEndian.Uint64(withNever[len(Magic)+4:])
+	if got := len(withNever) - headerLen - int(plen) - sha256.Size; got != 4 {
+		t.Fatalf("empty stats section is %d bytes, want 4 (a zero stage count)", got)
+	}
+
 	c := testArtifact(t)
 	c.Stats = testStats()
 	if _, err := c.Encode(); err != nil {
@@ -160,7 +153,7 @@ func TestStatsEmptyKeepsLegacyFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(withNever, withCleared) {
-		t.Fatal("clearing stats does not restore the legacy byte form")
+		t.Fatal("clearing stats does not restore the stats-free byte form")
 	}
 }
 
@@ -201,8 +194,8 @@ func TestStatsSectionValidation(t *testing.T) {
 		t.Fatal("accepted stats section with runaway stage count")
 	}
 
-	// A version-3 file whose plen swallows the whole body leaves no room
-	// for stats at all.
+	// A file whose plen swallows the whole body leaves no room for the
+	// stats section at all.
 	nostats := append([]byte(nil), good[:statsStart]...)
 	nostats = seal(nostats)
 	if _, err := Decode(nostats); err == nil {

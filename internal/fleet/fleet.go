@@ -10,7 +10,7 @@
 // ejected with exponential backoff and readmitted on the first success.
 // /v1/predict traffic is routed by consistent hashing on the protein ID
 // over a deterministic virtual-node ring, so the same protein always
-// lands on the same replica and each replica's ranking LRU stays hot.
+// lands on the same replica.
 // Failed requests retry on the next distinct replica in ring order, and a
 // hedged second request fires after a p99-derived delay so one slow
 // replica cannot hold the tail.
@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"lamofinder/internal/obs"
+	"lamofinder/internal/serve"
 )
 
 // Defaults for Config's zero values.
@@ -61,7 +62,7 @@ const (
 	DefaultMaxAttempts   = 3
 	DefaultHedgeMin      = 2 * time.Millisecond
 	DefaultHedgeMax      = 500 * time.Millisecond
-	DefaultMaxBody       = 1 << 20
+	DefaultMaxBody       = serve.MaxBody // the replicas' own body cap
 	DefaultDrainTimeout  = 10 * time.Second
 	DefaultRolloutWait   = 60 * time.Second
 	maxReplicas          = 64 // Preference's member bitset is one uint64

@@ -46,6 +46,7 @@ func saveExample(t testing.TB, dir, note string) (path, digest string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	art.BuildIndex(0)
 	art.Note = note
 	d, err := art.Digest()
 	if err != nil {

@@ -8,8 +8,8 @@ import (
 // ringSeed deterministically perturbs every vnode and key hash. A fixed
 // compile-time constant — never wall-clock or process entropy — so two
 // routers built over the same replica list always agree on key placement,
-// and a restarted router sends every protein back to the replica whose
-// LRU is already warm with it.
+// and a restarted router sends every protein back to the replica that
+// served it before.
 const ringSeed uint64 = 0x9e3779b97f4a7c15
 
 // ringProbes is the probe count for multi-probe owner selection. A plain
@@ -54,8 +54,8 @@ func mix64(h uint64) uint64 {
 // winner). Placement is a pure function of the member
 // names, so it is identical across runs and across router instances, and
 // removing one member moves only the keys that member owned — every other
-// key keeps its owner, which is what keeps replica LRUs hot through
-// membership churn. Immutable after construction.
+// key keeps its owner, so each protein's traffic stays on one replica
+// through membership churn. Immutable after construction.
 type Ring struct {
 	members []string // sorted member names; node.member indexes this
 	nodes   []ringNode

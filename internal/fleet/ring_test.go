@@ -23,8 +23,8 @@ func ringKeys(n int) []string {
 
 // TestRingDeterministic: placement is a pure function of the member set —
 // identical across ring instances and across input permutations, because
-// a restarted router must send every protein back to the replica whose
-// LRU already holds it.
+// a restarted router must send every protein back to the replica that
+// served it before.
 func TestRingDeterministic(t *testing.T) {
 	members := ringMembers(5)
 	shuffled := []string{members[3], members[0], members[4], members[2], members[1]}

@@ -41,8 +41,8 @@ func yeastScaleInputs(nProteins, nMotifs, occPerMotif, size int, seed int64) (*T
 }
 
 // BenchmarkNewLabeledMotifYeastScale measures predictor construction — the
-// cost `lamod build` pays per artifact and the serve fallback path pays per
-// process start.
+// cost `lamod build` pays per artifact and `lamod serve` pays per model
+// load for its healthz coverage count.
 func BenchmarkNewLabeledMotifYeastScale(b *testing.B) {
 	t, motifs := yeastScaleInputs(4400, 300, 200, 5, 42)
 	b.ReportAllocs()

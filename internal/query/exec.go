@@ -312,7 +312,7 @@ func execGroup(v *View, prog *program, workers int, res *Result, st *statCol) []
 	counts := make([]int, v.nf)
 	par.Do(v.nf, workers, func(f int) {
 		sc := scratchPool.Get().(*scratch)
-		col := v.cols[f*v.n : (f+1)*v.n]
+		col := v.Column(f)
 		k := prog.topk
 		if k <= 0 || k > v.n {
 			k = v.n
@@ -349,7 +349,7 @@ func execGroup(v *View, prog *program, workers int, res *Result, st *statCol) []
 // alloc-budget: 0
 func appendRankingRows(buf []byte, v *View, prog *program, p int32, rows int) ([]byte, int) {
 	emitted := 0
-	for _, r := range v.ranked[p] {
+	for _, r := range v.Ranking(int(p)) {
 		if !passScore(r.Score, prog.score) {
 			continue
 		}

@@ -1,19 +1,18 @@
 package query
 
 import (
+	"fmt"
+
 	"lamofinder/internal/artifact"
-	"lamofinder/internal/par"
 	"lamofinder/internal/predict"
 )
 
-// View is the columnar binding the engine executes over: the artifact's
-// row-major protein×function score matrix transposed into category-major
-// float64 columns, alongside dense protein attribute columns (degree,
-// annotated bitset) and the per-protein rankings the row-major index
-// already carries. It is built once at model load, next to — not instead
-// of — the existing ScoreIndex: /v1/predict keeps its two-slice-read row
-// path, while bulk plans scan cols[f*n : (f+1)*n] as one contiguous
-// stride-1 pass per category.
+// View is the columnar binding the engine executes over. Scores and
+// rankings are not copied: the view reads the artifact's ScoreIndex, whose
+// category-major matrix lets bulk plans scan one contiguous stride-1
+// column per category and whose per-protein rankings are what /v1/predict
+// serves. Beside the index the view keeps only what plans filter and
+// print: the degree column, the annotated bitset, and the name table.
 //
 // A View is immutable after construction; the daemon shares one across
 // every request goroutine, and it pins to the model snapshot it was built
@@ -22,47 +21,40 @@ type View struct {
 	n  int // proteins
 	nf int // functional categories
 
-	// cols is the category-major score matrix: cols[f*n+p] is protein p's
-	// Eq.-5 score for category f. Filters and per-category top-k touch one
-	// contiguous column per category.
-	cols []float64
+	ix *artifact.ScoreIndex
 	// degree[p] is protein p's interaction degree.
 	degree []int32
 	// annotated is a bitset: bit p set iff protein p carries at least one
 	// known functional annotation (the paper's "annotated" set; its
 	// complement is the prediction target).
 	annotated []uint64
-	// names[p] is protein p's display name; byName resolves it back.
+	// names[p] is protein p's display name; byName resolves a name back to
+	// the lowest vertex carrying it.
 	names  []string
 	byName map[string]int
 	// fnNames[f] is category f's display name.
 	fnNames []string
 
-	// ranked[p] is protein p's full descending ranking (positive scores
-	// only, ties toward the smaller function index) — aliased from the
-	// artifact's ScoreIndex when present, computed once here otherwise.
-	// Per-protein plans serve straight from it, which is what makes a
-	// topk(protein=p) plan byte-equal to /v1/predict.
-	ranked [][]predict.Ranked
-
 	digest string
 }
 
-// NewView builds the columnar view of art. parallelism <= 0 uses
-// GOMAXPROCS workers; the result is identical at any setting because every
-// protein writes only its own strided column slots. The transpose costs
-// one pass over the score matrix (n×nf float64 reads and writes) and is
-// paid once per model load, not per query.
-func NewView(art *artifact.Artifact, parallelism int) (*View, error) {
+// NewView binds the columnar view of an indexed artifact. Binding copies
+// no scores and is one linear pass over the proteins, so the second
+// argument (a worker count) is unused; it stays so existing callers keep
+// compiling.
+func NewView(art *artifact.Artifact, _ int) (*View, error) {
+	if art.Index == nil {
+		return nil, fmt.Errorf("query: artifact has no score index")
+	}
 	digest, err := art.Digest()
 	if err != nil {
 		return nil, err
 	}
-	n, nf := art.Graph.N(), art.NumFunctions
+	n := art.Graph.N()
 	v := &View{
 		n:         n,
-		nf:        nf,
-		cols:      make([]float64, n*nf),
+		nf:        art.NumFunctions,
+		ix:        art.Index,
 		degree:    make([]int32, n),
 		annotated: make([]uint64, (n+63)/64),
 		names:     make([]string, n),
@@ -70,55 +62,18 @@ func NewView(art *artifact.Artifact, parallelism int) (*View, error) {
 		fnNames:   art.FunctionNames,
 		digest:    digest,
 	}
-
-	ix := art.Index
-	var scorer *predict.LabeledMotif
-	if ix == nil {
-		// v1 artifact without a build-time index: score on demand, once,
-		// exactly as the daemon's fallback path would per request.
-		scorer = art.NewScorer()
-		v.ranked = make([][]predict.Ranked, n)
-	} else {
-		v.ranked = rankings(ix, n)
-	}
-
-	workers := par.Workers(parallelism)
-	if ix != nil {
-		par.Do(n, workers, func(p int) {
-			row := ix.Row(p)
-			for f, s := range row {
-				v.cols[f*n+p] = s
-			}
-		})
-	} else {
-		par.Do(n, workers, func(p int) {
-			row := scorer.Scores(p)
-			for f, s := range row {
-				v.cols[f*n+p] = s
-			}
-			v.ranked[p] = predict.TopK(row, 0)
-		})
-	}
-
 	for p := 0; p < n; p++ {
 		v.degree[p] = int32(art.Graph.Degree(p))
 		name := art.Graph.Name(p)
 		v.names[p] = name
-		v.byName[name] = p
+		if _, dup := v.byName[name]; !dup {
+			v.byName[name] = p
+		}
 		if len(art.Functions[p]) > 0 {
 			v.annotated[p>>6] |= 1 << (p & 63)
 		}
 	}
 	return v, nil
-}
-
-// rankings aliases the index's per-protein ranking slices.
-func rankings(ix *artifact.ScoreIndex, n int) [][]predict.Ranked {
-	rk := make([][]predict.Ranked, n)
-	for p := 0; p < n; p++ {
-		rk[p] = ix.Ranking(p)
-	}
-	return rk
 }
 
 // NumProteins returns the number of proteins in the view.
@@ -130,7 +85,10 @@ func (v *View) NumFunctions() int { return v.nf }
 // Digest returns the digest of the artifact the view was built from.
 func (v *View) Digest() string { return v.digest }
 
-// Resolve maps a protein name to its vertex id.
+// Resolve maps a protein name to its vertex id. A name shared by several
+// vertices resolves to the lowest of them.
+//
+// alloc-budget: 0
 func (v *View) Resolve(name string) (int, bool) {
 	p, ok := v.byName[name]
 	return p, ok
@@ -140,10 +98,12 @@ func (v *View) Resolve(name string) (int, bool) {
 func (v *View) Name(p int) string { return v.names[p] }
 
 // Ranking returns protein p's full descending ranking (read-only).
-func (v *View) Ranking(p int) []predict.Ranked { return v.ranked[p] }
+//
+// alloc-budget: 0
+func (v *View) Ranking(p int) []predict.Ranked { return v.ix.Ranking(p) }
 
 // Column returns category f's contiguous score column (read-only).
-func (v *View) Column(f int) []float64 { return v.cols[f*v.n : (f+1)*v.n] }
+func (v *View) Column(f int) []float64 { return v.ix.Column(f) }
 
 // Degree returns protein p's interaction degree.
 func (v *View) Degree(p int) int { return int(v.degree[p]) }

@@ -28,8 +28,8 @@ func TestPredictHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime defeats sync.Pool reuse on purpose; the budget only holds in normal builds")
 	}
-	v2, _ := indexedModel(t)
-	s, err := New(v2, Config{})
+	art := indexedModel(t)
+	s, err := New(art, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +61,8 @@ func TestInstrumentedPredictAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime defeats sync.Pool reuse on purpose; the budget only holds in normal builds")
 	}
-	v2, _ := indexedModel(t)
-	s, err := New(v2, Config{
+	art := indexedModel(t)
+	s, err := New(art, Config{
 		Logger: obs.NewLogger(io.Discard, obs.LevelInfo, obs.FormatJSON),
 	})
 	if err != nil {
@@ -100,8 +100,8 @@ func TestInstrumentedPredictAllocs(t *testing.T) {
 // BenchmarkHandlerPredictIndexed: same request, but through the
 // observability middleware with access logging on.
 func BenchmarkHandlerPredictInstrumented(b *testing.B) {
-	v2, _ := indexedModel(b)
-	s, err := New(v2, Config{
+	art := indexedModel(b)
+	s, err := New(art, Config{
 		Logger: obs.NewLogger(io.Discard, obs.LevelInfo, obs.FormatJSON),
 	})
 	if err != nil {
@@ -123,27 +123,8 @@ func BenchmarkHandlerPredictInstrumented(b *testing.B) {
 // BenchmarkHandlerPredictIndexed measures the handler over the score
 // index: the numbers feed the allocs/op budget in make bench-json.
 func BenchmarkHandlerPredictIndexed(b *testing.B) {
-	v2, _ := indexedModel(b)
-	s, err := New(v2, Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	req := httptest.NewRequest(http.MethodGet, "/v1/predict?protein=p1&protein=p5&protein=p13&k=5", nil)
-	w := &discardResponseWriter{h: make(http.Header, 4)}
-	s.handlePredict(w, req)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.handlePredict(w, req)
-	}
-}
-
-// BenchmarkHandlerPredictFallback is the same request against the same
-// model without an index: LRU-cached on-demand scoring, for the before
-// side of the hot-path comparison.
-func BenchmarkHandlerPredictFallback(b *testing.B) {
-	_, v1 := indexedModel(b)
-	s, err := New(v1, Config{Parallelism: 1})
+	art := indexedModel(b)
+	s, err := New(art, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -161,8 +142,8 @@ func BenchmarkHandlerPredictFallback(b *testing.B) {
 // mux, timeout handler, loopback TCP — so the hot-path numbers above can
 // be read against what a client actually observes.
 func BenchmarkServerPredictE2E(b *testing.B) {
-	v2, _ := indexedModel(b)
-	ts := newTestServer(b, v2, Config{})
+	art := indexedModel(b)
+	ts := newTestServer(b, art, Config{})
 	client := ts.Client()
 	url := ts.URL + "/v1/predict?protein=p1&protein=p5&protein=p13&k=5"
 	buf := make([]byte, 4096)

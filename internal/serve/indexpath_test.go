@@ -2,7 +2,7 @@ package serve
 
 import (
 	"bytes"
-	"fmt"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -10,71 +10,24 @@ import (
 	"lamofinder/internal/artifact"
 )
 
-// indexedModel returns the paper-example artifact with its score index
-// built and round-tripped through the v2 encoding, alongside the same
-// model as a v1 (index-free) artifact.
-func indexedModel(t testing.TB) (v2, v1 *artifact.Artifact) {
+// indexedModel returns the paper-example artifact as a daemon loads it:
+// indexed and round-tripped through its encoded form.
+func indexedModel(t testing.TB) *artifact.Artifact {
 	t.Helper()
 	art, _, _ := exampleModel(t)
-	v1 = reload(t, art)
-	art.BuildIndex(2)
-	v2 = reload(t, art)
-	if v2.Index == nil {
-		t.Fatal("index lost through encode/decode")
-	}
-	return v2, v1
+	return reload(t, art)
 }
 
-// TestIndexedServesIdenticalBytes is the acceptance gate for the serve hot
-// path: a v2 (indexed) artifact and the same model as a v1 artifact must
-// produce byte-identical /v1/predict responses for every protein and k —
-// and since TestPredictMatchesOfflineScorer pins the v1 server to the
-// offline predictfn scoring path, the indexed bytes match offline too.
-// The artifact digest is the one legitimate difference (the v2 encoding
-// includes the index, so the model identity changes); it is spliced to a
-// placeholder before comparing, and everything else must match exactly.
-func TestIndexedServesIdenticalBytes(t *testing.T) {
-	v2, v1 := indexedModel(t)
-	sv2 := newTestServer(t, v2, Config{})
-	sv1 := newTestServer(t, v1, Config{Parallelism: 4})
-	d2, err := v2.Digest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1, err := v1.Digest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < v2.Graph.N(); p++ {
-		name := v2.Graph.Name(p)
-		for _, k := range []int{1, 3, 7, 0} {
-			q := fmt.Sprintf("/v1/predict?protein=%s&k=%d", name, k)
-			st2, b2 := get(t, sv2.URL+q)
-			st1, b1 := get(t, sv1.URL+q)
-			if st2 != http.StatusOK || st1 != http.StatusOK {
-				t.Fatalf("%s k=%d: status %d vs %d", name, k, st2, st1)
-			}
-			// The digest is the only legitimate difference: v2 bytes include
-			// the index, so the model identity differs. Splice it out.
-			b2n := bytes.Replace(b2, []byte(d2), []byte("DIGEST"), 1)
-			b1n := bytes.Replace(b1, []byte(d1), []byte("DIGEST"), 1)
-			if !bytes.Equal(b2n, b1n) {
-				t.Fatalf("%s k=%d: indexed response differs from fallback:\n%s\nvs\n%s", name, k, b2, b1)
-			}
-		}
-	}
-}
-
-// TestIndexedBatchDeterministicAcrossParallelism mirrors the v1
-// determinism gate on the index path: identical bytes across runs and
-// Parallelism settings (the index path never touches the worker pool, but
-// the config must not change bytes either way).
+// TestIndexedBatchDeterministicAcrossParallelism: a batch request over
+// the index returns identical bytes across runs and Parallelism settings
+// (predictions never touch the worker pool, but the config must not
+// change bytes either way).
 func TestIndexedBatchDeterministicAcrossParallelism(t *testing.T) {
-	v2, _ := indexedModel(t)
+	art := indexedModel(t)
 	query := "/v1/predict?protein=p1&protein=p5&protein=p13&k=5"
 	var bodies [][]byte
 	for _, parallelism := range []int{1, 4} {
-		ts := newTestServer(t, v2, Config{Parallelism: parallelism})
+		ts := newTestServer(t, art, Config{Parallelism: parallelism})
 		for run := 0; run < 2; run++ {
 			status, body := get(t, ts.URL+query)
 			if status != http.StatusOK {
@@ -90,55 +43,45 @@ func TestIndexedBatchDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestIndexHitMetrics: the index path counts hits and never touches the
-// fallback cache; the v1 path reports zero index hits.
+// TestIndexHitMetrics: every predicted protein is answered from the score
+// index and counted once, and /v1/metrics serves the same counters.
 func TestIndexHitMetrics(t *testing.T) {
-	v2, v1 := indexedModel(t)
-	s2, err := New(v2, Config{})
+	s, err := New(indexedModel(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 	for i := 0; i < 2; i++ {
-		if status, body := get(t, ts2.URL+"/v1/predict?protein=p1&protein=p2&k=3"); status != http.StatusOK {
-			t.Fatalf("indexed predict: %d: %s", status, body)
+		if status, body := get(t, ts.URL+"/v1/predict?protein=p1&protein=p2&k=3"); status != http.StatusOK {
+			t.Fatalf("predict %d: %d: %s", i, status, body)
 		}
 	}
-	m := s2.Metrics()
-	if m.IndexHits != 4 || m.Predictions != 4 {
-		t.Fatalf("indexed metrics: %+v", m)
+	if m := s.Metrics(); m.IndexHits != 4 || m.Predictions != 4 || m.Requests != 2 {
+		t.Fatalf("counters: %+v", m)
 	}
-	if m.CacheHits != 0 || m.CacheMisses != 0 || m.CacheEntries != 0 {
-		t.Fatalf("index path touched the fallback cache: %+v", m)
+	status, body := get(t, ts.URL+"/v1/metrics")
+	if status != http.StatusOK {
+		t.Fatalf("metrics: %d: %s", status, body)
 	}
-
-	s1, err := New(v1, Config{})
-	if err != nil {
+	var snap MetricsSnapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatal(err)
 	}
-	ts1 := httptest.NewServer(s1.Handler())
-	defer ts1.Close()
-	if status, body := get(t, ts1.URL+"/v1/predict?protein=p1&k=3"); status != http.StatusOK {
-		t.Fatalf("fallback predict: %d: %s", status, body)
-	}
-	if m := s1.Metrics(); m.IndexHits != 0 || m.CacheMisses != 1 {
-		t.Fatalf("fallback metrics: %+v", m)
-	}
-	if s2.Indexed() == s1.Indexed() {
-		t.Fatal("Indexed() does not distinguish v2 from v1")
+	if snap.IndexHits != 4 || snap.Predictions != 4 || snap.Requests < 2 {
+		t.Fatalf("metrics snapshot: %+v", snap)
 	}
 }
 
 // TestPprofGating: the profiling endpoints exist only when opted in, and
 // mount outside the deadlined chain.
 func TestPprofGating(t *testing.T) {
-	v2, _ := indexedModel(t)
-	off := newTestServer(t, v2, Config{})
+	art := indexedModel(t)
+	off := newTestServer(t, art, Config{})
 	if status, _ := get(t, off.URL+"/debug/pprof/cmdline"); status != http.StatusNotFound {
 		t.Fatalf("pprof reachable without opt-in: %d", status)
 	}
-	on := newTestServer(t, v2, Config{EnablePprof: true})
+	on := newTestServer(t, art, Config{EnablePprof: true})
 	if status, body := get(t, on.URL+"/debug/pprof/cmdline"); status != http.StatusOK {
 		t.Fatalf("pprof cmdline with opt-in: %d: %s", status, body)
 	}

@@ -210,9 +210,8 @@ func TestMetricsJSONCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{
-		"requests", "predictions", "errors", "index_hits", "cache_hits",
-		"cache_misses", "singleflight_shared", "latency_micros_total",
-		"cache_entries", "access_log_dropped", "latency",
+		"requests", "predictions", "errors", "index_hits",
+		"latency_micros_total", "access_log_dropped", "latency",
 	} {
 		if _, okKey := raw[key]; !okKey {
 			t.Fatalf("/v1/metrics lost field %q: %v", key, raw)

@@ -43,21 +43,12 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	buf = obs.AppendPromInt(buf, "lamod_predictions_total", "", s.met.predictions.Load())
 	buf = obs.AppendPromHeader(buf, "lamod_index_hits_total", "counter", "Proteins answered from the build-time score index.")
 	buf = obs.AppendPromInt(buf, "lamod_index_hits_total", "", s.met.indexHits.Load())
-	buf = obs.AppendPromHeader(buf, "lamod_cache_hits_total", "counter", "Fallback-path ranking cache hits.")
-	buf = obs.AppendPromInt(buf, "lamod_cache_hits_total", "", s.met.cacheHits.Load())
-	buf = obs.AppendPromHeader(buf, "lamod_cache_misses_total", "counter", "Fallback-path ranking cache misses.")
-	buf = obs.AppendPromInt(buf, "lamod_cache_misses_total", "", s.met.cacheMisses.Load())
-	buf = obs.AppendPromHeader(buf, "lamod_singleflight_shared_total", "counter", "Queries that piggybacked on an in-flight twin.")
-	buf = obs.AppendPromInt(buf, "lamod_singleflight_shared_total", "", s.met.flightShared.Load())
 	buf = obs.AppendPromHeader(buf, "lamod_queries_total", "counter", "Bulk plans executed via /v1/query.")
 	buf = obs.AppendPromInt(buf, "lamod_queries_total", "", s.met.queries.Load())
 	buf = obs.AppendPromHeader(buf, "lamod_query_rows_total", "counter", "Result rows streamed by /v1/query.")
 	buf = obs.AppendPromInt(buf, "lamod_query_rows_total", "", s.met.queryRows.Load())
 	buf = obs.AppendPromHeader(buf, "lamod_access_log_dropped_total", "counter", "Access-log records dropped because the ring was full.")
 	buf = obs.AppendPromInt(buf, "lamod_access_log_dropped_total", "", s.access.Dropped())
-
-	buf = obs.AppendPromHeader(buf, "lamod_cache_entries", "gauge", "Entries resident in the fallback ranking cache.")
-	buf = obs.AppendPromInt(buf, "lamod_cache_entries", "", int64(s.cache.len()))
 
 	buf = obs.AppendPromHeader(buf, "lamod_request_duration_seconds", "histogram", "Request wall time by route.")
 	for route := 0; route < numRoutes; route++ {

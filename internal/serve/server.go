@@ -1,8 +1,9 @@
 // Package serve implements the lamod prediction daemon: an HTTP JSON API
 // over one read-only, checksummed model artifact. The expensive pipeline
-// (mining, uniqueness, labeling) happened at `lamod build` time; a request
-// only runs the cheap LMS aggregation (Eq. 5), so one process can serve
-// many queries against one mined model.
+// (mining, uniqueness, labeling) and the Eq.-5 scoring of every protein
+// happened at `lamod build` time; a request only reads the artifact's
+// score index, so one process can serve many queries against one mined
+// model.
 //
 // Endpoints (all under /v1):
 //
@@ -12,7 +13,7 @@
 //	POST /v1/query   — execute one bulk query plan (internal/query) against
 //	                   the request's model snapshot, streaming the result
 //	GET  /v1/motifs  — the labeled motifs backing the model
-//	GET  /v1/metrics — request/latency/cache counters (JSON)
+//	GET  /v1/metrics — request/latency counters (JSON)
 //	GET  /metrics    — the same state in Prometheus text format, plus Go
 //	                   runtime gauges
 //	POST /v1/admin/reload — swap the served artifact in place (opt-in via
@@ -25,8 +26,9 @@
 //
 // Responses are byte-deterministic: the same artifact and query produce
 // identical bytes at any Parallelism setting, across runs and across
-// processes, because scores are pure functions of the artifact and the
-// ranking (predict.TopK) and JSON field order are fixed.
+// processes, because scores and rankings are read from the artifact and
+// JSON field order is fixed. Request bodies (predict batches, query plans,
+// reloads) are capped at MaxBody.
 package serve
 
 import (
@@ -47,20 +49,22 @@ import (
 
 	"lamofinder/internal/artifact"
 	"lamofinder/internal/obs"
-	"lamofinder/internal/par"
 	"lamofinder/internal/predict"
 	"lamofinder/internal/query"
 )
 
+// MaxBody caps the request body a replica decodes — a predict batch, a
+// query plan or a reload request — at 1 MiB, far above any valid request.
+// A larger body is answered with 413. The gateway buffers POST bodies
+// under the same cap (fleet.DefaultMaxBody).
+const MaxBody = 1 << 20
+
 // Config tunes the daemon. The zero value of any field falls back to the
 // default; none of the knobs change response bytes.
 type Config struct {
-	// Parallelism caps the worker goroutines scoring a batch request
-	// (0 = GOMAXPROCS). Irrelevant on the index path, which only reads.
+	// Parallelism caps the worker goroutines a /v1/query plan scans with
+	// (0 = GOMAXPROCS). Predictions only read the index and never fan out.
 	Parallelism int
-	// CacheSize bounds the LRU of ranked score vectors, in entries. Only
-	// the fallback (unindexed) path consults it.
-	CacheSize int
 	// RequestTimeout is the per-request deadline enforced server-side.
 	RequestTimeout time.Duration
 	// MaxBatch caps the proteins accepted in one predict request.
@@ -114,54 +118,45 @@ type Config struct {
 // DefaultConfig returns the serving defaults.
 func DefaultConfig() Config {
 	return Config{
-		CacheSize:      1024,
 		RequestTimeout: 5 * time.Second,
 		MaxBatch:       64,
 	}
 }
 
-// model is the immutable bundle a request scores against: the artifact
-// plus everything derived from it at load time. Requests read the bundle
-// through one atomic pointer load, so /v1/admin/reload can flip the whole
-// set consistently — a request never sees artifact A's index with
+// model is the immutable bundle a request reads: the artifact plus the
+// query view bound to it at load time. /v1/predict and /v1/query both
+// resolve names and read scores through the one view, and requests load
+// the bundle through one atomic pointer, so /v1/admin/reload flips both
+// endpoints consistently — a request never sees artifact A's index with
 // artifact B's name table. Old models drain naturally: in-flight requests
 // keep their loaded pointer until they finish, exactly like in-flight
 // requests keep the old process alive through the SIGTERM/Shutdown path.
 type model struct {
 	art    *artifact.Artifact
-	scorer *predict.LabeledMotif
-	index  *artifact.ScoreIndex // nil for v1 artifacts: score on demand
-	view   *query.View          // columnar binding for /v1/query bulk plans
-	byName map[string]int
+	view   *query.View
 	digest string
+	// coverage counts the proteins inside at least one labeled motif,
+	// reported by /v1/healthz.
+	coverage int
 }
 
 // newModel derives the request-time bundle from a loaded artifact. The
 // artifact is shared read-only across request goroutines and must not be
-// mutated afterwards. The columnar query view is built here, once per
-// load, beside the row-major index — so a reload flips the predict path
-// and the bulk-query path in the same atomic pointer swap.
+// mutated afterwards.
 func newModel(art *artifact.Artifact) (*model, error) {
 	digest, err := art.Digest()
 	if err != nil {
 		return nil, fmt.Errorf("serve: digest artifact: %w", err)
-	}
-	byName := make(map[string]int, art.Graph.N())
-	for v := art.Graph.N() - 1; v >= 0; v-- {
-		// Reverse order so the lowest index wins a (pathological) name clash.
-		byName[art.Graph.Name(v)] = v
 	}
 	view, err := query.NewView(art, 0)
 	if err != nil {
 		return nil, fmt.Errorf("serve: build query view: %w", err)
 	}
 	return &model{
-		art:    art,
-		scorer: art.NewScorer(),
-		index:  art.Index,
-		view:   view,
-		byName: byName,
-		digest: digest,
+		art:      art,
+		view:     view,
+		digest:   digest,
+		coverage: art.NewScorer().Coverage(),
 	}, nil
 }
 
@@ -171,8 +166,6 @@ type Server struct {
 	ready     atomic.Bool // false while an artifact reload is in flight
 	reloading atomic.Bool // serializes reloads; readiness gate for routers
 	cfg       Config
-	cache     *lruCache
-	flight    *flightGroup
 	met       metrics
 	trace     *obs.TraceSource
 	access    *obs.AccessLog // nil when Config.Logger is nil
@@ -187,9 +180,6 @@ type Server struct {
 // read-only across request goroutines and must not be mutated afterwards.
 func New(art *artifact.Artifact, cfg Config) (*Server, error) {
 	def := DefaultConfig()
-	if cfg.CacheSize <= 0 {
-		cfg.CacheSize = def.CacheSize
-	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = def.RequestTimeout
 	}
@@ -206,8 +196,6 @@ func New(art *artifact.Artifact, cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:    cfg,
-		cache:  newLRUCache(cfg.CacheSize),
-		flight: newFlightGroup(),
 		trace:  trace,
 		access: obs.NewAccessLog(cfg.Logger, cfg.AccessLogSize),
 		tracer: obs.NewTracer(cfg.TraceSampleEvery, cfg.TraceStoreSize, cfg.Logger),
@@ -216,9 +204,6 @@ func New(art *artifact.Artifact, cfg Config) (*Server, error) {
 	s.ready.Store(true)
 	return s, nil
 }
-
-// Indexed reports whether the served artifact carries a score index.
-func (s *Server) Indexed() bool { return s.mdl.Load().index != nil }
 
 // Digest returns the served artifact's identity.
 func (s *Server) Digest() string { return s.mdl.Load().digest }
@@ -230,7 +215,7 @@ func (s *Server) Ready() bool { return s.ready.Load() }
 
 // Metrics returns a point-in-time counter snapshot.
 func (s *Server) Metrics() MetricsSnapshot {
-	return s.met.snapshot(s.mdl.Load().digest, s.cache.len(), s.access.Dropped())
+	return s.met.snapshot(s.mdl.Load().digest, s.access.Dropped())
 }
 
 // ErrReloadInFlight is returned when a reload is requested while another
@@ -250,8 +235,7 @@ type ReloadResult struct {
 // the flip, new model after — never a mix). wantDigest, when non-empty,
 // must match the new artifact's identity or the swap is refused and the
 // old model keeps serving. The previous model is not torn down: requests
-// holding it finish on it, then it is garbage. The ranking cache needs no
-// flush because its keys carry the digest.
+// holding it finish on it, then it is garbage.
 func (s *Server) Reload(path, wantDigest string) (ReloadResult, error) {
 	if !s.reloading.CompareAndSwap(false, true) {
 		return ReloadResult{}, ErrReloadInFlight
@@ -529,8 +513,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 	case http.MethodPost:
 		var req predictRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBody)).Decode(&req); err != nil {
+			s.writeError(w, bodyStatus(err), "bad request body: %v", err)
 			return
 		}
 		sc.proteins = append(sc.proteins, req.Proteins...)
@@ -551,8 +535,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.writeFieldError(w, http.StatusBadRequest, fe)
 		return
 	}
-	if k == 0 || k > m.art.NumFunctions {
-		k = m.art.NumFunctions
+	if k == 0 || k > m.view.NumFunctions() {
+		k = m.view.NumFunctions()
 	}
 	for _, name := range sc.proteins {
 		p, ok := m.resolve(name)
@@ -570,27 +554,17 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		sc.rankings = make([][]predict.Ranked, len(sc.ids))
 	}
 	sc.rankings = sc.rankings[:len(sc.ids)]
-	if m.index != nil {
-		// Index hit: a prediction is a subslice of the precomputed full
-		// ranking — no scoring, no sorting, no worker pool, no allocation.
-		for i, p := range sc.ids {
-			rk := m.index.Ranking(p)
-			if k < len(rk) {
-				rk = rk[:k]
-			}
-			sc.rankings[i] = rk
+	// A prediction is a subslice of the precomputed full ranking — no
+	// scoring, no sorting, no worker pool, no allocation.
+	for i, p := range sc.ids {
+		rk := m.view.Ranking(p)
+		if k < len(rk) {
+			rk = rk[:k]
 		}
-		s.met.indexHits.Add(int64(len(sc.ids)))
-		tr.SetDetail(rankSpan, "index")
-	} else {
-		// Fallback (v1 artifact): score the batch on the worker pool; each
-		// slot is written only by its own index, so response order always
-		// matches request order.
-		par.Do(len(sc.ids), par.Workers(s.cfg.Parallelism), func(i int) {
-			sc.rankings[i] = s.scoreOne(m, sc.ids[i], k)
-		})
-		tr.SetDetail(rankSpan, "score")
+		sc.rankings[i] = rk
 	}
+	s.met.indexHits.Add(int64(len(sc.ids)))
+	tr.SetDetail(rankSpan, "index")
 	s.met.predictions.Add(int64(len(sc.ids)))
 	tr.SetRows(rankSpan, int64(len(sc.ids)), int64(len(sc.ids)))
 	tr.EndSpan(rankSpan)
@@ -618,8 +592,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	m := s.mdl.Load()
 	decodeSpan := tr.StartSpan(tr.Root(), "decode")
 	var plan query.Plan
-	if err := json.NewDecoder(r.Body).Decode(&plan); err != nil {
-		s.writeFieldError(w, http.StatusBadRequest, query.Errorf("body", "bad plan JSON: %v", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBody)).Decode(&plan); err != nil {
+		s.writeFieldError(w, bodyStatus(err), query.Errorf("body", "bad plan JSON: %v", err))
 		return
 	}
 	tr.EndSpan(decodeSpan)
@@ -674,38 +648,26 @@ func (s *Server) writeFieldError(w http.ResponseWriter, status int, fe *query.Fi
 	s.writeJSON(w, status, fieldErrorResponse{Error: fe.Error(), Field: fe.Field, Reason: fe.Reason})
 }
 
-// resolve maps a protein name (or a bare vertex index) to its vertex id.
+// bodyStatus is the status for a request body that failed to decode: 413
+// when it overran MaxBody, 400 otherwise.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+// resolve maps a protein name (or a bare vertex index) to its vertex id,
+// through the view's name table — the one /v1/query resolves against.
 func (m *model) resolve(name string) (int, bool) {
-	if p, ok := m.byName[name]; ok {
+	if p, ok := m.view.Resolve(name); ok {
 		return p, true
 	}
-	if p, err := strconv.Atoi(name); err == nil && p >= 0 && p < m.art.Graph.N() {
+	if p, err := strconv.Atoi(name); err == nil && p >= 0 && p < m.view.NumProteins() {
 		return p, true
 	}
 	return 0, false
-}
-
-// scoreOne returns protein p's top-k ranking, consulting the LRU cache and
-// collapsing concurrent identical queries through the flight group. The
-// cache key carries the artifact digest, so a process serving a different
-// model can never replay stale entries. Only unindexed artifacts reach
-// this path; names are resolved at encode time.
-func (s *Server) scoreOne(m *model, p, k int) []predict.Ranked {
-	key := m.digest + "|" + strconv.Itoa(p) + "|" + strconv.Itoa(k)
-	if v, ok := s.cache.get(key); ok {
-		s.met.cacheHits.Add(1)
-		return v.([]predict.Ranked)
-	}
-	s.met.cacheMisses.Add(1)
-	v, _, shared := s.flight.do(key, func() (any, error) {
-		ranked := predict.TopK(m.scorer.Scores(p), k)
-		s.cache.put(key, ranked)
-		return ranked, nil
-	})
-	if shared {
-		s.met.flightShared.Add(1)
-	}
-	return v.([]predict.Ranked)
 }
 
 // healthzResponse is the body of /v1/healthz. Status is liveness (the
@@ -741,7 +703,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Interactions: m.art.Graph.M(),
 		Functions:    m.art.NumFunctions,
 		Motifs:       len(m.art.Motifs),
-		Coverage:     m.scorer.Coverage(),
+		Coverage:     m.coverage,
 	})
 }
 
@@ -760,8 +722,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req reloadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBody)).Decode(&req); err != nil {
+		s.writeError(w, bodyStatus(err), "bad request body: %v", err)
 		return
 	}
 	if req.Artifact == "" {
