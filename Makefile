@@ -23,7 +23,7 @@ RACEPKGS = ./internal/par/... ./internal/label/... ./internal/cluster/... \
 	./internal/serve/... ./internal/fleet/... ./internal/artifact/... \
 	./internal/obs/... ./internal/analysis/... ./internal/query/...
 
-.PHONY: all build vet govet lamovet vet-json lint test race alloc alloc-build fuzz bench-smoke bench-json serve-smoke load-smoke fleet-smoke query-smoke trace-smoke ci
+.PHONY: all build vet govet lamovet vet-json lint test race alloc alloc-build fuzz bench-module bench-smoke bench-json serve-smoke load-smoke fleet-smoke query-smoke trace-smoke ci
 
 # The dated trajectory snapshot bench-json writes (and lamoload merges into).
 BENCHFILE ?= BENCH_$(shell date +%Y-%m-%d).json
@@ -72,9 +72,14 @@ alloc:
 # alloc-build is the build-side counterpart: the beam-miner benchmarks must
 # stay within the checked-in allocs/op and bytes/op ceilings in
 # ALLOC_BUDGET.json, so the mining hot path's CSR/bitset/arena memory
-# layout (DESIGN.md §13) cannot silently regress back to per-subgraph maps.
+# layout (DESIGN.md §13) cannot silently regress back to per-subgraph maps;
+# one uniqueness-matcher count on a built per-network view, and one
+# occurrence-similarity (SO) evaluation on a warmed Sim on both symmetry
+# paths, must hold exactly 0 allocs.
 alloc-build:
 	$(GO) test -run TestMinerBeamAllocBudget -v .
+	$(GO) test -run TestMatcherCountAllocs -v ./internal/graph
+	$(GO) test -run TestOccurrenceAllocs -v ./internal/label
 
 # fuzz mutates artifact payloads through artifact.Decode for 20 s,
 # starting from the committed seed corpus
@@ -82,6 +87,13 @@ alloc-build:
 # any accepted one must re-encode to a stable byte form.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s ./internal/artifact
+
+# bench-module vets and tests the benchmark's own Go module (bench/), which
+# the root ./... patterns never reach although it calls the pipeline's
+# packages directly. -short skips its end-to-end smoke run and its lamovet
+# pass.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # bench-smoke compiles and executes every benchmark exactly once — a CI
 # guard against benchmark rot, not a measurement.
@@ -130,4 +142,4 @@ query-smoke:
 trace-smoke:
 	./scripts/trace_smoke.sh
 
-ci: build lint test race alloc alloc-build fuzz bench-smoke serve-smoke load-smoke fleet-smoke query-smoke trace-smoke
+ci: build lint test race alloc alloc-build fuzz bench-module bench-smoke serve-smoke load-smoke fleet-smoke query-smoke trace-smoke

@@ -15,37 +15,64 @@ func MaxAssignment(s [][]float64) (assign []int, total float64) {
 	if n == 0 {
 		return nil, 0
 	}
-	// Convert to min-cost with padding; classic potentials formulation.
+	flat := make([]float64, 0, n*n)
+	for _, row := range s {
+		flat = append(flat, row[:n]...)
+	}
+	assign = make([]int, n)
+	return assign, MaxAssignmentInto(flat, n, assign, NewAssignScratch(n))
+}
+
+// AssignScratch is the working memory of MaxAssignmentInto: the dual
+// potentials, the column matching and the per-row search state of the
+// Hungarian algorithm, for problems up to the size it was made for.
+type AssignScratch struct {
+	u, v, minv []float64
+	p, way     []int
+	used       []bool
+}
+
+// NewAssignScratch returns scratch for assignment problems up to n×n.
+func NewAssignScratch(n int) *AssignScratch {
+	return &AssignScratch{
+		u: make([]float64, n+1), v: make([]float64, n+1), minv: make([]float64, n+1),
+		p: make([]int, n+1), way: make([]int, n+1), used: make([]bool, n+1),
+	}
+}
+
+// MaxAssignmentInto is MaxAssignment over the row-major n×n score matrix s
+// (s[i*n+j] scores row i with column j). It writes the column of each row
+// into assign[:n] and returns the total, working in sc, which must have
+// been made for at least n; it allocates nothing.
+//
+// alloc-budget: 0
+func MaxAssignmentInto(s []float64, n int, assign []int, sc *AssignScratch) (total float64) {
+	if n == 0 {
+		return 0
+	}
+	// Min-cost on negated scores, classic potentials formulation; row i0
+	// of the cost matrix is -s[(i0-1)*n:], 1-based like the potentials.
 	const inf = math.MaxFloat64 / 4
-	a := make([][]float64, n+1)
-	for i := 0; i <= n; i++ {
-		a[i] = make([]float64, n+1)
+	u, v, minv := sc.u[:n+1], sc.v[:n+1], sc.minv[:n+1]
+	p, way, used := sc.p[:n+1], sc.way[:n+1], sc.used[:n+1] // p[j] = row matched to column j
+	for j := 0; j <= n; j++ {
+		u[j], v[j], p[j], way[j] = 0, 0, 0, 0
 	}
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= n; j++ {
-			a[i][j] = -s[i-1][j-1]
-		}
-	}
-	u := make([]float64, n+1)
-	v := make([]float64, n+1)
-	p := make([]int, n+1) // p[j] = row matched to column j
-	way := make([]int, n+1)
 	for i := 1; i <= n; i++ {
 		p[0] = i
 		j0 := 0
-		minv := make([]float64, n+1)
-		used := make([]bool, n+1)
 		for j := 0; j <= n; j++ {
-			minv[j] = inf
+			minv[j], used[j] = inf, false
 		}
 		for {
 			used[j0] = true
 			i0, delta, j1 := p[j0], inf, 0
+			row := s[(i0-1)*n : i0*n]
 			for j := 1; j <= n; j++ {
 				if used[j] {
 					continue
 				}
-				cur := a[i0][j] - u[i0] - v[j]
+				cur := -row[j-1] - u[i0] - v[j]
 				if cur < minv[j] {
 					minv[j] = cur
 					way[j] = j0
@@ -74,14 +101,13 @@ func MaxAssignment(s [][]float64) (assign []int, total float64) {
 			j0 = j1
 		}
 	}
-	assign = make([]int, n)
 	for j := 1; j <= n; j++ {
 		if p[j] > 0 {
 			assign[p[j]-1] = j - 1
 		}
 	}
 	for i := 0; i < n; i++ {
-		total += s[i][assign[i]]
+		total += s[i*n+assign[i]]
 	}
-	return assign, total
+	return total
 }

@@ -367,7 +367,7 @@ func TestCountInducedTriangles(t *testing.T) {
 	tri.AddEdge(0, 1)
 	tri.AddEdge(1, 2)
 	tri.AddEdge(2, 0)
-	n, exact := CountInducedUpTo(g, tri, 0, 0)
+	n, exact := NewMatcher(g).CountInducedUpTo(NewMatchPlan(tri), 0, 0)
 	if !exact || n != 4 {
 		t.Errorf("triangles in K4 = %d (exact=%v), want 4", n, exact)
 	}
@@ -375,7 +375,7 @@ func TestCountInducedTriangles(t *testing.T) {
 	path := NewDense(3)
 	path.AddEdge(0, 1)
 	path.AddEdge(1, 2)
-	n, _ = CountInducedUpTo(g, path, 0, 0)
+	n, _ = NewMatcher(g).CountInducedUpTo(NewMatchPlan(path), 0, 0)
 	if n != 0 {
 		t.Errorf("induced P3 in K4 = %d, want 0", n)
 	}
@@ -390,11 +390,12 @@ func TestCountInducedLimit(t *testing.T) {
 	path := NewDense(3)
 	path.AddEdge(0, 1)
 	path.AddEdge(1, 2)
-	n, _ := CountInducedUpTo(g, path, 5, 0)
+	mt, plan := NewMatcher(g), NewMatchPlan(path)
+	n, _ := mt.CountInducedUpTo(plan, 5, 0)
 	if n < 5 {
 		t.Errorf("count with limit = %d, want >= 5", n)
 	}
-	full, exact := CountInducedUpTo(g, path, 0, 0)
+	full, exact := mt.CountInducedUpTo(plan, 0, 0)
 	if !exact || full != 100 {
 		t.Errorf("P3 count in C100 = %d (exact=%v), want 100", full, exact)
 	}
@@ -411,7 +412,7 @@ func TestCountInducedStepBudget(t *testing.T) {
 	tri.AddEdge(0, 1)
 	tri.AddEdge(1, 2)
 	tri.AddEdge(2, 0)
-	_, exact := CountInducedUpTo(g, tri, 0, 100)
+	_, exact := NewMatcher(g).CountInducedUpTo(NewMatchPlan(tri), 0, 100)
 	if exact {
 		t.Error("tiny step budget reported exact on K60")
 	}

@@ -1,6 +1,9 @@
 package graph
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // vf2DenseIso reports whether two equally sized dense graphs are isomorphic,
 // using a VF2-style backtracking search seeded with WL color compatibility.
@@ -160,126 +163,287 @@ func Orbits(d *Dense) [][]int {
 	return orbits
 }
 
-// AutomorphismCount returns the order of the automorphism group of d,
-// capped at the given limit (0 = no cap).
-func AutomorphismCount(d *Dense, cap int) int {
-	return len(Automorphisms(d, cap))
+// AutomorphismCount returns |Aut(d)|, the order of d's automorphism group,
+// saturated at math.MaxInt64. It never lists the group. By the
+// orbit–stabilizer theorem the order is the product, over i, of the size of
+// vertex i's orbit under the automorphisms that fix vertices 0..i-1; each
+// member w of that orbit is certified by one existence search for an
+// automorphism that fixes 0..i-1 and sends i to w. A k-vertex star, whose
+// group has (k-1)! elements, costs O(k²) short searches.
+func AutomorphismCount(d *Dense) int64 {
+	n := d.n
+	s := autSearch{d: d}
+	var colArr [MaxDense]uint64
+	wlColors(d, &colArr)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if colArr[u] == colArr[v] {
+				s.cand[u] |= 1 << uint(v)
+			}
+		}
+	}
+	order := int64(1)
+	for i := 0; i < n; i++ {
+		s.plan(i)
+		orbit := int64(1) // w = i: the identity
+		for m := s.cand[i] >> uint(i+1) << uint(i+1); m != 0; m &= m - 1 {
+			if s.extends(i, bits.TrailingZeros32(m)) {
+				orbit++
+			}
+		}
+		order = satMul(order, orbit)
+	}
+	return order
 }
 
-// CountInducedUpTo counts vertex sets of g whose induced subgraph is
-// isomorphic to pattern, stopping as soon as the count reaches limit
-// (limit <= 0 means count exhaustively). Counting is by distinct vertex
-// sets: the number of matched mappings is divided by |Aut(pattern)|.
-// maxSteps bounds the number of backtracking extensions (0 = unbounded);
-// when the budget is exhausted the count found so far is returned with
-// exact = false.
-func CountInducedUpTo(g *Graph, pattern *Dense, limit int, maxSteps int64) (count int, exact bool) {
-	return CountInducedUpToAdj(g, nil, pattern, limit, maxSteps)
+// autSearch is AutomorphismCount's existence search: is there an
+// automorphism that fixes vertices 0..i-1 and sends i to w?
+type autSearch struct {
+	d     *Dense
+	cand  [MaxDense]uint32 // vertices sharing u's WL color: u's possible images
+	rest  [MaxDense]int    // vertices i+1..n-1 in placement order
+	nrest int
+	img   [MaxDense]int
+	taken uint32 // images in use
 }
 
-// CountInducedUpToAdj is CountInducedUpTo with a prebuilt adjacency bitmap
-// for g (may be nil). Callers that count many patterns against the same
-// graph build the bitmap once and skip the per-edge-test binary search.
-func CountInducedUpToAdj(g *Graph, adj *AdjBits, pattern *Dense, limit int, maxSteps int64) (count int, exact bool) {
-	aut := AutomorphismCount(pattern, 0)
-	mappings, exact := countMappings(g, adj, pattern, int64(limit)*int64(aut), maxSteps)
-	return int(mappings / int64(aut)), exact
+// plan orders the vertices above i for placement: each next one has the
+// most edges into the vertices placed before it (0..i first), ties to the
+// lower index, so adjacency constraints prune the search early.
+func (s *autSearch) plan(i int) {
+	placed := uint32(1)<<uint(i+1) - 1
+	s.nrest = 0
+	for r := i + 1; r < s.d.n; r++ {
+		best, bestC := -1, -1
+		for v := i + 1; v < s.d.n; v++ {
+			if placed&(1<<uint(v)) == 0 {
+				if c := bits.OnesCount32(s.d.rows[v] & placed); c > bestC {
+					best, bestC = v, c
+				}
+			}
+		}
+		s.rest[s.nrest] = best
+		s.nrest++
+		placed |= 1 << uint(best)
+	}
 }
 
-// countMappings counts injective induced-isomorphism mappings of pattern
-// into g, stopping at mapLimit (<= 0: exhaustive) or after maxSteps
-// extensions. adj, when non-nil, must be NewAdjBits(g).
-func countMappings(g *Graph, adj *AdjBits, pattern *Dense, mapLimit int64, maxSteps int64) (int64, bool) {
-	k := pattern.n
+// extends reports whether some automorphism fixes 0..i-1 and sends i to w.
+func (s *autSearch) extends(i, w int) bool {
+	fixed := uint32(1)<<uint(i) - 1
+	if (s.d.rows[i]^s.d.rows[w])&fixed != 0 {
+		return false
+	}
+	for v := 0; v < i; v++ {
+		s.img[v] = v
+	}
+	s.img[i] = w
+	s.taken = fixed | 1<<uint(w)
+	return s.place(i, 0)
+}
+
+// place maps rest[r:] onto untaken same-color vertices, keeping every edge
+// and non-edge to the vertices already placed (0..i and rest[:r]).
+func (s *autSearch) place(i, r int) bool {
+	if r == s.nrest {
+		return true
+	}
+	u := s.rest[r]
+	for m := s.cand[u] &^ s.taken; m != 0; m &= m - 1 {
+		v := bits.TrailingZeros32(m)
+		if s.consistent(u, v, i, r) {
+			s.img[u] = v
+			s.taken |= 1 << uint(v)
+			if s.place(i, r+1) {
+				return true
+			}
+			s.taken &^= 1 << uint(v)
+		}
+	}
+	return false
+}
+
+// consistent reports whether u -> v agrees with every placed vertex's image.
+func (s *autSearch) consistent(u, v, i, r int) bool {
+	d := s.d
+	for x := 0; x <= i; x++ {
+		if d.HasEdge(u, x) != d.HasEdge(v, s.img[x]) {
+			return false
+		}
+	}
+	for _, x := range s.rest[:r] {
+		if d.HasEdge(u, x) != d.HasEdge(v, s.img[x]) {
+			return false
+		}
+	}
+	return true
+}
+
+// satMul returns a·b for non-negative a and b, saturated at math.MaxInt64.
+func satMul(a, b int64) int64 {
+	if a != 0 && b > math.MaxInt64/a {
+		return math.MaxInt64
+	}
+	return a * b
+}
+
+// Matcher counts induced pattern embeddings in one network: the inner loop
+// of the uniqueness null model and of z-scores. It holds the network in the
+// layout that loop reads — CSR neighbor rows, a degree array that doubles
+// as the used-vertex marks, and the adjacency bit rows — so one Matcher
+// serves every pattern counted against its network and a count allocates
+// nothing. A Matcher is not safe for concurrent use: build one per network
+// and goroutine.
+type Matcher struct {
+	// offsets/targets are the CSR neighbor rows, sorted ascending, with
+	// the vertex ids 0..n-1 appended to targets as the candidate row of
+	// search position 0 (see CountInducedUpTo).
+	offsets []int32
+	targets []int32
+	// avail[v] is v's degree while v is unmapped and ^degree (negative,
+	// below any pattern degree) while a count has it mapped, so one load
+	// answers "unused and meets the pattern degree".
+	avail  []int32
+	words  []uint64 // adjacency bit rows, stride words each
+	stride int
+}
+
+// NewMatcher builds the matcher view of g. Like NewCSR it is a snapshot.
+func NewMatcher(g *Graph) *Matcher {
+	n := g.N()
+	csr, adj := NewCSR(g), NewAdjBits(g)
+	m := &Matcher{offsets: csr.offsets, targets: csr.targets, avail: make([]int32, n), words: adj.words, stride: adj.stride}
+	for v := 0; v < n; v++ {
+		m.targets = append(m.targets, int32(v))
+		m.avail[v] = int32(g.Degree(v))
+	}
+	return m
+}
+
+// MatchPlan is a pattern compiled for Matcher: the search order fixed by
+// connectedOrder, each position's anchor, pattern degree and induced
+// adjacency to earlier positions, and |Aut(pattern)|. Build it once per
+// pattern and count it against every network.
+type MatchPlan struct {
+	k     int
+	aut   int64
+	prior [MaxDense]int32  // position of an earlier neighbor (the anchor), for positions >= 1
+	deg   [MaxDense]int32  // pattern degree of the vertex at each position
+	need  [MaxDense]uint32 // bit q: positions q < pos and pos are adjacent (anchor excluded)
+	avoid [MaxDense]uint32 // bit q: positions q < pos and pos are not adjacent
+}
+
+// NewMatchPlan compiles pattern, which must be connected (motifs are).
+func NewMatchPlan(pattern *Dense) *MatchPlan {
+	p := &MatchPlan{k: pattern.n, aut: AutomorphismCount(pattern)}
+	if p.k == 0 {
+		return p
+	}
+	order, prior := connectedOrder(pattern)
+	for pos, u := range order {
+		p.prior[pos] = int32(prior[pos])
+		p.deg[pos] = int32(pattern.Degree(u))
+		for q := 0; q < pos; q++ {
+			switch {
+			case !pattern.HasEdge(u, order[q]):
+				p.avoid[pos] |= 1 << uint(q)
+			case q != prior[pos]:
+				p.need[pos] |= 1 << uint(q)
+			}
+		}
+	}
+	return p
+}
+
+// CountInducedUpTo counts vertex sets of the network whose induced subgraph
+// is isomorphic to the plan's pattern, stopping as soon as the count
+// reaches limit (limit <= 0 counts exhaustively). It counts injective
+// mappings up to limit·|Aut| (saturated) and divides by |Aut|. maxSteps
+// bounds the search (0 = unbounded); when the budget runs out, the count so
+// far comes back with exact = false.
+//
+// The search is frozen (DESIGN.md §5): position 0 scans vertex ids
+// ascending, position i scans the sorted neighbors of the vertex mapped at
+// prior[i], a step is a candidate that is unused and has at least the
+// pattern vertex's degree, and the count limit is checked before every
+// candidate. The step budget runs out inside real uniqueness rounds, so a
+// different order or step definition would change which motifs pass.
+//
+// alloc-budget: 0
+func (m *Matcher) CountInducedUpTo(p *MatchPlan, limit int, maxSteps int64) (count int, exact bool) {
+	k := p.k
 	if k == 0 {
 		return 0, true
 	}
-	// Order pattern vertices so each (after the first) attaches to a prior
-	// one; assumes pattern is connected (motifs are).
-	order, prior := connectedOrder(pattern)
-	pdeg := make([]int, k)
-	for i := 0; i < k; i++ {
-		pdeg[i] = pattern.Degree(i)
+	// The count only moves at a full mapping, so checking the limit there
+	// is checking it before every candidate.
+	mapLimit := int64(math.MaxInt64)
+	if limit > 0 {
+		mapLimit = satMul(int64(limit), p.aut)
 	}
-	// Precompute, per position, which earlier positions must be adjacent /
-	// non-adjacent in the graph (induced matching).
-	adjPrev := make([][]int, k)  // positions p < pos with a pattern edge
-	nadjPrev := make([][]int, k) // positions p < pos without one
-	for pos := 0; pos < k; pos++ {
-		u := order[pos]
-		for p := 0; p < pos; p++ {
-			if pattern.HasEdge(u, order[p]) {
-				adjPrev[pos] = append(adjPrev[pos], p)
-			} else {
-				nadjPrev[pos] = append(nadjPrev[pos], p)
-			}
-		}
+	stepsLeft := maxSteps
+	if maxSteps <= 0 {
+		stepsLeft = math.MaxInt64
 	}
-	hasEdge := g.HasEdge
-	if adj != nil {
-		hasEdge = adj.Has
+	offsets, targets, avail, words, stride := m.offsets, m.targets, m.avail, m.words, m.stride
+	// mapped[d] is the network vertex at position d and rows[d] the offset
+	// of its adjacency bit row; targets[cur[d]:end[d]] are the unscanned
+	// candidates there: all vertex ids at position 0, the anchor's
+	// neighbor row above it.
+	var mapped, cur, end [MaxDense]int32
+	var rows [MaxDense]int
+	cur[0], end[0] = offsets[len(avail)], int32(len(targets))
+	var cnt int64
+	exact = true
+	d := 0
+	for {
+		if cur[d] == end[d] {
+			if d == 0 {
+				break
+			}
+			d--
+			avail[mapped[d]] = ^avail[mapped[d]]
+			continue
+		}
+		gv := targets[cur[d]]
+		cur[d]++
+		if avail[gv] < p.deg[d] {
+			continue
+		}
+		if stepsLeft == 0 {
+			exact = false
+			break
+		}
+		stepsLeft--
+		// Induced match: gv must be adjacent to the vertices at the need
+		// positions and to none at the avoid positions. The test reads the
+		// mapped vertices' rows, which stay cached across the scan.
+		word, shift, ok := int(gv>>6), uint(gv&63), true
+		for b := p.need[d]; b != 0 && ok; b &= b - 1 {
+			ok = words[rows[bits.TrailingZeros32(b)]+word]>>shift&1 != 0
+		}
+		for b := p.avoid[d]; b != 0 && ok; b &= b - 1 {
+			ok = words[rows[bits.TrailingZeros32(b)]+word]>>shift&1 == 0
+		}
+		if !ok {
+			continue
+		}
+		if d == k-1 {
+			if cnt++; cnt == mapLimit {
+				break
+			}
+			continue
+		}
+		mapped[d], rows[d] = gv, int(gv)*stride
+		avail[gv] = ^avail[gv]
+		d++
+		a := mapped[p.prior[d]]
+		cur[d], end[d] = offsets[a], offsets[a+1]
 	}
-	mapped := make([]int, k) // position -> graph vertex
-	usedG := make([]bool, g.N())
-	var cnt, steps int64
-	exhausted := false
-
-	var rec func(pos int)
-	rec = func(pos int) {
-		if exhausted || (mapLimit > 0 && cnt >= mapLimit) {
-			return
-		}
-		if pos == k {
-			cnt++
-			return
-		}
-		u := order[pos]
-		try := func(gv int) {
-			if usedG[gv] || g.Degree(gv) < pdeg[u] {
-				return
-			}
-			steps++
-			if maxSteps > 0 && steps > maxSteps {
-				exhausted = true
-				return
-			}
-			for _, p := range adjPrev[pos] {
-				if !hasEdge(gv, mapped[p]) {
-					return
-				}
-			}
-			for _, p := range nadjPrev[pos] {
-				if hasEdge(gv, mapped[p]) {
-					return
-				}
-			}
-			mapped[pos] = gv
-			usedG[gv] = true
-			rec(pos + 1)
-			usedG[gv] = false
-		}
-		if pos == 0 {
-			for gv := 0; gv < g.N(); gv++ {
-				if exhausted || (mapLimit > 0 && cnt >= mapLimit) {
-					return
-				}
-				try(gv)
-			}
-			return
-		}
-		anchor := mapped[prior[pos]]
-		for _, gv := range g.Neighbors(anchor) {
-			if exhausted || (mapLimit > 0 && cnt >= mapLimit) {
-				return
-			}
-			try(int(gv))
-		}
+	for _, v := range mapped[:d] {
+		avail[v] = ^avail[v]
 	}
-	rec(0)
-	if mapLimit > 0 && cnt >= mapLimit {
-		return cnt, true // reached the requested limit; exact up to the cap
-	}
-	return cnt, !exhausted
+	return int(cnt / p.aut), exact
 }
 
 // connectedOrder returns an order of pattern vertices such that every vertex

@@ -252,12 +252,9 @@ func (l *Labeler) LabelOccurrences(nv int, occurrences [][]int32, sym *Symmetry)
 	// invalidation. Results are identical at any worker count because the
 	// similarity values are pure functions of the schemes and the driver
 	// breaks ties by cluster id, not by evaluation order.
-	simOf := func(a, b int) float64 {
-		so, _ := l.sim.Occurrence(clusters[a].scheme, clusters[b].scheme, sym)
-		return so
-	}
+	// Rows discard the pairing: each chunk of a row scores through one
+	// pooled scratch, so scoring allocates nothing per pair.
 	ag := &cluster.Agglomerative{
-		Sim: simOf,
 		BatchSim: func(a int, bs []int, out []float64) {
 			// Short rows are cheaper serial than the goroutine handoff; the
 			// threshold only moves work between schedules, never changes it.
@@ -265,7 +262,13 @@ func (l *Labeler) LabelOccurrences(nv int, occurrences [][]int32, sym *Symmetry)
 			if len(bs) < minParallelRow {
 				workers = 1
 			}
-			par.Do(len(bs), workers, func(i int) { out[i] = simOf(a, bs[i]) })
+			par.Chunks(len(bs), soChunk, workers, func(_, lo, hi int) {
+				sc := soPool.Get().(*soScratch)
+				for i := lo; i < hi; i++ {
+					out[i] = l.sim.occurrence(clusters[a].scheme, clusters[bs[i]].scheme, sym, sc.pairing[:nv], sc)
+				}
+				soPool.Put(sc)
+			})
 		},
 		Merge: func(a, b int) int {
 			clusters = append(clusters, l.merge(clusters[a], clusters[b], sym))
@@ -318,7 +321,10 @@ func (l *Labeler) LabelOccurrences(nv int, occurrences [][]int32, sym *Symmetry)
 // vertex correspondence.
 func (l *Labeler) merge(a, b *clusterState, sym *Symmetry) *clusterState {
 	nv := len(a.scheme)
-	_, pairing := l.sim.Occurrence(a.scheme, b.scheme, sym)
+	sc := soPool.Get().(*soScratch)
+	defer soPool.Put(sc)
+	pairing := sc.pairing[:nv]
+	l.sim.occurrence(a.scheme, b.scheme, sym, pairing, sc)
 	m := &clusterState{scheme: make([][]int32, nv)}
 	for v := 0; v < nv; v++ {
 		m.scheme[v] = LeastGeneralIndexed(l.sim.lca, a.scheme[v], b.scheme[pairing[v]], l.cfg.MaxLabelsPerVertex)
@@ -352,6 +358,9 @@ func (l *Labeler) isFrozen(cs *clusterState) bool {
 // minParallelRow is the smallest similarity row fanned out to the worker
 // pool; shorter rows run serially to skip the goroutine handoff cost.
 const minParallelRow = 32
+
+// soChunk is the number of row entries scored per pooled scratch.
+const soChunk = 8
 
 // LabelAll runs LabelMotif over every motif and flattens the results in
 // motif order. Motifs are labeled concurrently (the Labeler is safe for

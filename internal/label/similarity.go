@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"lamofinder/internal/cluster"
+	"lamofinder/internal/graph"
 	"lamofinder/internal/ontology"
 )
 
@@ -159,58 +160,83 @@ func (s *Sim) Vertex(ta, tb []int32) float64 {
 // ranges over explicit automorphisms so that occurrence correspondence
 // remains a valid embedding.
 func (s *Sim) Occurrence(labelsA, labelsB [][]int32, sym *Symmetry) (so float64, pairing []int) {
+	pairing = make([]int, len(labelsA))
+	sc := soPool.Get().(*soScratch)
+	so = s.occurrence(labelsA, labelsB, sym, pairing, sc)
+	soPool.Put(sc)
+	return so, pairing
+}
+
+// soScratch is the fixed working set of one SO evaluation. Patterns are
+// Dense or DiDense graphs, so graph.MaxDense bounds every orbit and every
+// pairing: the block holds one orbit's vertex similarities (orbit path) or
+// the memoized SV matrix (automorphism path).
+type soScratch struct {
+	sv      [graph.MaxDense * graph.MaxDense]float64
+	assign  [graph.MaxDense]int
+	pairing [graph.MaxDense]int // for callers that discard the pairing
+	hung    *cluster.AssignScratch
+}
+
+// soPool recycles SO scratch across evaluations and goroutines.
+var soPool = sync.Pool{New: func() any {
+	return &soScratch{hung: cluster.NewAssignScratch(graph.MaxDense)}
+}}
+
+// occurrence is the allocation-free core of Occurrence: it returns SO,
+// writes the pairing into pairing[:len(labelsA)] and works in sc. It
+// carries no alloc-budget annotation because Term hands the term cache a
+// closure, which the analyzer counts as an allocation although it stays on
+// the stack; TestOccurrenceAllocs gates it at zero instead.
+func (s *Sim) occurrence(labelsA, labelsB [][]int32, sym *Symmetry, pairing []int, sc *soScratch) float64 {
 	nv := len(labelsA)
 	if sym.ExactOrbitPairing() {
-		pairing = make([]int, nv)
 		total := 0.0
 		for _, orb := range sym.Orbits {
-			if len(orb) == 1 {
+			k := len(orb)
+			if k == 1 {
 				v := orb[0]
 				pairing[v] = v
 				total += s.Vertex(labelsA[v], labelsB[v])
 				continue
 			}
-			score := make([][]float64, len(orb))
+			score := sc.sv[:k*k]
 			for i, va := range orb {
-				score[i] = make([]float64, len(orb))
 				for j, vb := range orb {
-					score[i][j] = s.Vertex(labelsA[va], labelsB[vb])
+					score[i*k+j] = s.Vertex(labelsA[va], labelsB[vb])
 				}
 			}
-			assign, sum := cluster.MaxAssignment(score)
+			assign := sc.assign[:k]
+			sum := cluster.MaxAssignmentInto(score, k, assign, sc.hung)
 			for i, va := range orb {
 				pairing[va] = orb[assign[i]]
 			}
 			total += sum
 		}
-		return total / float64(nv), pairing
+		return total / float64(nv)
 	}
-	// Automorphism search: cache SV values, then score each permutation.
-	sv := make([][]float64, nv)
-	for i := 0; i < nv; i++ {
-		sv[i] = make([]float64, nv)
-		for j := 0; j < nv; j++ {
-			sv[i][j] = -1
-		}
-	}
-	get := func(i, j int) float64 {
-		if sv[i][j] < 0 {
-			sv[i][j] = s.Vertex(labelsA[i], labelsB[j])
-		}
-		return sv[i][j]
+	// Automorphism search: memoize SV values (-1 = not yet computed), then
+	// score each permutation.
+	sv := sc.sv[:nv*nv]
+	for i := range sv {
+		sv[i] = -1
 	}
 	best := -1.0
 	var bestPerm []int
 	for _, perm := range sym.Auts {
 		total := 0.0
-		for v := 0; v < nv; v++ {
-			total += get(v, perm[v])
+		for v, w := range perm[:nv] {
+			x := &sv[v*nv+w]
+			if *x < 0 {
+				*x = s.Vertex(labelsA[v], labelsB[w])
+			}
+			total += *x
 		}
 		if total > best {
 			best = total
 			bestPerm = perm
 		}
 	}
-	pairing = append([]int(nil), bestPerm...)
-	return best / float64(nv), pairing
+	copy(pairing, bestPerm)
+	return best / float64(nv)
 }

@@ -53,11 +53,11 @@ func ScoreUniqueness(g *graph.Graph, motifs []*Motif, cfg UniquenessConfig) {
 	if cfg.Networks <= 0 {
 		return
 	}
+	plans := matchPlans(motifs)
 	winsPerNet := make([][]int, cfg.Networks)
 	par.Do(cfg.Networks, par.Workers(cfg.Parallelism), func(r int) {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(r)*0x9e3779b9))
-		rnet := randnet.Randomize(g, rng)
-		adj := graph.NewAdjBits(rnet)
+		mt := graph.NewMatcher(randnet.Randomize(g, rng))
 		wins := make([]int, len(motifs))
 		for i, m := range motifs {
 			// Count up to Frequency+1 sets (capped): if the randomized
@@ -67,7 +67,7 @@ func ScoreUniqueness(g *graph.Graph, motifs []*Motif, cfg UniquenessConfig) {
 			if cfg.CountCap > 0 && limit > cfg.CountCap {
 				limit = cfg.CountCap
 			}
-			cnt, exact := graph.CountInducedUpToAdj(rnet, adj, m.Pattern, limit, cfg.MaxSteps)
+			cnt, exact := mt.CountInducedUpTo(plans[i], limit, cfg.MaxSteps)
 			if !exact {
 				if cnt == 0 {
 					// Budget exhausted without completing one embedding:
@@ -94,6 +94,16 @@ func ScoreUniqueness(g *graph.Graph, motifs []*Motif, cfg UniquenessConfig) {
 		}
 		m.Uniqueness = float64(total) / float64(cfg.Networks)
 	}
+}
+
+// matchPlans compiles each motif's pattern once (search order and |Aut|)
+// for counting against every randomized network.
+func matchPlans(motifs []*Motif) []*graph.MatchPlan {
+	plans := make([]*graph.MatchPlan, len(motifs))
+	for i, m := range motifs {
+		plans[i] = graph.NewMatchPlan(m.Pattern)
+	}
+	return plans
 }
 
 // FilterUnique returns the motifs with Uniqueness >= minUniq, preserving

@@ -37,14 +37,15 @@ func ScoreZ(g *graph.Graph, motifs []*Motif, cfg UniquenessConfig) []ZScore {
 	for i := range exact {
 		exact[i] = true
 	}
+	plans := matchPlans(motifs)
 	for r := 0; r < cfg.Networks; r++ {
-		rnet := randnet.Randomize(g, rng)
-		for i, m := range motifs {
+		mt := graph.NewMatcher(randnet.Randomize(g, rng))
+		for i := range motifs {
 			limit := 0
 			if cfg.CountCap > 0 {
 				limit = cfg.CountCap
 			}
-			cnt, ok := graph.CountInducedUpTo(rnet, m.Pattern, limit, cfg.MaxSteps)
+			cnt, ok := mt.CountInducedUpTo(plans[i], limit, cfg.MaxSteps)
 			if !ok {
 				exact[i] = false
 			}
