@@ -55,9 +55,10 @@ func MaxAssignmentInto(s []float64, n int, assign []int, sc *AssignScratch) (tot
 	const inf = math.MaxFloat64 / 4
 	u, v, minv := sc.u[:n+1], sc.v[:n+1], sc.minv[:n+1]
 	p, way, used := sc.p[:n+1], sc.way[:n+1], sc.used[:n+1] // p[j] = row matched to column j
-	for j := 0; j <= n; j++ {
-		u[j], v[j], p[j], way[j] = 0, 0, 0, 0
-	}
+	clear(u)
+	clear(v)
+	clear(p)
+	clear(way)
 	for i := 1; i <= n; i++ {
 		p[0] = i
 		j0 := 0

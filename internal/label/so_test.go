@@ -3,6 +3,8 @@ package label
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"lamofinder/internal/cluster"
@@ -170,6 +172,91 @@ func TestOccurrenceAllocs(t *testing.T) {
 			c.sim.occurrence(la, lb, sym, pairing, sc) // warm the term cache
 			if a := testing.AllocsPerRun(100, func() { c.sim.occurrence(la, lb, sym, pairing, sc) }); a != 0 {
 				t.Errorf("%s %v (exact orbit pairing %v): %v allocs per SO, want 0", c.name, d, sym.ExactOrbitPairing(), a)
+			}
+		}
+	}
+}
+
+// TestOccurrenceConcurrent scores the same pairs from several goroutines
+// at once, each taking pooled scratch as the agglomeration's row chunks
+// do; under -race it certifies that no scratch is shared, and every SO and
+// pairing must match the serial result.
+func TestOccurrenceConcurrent(t *testing.T) {
+	c := soCases(t)[1]
+	rng := rand.New(rand.NewSource(12))
+	type pair struct {
+		la, lb [][]int32
+		sym    *Symmetry
+	}
+	pairs := make([]pair, 64)
+	want := make([]float64, len(pairs))
+	wantPairing := make([][]int, len(pairs))
+	for i := range pairs {
+		n := 3 + rng.Intn(6)
+		pairs[i] = pair{randomLabels(n, c.terms, rng), randomLabels(n, c.terms, rng), NewSymmetry(soPattern(n, rng))}
+		want[i], wantPairing[i] = c.sim.Occurrence(pairs[i].la, pairs[i].lb, pairs[i].sym)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for gi := 0; gi < 8; gi++ {
+		wg.Add(1)
+		go func(gi int) {
+			defer wg.Done()
+			for k := 0; k < 20*len(pairs); k++ {
+				i := (k*(gi+1) + gi) % len(pairs)
+				so, pairing := c.sim.Occurrence(pairs[i].la, pairs[i].lb, pairs[i].sym)
+				if math.Float64bits(so) != math.Float64bits(want[i]) || !equalInts(pairing, wantPairing[i]) {
+					select {
+					case errs <- "SO or pairing differs under concurrency":
+					default:
+					}
+					return
+				}
+			}
+		}(gi)
+	}
+	wg.Wait()
+	close(errs)
+	if msg, ok := <-errs; ok {
+		t.Fatal(msg)
+	}
+}
+
+// TestLabelOccurrencesParallelRows clusters enough occurrences that the
+// similarity rows fan out in chunks across workers, and checks the schemes
+// match a single worker's on both symmetry paths.
+func TestLabelOccurrencesParallelRows(t *testing.T) {
+	cfg := dataset.DefaultMIPSConfig()
+	cfg.Proteins, cfg.Edges = 200, 260
+	m := dataset.NewMIPS(cfg)
+	rng := rand.New(rand.NewSource(4))
+	star, cycle := graph.NewDense(5), graph.NewDense(5)
+	for v := 1; v < 5; v++ {
+		star.AddEdge(0, v)
+		cycle.AddEdge(v-1, v)
+	}
+	cycle.AddEdge(4, 0)
+	occs := make([][]int32, 3*minParallelRow)
+	for i := range occs {
+		for _, p := range rng.Perm(cfg.Proteins)[:5] {
+			occs[i] = append(occs[i], int32(p))
+		}
+	}
+	for _, d := range []*graph.Dense{star, cycle} {
+		var want []*Scheme
+		for _, workers := range []int{1, 4} {
+			lcfg := DefaultConfig()
+			lcfg.Sigma, lcfg.MinDirect, lcfg.MaxOccurrences, lcfg.Parallelism = 2, 10, 0, workers
+			got := NewLabeler(m.Corpus, lcfg).LabelOccurrences(5, occs, NewSymmetry(d))
+			if workers == 1 {
+				if len(got) == 0 {
+					t.Fatalf("%v: no schemes", d)
+				}
+				want = got
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v: schemes differ between 1 and %d workers", d, workers)
 			}
 		}
 	}
