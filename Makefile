@@ -5,8 +5,9 @@ GO ?= go
 
 # RACEPKGS are the concurrency-bearing packages: the par worker pool, the
 # sharded similarity cache and parallel labeler (internal/label), the
-# heap agglomerator driven by batch-parallel rows (internal/cluster), the
-# chunked enumeration / per-network uniqueness fan-outs (internal/motif)
+# pooled similarity-table agglomerator driven by batch-parallel rows
+# (internal/cluster), the chunked ESU enumeration, chunk-parallel level-wise
+# miner and per-network uniqueness fan-outs (internal/motif)
 # on top of the randnet generators and the graph, ontology and directed-
 # motif packages they share, the serving stack (request handlers over one
 # atomically swapped model, pooled scratch buffers and atomic counters)
@@ -23,7 +24,7 @@ RACEPKGS = ./internal/par/... ./internal/label/... ./internal/cluster/... \
 	./internal/serve/... ./internal/fleet/... ./internal/artifact/... \
 	./internal/obs/... ./internal/analysis/... ./internal/query/...
 
-.PHONY: all build vet govet lamovet vet-json lint test race alloc alloc-build fuzz bench-module bench-smoke bench-json serve-smoke load-smoke fleet-smoke query-smoke trace-smoke ci
+.PHONY: all build vet govet lamovet vet-json lint test race alloc alloc-build paper-golden fuzz bench-module bench-smoke bench-json serve-smoke load-smoke fleet-smoke query-smoke trace-smoke ci
 
 # The dated trajectory snapshot bench-json writes (and lamoload merges into).
 BENCHFILE ?= BENCH_$(shell date +%Y-%m-%d).json
@@ -80,6 +81,20 @@ alloc-build:
 	$(GO) test -run TestMinerBeamAllocBudget -v .
 	$(GO) test -run TestMatcherCountAllocs -v ./internal/graph
 	$(GO) test -run TestOccurrenceAllocs -v ./internal/label
+
+# paper-golden runs `lamod build` at the paper preset (1877 proteins) and
+# fails unless it prints the pinned artifact digest and stage counts: the
+# paper-scale twin of the quick-preset golden in tier-1
+# (TestQuickBuildGolden). About 10 s on 2 vCPUs.
+PAPER_DIGEST = b15b70d42ebf328107dd41a2349372463fb7bbf667e11c968a9dd7b0dc4b2b60
+PAPER_COUNTS = mined=254 unique=140 labeled=279
+paper-golden:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/lamod" ./cmd/lamod && \
+	"$$tmp/lamod" build -out "$$tmp/paper.lamoart" | tee "$$tmp/build.txt" && \
+	grep -q "artifact $(PAPER_DIGEST) " "$$tmp/build.txt" && \
+	grep -q "$(PAPER_COUNTS)" "$$tmp/build.txt" || \
+	{ echo "paper-golden: want artifact $(PAPER_DIGEST) and $(PAPER_COUNTS)"; exit 1; }
 
 # fuzz mutates artifact payloads through artifact.Decode for 20 s,
 # starting from the committed seed corpus
@@ -142,4 +157,4 @@ query-smoke:
 trace-smoke:
 	./scripts/trace_smoke.sh
 
-ci: build lint test race alloc alloc-build fuzz bench-module bench-smoke serve-smoke load-smoke fleet-smoke query-smoke trace-smoke
+ci: build lint test race alloc alloc-build paper-golden fuzz bench-module bench-smoke serve-smoke load-smoke fleet-smoke query-smoke trace-smoke

@@ -11,8 +11,8 @@ import (
 
 // lockOrderScope lists the concurrency-bearing packages (the RACEPKGS set
 // plus the commands that drive them): the par worker pool, the sharded
-// Lin cache and parallel labeler, the heap agglomerator, the chunked
-// census, the serving stack over the LRU cache and flight group, the
+// Lin cache and parallel labeler, the pooled agglomeration tables, the
+// chunked census and miner, the serving stack over the LRU cache and flight group, the
 // artifact codec, and the obs ring/histograms.
 var lockOrderScope = []string{
 	"internal/par",

@@ -52,11 +52,11 @@ func (cs *diClassState) patStr() string {
 // neighbor, regrouped by directed isomorphism class, pruned by frequency,
 // and capped by beam width with reservoir-sampled occurrence lists.
 //
-// Like the undirected miner, the per-candidate loop reuses everything:
-// candidate sets dedup through an epoch-stamped hash set, induced directed
-// subgraphs fill a scratch DiDense, class state is a slice indexed by the
-// classifier's dense first-seen ids, and stored occurrences carve from a
-// slab arena with in-place reservoir replacement (DESIGN.md §13).
+// The per-candidate loop reuses everything: candidate sets dedup through
+// an epoch-stamped hash set, induced directed subgraphs fill a scratch
+// DiDense, class state is a slice indexed by the classifier's dense
+// first-seen ids, and stored occurrences carve from a slab arena with
+// in-place reservoir replacement (DESIGN.md §13).
 func Find(g *DiGraph, cfg motif.Config) []*Motif {
 	if cfg.MinSize < 2 {
 		cfg.MinSize = 2

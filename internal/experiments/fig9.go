@@ -121,7 +121,7 @@ func MineLabeledTraced(cfg Figure9Config, rec *obs.StageRecorder) *Mined {
 
 	st := rec.Start("census")
 	mined := motif.Find(net, cfg.Mine)
-	st.End(int64(len(mined)), 1) // the level-wise miner is serial
+	st.End(int64(len(mined)), par.Workers(0))
 
 	st = rec.Start("uniqueness")
 	motif.ScoreUniqueness(net, mined, cfg.Null)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lamofinder/internal/obs"
+	"lamofinder/internal/par"
 )
 
 // TestMineLabeledTraced pins two properties of stage tracing: the recorder
@@ -37,6 +38,9 @@ func TestMineLabeledTraced(t *testing.T) {
 	}
 	if stages[0].Items != int64(traced.MinedClasses) {
 		t.Errorf("census items %d, mined classes %d", stages[0].Items, traced.MinedClasses)
+	}
+	if stages[0].Workers != par.Workers(0) {
+		t.Errorf("census workers %d, want GOMAXPROCS = %d", stages[0].Workers, par.Workers(0))
 	}
 	if stages[1].Items != int64(traced.UniqueMotifs) {
 		t.Errorf("uniqueness items %d, unique motifs %d", stages[1].Items, traced.UniqueMotifs)

@@ -1,12 +1,12 @@
 package graph
 
-// This file holds allocation-avoiding scratch structures shared by the
-// mining hot paths (undirected and directed miners alike): an epoch-stamped
-// vertex-set dedup table and a slab arena for stored occurrences. See
-// DESIGN.md §13 "Mining memory layout".
+// This file holds allocation-avoiding scratch structures of the mining hot
+// paths: an epoch-stamped vertex-set dedup table (the directed miner's) and
+// a slab arena for stored occurrences (both miners'). See DESIGN.md §13
+// "Mining memory layout".
 
 // VSetDedup is an exact, epoch-stamped hash set of fixed-width vertex sets
-// (the beam miners' per-level "seen candidate sets"). Keys live in a flat
+// (the directed beam miner's per-level "seen candidate sets"). Keys live in a flat
 // arena; table slots carry the epoch of their last write, so advancing the
 // epoch resets the set in O(1) with no map clear and no re-zeroing. Probes
 // compare full keys — a hash collision can cost a probe, never a wrong

@@ -246,10 +246,10 @@ func (l *Labeler) LabelOccurrences(nv int, occurrences [][]int32, sym *Symmetry)
 		clusters = append(clusters, cs)
 	}
 
-	// Agglomeration (Algorithm 1 lines 5-14) runs on the generic lazy-heap
+	// Agglomeration (Algorithm 1 lines 5-14) runs on the generic table
 	// driver: each cluster's similarity row is computed once, fanned out to
-	// the worker pool, and merges pop from a max-heap with stale-entry
-	// invalidation. Results are identical at any worker count because the
+	// the worker pool, and each merge takes the best of the live clusters'
+	// best partners. Results are identical at any worker count because the
 	// similarity values are pure functions of the schemes and the driver
 	// breaks ties by cluster id, not by evaluation order.
 	// Rows discard the pairing: each chunk of a row scores through one

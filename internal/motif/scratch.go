@@ -101,6 +101,5 @@ func fillInduced(d *graph.Dense, bits *graph.AdjBits, vs []int32) {
 	}
 }
 
-// The epoch-stamped vertex-set dedup table and the occurrence slab arena
-// live in the graph package (graph.VSetDedup, graph.OccArena) so the
-// directed miner shares them.
+// The occurrence slab arena lives in the graph package (graph.OccArena) so
+// the directed miner shares it.
