@@ -129,8 +129,8 @@ serve-smoke:
 	./scripts/serve_smoke.sh
 
 # load-smoke exercises the serve hot path end to end: indexed build,
-# fixed-seed lamoload in both loop modes, index-hit metrics, and the
-# 0 allocs/op budget on the predict handler.
+# fixed-seed lamoload in both loop modes, and the 0 allocs/op budget on
+# the predict handler.
 load-smoke:
 	./scripts/lamoload_smoke.sh
 

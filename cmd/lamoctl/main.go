@@ -20,7 +20,7 @@
 // is byte-deterministic whenever the daemon's is; health and metrics
 // -ratios additionally lead with an "artifact=<digest>" line, because the
 // served artifact's identity is the first thing an operator checks during
-// a rollout. metrics -ratios derives error/hit rates client-side — from
+// a rollout. metrics -ratios derives the error rate client-side — from
 // one decoded snapshot, so the numerator and denominator always belong to
 // the same instant. prom prints the Prometheus text exposition. predict
 // -trace attaches an X-Request-Id and verifies the daemon echoes it.
@@ -210,8 +210,8 @@ func runHealth(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runMetrics prints /v1/metrics verbatim, or with -ratios derives
-// error/hit rates. All ratios come from ONE decoded snapshot struct, so
+// runMetrics prints /v1/metrics verbatim, or with -ratios derives the
+// error rate. All ratios come from ONE decoded snapshot struct, so
 // numerator and denominator are the same point-in-time read — fetching
 // the endpoint twice (or deriving from separately scraped values) can
 // tear: a request landing between the two reads yields rates over
@@ -220,7 +220,7 @@ func runMetrics(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("lamoctl metrics", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	sf := addServerFlags(fs)
-	ratios := fs.Bool("ratios", false, "derive error/hit rates from a single snapshot instead of printing raw JSON")
+	ratios := fs.Bool("ratios", false, "derive the error rate from a single snapshot instead of printing raw JSON")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -248,8 +248,7 @@ func runMetrics(args []string, stdout, stderr io.Writer) int {
 	_, _ = fmt.Fprintf(stdout, "artifact=%s\n", snap.Artifact)
 	_, _ = fmt.Fprintf(stdout, "requests=%d errors=%d error_rate=%s\n",
 		snap.Requests, snap.Errors, ratio(snap.Errors, snap.Requests))
-	_, _ = fmt.Fprintf(stdout, "predictions=%d index_hits=%d index_hit_rate=%s\n",
-		snap.Predictions, snap.IndexHits, ratio(snap.IndexHits, snap.Predictions))
+	_, _ = fmt.Fprintf(stdout, "predictions=%d\n", snap.Predictions)
 	_, _ = fmt.Fprintf(stdout, "access_log_dropped=%d\n", snap.AccessLogDropped)
 	if lat, ok := snap.Latency["predict"]; ok {
 		_, _ = fmt.Fprintf(stdout, "predict_p50_us=%d predict_p90_us=%d predict_p99_us=%d\n",

@@ -64,6 +64,7 @@ import (
 
 	"lamofinder/internal/artifact"
 	"lamofinder/internal/benchfmt"
+	"lamofinder/internal/obs"
 	"lamofinder/internal/serve"
 )
 
@@ -272,7 +273,7 @@ func checkServedArtifact(client *http.Client, server, digest string) error {
 type serverSnapshot struct {
 	serve.MetricsSnapshot
 	Fleet    bool               `json:"fleet"`
-	Upstream serve.RouteLatency `json:"upstream"`
+	Upstream obs.LatencySummary `json:"upstream"`
 }
 
 // daemonResults scrapes /v1/metrics once and renders the server's own

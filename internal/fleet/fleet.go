@@ -247,6 +247,7 @@ func New(cfg Config) (*Router, error) {
 		rt.trace = obs.NewTraceSource("gw", 0)
 	}
 	rt.tracer = obs.NewTracer(cfg.TraceSampleEvery, cfg.TraceStoreSize, cfg.Logger)
+	rt.declareMetrics()
 	rt.hedgeNanos.Store(int64(cfg.HedgeMax))
 	return rt, nil
 }
@@ -354,10 +355,7 @@ func (rt *Router) refreshHedge() {
 		rt.hedgeNanos.Store(-1)
 		return
 	}
-	var merged obs.HistSnapshot
-	for _, m := range rt.members {
-		merged.Merge(m.lat.Snapshot())
-	}
+	merged := rt.met.upstream.Merged()
 	d := rt.cfg.HedgeMax
 	if merged.Count > 0 {
 		d = time.Duration(merged.Quantile(0.99)) * time.Microsecond

@@ -43,10 +43,10 @@ type member struct {
 	// replica still reports healthy right up until its reload begins.
 	pinned atomic.Bool
 
-	inflight atomic.Int64 // routed requests currently outstanding
-	requests atomic.Int64 // routed requests issued (hedges included)
-	errors   atomic.Int64 // transport failures + retryable statuses
-	lat      obs.Histogram
+	inflight atomic.Int64   // routed requests currently outstanding
+	requests atomic.Int64   // routed requests issued (hedges included)
+	errors   atomic.Int64   // transport failures + retryable statuses
+	lat      *obs.Histogram // this replica's slot in the upstream latency family
 
 	mu          sync.Mutex
 	digest      string    // artifact identity from the last probe/reload

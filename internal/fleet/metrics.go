@@ -1,17 +1,17 @@
 package fleet
 
 import (
+	"encoding/json"
 	"net/http"
 	"strings"
 	"sync/atomic"
 
 	"lamofinder/internal/obs"
-	"lamofinder/internal/serve"
 )
 
 // Router-side routes, for the per-route latency histograms. Kept coarser
 // than the daemon's: the router's own overhead is what these measure, the
-// per-replica upstream histograms live on the members.
+// per-replica upstream histograms are a family of their own.
 const (
 	fleetRoutePredict = iota
 	fleetRouteMotifs
@@ -51,26 +51,70 @@ func fleetRouteOf(path string) int {
 	return fleetRouteOther
 }
 
-// fleetMetrics holds the router's counters. All fields are atomic; the
-// struct is embedded by value in Router and never copied.
+// fleetMetrics holds the router's series, each declared once on reg,
+// which renders both /metrics (under the lamod_fleet_* namespace) and the
+// metric fields of /v1/metrics.
 type fleetMetrics struct {
-	requests  atomic.Int64 // client requests handled by the router
-	errors    atomic.Int64 // client responses with status >= 400
-	retries   atomic.Int64 // sequential retry attempts launched
-	hedges    atomic.Int64 // hedged duplicate requests launched
-	hedgeWins atomic.Int64 // requests won by the hedged attempt
-	ejects    atomic.Int64 // member transitions into Ejected
-	readmits  atomic.Int64 // ejected members readmitted
-	rollouts  atomic.Int64 // rolling artifact swaps completed
-
-	lat [numFleetRoutes]obs.Histogram
+	reg       obs.Registry
+	requests  *atomic.Int64 // client requests handled by the router
+	errors    *atomic.Int64 // client responses with status >= 400
+	retries   *atomic.Int64 // sequential retry attempts launched
+	hedges    *atomic.Int64 // hedged duplicate requests launched
+	hedgeWins *atomic.Int64 // requests won by the hedged attempt
+	ejects    *atomic.Int64 // member transitions into Ejected
+	readmits  *atomic.Int64 // ejected members readmitted
+	rollouts  *atomic.Int64 // rolling artifact swaps completed
+	upstream  *obs.Family   // upstream latency, slot i = members[i]
+	lat       *obs.Family   // router-side latency, slot = route index
 }
 
-// Snapshot is the JSON body of the router's /v1/metrics. Fleet is always
-// true so clients (lamoload) can distinguish a router from a daemon:
-// daemon snapshots have no "fleet" key, which decodes as false. Latency
-// reuses the daemon's RouteLatency shape, and Upstream merges every
-// replica's observed latency into one fleet-wide summary.
+// declareMetrics declares the router's series and points each member's
+// upstream histogram at its replica's slot. lamod_fleet_mixed_digest is the
+// gauge the rollout smoke watches: 1 while live replicas disagree on the
+// artifact digest, 0 once the fleet is uniform again.
+func (rt *Router) declareMetrics() {
+	m, r := &rt.met, &rt.met.reg
+	m.requests = r.Counter("lamod_fleet_requests_total", "requests", "Client requests handled by the fleet router.")
+	m.errors = r.Counter("lamod_fleet_errors_total", "errors", "Client responses with status >= 400.")
+	m.retries = r.Counter("lamod_fleet_retries_total", "retries", "Upstream retry attempts launched.")
+	m.hedges = r.Counter("lamod_fleet_hedges_total", "hedges", "Hedged duplicate upstream requests launched.")
+	m.hedgeWins = r.Counter("lamod_fleet_hedge_wins_total", "hedge_wins", "Requests answered first by the hedged attempt.")
+	m.ejects = r.Counter("lamod_fleet_ejects_total", "ejects", "Replica ejections after consecutive probe failures.")
+	m.readmits = r.Counter("lamod_fleet_readmits_total", "readmits", "Ejected replicas readmitted after a successful probe.")
+	m.rollouts = r.Counter("lamod_fleet_rollouts_total", "rollouts", "Rolling artifact swaps completed.")
+	r.Func("gauge", "lamod_fleet_mixed_digest", "", "1 while live replicas serve more than one artifact digest, 0 when uniform.", func() int64 {
+		if _, mixed := rt.mixedDigest(); mixed {
+			return 1
+		}
+		return 0
+	})
+	r.Gauges("lamod_fleet_replica_up", "1 when the replica is routable (Ready), 0 otherwise.", []string{"replica"},
+		func(emit func(int64, ...string)) {
+			for _, mb := range rt.members {
+				up := int64(0)
+				if mb.routable() {
+					up = 1
+				}
+				emit(up, mb.addr)
+			}
+		})
+	r.Gauges("lamod_fleet_replica_digest_info", "Constant 1 per replica, labeled with its artifact digest.", []string{"replica", "digest"},
+		func(emit func(int64, ...string)) {
+			for _, mb := range rt.members {
+				emit(1, mb.addr, mb.getDigest())
+			}
+		})
+	m.upstream = r.Histograms("lamod_fleet_upstream_latency_seconds", "", "Upstream request latency per replica.", "replica", rt.ring.Members(), true)
+	for i, mb := range rt.members {
+		mb.lat = m.upstream.Hist(i)
+	}
+	m.lat = r.Histograms("lamod_fleet_route_latency_seconds", "latency", "Router-side request latency per route.", "route", fleetRouteNames[:], false)
+}
+
+// Snapshot decodes the router's /v1/metrics body. Fleet is always true so
+// clients (lamoload) can distinguish a router from a daemon: daemon
+// snapshots have no "fleet" key, which decodes as false. Upstream merges
+// every replica's observed latency into one fleet-wide summary.
 type Snapshot struct {
 	Fleet       bool                          `json:"fleet"`
 	Artifact    string                        `json:"artifact"`
@@ -83,51 +127,29 @@ type Snapshot struct {
 	Ejects      int64                         `json:"ejects"`
 	Readmits    int64                         `json:"readmits"`
 	Rollouts    int64                         `json:"rollouts"`
-	Latency     map[string]serve.RouteLatency `json:"latency"`
-	Upstream    serve.RouteLatency            `json:"upstream"`
+	Latency     map[string]obs.LatencySummary `json:"latency"`
+	Upstream    obs.LatencySummary            `json:"upstream"`
 	Replicas    []MemberStatus                `json:"replicas"`
 }
 
-func routeLatencyOf(hs obs.HistSnapshot) serve.RouteLatency {
-	return serve.RouteLatency{
-		Count:     hs.Count,
-		SumMicros: hs.SumMicros,
-		P50Micros: hs.Quantile(0.50),
-		P90Micros: hs.Quantile(0.90),
-		P99Micros: hs.Quantile(0.99),
-	}
+// metricValues is the /v1/metrics body: the registry's keyed series plus
+// the fleet fields that are not metrics.
+func (rt *Router) metricValues() map[string]any {
+	v := rt.met.reg.Values()
+	v["fleet"] = true
+	v["artifact"], v["mixed_digest"] = rt.mixedDigest()
+	v["upstream"] = rt.met.upstream.Merged().Summary()
+	v["replicas"] = rt.fleetStatus().Replicas
+	return v
 }
 
-// Metrics assembles the current snapshot.
+// Metrics returns the current /v1/metrics body, decoded.
 func (rt *Router) Metrics() Snapshot {
-	uniform, mixed := rt.mixedDigest()
-	s := Snapshot{
-		Fleet:       true,
-		Artifact:    uniform,
-		MixedDigest: mixed,
-		Requests:    rt.met.requests.Load(),
-		Errors:      rt.met.errors.Load(),
-		Retries:     rt.met.retries.Load(),
-		Hedges:      rt.met.hedges.Load(),
-		HedgeWins:   rt.met.hedgeWins.Load(),
-		Ejects:      rt.met.ejects.Load(),
-		Readmits:    rt.met.readmits.Load(),
-		Rollouts:    rt.met.rollouts.Load(),
-		Latency:     make(map[string]serve.RouteLatency, numFleetRoutes),
-	}
-	for r := 0; r < numFleetRoutes; r++ {
-		hs := rt.met.lat[r].Snapshot()
-		if hs.Count == 0 {
-			continue
-		}
-		s.Latency[fleetRouteNames[r]] = routeLatencyOf(hs)
-	}
-	var merged obs.HistSnapshot
-	for _, m := range rt.members {
-		merged.Merge(m.lat.Snapshot())
-	}
-	s.Upstream = routeLatencyOf(merged)
-	s.Replicas = rt.fleetStatus().Replicas
+	var s Snapshot
+	// Both calls run over plain values the router just built; neither can
+	// fail.
+	b, _ := json.Marshal(rt.metricValues())
+	_ = json.Unmarshal(b, &s)
 	return s
 }
 
@@ -136,83 +158,15 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	rt.writeJSON(w, http.StatusOK, rt.Metrics())
+	rt.writeJSON(w, http.StatusOK, rt.metricValues())
 }
 
-// promEscape escapes a label value for the Prometheus text format.
-func promEscape(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(s)
-}
-
-// handleProm serves the fleet metrics in Prometheus text exposition
-// format under the lamod_fleet_* namespace, alongside the per-replica up
-// gauges and latency histograms. lamod_fleet_mixed_digest is the gauge
-// the rollout smoke watches: 1 while live replicas disagree on the
-// artifact digest, 0 once the fleet is uniform again.
+// handleProm serves /metrics, the Prometheus rendering of the registry.
 func (rt *Router) handleProm(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		rt.writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	s := rt.Metrics()
-	buf := make([]byte, 0, 4096)
-
-	counter := func(name, help string, v int64) {
-		buf = obs.AppendPromHeader(buf, name, "counter", help)
-		buf = obs.AppendPromInt(buf, name, "", v)
-	}
-	counter("lamod_fleet_requests_total", "Client requests handled by the fleet router.", s.Requests)
-	counter("lamod_fleet_errors_total", "Client responses with status >= 400.", s.Errors)
-	counter("lamod_fleet_retries_total", "Upstream retry attempts launched.", s.Retries)
-	counter("lamod_fleet_hedges_total", "Hedged duplicate upstream requests launched.", s.Hedges)
-	counter("lamod_fleet_hedge_wins_total", "Requests answered first by the hedged attempt.", s.HedgeWins)
-	counter("lamod_fleet_ejects_total", "Replica ejections after consecutive probe failures.", s.Ejects)
-	counter("lamod_fleet_readmits_total", "Ejected replicas readmitted after a successful probe.", s.Readmits)
-	counter("lamod_fleet_rollouts_total", "Rolling artifact swaps completed.", s.Rollouts)
-
-	mixed := int64(0)
-	if s.MixedDigest {
-		mixed = 1
-	}
-	buf = obs.AppendPromHeader(buf, "lamod_fleet_mixed_digest", "gauge",
-		"1 while live replicas serve more than one artifact digest, 0 when uniform.")
-	buf = obs.AppendPromInt(buf, "lamod_fleet_mixed_digest", "", mixed)
-
-	buf = obs.AppendPromHeader(buf, "lamod_fleet_replica_up", "gauge",
-		"1 when the replica is routable (Ready), 0 otherwise.")
-	for _, rep := range s.Replicas {
-		up := int64(0)
-		if rep.State == "ready" {
-			up = 1
-		}
-		buf = obs.AppendPromInt(buf, "lamod_fleet_replica_up",
-			`replica="`+promEscape(rep.Replica)+`"`, up)
-	}
-	buf = obs.AppendPromHeader(buf, "lamod_fleet_replica_digest_info", "gauge",
-		"Constant 1 per replica, labeled with its artifact digest.")
-	for _, rep := range s.Replicas {
-		buf = obs.AppendPromInt(buf, "lamod_fleet_replica_digest_info",
-			`replica="`+promEscape(rep.Replica)+`",digest="`+promEscape(rep.Digest)+`"`, 1)
-	}
-
-	buf = obs.AppendPromHeader(buf, "lamod_fleet_upstream_latency_seconds", "histogram",
-		"Upstream request latency per replica.")
-	for i, m := range rt.members {
-		buf = obs.AppendPromHistogram(buf, "lamod_fleet_upstream_latency_seconds",
-			`replica="`+promEscape(s.Replicas[i].Replica)+`"`, m.lat.Snapshot())
-	}
-	buf = obs.AppendPromHeader(buf, "lamod_fleet_route_latency_seconds", "histogram",
-		"Router-side request latency per route.")
-	for r := 0; r < numFleetRoutes; r++ {
-		hs := rt.met.lat[r].Snapshot()
-		if hs.Count == 0 {
-			continue
-		}
-		buf = obs.AppendPromHistogram(buf, "lamod_fleet_route_latency_seconds",
-			`route="`+fleetRouteNames[r]+`"`, hs)
-	}
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write(buf)
+	w.Header().Set("Content-Type", obs.PromContentType)
+	_, _ = w.Write(rt.met.reg.Exposition(make([]byte, 0, 4096), false))
 }

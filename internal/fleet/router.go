@@ -45,7 +45,7 @@ func (rt *Router) instrument(next http.Handler) http.Handler {
 		if rec.status >= 400 {
 			rt.met.errors.Add(1)
 		}
-		rt.met.lat[fleetRouteOf(r.URL.Path)].Record(time.Since(start))
+		rt.met.lat.Hist(fleetRouteOf(r.URL.Path)).Record(time.Since(start))
 	})
 }
 

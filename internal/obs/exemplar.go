@@ -1,17 +1,14 @@
 package obs
 
-import (
-	"strconv"
-	"sync"
-)
+import "sync"
 
 // Exemplar is one "most recent traced sample" cell for a latency
-// histogram: a trace ID plus its root duration, written by the serving
-// hot path and rendered into OpenMetrics exemplar syntax by the /metrics
-// handler. Set takes the cell's mutex with TryLock and drops the sample
-// when a scrape holds it — exemplars are a debugging breadcrumb, not an
-// accounting counter — so recording never blocks and never allocates
-// (both fields are header copies).
+// histogram (each Family slot owns one): a trace ID plus its root
+// duration, written by the serving hot path and rendered into OpenMetrics
+// exemplar syntax by Registry.Exposition. Set takes the cell's mutex with
+// TryLock and drops the sample when a scrape holds it — exemplars are a
+// debugging breadcrumb, not an accounting counter — so recording never
+// blocks and never allocates (both fields are header copies).
 type Exemplar struct {
 	mu  sync.Mutex
 	set bool
@@ -44,50 +41,4 @@ func (e *Exemplar) Get() (id string, us int64, ok bool) {
 	id, us, ok = e.id, e.us, e.set
 	e.mu.Unlock()
 	return id, us, ok
-}
-
-// AppendPromHistogramExemplar renders the same histogram lines as
-// AppendPromHistogram, attaching the exemplar to the one bucket whose
-// range contains its value, in OpenMetrics exemplar syntax:
-//
-//	name_bucket{le="0.001024"} 17 # {trace_id="lamod-42"} 0.000731
-//
-// Classic Prometheus text-format parsers treat "#" as a comment, but the
-// project's /metrics endpoint only calls this variant behind an opt-in
-// flag so the default exposition stays byte-compatible with what every
-// existing scrape assertion expects.
-func AppendPromHistogramExemplar(buf []byte, name, labels string, s HistSnapshot, ex *Exemplar) []byte {
-	id, us, ok := ex.Get()
-	exBucket := -1
-	if ok {
-		exBucket = bucketIndex(us)
-	}
-	var cum int64
-	for i := 0; i < NumBuckets; i++ {
-		cum += s.Buckets[i]
-		le := "+Inf"
-		if i < NumBuckets-1 {
-			le = strconv.FormatFloat(float64(BucketBound(i))/1e6, 'g', -1, 64)
-		}
-		buf = append(buf, name...)
-		buf = append(buf, "_bucket{"...)
-		if labels != "" {
-			buf = append(buf, labels...)
-			buf = append(buf, ',')
-		}
-		buf = append(buf, `le="`...)
-		buf = append(buf, le...)
-		buf = append(buf, `"} `...)
-		buf = strconv.AppendInt(buf, cum, 10)
-		if i == exBucket {
-			buf = append(buf, ` # {trace_id="`...)
-			buf = append(buf, id...)
-			buf = append(buf, `"} `...)
-			buf = strconv.AppendFloat(buf, float64(us)/1e6, 'g', -1, 64)
-		}
-		buf = append(buf, '\n')
-	}
-	buf = AppendPromFloat(buf, name+"_sum", labels, float64(s.SumMicros)/1e6)
-	buf = AppendPromInt(buf, name+"_count", labels, s.Count)
-	return buf
 }

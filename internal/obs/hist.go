@@ -2,7 +2,9 @@
 // lock-free latency histograms, leveled structured logging (JSON or
 // logfmt) with a pooled encoder, a bounded access-log ring that keeps
 // request logging off the serving hot path, deterministic request trace
-// IDs, per-stage pipeline tracing, and Prometheus text-format rendering.
+// IDs, per-stage pipeline tracing, and the metric Registry on which the
+// daemon and the gateway declare each series once, rendered from there to
+// both the Prometheus text format and the JSON /v1/metrics fields.
 //
 // Everything here is built for the daemon's zero-allocation contract: the
 // operations that run per request (Histogram.Record, AccessLog.Push, the
@@ -105,6 +107,28 @@ func (s *HistSnapshot) Merge(o HistSnapshot) {
 	}
 	s.Count += o.Count
 	s.SumMicros += o.SumMicros
+}
+
+// LatencySummary is a histogram's /v1/metrics form: exact count and sum
+// plus percentiles derived from the buckets (each reported value is the
+// upper bound of the bucket holding the nearest-rank sample).
+type LatencySummary struct {
+	Count     int64 `json:"count"`
+	SumMicros int64 `json:"sum_micros"`
+	P50Micros int64 `json:"p50_micros"`
+	P90Micros int64 `json:"p90_micros"`
+	P99Micros int64 `json:"p99_micros"`
+}
+
+// Summary derives the snapshot's LatencySummary.
+func (s HistSnapshot) Summary() LatencySummary {
+	return LatencySummary{
+		Count:     s.Count,
+		SumMicros: s.SumMicros,
+		P50Micros: s.Quantile(0.50),
+		P90Micros: s.Quantile(0.90),
+		P99Micros: s.Quantile(0.99),
+	}
 }
 
 // Quantile returns the q-quantile (0 < q <= 1) in microseconds, derived

@@ -240,7 +240,7 @@ func TestAppendPromHistogramExemplar(t *testing.T) {
 	h.RecordMicros(700) // bucket le=0.001024
 	var e Exemplar
 	e.Set("lamod-42", 700)
-	out := string(AppendPromHistogramExemplar(nil, "m", `route="predict"`, h.Snapshot(), &e))
+	out := string(appendHistogram(nil, "m", `route="predict"`, h.Snapshot(), &e))
 	want := `m_bucket{route="predict",le="0.001024"} 1 # {trace_id="lamod-42"} 0.0007`
 	if !strings.Contains(out, want) {
 		t.Fatalf("exemplar line missing:\nwant substring %q\ngot:\n%s", want, out)
@@ -249,10 +249,11 @@ func TestAppendPromHistogramExemplar(t *testing.T) {
 	if n := strings.Count(out, "trace_id="); n != 1 {
 		t.Fatalf("%d exemplar annotations, want 1", n)
 	}
-	// Without a recorded exemplar the output matches the classic renderer.
+	// Without a recorded exemplar the output matches the exemplar-free
+	// rendering.
 	var empty Exemplar
-	plain := string(AppendPromHistogram(nil, "m", `route="predict"`, h.Snapshot()))
-	withEmpty := string(AppendPromHistogramExemplar(nil, "m", `route="predict"`, h.Snapshot(), &empty))
+	plain := string(appendHistogram(nil, "m", `route="predict"`, h.Snapshot(), nil))
+	withEmpty := string(appendHistogram(nil, "m", `route="predict"`, h.Snapshot(), &empty))
 	if plain != withEmpty {
 		t.Fatalf("empty exemplar perturbed output:\n%s\nvs\n%s", plain, withEmpty)
 	}

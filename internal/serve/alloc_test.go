@@ -82,7 +82,7 @@ func TestInstrumentedPredictAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("instrumented predict path averages %.2f allocs/op, want exactly 0", allocs)
 	}
-	if got := s.Metrics().Latency["predict"]; got.Count == 0 {
+	if got := snapshot(t, s).Latency["predict"]; got.Count == 0 {
 		t.Fatal("predict histogram empty after instrumented runs")
 	}
 	// The gate must be measuring span recording, not a sampled-out no-op:

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"net/http"
+	"runtime"
 	"sync/atomic"
 
 	"lamofinder/internal/obs"
@@ -23,8 +25,8 @@ const (
 	numRoutes
 )
 
-// routeNames are the static route labels used in access logs, the JSON
-// latency map and the Prometheus route label. Static strings so recording
+// routeNames are the static route labels used in access logs and as the
+// request-latency family's label values. Static strings so recording
 // a request never allocates.
 var routeNames = [numRoutes]string{"predict", "query", "healthz", "motifs", "metrics", "prom", "reload", "traces", "other"}
 
@@ -55,15 +57,12 @@ func routeOf(path string) int {
 	}
 }
 
-// numPlanKinds mirrors len(query.Kinds()): one latency histogram per plan
-// shape, so a cheap pinned top-k cannot hide a slow full scan behind one
-// blended percentile.
-const numPlanKinds = 3
-
 // planKindIndex maps a plan kind to its histogram slot, following the
-// fixed order of query.Kinds().
+// fixed order of query.Kinds(): one latency histogram per plan shape, so a
+// cheap pinned top-k cannot hide a slow full scan behind one blended
+// percentile.
 func planKindIndex(kind string) int {
-	for i, k := range planKindNames() {
+	for i, k := range query.Kinds() {
 		if k == kind {
 			return i
 		}
@@ -71,96 +70,92 @@ func planKindIndex(kind string) int {
 	return 0
 }
 
-func planKindNames() []string { return query.Kinds() }
-
-// metrics holds the daemon's monotonic counters and per-route latency
-// histograms. Everything is atomic so handlers update them without locks;
-// Snapshot is a point-in-time read, not a consistent cut, which is all a
-// metrics endpoint needs.
+// metrics holds the daemon's series, each declared once on reg, which
+// renders both /metrics and the metric fields of /v1/metrics. Handlers
+// update the counters and histograms lock-free; a render is a
+// point-in-time read, not a consistent cut, which is all a metrics
+// endpoint needs.
 type metrics struct {
-	requests    atomic.Int64                // all HTTP requests
-	predictions atomic.Int64                // proteins answered by /v1/predict
-	errors      atomic.Int64                // 4xx/5xx responses
-	indexHits   atomic.Int64                // proteins answered from the score index
-	queries     atomic.Int64                // bulk plans executed via /v1/query
-	queryRows   atomic.Int64                // result rows streamed by /v1/query
-	lat         [numRoutes]obs.Histogram    // per-route request wall time
-	planLat     [numPlanKinds]obs.Histogram // /v1/query execute+stream time by plan kind
+	reg         obs.Registry
+	requests    *atomic.Int64 // all HTTP requests
+	errors      *atomic.Int64 // 4xx/5xx responses
+	predictions *atomic.Int64 // proteins answered by /v1/predict
+	queries     *atomic.Int64 // bulk plans executed via /v1/query
+	queryRows   *atomic.Int64 // result rows streamed by /v1/query
+	lat         *obs.Family   // request wall time, slot = route index
+	planLat     *obs.Family   // /v1/query execute+stream time, slot = plan kind
 }
 
-// RouteLatency is one route's latency summary inside MetricsSnapshot:
-// exact count and sum plus percentiles derived from the power-of-two
-// bucket histogram (each reported value is the upper bound of the bucket
-// holding the nearest-rank sample).
-type RouteLatency struct {
-	Count     int64 `json:"count"`
-	SumMicros int64 `json:"sum_micros"`
-	P50Micros int64 `json:"p50_micros"`
-	P90Micros int64 `json:"p90_micros"`
-	P99Micros int64 `json:"p99_micros"`
+// newMetrics declares the daemon's series in exposition order.
+func newMetrics(access *obs.AccessLog) metrics {
+	var m metrics
+	r := &m.reg
+	m.requests = r.Counter("lamod_requests_total", "requests", "HTTP requests handled.")
+	m.errors = r.Counter("lamod_errors_total", "errors", "Responses with status >= 400.")
+	m.predictions = r.Counter("lamod_predictions_total", "predictions", "Proteins scored across all predict requests.")
+	m.queries = r.Counter("lamod_queries_total", "queries", "Bulk plans executed via /v1/query.")
+	m.queryRows = r.Counter("lamod_query_rows_total", "query_rows", "Result rows streamed by /v1/query.")
+	r.Func("counter", "lamod_access_log_dropped_total", "access_log_dropped", "Access-log records dropped because the ring was full.", access.Dropped)
+	m.lat = r.Histograms("lamod_request_duration_seconds", "latency", "Request wall time by route.", "route", routeNames[:], false)
+	m.planLat = r.Histograms("lamod_query_duration_seconds", "query_latency", "Bulk-plan execute+stream time by plan kind.", "plan", query.Kinds(), false)
+	r.Func("gauge", "lamod_goroutines", "", "Live goroutines in the daemon process.", func() int64 {
+		return int64(runtime.NumGoroutine())
+	})
+	r.Func("gauge", "lamod_heap_alloc_bytes", "", "Bytes of allocated heap objects.", func() int64 {
+		return int64(memStats().HeapAlloc)
+	})
+	r.FloatFunc("counter", "lamod_gc_pause_seconds_total", "Cumulative stop-the-world GC pause time.", func() float64 {
+		return float64(memStats().PauseTotalNs) / 1e9
+	})
+	r.Func("counter", "lamod_gc_cycles_total", "", "Completed GC cycles.", func() int64 {
+		return int64(memStats().NumGC)
+	})
+	return m
 }
 
-// MetricsSnapshot is the JSON body of /v1/metrics. The pre-histogram
-// fields still present keep their names and meaning (LatencyMicros is
-// now the sum over every route histogram), so scrapers of those keep
-// working; Latency and AccessLogDropped are additive. encoding/json emits map keys sorted, so
-// the body stays byte-deterministic for a given counter state.
+func memStats() *runtime.MemStats {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return &ms
+}
+
+// MetricsSnapshot decodes the JSON body of /v1/metrics for clients
+// (lamoctl, lamoload).
 type MetricsSnapshot struct {
-	Artifact         string                  `json:"artifact"`
-	Requests         int64                   `json:"requests"`
-	Predictions      int64                   `json:"predictions"`
-	Errors           int64                   `json:"errors"`
-	IndexHits        int64                   `json:"index_hits"`
-	Queries          int64                   `json:"queries"`
-	QueryRows        int64                   `json:"query_rows"`
-	LatencyMicros    int64                   `json:"latency_micros_total"`
-	AccessLogDropped int64                   `json:"access_log_dropped"`
-	Latency          map[string]RouteLatency `json:"latency"`
+	Artifact         string                        `json:"artifact"`
+	Requests         int64                         `json:"requests"`
+	Predictions      int64                         `json:"predictions"`
+	Errors           int64                         `json:"errors"`
+	Queries          int64                         `json:"queries"`
+	QueryRows        int64                         `json:"query_rows"`
+	AccessLogDropped int64                         `json:"access_log_dropped"`
+	Latency          map[string]obs.LatencySummary `json:"latency"`
 	// QueryLatency breaks /v1/query down by plan kind (scan, topk,
 	// group_topk), measuring execute+stream time rather than whole-request
-	// wall time; additive, so existing scrapers keep working.
-	QueryLatency map[string]RouteLatency `json:"query_latency"`
+	// wall time.
+	QueryLatency map[string]obs.LatencySummary `json:"query_latency"`
 }
 
-func (m *metrics) snapshot(digest string, accessDropped int64) MetricsSnapshot {
-	s := MetricsSnapshot{
-		Artifact:         digest,
-		Requests:         m.requests.Load(),
-		Predictions:      m.predictions.Load(),
-		Errors:           m.errors.Load(),
-		IndexHits:        m.indexHits.Load(),
-		Queries:          m.queries.Load(),
-		QueryRows:        m.queryRows.Load(),
-		AccessLogDropped: accessDropped,
-		Latency:          make(map[string]RouteLatency, numRoutes),
-		QueryLatency:     make(map[string]RouteLatency, numPlanKinds),
+// handleMetrics serves /v1/metrics: the registry's keyed series plus the
+// served artifact's identity.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		s.writeError(w, http.StatusMethodNotAllowed, "use GET")
+		return
 	}
-	for r := 0; r < numRoutes; r++ {
-		hs := m.lat[r].Snapshot()
-		s.LatencyMicros += hs.SumMicros
-		if hs.Count == 0 {
-			continue
-		}
-		s.Latency[routeNames[r]] = RouteLatency{
-			Count:     hs.Count,
-			SumMicros: hs.SumMicros,
-			P50Micros: hs.Quantile(0.50),
-			P90Micros: hs.Quantile(0.90),
-			P99Micros: hs.Quantile(0.99),
-		}
+	v := s.met.reg.Values()
+	v["artifact"] = s.mdl.Load().digest
+	s.writeJSON(w, http.StatusOK, v)
+}
+
+// handleProm serves /metrics, the Prometheus rendering of the registry.
+// This endpoint is scraped at human timescales, so it allocates freely;
+// only the predict path holds the zero-allocation budget.
+func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		s.writeError(w, http.StatusMethodNotAllowed, "use GET")
+		return
 	}
-	for i, kind := range planKindNames() {
-		hs := m.planLat[i].Snapshot()
-		if hs.Count == 0 {
-			continue
-		}
-		s.QueryLatency[kind] = RouteLatency{
-			Count:     hs.Count,
-			SumMicros: hs.SumMicros,
-			P50Micros: hs.Quantile(0.50),
-			P90Micros: hs.Quantile(0.90),
-			P99Micros: hs.Quantile(0.99),
-		}
-	}
-	return s
+	w.Header().Set("Content-Type", obs.PromContentType)
+	_, _ = w.Write(s.met.reg.Exposition(make([]byte, 0, 8192), s.cfg.PromExemplars))
 }

@@ -241,11 +241,7 @@ func TestCacheAndMetrics(t *testing.T) {
 			t.Fatalf("repeat %d differs:\n%s\nvs\n%s", i, first, body)
 		}
 	}
-	m := s.Metrics()
-	if m.IndexHits != 3 {
-		t.Fatalf("index counter: %+v", m)
-	}
-	if m.Predictions != 3 || m.Requests != 3 {
+	if m := snapshot(t, s); m.Predictions != 3 || m.Requests != 3 {
 		t.Fatalf("counters: %+v", m)
 	}
 
@@ -257,7 +253,7 @@ func TestCacheAndMetrics(t *testing.T) {
 	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Requests < 3 || snap.IndexHits != 3 {
+	if snap.Requests < 3 || snap.Predictions != 3 {
 		t.Fatalf("metrics snapshot: %+v", snap)
 	}
 	var keys map[string]json.RawMessage
@@ -311,8 +307,8 @@ func TestRequestErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("DELETE healthz: %d", resp.StatusCode)
 	}
-	if s.Metrics().Errors < int64(len(cases)) {
-		t.Fatalf("error counter: %+v", s.Metrics())
+	if m := snapshot(t, s); m.Errors < int64(len(cases)) {
+		t.Fatalf("error counter: %+v", m)
 	}
 }
 

@@ -170,10 +170,6 @@ type Server struct {
 	trace     *obs.TraceSource
 	access    *obs.AccessLog // nil when Config.Logger is nil
 	tracer    *obs.Tracer
-	// Most-recent-traced-sample cells for the /metrics exemplar rendering,
-	// one per request-latency histogram.
-	exRoute [numRoutes]obs.Exemplar
-	exPlan  [numPlanKinds]obs.Exemplar
 }
 
 // New builds a server over a loaded artifact. The artifact is shared
@@ -194,10 +190,12 @@ func New(art *artifact.Artifact, cfg Config) (*Server, error) {
 	if trace == nil {
 		trace = obs.NewTraceSource("req", 0)
 	}
+	access := obs.NewAccessLog(cfg.Logger, cfg.AccessLogSize)
 	s := &Server{
 		cfg:    cfg,
+		met:    newMetrics(access),
 		trace:  trace,
-		access: obs.NewAccessLog(cfg.Logger, cfg.AccessLogSize),
+		access: access,
 		tracer: obs.NewTracer(cfg.TraceSampleEvery, cfg.TraceStoreSize, cfg.Logger),
 	}
 	s.mdl.Store(m)
@@ -212,11 +210,6 @@ func (s *Server) Digest() string { return s.mdl.Load().digest }
 // traffic, false while an artifact reload is in flight (the liveness half
 // — the process answering at all — is the HTTP response itself).
 func (s *Server) Ready() bool { return s.ready.Load() }
-
-// Metrics returns a point-in-time counter snapshot.
-func (s *Server) Metrics() MetricsSnapshot {
-	return s.met.snapshot(s.mdl.Load().digest, s.access.Dropped())
-}
 
 // ErrReloadInFlight is returned when a reload is requested while another
 // one is still running; the caller should retry after the first finishes.
@@ -402,7 +395,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		if rec.status >= 400 {
 			s.met.errors.Add(1)
 		}
-		s.met.lat[route].Record(dur)
+		s.met.lat.Hist(route).Record(dur)
 		if s.access != nil {
 			s.access.Push(obs.AccessRecord{
 				Time:     start,
@@ -563,7 +556,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		sc.rankings[i] = rk
 	}
-	s.met.indexHits.Add(int64(len(sc.ids)))
 	tr.SetDetail(rankSpan, "index")
 	s.met.predictions.Add(int64(len(sc.ids)))
 	tr.SetRows(rankSpan, int64(len(sc.ids)), int64(len(sc.ids)))
@@ -629,9 +621,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.met.queries.Add(1)
 	s.met.queryRows.Add(int64(res.RowCount()))
 	d := time.Since(start)
-	s.met.planLat[planKindIndex(res.Kind)].Record(d)
+	kind := planKindIndex(res.Kind)
+	s.met.planLat.Hist(kind).Record(d)
 	if tr != nil {
-		s.exPlan[planKindIndex(res.Kind)].Set(tr.ID(), d.Microseconds())
+		s.met.planLat.Exemplar(kind).Set(tr.ID(), d.Microseconds())
 	}
 }
 
@@ -789,14 +782,6 @@ func (s *Server) handleMotifs(w http.ResponseWriter, r *http.Request) {
 		out.Motifs[i] = ms
 	}
 	s.writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	s.writeJSON(w, http.StatusOK, s.Metrics())
 }
 
 type errorResponse struct {

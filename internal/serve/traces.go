@@ -66,7 +66,7 @@ func (s *Server) endTrace(tr *obs.Trace, route int) {
 	}
 	id := tr.ID()
 	us := s.tracer.Finish(tr)
-	s.exRoute[route].Set(id, us)
+	s.met.lat.Exemplar(route).Set(id, us)
 }
 
 // tracesResponse is the body of GET /v1/traces.

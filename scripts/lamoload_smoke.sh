@@ -78,11 +78,11 @@ echo "== open-loop load (fixed seed)"
     -n 100 -rate 500 -k 5 -seed 2 -name OpenLoop -out "$workdir/open.json"
 grep -q '"name": "OpenLoop/p99"' "$workdir/open.json"
 
-echo "== served proteins still answered from the index"
+echo "== served proteins counted in the metrics"
 "$workdir/lamoctl" metrics -server "http://$addr" | tee "$workdir/metrics.json"
-grep -q '"index_hits":' "$workdir/metrics.json"
-if grep -q '"index_hits":0,' "$workdir/metrics.json"; then
-    echo "daemon served the load without index hits" >&2
+grep -q '"predictions":' "$workdir/metrics.json"
+if grep -q '"predictions":0,' "$workdir/metrics.json"; then
+    echo "daemon served the load without counting predictions" >&2
     exit 1
 fi
 
