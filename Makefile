@@ -24,15 +24,17 @@ RACEPKGS = ./internal/par/... ./internal/label/... ./internal/cluster/... \
 	./internal/serve/... ./internal/fleet/... ./internal/artifact/... \
 	./internal/obs/... ./internal/analysis/... ./internal/query/...
 
-.PHONY: all build vet govet lamovet vet-json lint test race alloc alloc-build paper-golden fuzz bench-module bench-smoke bench-json serve-smoke load-smoke fleet-smoke query-smoke trace-smoke ci
-
-# The dated trajectory snapshot bench-json writes (and lamoload merges into).
-BENCHFILE ?= BENCH_$(shell date +%Y-%m-%d).json
+.PHONY: all build fmt vet govet lamovet vet-json lint test race alloc alloc-build paper-golden fuzz bench-module bench-smoke e2e ci
 
 all: ci
 
 build:
 	$(GO) build ./...
+
+# fmt fails if any Go file in the tree, bench/ and e2e/ included, is not
+# gofmt-formatted.
+fmt:
+	@out=$$(gofmt -l .) && [ -z "$$out" ] || { echo "gofmt -l lists:"; echo "$$out"; exit 1; }
 
 # vet runs both the stock toolchain vet and the full 11-rule lamovet
 # suite (seven per-package rules plus the interprocedural taintdet,
@@ -99,9 +101,12 @@ paper-golden:
 # fuzz mutates artifact payloads through artifact.Decode for 20 s,
 # starting from the committed seed corpus
 # (internal/artifact/testdata/fuzz/FuzzDecode): no input may panic, and
-# any accepted one must re-encode to a stable byte form.
+# any accepted one must re-encode to a stable byte form. It then runs
+# FuzzPredictQuery for 10 s: the GET /v1/predict query scanner must read
+# the proteins and the first k exactly as url.ParseQuery does.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s ./internal/artifact
+	$(GO) test -run '^$$' -fuzz '^FuzzPredictQuery$$' -fuzztime 10s ./internal/serve
 
 # bench-module vets and tests the benchmark's own Go module (bench/), which
 # the root ./... patterns never reach although it calls the pipeline's
@@ -115,46 +120,15 @@ bench-module:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
-# bench-json records a dated benchmark trajectory point (BENCH_<date>.json)
-# for the before/after record in EXPERIMENTS.md: every package's
-# microbenchmarks via cmd/benchjson, then serve latency percentiles merged
-# in by a fixed-seed cmd/lamoload run against a live daemon.
-bench-json:
-	$(GO) run ./cmd/benchjson -time 3x -pkg ./... -out $(BENCHFILE)
-	LAMOLOAD_MERGE_INTO=$(BENCHFILE) ./scripts/lamoload_smoke.sh
+# e2e builds lamod and lamoctl once and drives them as child processes:
+# one daemon (health, predict, metrics, exposition, SIGTERM drain), load
+# in closed and open loop counted by /v1/metrics, bulk queries served
+# and offline, a rolling rollout through a gateway under load, and span
+# traces across the gateway and a replica. -count=1 because the test
+# binary does not import the commands it builds, so a cached pass would
+# survive a change to them.
+e2e:
+	$(GO) vet -tags e2e ./e2e/
+	$(GO) test -tags e2e -count=1 ./e2e/
 
-# serve-smoke exercises the daemon end to end: lamod build, lamod serve,
-# lamoctl health/predict/metrics, SIGTERM drain.
-serve-smoke:
-	./scripts/serve_smoke.sh
-
-# load-smoke exercises the serve hot path end to end: indexed build,
-# fixed-seed lamoload in both loop modes, and the 0 allocs/op budget on
-# the predict handler.
-load-smoke:
-	./scripts/lamoload_smoke.sh
-
-# fleet-smoke exercises lamogate end to end: three reloadable replicas
-# behind a gateway, health-gated routing under a lamoctl-driven load
-# loop, a rolling rollout to a rebuilt artifact with zero failed
-# requests, byte-identical served responses before and after, and a
-# clean mixed-digest gauge once the fleet is uniform again.
-fleet-smoke:
-	./scripts/fleet_smoke.sh
-
-# query-smoke exercises the bulk-query engine end to end: three canned
-# plans through lamoctl query, row-count and known-score assertions,
-# byte-identical offline (lamod query) vs served output, and the
-# flag-built-plan / plan-file equivalence.
-query-smoke:
-	./scripts/query_smoke.sh
-
-# trace-smoke exercises the span-tracing layer end to end: a traced
-# predict's parse/rank/encode tree via lamoctl trace (JSON + -table),
-# byte-deterministic query output alongside the -explain operator table,
-# a trace-ID exemplar on /metrics, and one merged gateway+replica trace
-# for a traced request through a 3-replica fleet.
-trace-smoke:
-	./scripts/trace_smoke.sh
-
-ci: build lint test race alloc alloc-build paper-golden fuzz bench-module bench-smoke serve-smoke load-smoke fleet-smoke query-smoke trace-smoke
+ci: build fmt lint test race alloc alloc-build paper-golden fuzz bench-module bench-smoke e2e

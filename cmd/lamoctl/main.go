@@ -180,22 +180,9 @@ func runHealth(args []string, stdout, stderr io.Writer) int {
 		errf(stderr, "lamoctl health: unexpected arguments %q\n", fs.Args())
 		return 2
 	}
-	resp, err := client(*sf.timeout).Get(*sf.server + "/v1/healthz")
-	if err != nil {
-		errf(stderr, "lamoctl: %v\n", err)
-		return 1
-	}
-	body, err := io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		errf(stderr, "lamoctl: read response: %v\n", err)
-		return 1
-	}
-	if resp.StatusCode != http.StatusOK {
-		errf(stderr, "lamoctl: server returned %s: %s", resp.Status, body)
-		return 1
+	body, code := getBody(client(*sf.timeout), *sf.server+"/v1/healthz", stderr)
+	if code != 0 {
+		return code
 	}
 	// Ready is a bool on a daemon and a count on a gateway; decode loosely
 	// and render whichever arrived.
@@ -231,17 +218,12 @@ func runMetrics(args []string, stdout, stderr io.Writer) int {
 	if !*ratios {
 		return fetch(client(*sf.timeout), *sf.server+"/v1/metrics", stdout, stderr)
 	}
-	resp, err := client(*sf.timeout).Get(*sf.server + "/v1/metrics")
-	if err != nil {
-		errf(stderr, "lamoctl: %v\n", err)
-		return 1
+	body, code := getBody(client(*sf.timeout), *sf.server+"/v1/metrics", stderr)
+	if code != 0 {
+		return code
 	}
 	var snap serve.MetricsSnapshot
-	err = json.NewDecoder(resp.Body).Decode(&snap)
-	if cerr := resp.Body.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := json.Unmarshal(body, &snap); err != nil {
 		errf(stderr, "lamoctl: decode metrics: %v\n", err)
 		return 1
 	}
@@ -274,17 +256,12 @@ func runFleet(args []string, stdout, stderr io.Writer) int {
 	if !*table {
 		return fetch(client(*sf.timeout), *sf.server+"/v1/fleet", stdout, stderr)
 	}
-	resp, err := client(*sf.timeout).Get(*sf.server + "/v1/fleet")
-	if err != nil {
-		errf(stderr, "lamoctl: %v\n", err)
-		return 1
+	body, code := getBody(client(*sf.timeout), *sf.server+"/v1/fleet", stderr)
+	if code != 0 {
+		return code
 	}
 	var st fleet.FleetStatus
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	if cerr := resp.Body.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := json.Unmarshal(body, &st); err != nil {
 		errf(stderr, "lamoctl: decode fleet status: %v\n", err)
 		return 1
 	}

@@ -153,3 +153,29 @@ func TestQueryExplainMissingField(t *testing.T) {
 		t.Fatalf("error message wrong: %s", errb.String())
 	}
 }
+
+// TestErrorStatusFails: the subcommands that decode a response exit 1 and
+// name the status when the server answers with an error, instead of
+// printing zeroed fields.
+func TestErrorStatusFails(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+		_, _ = io.WriteString(w, `{"error":"no replicas configured"}`+"\n")
+	}))
+	defer ts.Close()
+	for _, args := range [][]string{
+		{"metrics", "-ratios"},
+		{"fleet", "-table"},
+		{"health"},
+	} {
+		t.Run(args[0], func(t *testing.T) {
+			var out, errb bytes.Buffer
+			if code := run(append(args, "-server", ts.URL), &out, &errb); code != 1 {
+				t.Fatalf("exit %d, want 1; stdout: %s", code, out.String())
+			}
+			if !strings.Contains(errb.String(), "503 Service Unavailable") {
+				t.Fatalf("stderr does not name the status: %s", errb.String())
+			}
+		})
+	}
+}

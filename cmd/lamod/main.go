@@ -258,7 +258,7 @@ func runServe(args []string) int {
 	var logger *obs.Logger
 	if level < obs.LevelOff {
 		// Access logs go to stderr: stdout stays reserved for the operator
-		// lines the smoke scripts grep.
+		// lines the e2e suite reads.
 		logger = obs.NewLogger(os.Stderr, level, format)
 	}
 	art, err := artifact.LoadFile(*path)

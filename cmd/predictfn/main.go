@@ -1,14 +1,12 @@
 // Command predictfn compares the five protein-function prediction methods
 // (labeled motif, MRF, Chi-square, NC, PRODISTIN) under leave-one-out on
 // the synthetic MIPS-like benchmark, printing the Figure-9 precision/recall
-// table. With -protein it instead scores one protein offline through the
-// same mined model the lamod daemon serves, so its output can be checked
-// byte-for-byte against /v1/predict.
+// table. To score one protein offline, run `lamod query` with a
+// "protein in" plan against a built artifact.
 //
 // Usage:
 //
 //	predictfn [-proteins N] [-edges M] [-seed S] [-quick] [-noprodistin] [-gibbs]
-//	predictfn -protein NAME [-topk K] [dataset flags as above]
 //
 // Malformed flags or an invalid dataset configuration exit 2 with usage;
 // the tool never proceeds on a zero-value config.
@@ -19,12 +17,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"time"
 
 	"lamofinder/internal/experiments"
-	"lamofinder/internal/label"
-	"lamofinder/internal/predict"
 )
 
 func main() {
@@ -62,44 +57,10 @@ func run(args []string) int {
 	}
 
 	start := time.Now()
-	if opts.protein != "" {
-		if code := scoreProtein(cfg, opts.protein, opts.topk); code != 0 {
-			return code
-		}
-	} else {
-		if err := experiments.Figure9(cfg).WriteText(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "predictfn: %v\n", err)
-			return 1
-		}
-	}
-	fmt.Printf("[%v]\n", time.Since(start).Round(time.Millisecond))
-	return 0
-}
-
-// scoreProtein runs the front half of the Figure-9 pipeline (the same
-// mining and labeling `lamod build` packages into an artifact) and prints
-// the named protein's top-k functions: one "FC-term<TAB>score" line per
-// rank, with the score in Go's shortest round-trip form — the float text
-// encoding/json uses, so lines compare equal against the daemon's output.
-func scoreProtein(cfg experiments.Figure9Config, name string, topk int) int {
-	mined := experiments.MineLabeled(cfg)
-	m := mined.MIPS
-	net := m.Task.Network
-	p := -1
-	for v := 0; v < net.N(); v++ {
-		if net.Name(v) == name {
-			p = v
-			break
-		}
-	}
-	if p < 0 {
-		fmt.Fprintf(os.Stderr, "predictfn: protein %q is not in the dataset\n", name)
+	if err := experiments.Figure9(cfg).WriteText(os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "predictfn: %v\n", err)
 		return 1
 	}
-	scorer := label.NewScorer(m.Task, mined.Labeled)
-	for _, rk := range predict.TopK(scorer.Scores(p), topk) {
-		fmt.Printf("%s\t%s\n", m.Ontology.ID(m.CategoryTerm[rk.Function]),
-			strconv.FormatFloat(rk.Score, 'g', -1, 64))
-	}
+	fmt.Printf("[%v]\n", time.Since(start).Round(time.Millisecond))
 	return 0
 }

@@ -14,10 +14,6 @@ type options struct {
 	quick       bool
 	noProdistin bool
 	gibbs       bool
-	// protein switches from the Figure-9 comparison table to scoring one
-	// protein offline; topk bounds that ranking.
-	protein string
-	topk    int
 }
 
 // minProteins is the smallest benchmark that can mine anything: below this
@@ -39,8 +35,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.BoolVar(&o.quick, "quick", false, "reduced-scale preset")
 	fs.BoolVar(&o.noProdistin, "noprodistin", false, "skip PRODISTIN (O(n^3) tree)")
 	fs.BoolVar(&o.gibbs, "gibbs", false, "add the Gibbs-sampling MRF as a sixth method")
-	fs.StringVar(&o.protein, "protein", "", "score this protein offline instead of the comparison table")
-	fs.IntVar(&o.topk, "topk", 0, "top-k functions in -protein mode (0 = all)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -62,12 +56,6 @@ func (o *options) validate() error {
 	}
 	if o.proteins > 0 && o.proteins < minProteins {
 		return fmt.Errorf("-proteins %d is below the minimum benchmark size %d", o.proteins, minProteins)
-	}
-	if o.topk < 0 {
-		return fmt.Errorf("-topk must be non-negative, got %d", o.topk)
-	}
-	if o.topk > 0 && o.protein == "" {
-		return fmt.Errorf("-topk only applies with -protein")
 	}
 	return nil
 }

@@ -16,16 +16,12 @@ func TestParseFlags(t *testing.T) {
 		{"empty", nil, ""},
 		{"quick preset", []string{"-quick", "-noprodistin"}, ""},
 		{"overrides", []string{"-proteins", "600", "-edges", "820", "-seed", "7"}, ""},
-		{"protein mode", []string{"-quick", "-protein", "M0000", "-topk", "5"}, ""},
-		{"protein mode all k", []string{"-protein", "M0001"}, ""},
 		{"unknown flag", []string{"-bogus"}, "not defined"},
 		{"positional args", []string{"stray"}, "unexpected arguments"},
 		{"malformed int", []string{"-proteins", "many"}, "invalid value"},
 		{"negative proteins", []string{"-proteins", "-5"}, "non-negative"},
 		{"negative edges", []string{"-edges", "-1"}, "non-negative"},
 		{"too few proteins", []string{"-proteins", "10"}, "below the minimum"},
-		{"negative topk", []string{"-protein", "M0000", "-topk", "-1"}, "non-negative"},
-		{"topk without protein", []string{"-topk", "3"}, "only applies with -protein"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -58,18 +54,18 @@ func TestParseFlagsHelp(t *testing.T) {
 	if !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("-h: err = %v, want flag.ErrHelp", err)
 	}
-	if !strings.Contains(stderr.String(), "-protein") {
+	if !strings.Contains(stderr.String(), "-noprodistin") {
 		t.Fatalf("usage not printed: %q", stderr.String())
 	}
 }
 
 func TestParseFlagsValues(t *testing.T) {
 	var stderr strings.Builder
-	opts, err := parseFlags([]string{"-quick", "-proteins", "600", "-protein", "M0042", "-topk", "4"}, &stderr)
+	opts, err := parseFlags([]string{"-quick", "-proteins", "600", "-seed", "7", "-gibbs"}, &stderr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !opts.quick || opts.proteins != 600 || opts.protein != "M0042" || opts.topk != 4 {
+	if !opts.quick || opts.proteins != 600 || opts.seed != 7 || !opts.gibbs {
 		t.Fatalf("opts = %+v", opts)
 	}
 }

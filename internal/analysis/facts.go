@@ -189,11 +189,10 @@ func hasMarker(cg *ast.CommentGroup, marker string) bool {
 	return false
 }
 
-// sinkName classifies a call as a taint sink. Sinks are structural — the
-// artifact binary encoder, the serve JSON encoder, and BENCH_*.json
-// writes — plus anything annotated "// lamovet:sink". The name is used
-// in diagnostics.
-func (s *FactStore) sinkName(fn *types.Func, call *ast.CallExpr, pkg *Package) (string, bool) {
+// sinkName classifies a callee as a taint sink. Sinks are structural — the
+// artifact binary encoder and the serve JSON encoder — plus anything
+// annotated "// lamovet:sink". The name is used in diagnostics.
+func (s *FactStore) sinkName(fn *types.Func) (string, bool) {
 	if s.sinks[fn] {
 		return "sink " + fn.Name(), true
 	}
@@ -215,15 +214,6 @@ func (s *FactStore) sinkName(fn *types.Func, call *ast.CallExpr, pkg *Package) (
 	case ModulePath + "/internal/serve":
 		if strings.HasPrefix(fn.Name(), "appendJSON") || fn.Name() == "appendPredictResponse" {
 			return "serve JSON encoder " + fn.Name(), true
-		}
-	case "os":
-		if fn.Name() == "WriteFile" || fn.Name() == "Create" {
-			for _, arg := range call.Args {
-				if lit, ok := ast.Unparen(arg).(*ast.BasicLit); ok &&
-					lit.Kind == token.STRING && strings.Contains(lit.Value, "BENCH") {
-					return "benchmark trajectory file", true
-				}
-			}
 		}
 	}
 	return "", false

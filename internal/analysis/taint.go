@@ -273,7 +273,7 @@ func (sc *taintScan) checkSink(call *ast.CallExpr) {
 	if fn == nil {
 		return
 	}
-	name, isSink := sc.facts.sinkName(fn, call, sc.pkg)
+	name, isSink := sc.facts.sinkName(fn)
 	if !isSink {
 		return
 	}

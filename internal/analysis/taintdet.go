@@ -8,12 +8,12 @@ import (
 // taintdet is the interprocedural determinism gate: a value tainted by
 // map-iteration order, ambient randomness, or the wall clock may not
 // reach a serialization sink — the artifact binary encoder, the serve
-// JSON encoder, a BENCH_*.json write, a "// lamovet:sink" function, or a
-// "// lamovet:serialized" struct field. The per-function mapiter and
-// determinism rules see only one body at a time; this rule follows the
-// taint through helper calls and returns using the summaries the engine
-// computed bottom-up (taint.go), so `keys := collect(m); emit(keys)` is
-// caught even when collect lives two packages away.
+// JSON encoder, a "// lamovet:sink" function, or a "// lamovet:serialized"
+// struct field. The per-function mapiter and determinism rules see only
+// one body at a time; this rule follows the taint through helper calls
+// and returns using the summaries the engine computed bottom-up
+// (taint.go), so `keys := collect(m); emit(keys)` is caught even when
+// collect lives two packages away.
 //
 // Sorting repairs order taint: sort.*/slices.* over a value clears its
 // TaintMapIter bit, which is exactly the collect-then-sort idiom the

@@ -367,8 +367,7 @@ func TestFleetRollingRollout(t *testing.T) {
 		}
 	}
 
-	// Healthz carries the uniform digest (what lamoload's identity check
-	// greps for) and full readiness.
+	// Healthz carries the uniform digest and full readiness.
 	_, hz := get(t, ts.URL+"/v1/healthz")
 	if !strings.Contains(string(hz), digB) || !strings.Contains(string(hz), `"ready":3`) {
 		t.Fatalf("fleet healthz after rollout: %s", hz)
@@ -450,8 +449,7 @@ func TestFleetHedging(t *testing.T) {
 }
 
 // TestFleetMetricsShape: the JSON snapshot self-identifies as a fleet
-// (lamoload keys on this) and carries upstream latency plus the replica
-// table.
+// and carries upstream latency plus the replica table.
 func TestFleetMetricsShape(t *testing.T) {
 	dir := t.TempDir()
 	path, dig := saveExample(t, dir, "version a")
@@ -487,8 +485,8 @@ func TestFleetMetricsShape(t *testing.T) {
 		t.Fatalf("snapshot latency map lacks predict: %v", snap.Latency)
 	}
 
-	// A daemon's snapshot decoded with the fleet shape stays Fleet=false —
-	// the discrimination lamoload relies on.
+	// A daemon's snapshot decoded with the fleet shape stays Fleet=false,
+	// which is how a client tells the two apart.
 	var daemonAsFleet Snapshot
 	if err := json.Unmarshal([]byte(`{"requests":1}`), &daemonAsFleet); err != nil {
 		t.Fatal(err)

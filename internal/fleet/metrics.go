@@ -112,8 +112,8 @@ func (rt *Router) declareMetrics() {
 }
 
 // Snapshot decodes the router's /v1/metrics body. Fleet is always true so
-// clients (lamoload) can distinguish a router from a daemon: daemon
-// snapshots have no "fleet" key, which decodes as false. Upstream merges
+// a client can tell a router from a daemon: daemon snapshots have no
+// "fleet" key, which decodes as false. Upstream merges
 // every replica's observed latency into one fleet-wide summary.
 type Snapshot struct {
 	Fleet       bool                          `json:"fleet"`

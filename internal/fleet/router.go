@@ -8,11 +8,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
-	"strings"
 	"time"
 
 	"lamofinder/internal/obs"
+	"lamofinder/internal/serve"
 )
 
 // Handler returns the router's HTTP handler on its own ServeMux (never
@@ -73,29 +72,12 @@ func affinityKey(r *http.Request, body []byte) string {
 		}
 		return ""
 	}
-	raw := r.URL.RawQuery
-	for len(raw) > 0 {
-		pair := raw
-		if i := strings.IndexByte(pair, '&'); i >= 0 {
-			pair, raw = pair[:i], pair[i+1:]
-		} else {
-			raw = ""
+	for raw := r.URL.RawQuery; raw != ""; {
+		key, val, rest, ok := serve.NextQueryPair(raw)
+		if ok && key == "protein" {
+			return val
 		}
-		key, val := pair, ""
-		if i := strings.IndexByte(pair, '='); i >= 0 {
-			key, val = pair[:i], pair[i+1:]
-		}
-		if key != "protein" {
-			continue
-		}
-		if strings.ContainsAny(val, "%+") {
-			dec, err := url.QueryUnescape(val)
-			if err != nil {
-				continue
-			}
-			val = dec
-		}
-		return val
+		raw = rest
 	}
 	return ""
 }
@@ -414,9 +396,8 @@ func (rt *Router) relay(w http.ResponseWriter, res *upstreamResult, id string) {
 }
 
 // fleetHealthz is the router's /v1/healthz body: liveness of the fleet as
-// a whole. Artifact is the uniform digest when every live replica agrees
-// (the shape lamoload's identity check reads); it is empty while the
-// fleet is mixed mid-rollout.
+// a whole. Artifact is the uniform digest when every live replica agrees;
+// it is empty while the fleet is mixed mid-rollout.
 type fleetHealthz struct {
 	Status      string `json:"status"`
 	Ready       int    `json:"ready"`

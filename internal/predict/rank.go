@@ -26,7 +26,7 @@ func rankedBefore(a, b Ranked) bool {
 // best (k <= 0 means no truncation). Zero- and negative-score functions are
 // dropped — a scorer that found no evidence predicts nothing. The ordering
 // is a pure function of the score vector, so every consumer (the serving
-// daemon, lamoctl, predictfn's offline mode) renders identical rankings.
+// daemon, lamoctl, lamod query) renders identical rankings.
 //
 // When k is small relative to the vector, selection runs through a bounded
 // min-heap instead of a full sort; rankedBefore is a strict total order

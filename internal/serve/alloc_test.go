@@ -121,7 +121,7 @@ func BenchmarkHandlerPredictInstrumented(b *testing.B) {
 }
 
 // BenchmarkHandlerPredictIndexed measures the handler over the score
-// index: the numbers feed the allocs/op budget in make bench-json.
+// index; make alloc gates its allocs/op through TestPredictHotPathAllocs.
 func BenchmarkHandlerPredictIndexed(b *testing.B) {
 	art := indexedModel(b)
 	s, err := New(art, Config{})

@@ -119,8 +119,8 @@ func memStats() *runtime.MemStats {
 	return &ms
 }
 
-// MetricsSnapshot decodes the JSON body of /v1/metrics for clients
-// (lamoctl, lamoload).
+// MetricsSnapshot decodes the JSON body of /v1/metrics for clients such
+// as lamoctl.
 type MetricsSnapshot struct {
 	Artifact         string                        `json:"artifact"`
 	Requests         int64                         `json:"requests"`

@@ -145,7 +145,7 @@ func TestAccessLogLines(t *testing.T) {
 }
 
 // promLine is the shape every non-comment exposition line must match —
-// the same regex scripts/serve_smoke.sh enforces.
+// the same regex the e2e suite's TestServe enforces.
 var promLine = regexp.MustCompile(`^[a-z_]+(\{[^}]*\})? [0-9.e+-]+$`)
 
 // TestPromEndpoint: /metrics parses line-by-line, carries the counters

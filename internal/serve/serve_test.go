@@ -121,7 +121,7 @@ func TestPredictDeterministicAcrossRunsAndParallelism(t *testing.T) {
 
 // TestPredictMatchesOfflineScorer pins the served numbers to the offline
 // pipeline: for every protein, the daemon's response must exactly equal
-// predict.TopK over the scorer predictfn constructs — same constructor
+// predict.TopK over the scorer the pipeline constructs — same constructor
 // (label.NewScorer), same ranking, same floats.
 func TestPredictMatchesOfflineScorer(t *testing.T) {
 	art, task, motifs := exampleModel(t)

@@ -436,49 +436,48 @@ type predictRequest struct {
 	K        int      `json:"k"`
 }
 
-// parsePredictQuery scans a raw GET query for protein= values (in order)
-// and the first k=, appending proteins into the scratch without copying
-// when the value carries no percent- or plus-escapes. It mirrors what
-// r.URL.Query() yields for the keys the handler reads: unparsable pairs
-// are skipped, later duplicate k values are ignored. Hand-rolling the scan
-// keeps the index hot path free of the per-request url.Values map.
+// NextQueryPair splits the first key=value pair off a raw URL query and
+// decodes it the way url.ParseQuery does. ok is false for a pair
+// url.ParseQuery drops: an empty one, one holding a semicolon, or one
+// whose key or value does not unescape. Only a key or value containing
+// '%' or '+' is decoded, so a plain query allocates nothing. The predict
+// handler and the gateway's routing key both read GET queries through it,
+// instead of building the url.Values map per request.
+func NextQueryPair(raw string) (key, val, rest string, ok bool) {
+	pair, rest, _ := strings.Cut(raw, "&")
+	if pair == "" || strings.IndexByte(pair, ';') >= 0 {
+		return "", "", rest, false
+	}
+	key, val, _ = strings.Cut(pair, "=")
+	if key, ok = unescapeQuery(key); !ok {
+		return "", "", rest, false
+	}
+	val, ok = unescapeQuery(val)
+	return key, val, rest, ok
+}
+
+func unescapeQuery(s string) (string, bool) {
+	if !strings.ContainsAny(s, "%+") {
+		return s, true
+	}
+	dec, err := url.QueryUnescape(s)
+	return dec, err == nil
+}
+
+// parsePredictQuery appends a raw GET query's protein= values, in order,
+// to the scratch and returns the first k= value, as r.URL.Query() would
+// read them.
 func parsePredictQuery(raw string, sc *scratch) (k string) {
-	for len(raw) > 0 {
-		pair := raw
-		if i := strings.IndexByte(pair, '&'); i >= 0 {
-			pair, raw = pair[:i], pair[i+1:]
-		} else {
-			raw = ""
-		}
-		if pair == "" || strings.IndexByte(pair, ';') >= 0 {
-			continue // url.ParseQuery drops semicolon-bearing pairs
-		}
-		key, val := pair, ""
-		if i := strings.IndexByte(pair, '='); i >= 0 {
-			key, val = pair[:i], pair[i+1:]
-		}
-		switch key {
-		case "protein":
-			if strings.ContainsAny(val, "%+") {
-				dec, err := url.QueryUnescape(val)
-				if err != nil {
-					continue
-				}
-				val = dec
-			}
+	haveK := false
+	for raw != "" {
+		key, val, rest, ok := NextQueryPair(raw)
+		raw = rest
+		switch {
+		case !ok: // a pair url.ParseQuery drops
+		case key == "protein":
 			sc.proteins = append(sc.proteins, val)
-		case "k":
-			if k != "" {
-				continue
-			}
-			if strings.ContainsAny(val, "%+") {
-				dec, err := url.QueryUnescape(val)
-				if err != nil {
-					continue
-				}
-				val = dec
-			}
-			k = val
+		case key == "k" && !haveK:
+			k, haveK = val, true
 		}
 	}
 	return k
