@@ -103,10 +103,14 @@ paper-golden:
 # (internal/artifact/testdata/fuzz/FuzzDecode): no input may panic, and
 # any accepted one must re-encode to a stable byte form. It then runs
 # FuzzPredictQuery for 10 s: the GET /v1/predict query scanner must read
-# the proteins and the first k exactly as url.ParseQuery does.
+# the proteins and the first k exactly as url.ParseQuery does. Last,
+# FuzzTraceContext for 10 s: an accepted X-Trace-Context must name a real
+# span slot and a trace ID that is one clean path segment, and must
+# survive a format/parse round trip.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzPredictQuery$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceContext$$' -fuzztime 10s ./internal/obs
 
 # bench-module vets and tests the benchmark's own Go module (bench/), which
 # the root ./... patterns never reach although it calls the pipeline's

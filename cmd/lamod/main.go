@@ -21,11 +21,12 @@
 //	lamod serve -artifact FILE [-addr HOST:PORT] [-parallelism N]
 //	            [-timeout D] [-drain D] [-pprof]
 //	            [-reload] [-reload-dir DIR]
-//	            [-log-level LEVEL] [-log-format json|logfmt] [-access-log-size N]
+//	            [-log-level LEVEL] [-log-format json|logfmt]
+//	            [-trace-sample N] [-exemplars]
 //	lamod gateway -replicas HOST:PORT,HOST:PORT,... [-addr HOST:PORT]
 //	            [-vnodes N] [-probe-interval D] [-fail-threshold N]
 //	            [-attempts N] [-hedge-max D] [-drain D]
-//	            [-log-level LEVEL] [-log-format json|logfmt]
+//	            [-log-level LEVEL] [-log-format json|logfmt] [-trace-sample N]
 //
 // build always traces its pipeline stages (census, uniqueness, labeling,
 // clustering, ranking) into the artifact's build metadata; -stats prints
@@ -227,11 +228,8 @@ func runServe(args []string) int {
 	enablePprof := fs.Bool("pprof", false, "expose /debug/pprof/ (stacks and heap contents; opt-in only)")
 	allowReload := fs.Bool("reload", false, "expose POST /v1/admin/reload for zero-downtime artifact swaps")
 	reloadDir := fs.String("reload-dir", "", "restrict reload artifact paths to this directory (default: the -artifact file's directory)")
-	logLevel := fs.String("log-level", "info", "structured log level: debug, info, warn, error, off")
-	logFormat := fs.String("log-format", "json", "structured log format: json or logfmt")
-	accessLogSize := fs.Int("access-log-size", 0, "access-log ring entries (0 = default); overflow drops, never blocks")
+	newLogger := logFlags(fs)
 	traceSample := fs.Int("trace-sample", 0, "span-trace head sampling: 1 in N requests (0 = default 16, negative = forced-only)")
-	traceStore := fs.Int("trace-store", 0, "finished-trace ring entries served by /v1/traces (0 = default 256)")
 	exemplars := fs.Bool("exemplars", false, "annotate /metrics latency histograms with OpenMetrics trace-ID exemplars")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -245,21 +243,10 @@ func runServe(args []string) int {
 		fs.Usage()
 		return 2
 	}
-	level, err := obs.ParseLevel(*logLevel)
+	logger, err := newLogger()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lamod serve: %v\n", err)
 		return 2
-	}
-	format, err := obs.ParseFormat(*logFormat)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lamod serve: %v\n", err)
-		return 2
-	}
-	var logger *obs.Logger
-	if level < obs.LevelOff {
-		// Access logs go to stderr: stdout stays reserved for the operator
-		// lines the e2e suite reads.
-		logger = obs.NewLogger(os.Stderr, level, format)
 	}
 	art, err := artifact.LoadFile(*path)
 	if err != nil {
@@ -278,10 +265,7 @@ func runServe(args []string) int {
 		AllowReload:      *allowReload,
 		ReloadDir:        *reloadDir,
 		Logger:           logger,
-		AccessLogSize:    *accessLogSize,
-		Trace:            obs.NewTraceSource("lamod", 0),
 		TraceSampleEvery: *traceSample,
-		TraceStoreSize:   *traceStore,
 		PromExemplars:    *exemplars,
 	})
 	if err != nil {
@@ -309,10 +293,8 @@ func runGateway(args []string) int {
 	attempts := fs.Int("attempts", 0, "max distinct replicas tried per request (0 = default)")
 	hedgeMax := fs.Duration("hedge-max", 0, "hedge-delay ceiling; negative disables hedging (0 = default)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
-	logLevel := fs.String("log-level", "info", "structured log level: debug, info, warn, error, off")
-	logFormat := fs.String("log-format", "json", "structured log format: json or logfmt")
+	newLogger := logFlags(fs)
 	traceSample := fs.Int("trace-sample", 0, "span-trace head sampling: 1 in N requests (0 = default 16, negative = forced-only)")
-	traceStore := fs.Int("trace-store", 0, "finished-trace ring entries served by /v1/traces (0 = default 256)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -331,19 +313,10 @@ func runGateway(args []string) int {
 			members = append(members, r)
 		}
 	}
-	level, err := obs.ParseLevel(*logLevel)
+	logger, err := newLogger()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lamod gateway: %v\n", err)
 		return 2
-	}
-	format, err := obs.ParseFormat(*logFormat)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lamod gateway: %v\n", err)
-		return 2
-	}
-	var logger *obs.Logger
-	if level < obs.LevelOff {
-		logger = obs.NewLogger(os.Stderr, level, format)
 	}
 	rt, err := fleet.New(fleet.Config{
 		Replicas:         members,
@@ -354,7 +327,6 @@ func runGateway(args []string) int {
 		HedgeMax:         *hedgeMax,
 		Logger:           logger,
 		TraceSampleEvery: *traceSample,
-		TraceStoreSize:   *traceStore,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lamod gateway: %v\n", err)
@@ -370,4 +342,28 @@ func runGateway(args []string) int {
 	}
 	fmt.Println("shut down cleanly")
 	return 0
+}
+
+// logFlags registers -log-level and -log-format, which lamod serve and
+// lamod gateway share, and returns the function that builds the logger
+// they select: nil at -log-level off, an error for a value neither flag
+// accepts. Logs go to stderr: stdout stays reserved for the operator
+// lines the e2e suite reads.
+func logFlags(fs *flag.FlagSet) func() (*obs.Logger, error) {
+	level := fs.String("log-level", "info", "structured log level: debug, info, warn, error, off")
+	format := fs.String("log-format", "json", "structured log format: json or logfmt")
+	return func() (*obs.Logger, error) {
+		lv, err := obs.ParseLevel(*level)
+		if err != nil {
+			return nil, err
+		}
+		f, err := obs.ParseFormat(*format)
+		if err != nil {
+			return nil, err
+		}
+		if lv >= obs.LevelOff {
+			return nil, nil
+		}
+		return obs.NewLogger(os.Stderr, lv, f), nil
+	}
 }

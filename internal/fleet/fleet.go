@@ -58,14 +58,18 @@ const (
 	DefaultProbeTimeout  = 2 * time.Second
 	DefaultFailThreshold = 2
 	DefaultBackoffBase   = time.Second
-	DefaultBackoffMax    = 30 * time.Second
 	DefaultMaxAttempts   = 3
 	DefaultHedgeMin      = 2 * time.Millisecond
 	DefaultHedgeMax      = 500 * time.Millisecond
-	DefaultMaxBody       = serve.MaxBody // the replicas' own body cap
-	DefaultDrainTimeout  = 10 * time.Second
-	DefaultRolloutWait   = 60 * time.Second
-	maxReplicas          = 64 // Preference's member bitset is one uint64
+)
+
+// Fixed limits. The gateway buffers a POST body under serve.MaxBody, the
+// replicas' own cap.
+const (
+	backoffMax   = 30 * time.Second // ceiling of an ejected replica's reprobe backoff
+	drainTimeout = 10 * time.Second // rollout: wait for a replica's in-flight requests
+	rolloutWait  = 60 * time.Second // rollout: wait for a reloaded replica to be ready
+	maxReplicas  = 64               // Preference's member bitset is one uint64
 )
 
 // Config tunes the router. Zero values fall back to the defaults above.
@@ -80,10 +84,9 @@ type Config struct {
 	ProbeTimeout  time.Duration
 	// FailThreshold is the consecutive-failure count that ejects a
 	// replica; ejected replicas are reprobed after an exponential backoff
-	// growing from BackoffBase to BackoffMax.
+	// growing from BackoffBase to 30 s.
 	FailThreshold int
 	BackoffBase   time.Duration
-	BackoffMax    time.Duration
 	// MaxAttempts bounds the distinct replicas tried per predict request
 	// (first attempt + retries; the hedge does not consume an attempt).
 	MaxAttempts int
@@ -95,32 +98,20 @@ type Config struct {
 	HedgeMax time.Duration
 	// UpstreamTimeout bounds one proxied request to a replica.
 	UpstreamTimeout time.Duration
-	// MaxBody caps a buffered POST body.
-	MaxBody int64
-	// DrainTimeout bounds the wait for a replica's in-flight requests
-	// during rollout; RolloutWait bounds the wait for a reloaded replica
-	// to come back ready with the new digest; RolloutSettle is an extra
-	// pause after draining and between replicas (useful to widen the
-	// observable mixed-digest window in tests and smokes).
-	DrainTimeout  time.Duration
-	RolloutWait   time.Duration
+	// RolloutSettle is an extra pause after draining and between replicas
+	// (useful to widen the observable mixed-digest window in tests). A
+	// rollout waits up to 10 s for a replica's in-flight requests to drain
+	// and up to 60 s for it to come back ready with the new digest.
 	RolloutSettle time.Duration
 	// Logger, when set, records membership transitions, rollout steps, and
 	// one line per routed upstream attempt (replica, trace ID, status).
 	Logger *obs.Logger
-	// Trace generates gateway request IDs for requests without a valid
-	// client X-Request-Id (nil = a fresh "gw"-prefixed source). The gateway
-	// mints the ID once per request, so every retry and hedge attempt — and
-	// the replica-side trace each one records — shares it.
-	Trace *obs.TraceSource
 	// TraceSampleEvery selects span-trace head sampling at the gateway:
 	// every Nth predict request records a routing span tree (0 = the obs
 	// default, 1 in 16; negative = forced-only). Probe rounds run through
-	// the same sampler; rollouts always trace.
+	// the same sampler; rollouts always trace. GET /v1/traces serves the
+	// most recent 256 finished gateway traces.
 	TraceSampleEvery int
-	// TraceStoreSize bounds the ring of finished gateway traces served by
-	// GET /v1/traces (0 = the obs default, 256).
-	TraceStoreSize int
 }
 
 func (c *Config) fill() error {
@@ -145,9 +136,6 @@ func (c *Config) fill() error {
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = DefaultBackoffBase
 	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = DefaultBackoffMax
-	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = DefaultMaxAttempts
 	}
@@ -159,15 +147,6 @@ func (c *Config) fill() error {
 	}
 	if c.UpstreamTimeout <= 0 {
 		c.UpstreamTimeout = 10 * time.Second
-	}
-	if c.MaxBody <= 0 {
-		c.MaxBody = DefaultMaxBody
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = DefaultDrainTimeout
-	}
-	if c.RolloutWait <= 0 {
-		c.RolloutWait = DefaultRolloutWait
 	}
 	return nil
 }
@@ -190,8 +169,7 @@ type Router struct {
 	members []*member // index-aligned with ring member indices
 	client  *http.Client
 	met     fleetMetrics
-	trace   *obs.TraceSource
-	tracer  *obs.Tracer
+	tracer  *obs.Tracer // mints "gw-N" IDs for requests without one
 
 	// hedgeNanos caches the hedge delay derived from the merged upstream
 	// p99 after each probe round, so the hot path reads one atomic.
@@ -239,14 +217,10 @@ func New(cfg Config) (*Router, error) {
 				MaxIdleConnsPerHost: 8,
 			},
 		},
+		tracer:    obs.NewTracer("gw", cfg.TraceSampleEvery, 0),
 		probeQuit: make(chan struct{}),
 		probeDone: make(chan struct{}),
 	}
-	rt.trace = cfg.Trace
-	if rt.trace == nil {
-		rt.trace = obs.NewTraceSource("gw", 0)
-	}
-	rt.tracer = obs.NewTracer(cfg.TraceSampleEvery, cfg.TraceStoreSize, cfg.Logger)
 	rt.declareMetrics()
 	rt.hedgeNanos.Store(int64(cfg.HedgeMax))
 	return rt, nil
@@ -263,14 +237,12 @@ func (rt *Router) StartProbes() {
 	})
 }
 
-// Close stops the prober and waits for it to exit, then stops the trace
-// summary drain (the prober publishes probe-round traces, so the tracer
-// must outlive it). Idempotent; safe even if StartProbes was never called.
+// Close stops the prober and waits for it to exit. Idempotent; safe even
+// if StartProbes was never called.
 func (rt *Router) Close() {
 	rt.probeStop.Do(func() { close(rt.probeQuit) })
 	rt.probeStart.Do(func() { close(rt.probeDone) }) // never started: unblock the wait
 	<-rt.probeDone
-	rt.tracer.Close()
 }
 
 func (rt *Router) probeLoop() {
@@ -304,7 +276,7 @@ func (rt *Router) probeAll() {
 	now := time.Now()
 	var tr *obs.Trace
 	if rt.tracer.Sample(false) {
-		tr = rt.tracer.Start(rt.trace.Next(), obs.NoSpan, "probe-round")
+		tr = rt.tracer.Start(rt.tracer.NextID(), obs.NoSpan, "probe-round")
 	}
 	for _, m := range rt.members {
 		if !m.probeDue(now) {
@@ -326,7 +298,7 @@ func (rt *Router) probeOne(m *member, now time.Time) {
 	err := rt.getJSON(ctx, m.addr+"/v1/healthz", &ph)
 	switch {
 	case err != nil || ph.Status != "ok":
-		if m.noteFailure(now, rt.cfg.FailThreshold, rt.cfg.BackoffBase, rt.cfg.BackoffMax) {
+		if m.noteFailure(now, rt.cfg.FailThreshold, rt.cfg.BackoffBase) {
 			rt.met.ejects.Add(1)
 			rt.cfg.Logger.Warn("fleet eject", obs.String("replica", m.addr))
 		}
@@ -408,32 +380,8 @@ func (rt *Router) ListenAndServe(ctx context.Context, addr string, drain time.Du
 }
 
 // Serve is ListenAndServe over an existing listener, which it takes
-// ownership of.
+// ownership of. It runs on the daemon's HTTP shell, serve.Run.
 func (rt *Router) Serve(ctx context.Context, l net.Listener, drain time.Duration) error {
 	rt.StartProbes()
-	hs := &http.Server{
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(l) }()
-	select {
-	case err := <-errc:
-		rt.Close()
-		return err
-	case <-ctx.Done():
-	}
-	sctx := context.Background()
-	if drain > 0 {
-		var cancel context.CancelFunc
-		sctx, cancel = context.WithTimeout(sctx, drain)
-		defer cancel()
-	}
-	err := hs.Shutdown(sctx)
-	<-errc // Serve has returned http.ErrServerClosed
-	rt.Close()
-	if err != nil {
-		return fmt.Errorf("fleet: drain: %w", err)
-	}
-	return nil
+	return serve.Run(ctx, l, rt.Handler(), drain, rt.Close)
 }

@@ -86,19 +86,19 @@ func (m *member) noteSuccess() (readmitted bool) {
 
 // noteFailure records one failed probe or transport error and ejects the
 // member once the streak reaches threshold. Ejected members back off
-// exponentially: base<<(streak-threshold), capped at max. Returns true
-// when this call performed the eject transition.
-func (m *member) noteFailure(now time.Time, threshold int, base, max time.Duration) (ejected bool) {
+// exponentially: base<<(streak-threshold), capped at backoffMax. Returns
+// true when this call performed the eject transition.
+func (m *member) noteFailure(now time.Time, threshold int, base time.Duration) (ejected bool) {
 	m.mu.Lock()
 	m.consecFails++
 	streak := m.consecFails
 	if streak >= threshold {
 		backoff := base
-		for i := threshold; i < streak && backoff < max; i++ {
+		for i := threshold; i < streak && backoff < backoffMax; i++ {
 			backoff *= 2
 		}
-		if backoff > max {
-			backoff = max
+		if backoff > backoffMax {
+			backoff = backoffMax
 		}
 		m.nextProbe = now.Add(backoff)
 	}

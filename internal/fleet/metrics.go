@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"lamofinder/internal/obs"
+	"lamofinder/internal/serve"
 )
 
 // Router-side routes, for the per-route latency histograms. Kept coarser
@@ -155,16 +156,16 @@ func (rt *Router) Metrics() Snapshot {
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		rt.writeError(w, http.StatusMethodNotAllowed, "use GET")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	rt.writeJSON(w, http.StatusOK, rt.metricValues())
+	serve.WriteJSON(w, http.StatusOK, rt.metricValues())
 }
 
 // handleProm serves /metrics, the Prometheus rendering of the registry.
 func (rt *Router) handleProm(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		rt.writeError(w, http.StatusMethodNotAllowed, "use GET")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	w.Header().Set("Content-Type", obs.PromContentType)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lamofinder/internal/obs"
+	"lamofinder/internal/serve"
 )
 
 // ErrRolloutInFlight is returned when a rollout is requested while one is
@@ -55,7 +56,7 @@ func (rt *Router) Rollout(ctx context.Context, path, wantDigest string) (Rollout
 	// Rollouts are rare and load-bearing, so they always trace: one span
 	// per replica with drain/reload/verify children, queryable afterwards
 	// at GET /v1/traces/{id} to answer "where did the rollout spend time".
-	tr := rt.tracer.Start(rt.trace.Next(), obs.NoSpan, "rollout")
+	tr := rt.tracer.Start(rt.tracer.NextID(), obs.NoSpan, "rollout")
 	defer rt.tracer.Finish(tr)
 	rt.cfg.Logger.Info("rollout trace", obs.String("trace", tr.ID()))
 
@@ -132,15 +133,15 @@ func (rt *Router) rolloutOne(ctx context.Context, m *member, path, wantDigest st
 }
 
 // waitInflight polls until the member has no routed requests outstanding,
-// bounded by DrainTimeout. A timeout is an error: reloading under live
+// bounded by drainTimeout. A timeout is an error: reloading under live
 // requests is safe on the replica (the old model drains via its own
 // atomic pointer), but a drain that never completes means routing is not
 // actually avoiding this member, which is worth failing loudly over.
 func (rt *Router) waitInflight(ctx context.Context, m *member) error {
-	deadline := time.Now().Add(rt.cfg.DrainTimeout)
+	deadline := time.Now().Add(drainTimeout)
 	for m.inflight.Load() > 0 {
 		if time.Now().After(deadline) {
-			return fmt.Errorf("drain: %d requests still in flight after %s", m.inflight.Load(), rt.cfg.DrainTimeout)
+			return fmt.Errorf("drain: %d requests still in flight after %s", m.inflight.Load(), drainTimeout)
 		}
 		if err := rt.sleep(ctx, 5*time.Millisecond); err != nil {
 			return err
@@ -188,9 +189,9 @@ func (rt *Router) postReload(ctx context.Context, m *member, path, wantDigest st
 
 // waitReady polls the replica's healthz until it reports ready with the
 // expected digest (or, when wantDigest is empty, with any digest — the
-// caller pins it), bounded by RolloutWait.
+// caller pins it), bounded by rolloutWait.
 func (rt *Router) waitReady(ctx context.Context, m *member, wantDigest string) (string, error) {
-	deadline := time.Now().Add(rt.cfg.RolloutWait)
+	deadline := time.Now().Add(rolloutWait)
 	for {
 		pctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
 		var ph probeHealth
@@ -203,7 +204,7 @@ func (rt *Router) waitReady(ctx context.Context, m *member, wantDigest string) (
 			err = fmt.Errorf("replica serves %s, want %s", ph.Artifact, wantDigest)
 		}
 		if time.Now().After(deadline) {
-			return "", fmt.Errorf("wait ready: %v (after %s)", err, rt.cfg.RolloutWait)
+			return "", fmt.Errorf("wait ready: %v (after %s)", err, rolloutWait)
 		}
 		if serr := rt.sleep(ctx, 20*time.Millisecond); serr != nil {
 			return "", serr
@@ -228,29 +229,29 @@ func (rt *Router) sleep(ctx context.Context, d time.Duration) error {
 
 func (rt *Router) handleRollout(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		rt.writeError(w, http.StatusMethodNotAllowed, "use POST")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	var req RolloutRequest
-	body, err := readBody(r, rt.cfg.MaxBody)
+	body, err := readBody(r, serve.MaxBody)
 	if err == nil {
 		err = json.Unmarshal(body, &req)
 	}
 	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, "decode request: %v", err)
+		serve.WriteError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
 	if req.Artifact == "" {
-		rt.writeError(w, http.StatusBadRequest, "artifact path is required")
+		serve.WriteError(w, http.StatusBadRequest, "artifact path is required")
 		return
 	}
 	res, err := rt.Rollout(r.Context(), req.Artifact, req.Digest)
 	switch {
 	case errors.Is(err, ErrRolloutInFlight):
-		rt.writeError(w, http.StatusConflict, "%v", err)
+		serve.WriteError(w, http.StatusConflict, "%v", err)
 	case err != nil:
-		rt.writeError(w, http.StatusBadGateway, "%v", err)
+		serve.WriteError(w, http.StatusBadGateway, "%v", err)
 	default:
-		rt.writeJSON(w, http.StatusOK, res)
+		serve.WriteJSON(w, http.StatusOK, res)
 	}
 }

@@ -159,7 +159,7 @@ func (rt *Router) issue(ctx context.Context, m *member, method, uri string, body
 		res.err = err
 		if !errors.Is(err, context.Canceled) {
 			m.errors.Add(1)
-			if m.noteFailure(time.Now(), rt.cfg.FailThreshold, rt.cfg.BackoffBase, rt.cfg.BackoffMax) {
+			if m.noteFailure(time.Now(), rt.cfg.FailThreshold, rt.cfg.BackoffBase) {
 				rt.met.ejects.Add(1)
 				rt.cfg.Logger.Warn("fleet eject", obs.String("replica", m.addr), obs.String("cause", "transport"))
 			}
@@ -315,26 +315,26 @@ func (rt *Router) route(ctx context.Context, candidates []*member, method, uri s
 
 func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodPost {
-		rt.writeError(w, http.StatusMethodNotAllowed, "use GET or POST")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "use GET or POST")
 		return
 	}
 	var body []byte
 	if r.Method == http.MethodPost {
 		var err error
-		body, err = readBody(r, rt.cfg.MaxBody)
+		body, err = readBody(r, serve.MaxBody)
 		if err != nil {
 			status := http.StatusBadRequest
 			if errors.Is(err, errBodyTooLarge) {
 				status = http.StatusRequestEntityTooLarge
 			}
-			rt.writeError(w, status, "read body: %v", err)
+			serve.WriteError(w, status, "read body: %v", err)
 			return
 		}
 	}
 	var scratch [maxReplicas]int
 	cands := rt.candidates(affinityKey(r, body), scratch[:])
 	if len(cands) == 0 {
-		rt.writeError(w, http.StatusServiceUnavailable, "no replicas configured")
+		serve.WriteError(w, http.StatusServiceUnavailable, "no replicas configured")
 		return
 	}
 	id, tr := rt.startTrace(r, "predict")
@@ -351,13 +351,13 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 // not matter, only availability.
 func (rt *Router) handleMotifs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		rt.writeError(w, http.StatusMethodNotAllowed, "use GET")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	var scratch [maxReplicas]int
 	cands := rt.candidates("", scratch[:])
 	if len(cands) == 0 {
-		rt.writeError(w, http.StatusServiceUnavailable, "no replicas configured")
+		serve.WriteError(w, http.StatusServiceUnavailable, "no replicas configured")
 		return
 	}
 	id, tr := rt.startTrace(r, "motifs")
@@ -376,15 +376,15 @@ func (rt *Router) relay(w http.ResponseWriter, res *upstreamResult, id string) {
 		w.Header().Set("X-Request-Id", id)
 	}
 	if res == nil {
-		rt.writeError(w, http.StatusBadGateway, "no replica available")
+		serve.WriteError(w, http.StatusBadGateway, "no replica available")
 		return
 	}
 	if res.err != nil {
-		rt.writeError(w, http.StatusBadGateway, "replica %s: %v", res.member.addr, res.err)
+		serve.WriteError(w, http.StatusBadGateway, "replica %s: %v", res.member.addr, res.err)
 		return
 	}
 	if res.retryable() {
-		rt.writeError(w, http.StatusBadGateway, "replica %s: status %d", res.member.addr, res.status)
+		serve.WriteError(w, http.StatusBadGateway, "replica %s: status %d", res.member.addr, res.status)
 		return
 	}
 	h := w.Header()
@@ -408,7 +408,7 @@ type fleetHealthz struct {
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		rt.writeError(w, http.StatusMethodNotAllowed, "use GET")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	ready := 0
@@ -430,7 +430,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		hz.Status = "unavailable"
 		status = http.StatusServiceUnavailable
 	}
-	rt.writeJSON(w, status, hz)
+	serve.WriteJSON(w, status, hz)
 }
 
 // FleetStatus is the body of /v1/fleet: the membership table plus the
@@ -454,10 +454,10 @@ func (rt *Router) fleetStatus() FleetStatus {
 
 func (rt *Router) handleFleet(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		rt.writeError(w, http.StatusMethodNotAllowed, "use GET")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	rt.writeJSON(w, http.StatusOK, rt.fleetStatus())
+	serve.WriteJSON(w, http.StatusOK, rt.fleetStatus())
 }
 
 var errBodyTooLarge = errors.New("request body too large")
@@ -473,25 +473,6 @@ func readBody(r *http.Request, max int64) ([]byte, error) {
 		return nil, fmt.Errorf("%w (limit %d bytes)", errBodyTooLarge, max)
 	}
 	return body, nil
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func (rt *Router) writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	rt.writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-func (rt *Router) writeJSON(w http.ResponseWriter, status int, v any) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		w.WriteHeader(http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(append(b, '\n'))
 }
 
 // getJSON GETs url within ctx and decodes the JSON body into v.

@@ -3,10 +3,9 @@ package fleet
 import (
 	"context"
 	"net/http"
-	"strconv"
-	"strings"
 
 	"lamofinder/internal/obs"
+	"lamofinder/internal/serve"
 )
 
 // startTrace mints (or adopts) the gateway's request ID and decides span
@@ -21,7 +20,7 @@ func (rt *Router) startTrace(r *http.Request, root string) (string, *obs.Trace) 
 	id := r.Header.Get("X-Request-Id")
 	forced := obs.ValidTraceID(id)
 	if !forced {
-		id = rt.trace.Next()
+		id = rt.tracer.NextID()
 	}
 	if !forced && r.Header.Get(obs.HeaderTraceSample) == "1" {
 		forced = true
@@ -51,38 +50,16 @@ type gatewayTrace struct {
 	Replicas []replicaTrace `json:"replicas"`
 }
 
-// handleTraces serves the gateway's trace store. The listing mirrors the
-// daemon's; fetching one trace by ID additionally asks every replica for
-// its same-ID trace and merges the results, so one GET returns the whole
-// cross-process tree: gateway routing spans, each attempt, and the
-// replica handler/operator spans nested under the attempt that caused
-// them. Replicas that never saw the request (or evicted the trace) are
-// simply absent.
+// handleTraces serves the gateway's trace store through the daemon's
+// serve.ServeTraces; fetching one trace by ID additionally asks every
+// replica for its same-ID trace and merges the results, so one GET
+// returns the whole cross-process tree: gateway routing spans, each
+// attempt, and the replica handler/operator spans nested under the
+// attempt that caused them. Replicas that never saw the request (or
+// evicted the trace) are simply absent.
 func (rt *Router) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		rt.writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/v1/traces")
-	id = strings.TrimPrefix(id, "/")
-	if id == "" {
-		n := 0
-		if raw := r.URL.Query().Get("n"); raw != "" {
-			v, err := strconv.Atoi(raw)
-			if err != nil || v < 0 {
-				rt.writeError(w, http.StatusBadRequest, "n must be a non-negative integer, got %q", raw)
-				return
-			}
-			n = v
-		}
-		rt.writeJSON(w, http.StatusOK, struct {
-			Traces []obs.TraceSummary `json:"traces"`
-		}{Traces: rt.tracer.Store().List(n)})
-		return
-	}
-	out, ok := rt.tracer.Store().Get(id)
+	out, ok := serve.ServeTraces(w, r, rt.tracer.Store())
 	if !ok {
-		rt.writeError(w, http.StatusNotFound, "no stored trace %q (the store keeps the most recent %d sampled traces)", id, rt.tracer.Store().Cap())
 		return
 	}
 	merged := gatewayTrace{
@@ -94,7 +71,7 @@ func (rt *Router) handleTraces(w http.ResponseWriter, r *http.Request) {
 	for _, m := range rt.members {
 		ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.ProbeTimeout)
 		var rto obs.TraceOut
-		err := rt.getJSON(ctx, m.addr+"/v1/traces/"+id, &rto)
+		err := rt.getJSON(ctx, m.addr+"/v1/traces/"+out.Trace, &rto)
 		cancel()
 		if err != nil {
 			continue
@@ -105,5 +82,5 @@ func (rt *Router) handleTraces(w http.ResponseWriter, r *http.Request) {
 			Spans:        rto.Spans,
 		})
 	}
-	rt.writeJSON(w, http.StatusOK, merged)
+	serve.WriteJSON(w, http.StatusOK, merged)
 }

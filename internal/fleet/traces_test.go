@@ -77,7 +77,6 @@ func TestHedgeSpanAttribution(t *testing.T) {
 		HedgeMin:         time.Millisecond,
 		HedgeMax:         20 * time.Millisecond,
 		TraceSampleEvery: -1, // forced-only: the request's ID is the opt-in
-		Trace:            obs.NewTraceSource("gw", 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +187,6 @@ func TestGatewayMintsOneID(t *testing.T) {
 	dir := t.TempDir()
 	path, _ := saveExample(t, dir, "version a")
 	reps, _, ts := newTestFleet(t, 2, path, dir, func(c *Config) {
-		c.Trace = obs.NewTraceSource("gw", 0)
 		c.TraceSampleEvery = 1 // sample everything: the trace proves delivery
 	})
 

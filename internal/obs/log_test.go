@@ -148,23 +148,28 @@ func TestAccessLogNilSafe(t *testing.T) {
 	}
 }
 
-func TestTraceSource(t *testing.T) {
-	ts := NewTraceSource("r", 0)
-	if a, b := ts.Next(), ts.Next(); a != "r-1" || b != "r-2" {
+func TestTracerNextID(t *testing.T) {
+	tr := NewTracer("r", 0, 0)
+	if a, b := tr.NextID(), tr.NextID(); a != "r-1" || b != "r-2" {
 		t.Fatalf("trace sequence = %s, %s", a, b)
 	}
-	if got := NewTraceSource("lamod", 41).Next(); got != "lamod-42" {
-		t.Fatalf("seeded trace = %s", got)
+	// Sampling draws on its own counter: it never skips an ID.
+	tr.Sample(false)
+	if got := tr.NextID(); got != "r-3" {
+		t.Fatalf("ID after a sampling decision = %s, want r-3", got)
+	}
+	if got := NewTracer("gw", 0, 0).NextID(); got != "gw-1" {
+		t.Fatalf("fresh tracer's first ID = %s", got)
 	}
 }
 
 func TestValidTraceID(t *testing.T) {
-	for _, ok := range []string{"abc", "A-1_b.2", strings.Repeat("x", 64)} {
+	for _, ok := range []string{"abc", "A-1_b.2", strings.Repeat("x", 64), "...", ".a", "a.."} {
 		if !ValidTraceID(ok) {
 			t.Errorf("ValidTraceID(%q) = false", ok)
 		}
 	}
-	for _, bad := range []string{"", "has space", "new\nline", `quo"te`, strings.Repeat("x", 65), "héllo"} {
+	for _, bad := range []string{"", "has space", "new\nline", `quo"te`, strings.Repeat("x", 65), "héllo", ".", ".."} {
 		if ValidTraceID(bad) {
 			t.Errorf("ValidTraceID(%q) = true", bad)
 		}

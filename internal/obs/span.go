@@ -170,25 +170,26 @@ func (t *Trace) Dropped() int32 {
 	return t.dropped
 }
 
-// Tracer decides which requests record spans and owns the pooled traces,
-// the bounded store finished traces land in, and the summary-log ring. A
-// nil *Tracer never samples and all its methods no-op, so "tracing
+// Tracer is a server's one telemetry object for requests: it mints the
+// IDs of requests that bring none, decides which requests record spans,
+// and owns the pooled traces and the bounded store finished traces land
+// in. A nil *Tracer never samples and all its methods no-op, so "tracing
 // disabled" needs no branches at call sites.
 type Tracer struct {
-	every uint64 // head-sampling period; 0 = forced-only
-	ctr   atomic.Uint64
-	pool  sync.Pool
-	store *TraceStore
-	sum   *traceSummaryLog
+	prefix string
+	every  uint64        // head-sampling period; 0 = forced-only
+	ctr    atomic.Uint64 // head-sampling counter
+	ids    atomic.Uint64 // number of the last minted ID
+	pool   sync.Pool
+	store  *TraceStore
 }
 
-// NewTracer builds a tracer. sampleEvery selects head sampling: 0 means
+// NewTracer builds a tracer whose minted IDs read "<prefix>-1",
+// "<prefix>-2", ... sampleEvery selects head sampling: 0 means
 // DefaultTraceSampleEvery, negative disables periodic sampling (forced
 // requests still trace). storeSize bounds the finished-trace ring (<=0
-// selects the default). A non-nil logger gets one summary line per
-// finished trace through a drop-not-block ring, exactly like the access
-// log.
-func NewTracer(sampleEvery, storeSize int, logger *Logger) *Tracer {
+// selects the default).
+func NewTracer(prefix string, sampleEvery, storeSize int) *Tracer {
 	var every uint64
 	switch {
 	case sampleEvery == 0:
@@ -196,10 +197,22 @@ func NewTracer(sampleEvery, storeSize int, logger *Logger) *Tracer {
 	case sampleEvery > 0:
 		every = uint64(sampleEvery)
 	}
-	t := &Tracer{every: every, store: NewTraceStore(storeSize)}
+	t := &Tracer{prefix: prefix, every: every, store: NewTraceStore(storeSize)}
 	t.pool.New = func() any { return new(Trace) }
-	t.sum = newTraceSummaryLog(logger, 0)
 	return t
+}
+
+// NextID mints the next request ID from the tracer's counter. IDs only
+// need to be unique within one process, which a counter gives without
+// coordination, and a fresh tracer's sequence is deterministic in tests.
+// Minting allocates the ID string; the zero-alloc serving contract holds
+// when clients supply X-Request-Id, and minting is the fallback for
+// clients that do not.
+func (t *Tracer) NextID() string {
+	if t == nil {
+		return ""
+	}
+	return t.prefix + "-" + strconv.FormatUint(t.ids.Add(1), 10)
 }
 
 // Sample reports whether the next request should record spans: always when
@@ -238,10 +251,9 @@ func (t *Tracer) Start(id string, remoteParent int32, root string) *Trace {
 
 // Finish closes every still-open span, publishes the trace to the store
 // (one synchronous struct copy — the trace is queryable before Finish
-// returns), pushes one summary record toward the log drain, returns the
-// pooled Trace for reuse, and reports the root span's duration in
-// microseconds (the exemplar value). The caller must not touch tr after
-// Finish.
+// returns), returns the pooled Trace for reuse, and reports the root
+// span's duration in microseconds (the exemplar value). The caller must
+// not touch tr after Finish.
 //
 // alloc-budget: 0
 func (t *Tracer) Finish(tr *Trace) int64 {
@@ -257,13 +269,6 @@ func (t *Tracer) Finish(tr *Trace) int64 {
 	}
 	us := tr.spans[0].dur.Microseconds()
 	t.store.put(tr)
-	t.sum.push(TraceSummary{
-		Trace:   tr.id,
-		Root:    tr.spans[0].name,
-		Spans:   tr.n,
-		Dropped: tr.dropped,
-		DurUS:   us,
-	})
 	t.pool.Put(tr)
 	return us
 }
@@ -274,15 +279,6 @@ func (t *Tracer) Store() *TraceStore {
 		return nil
 	}
 	return t.store
-}
-
-// Close flushes and stops the summary-log drain goroutine. Safe to call
-// more than once and on a nil receiver.
-func (t *Tracer) Close() {
-	if t == nil {
-		return
-	}
-	t.sum.close()
 }
 
 // ParseTraceContext splits an X-Trace-Context value into its trace ID and
@@ -328,162 +324,12 @@ func FormatTraceContext(id string, parent int32) string {
 	return id + ":" + strconv.Itoa(int(parent))
 }
 
-// TraceSummary is the fixed-size digest of one finished trace: what the
-// summary log emits and what GET /v1/traces lists.
+// TraceSummary is the fixed-size digest of one finished trace: one entry
+// of the GET /v1/traces listing.
 type TraceSummary struct {
 	Trace   string `json:"trace"`
 	Root    string `json:"root"`
 	Spans   int32  `json:"spans"`
 	Dropped int32  `json:"dropped_spans,omitempty"`
 	DurUS   int64  `json:"dur_us"`
-}
-
-// traceSummaryLog mirrors AccessLog for finished traces: Finish pushes
-// fixed-size summaries into a bounded ring (struct copy under a mutex —
-// no I/O, no formatting) and one drain goroutine encodes them into log
-// lines, so a slow log destination can never stall Tracer.Finish.
-type traceSummaryLog struct {
-	logger *Logger
-
-	mu   sync.Mutex
-	ring []TraceSummary
-	head int
-	n    int
-
-	dropped atomic.Int64
-
-	wake chan struct{}
-	quit chan struct{}
-	done chan struct{}
-	stop sync.Once
-
-	scratch []TraceSummary // drain-goroutine-only batch buffer
-}
-
-// newTraceSummaryLog builds the ring (<=0 capacity selects 256) and starts
-// its drain goroutine. A nil logger yields a nil log whose methods no-op.
-func newTraceSummaryLog(logger *Logger, capacity int) *traceSummaryLog {
-	if logger == nil {
-		return nil
-	}
-	if capacity <= 0 {
-		capacity = 256
-	}
-	l := &traceSummaryLog{
-		logger:  logger,
-		ring:    make([]TraceSummary, capacity),
-		wake:    make(chan struct{}, 1),
-		quit:    make(chan struct{}),
-		done:    make(chan struct{}),
-		scratch: make([]TraceSummary, 0, capacity),
-	}
-	go l.drain()
-	return l
-}
-
-// push enqueues one summary; it never blocks and never allocates.
-//
-// alloc-budget: 0
-func (l *traceSummaryLog) push(rec TraceSummary) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	if l.n == len(l.ring) {
-		l.mu.Unlock()
-		l.dropped.Add(1)
-		return
-	}
-	l.ring[(l.head+l.n)%len(l.ring)] = rec
-	l.n++
-	l.mu.Unlock()
-	select {
-	case l.wake <- struct{}{}:
-	default:
-	}
-}
-
-// close flushes buffered summaries and stops the drain goroutine.
-func (l *traceSummaryLog) close() {
-	if l == nil {
-		return
-	}
-	l.stop.Do(func() { close(l.quit) })
-	<-l.done
-}
-
-func (l *traceSummaryLog) drain() {
-	defer close(l.done)
-	for {
-		select {
-		case <-l.wake:
-			l.flush()
-		case <-l.quit:
-			l.flush()
-			return
-		}
-	}
-}
-
-func (l *traceSummaryLog) flush() {
-	l.mu.Lock()
-	batch := l.scratch[:0]
-	for i := 0; i < l.n; i++ {
-		batch = append(batch, l.ring[(l.head+i)%len(l.ring)])
-		l.ring[(l.head+i)%len(l.ring)] = TraceSummary{} // drop string refs
-	}
-	l.head = 0
-	l.n = 0
-	l.mu.Unlock()
-	for i := range batch {
-		l.logger.traceLine(&batch[i])
-		batch[i] = TraceSummary{}
-	}
-	l.scratch = batch[:0]
-}
-
-// traceLine encodes one trace-summary line without allocating — the drain
-// goroutine runs concurrently with requests inside the allocation-budget
-// gate, so its encoding is held to the same fixed-shape standard as the
-// access line.
-//
-// alloc-budget: 0
-func (l *Logger) traceLine(rec *TraceSummary) {
-	if !l.Enabled(LevelInfo) {
-		return
-	}
-	bp := l.pool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	if l.format == FormatJSON {
-		buf = append(buf, `{"ts":"`...)
-		buf = l.now().UTC().AppendFormat(buf, time.RFC3339Nano)
-		buf = append(buf, `","level":"info","msg":"trace","trace":`...)
-		buf = appendQuoted(buf, rec.Trace)
-		buf = append(buf, `,"root":`...)
-		buf = appendQuoted(buf, rec.Root)
-		buf = append(buf, `,"spans":`...)
-		buf = strconv.AppendInt(buf, int64(rec.Spans), 10)
-		buf = append(buf, `,"dropped":`...)
-		buf = strconv.AppendInt(buf, int64(rec.Dropped), 10)
-		buf = append(buf, `,"dur_us":`...)
-		buf = strconv.AppendInt(buf, rec.DurUS, 10)
-		buf = append(buf, "}\n"...)
-	} else {
-		buf = append(buf, "ts="...)
-		buf = l.now().UTC().AppendFormat(buf, time.RFC3339Nano)
-		buf = append(buf, " level=info msg=trace trace="...)
-		buf = appendLogfmtValue(buf, rec.Trace)
-		buf = append(buf, " root="...)
-		buf = appendLogfmtValue(buf, rec.Root)
-		buf = append(buf, " spans="...)
-		buf = strconv.AppendInt(buf, int64(rec.Spans), 10)
-		buf = append(buf, " dropped="...)
-		buf = strconv.AppendInt(buf, int64(rec.Dropped), 10)
-		buf = append(buf, " dur_us="...)
-		buf = strconv.AppendInt(buf, rec.DurUS, 10)
-		buf = append(buf, '\n')
-	}
-	l.write(buf)
-	*bp = buf[:0]
-	l.pool.Put(bp)
 }

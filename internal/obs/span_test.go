@@ -4,11 +4,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestTraceSpanTree(t *testing.T) {
-	tr := NewTracer(1, 8, nil)
+	tr := NewTracer("t", 1, 8)
 	trace := tr.Start("t-1", NoSpan, "handler")
 	if got := trace.ID(); got != "t-1" {
 		t.Fatalf("ID = %q, want t-1", got)
@@ -53,7 +52,7 @@ func TestTraceSpanTree(t *testing.T) {
 }
 
 func TestTraceSpanOverflowCountsDrops(t *testing.T) {
-	tr := NewTracer(1, 4, nil)
+	tr := NewTracer("t", 1, 4)
 	trace := tr.Start("t-full", NoSpan, "root")
 	for i := 0; i < MaxSpans+5; i++ {
 		trace.StartSpan(trace.Root(), "extra")
@@ -87,11 +86,13 @@ func TestNilTraceAndTracerNoOp(t *testing.T) {
 	if tr.Store() != nil {
 		t.Fatal("nil tracer has a store")
 	}
-	tr.Close()
+	if id := tr.NextID(); id != "" {
+		t.Fatalf("nil tracer minted %q", id)
+	}
 }
 
 func TestTracerSampling(t *testing.T) {
-	tr := NewTracer(4, 4, nil)
+	tr := NewTracer("t", 4, 4)
 	var hits int
 	for i := 0; i < 16; i++ {
 		if tr.Sample(false) {
@@ -104,7 +105,7 @@ func TestTracerSampling(t *testing.T) {
 	if !tr.Sample(true) {
 		t.Fatal("forced request not sampled")
 	}
-	forcedOnly := NewTracer(-1, 4, nil)
+	forcedOnly := NewTracer("t", -1, 4)
 	for i := 0; i < 64; i++ {
 		if forcedOnly.Sample(false) {
 			t.Fatal("forced-only tracer head-sampled")
@@ -116,7 +117,7 @@ func TestTracerSampling(t *testing.T) {
 }
 
 func TestTraceStoreEvictionAndList(t *testing.T) {
-	tr := NewTracer(1, 2, nil)
+	tr := NewTracer("t", 1, 2)
 	for _, id := range []string{"a", "b", "c"} {
 		trace := tr.Start(id, NoSpan, "root")
 		tr.Finish(trace)
@@ -139,7 +140,7 @@ func TestTraceStoreEvictionAndList(t *testing.T) {
 }
 
 func TestTraceStoreConcurrentPutGet(t *testing.T) {
-	tr := NewTracer(1, 8, nil)
+	tr := NewTracer("t", 1, 8)
 	stop := make(chan struct{})
 	readerDone := make(chan struct{})
 	go func() {
@@ -257,22 +258,4 @@ func TestAppendPromHistogramExemplar(t *testing.T) {
 	if plain != withEmpty {
 		t.Fatalf("empty exemplar perturbed output:\n%s\nvs\n%s", plain, withEmpty)
 	}
-}
-
-func TestTraceSummaryLogDrain(t *testing.T) {
-	buf := &syncBuffer{}
-	logger := NewLogger(buf, LevelInfo, FormatLogfmt)
-	logger.SetClock(func() time.Time { return time.Unix(1700000000, 0).UTC() })
-	tr := NewTracer(1, 4, logger)
-	trace := tr.Start("t-log", NoSpan, "predict")
-	trace.StartSpan(trace.Root(), "score")
-	tr.Finish(trace)
-	tr.Close() // flushes the drain before we read the buffer
-	line := buf.String()
-	for _, want := range []string{"msg=trace", "trace=t-log", "root=predict", "spans=2", "dropped=0", "dur_us="} {
-		if !strings.Contains(line, want) {
-			t.Fatalf("summary line missing %q:\n%s", want, line)
-		}
-	}
-	tr.Close() // idempotent
 }

@@ -1,42 +1,16 @@
 package obs
 
-import (
-	"strconv"
-	"sync/atomic"
-)
-
-// TraceSource generates request trace IDs from a prefixed counter:
-// "<prefix>-1", "<prefix>-2", ... A seeded source makes generated IDs
-// deterministic in tests; in production the IDs only need to be unique
-// within one process, which a counter gives without coordination.
-type TraceSource struct {
-	prefix string
-	n      atomic.Uint64
-}
-
-// NewTraceSource builds a source whose first ID is "<prefix>-<start+1>".
-func NewTraceSource(prefix string, start uint64) *TraceSource {
-	t := &TraceSource{prefix: prefix}
-	t.n.Store(start)
-	return t
-}
-
-// Next returns the next trace ID. Generating allocates the ID string; the
-// zero-alloc serving contract holds when clients supply X-Request-Id, and
-// generation is the fallback for clients that do not.
-func (t *TraceSource) Next() string {
-	return t.prefix + "-" + strconv.FormatUint(t.n.Add(1), 10)
-}
-
 // maxTraceIDLen bounds accepted client-supplied trace IDs.
 const maxTraceIDLen = 64
 
 // ValidTraceID reports whether a client-supplied X-Request-Id is safe to
-// echo and log verbatim: 1-64 bytes of [0-9A-Za-z._-]. Anything else is
-// replaced by a generated ID rather than sanitized, so logs never carry
+// echo and log verbatim and to fetch back from GET /v1/traces/{id}: 1-64
+// bytes of [0-9A-Za-z._-], except "." and "..", which ServeMux path
+// cleaning would redirect away from the trace. Anything else is replaced
+// by a generated ID rather than sanitized, so logs never carry
 // attacker-shaped strings.
 func ValidTraceID(s string) bool {
-	if len(s) == 0 || len(s) > maxTraceIDLen {
+	if len(s) == 0 || len(s) > maxTraceIDLen || s == "." || s == ".." {
 		return false
 	}
 	for i := 0; i < len(s); i++ {

@@ -140,12 +140,12 @@ type MetricsSnapshot struct {
 // served artifact's identity.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, "use GET")
+		WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	v := s.met.reg.Values()
 	v["artifact"] = s.mdl.Load().digest
-	s.writeJSON(w, http.StatusOK, v)
+	WriteJSON(w, http.StatusOK, v)
 }
 
 // handleProm serves /metrics, the Prometheus rendering of the registry.
@@ -153,7 +153,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // only the predict path holds the zero-allocation budget.
 func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, "use GET")
+		WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	w.Header().Set("Content-Type", obs.PromContentType)

@@ -15,14 +15,13 @@ import (
 )
 
 // obsTestServer builds a server with full observability on — JSON access
-// logs into buf, a seeded trace source — and returns it with its test
-// listener.
+// logs into buf, a fresh tracer minting req-1, req-2, ... — and returns it
+// with its test listener.
 func obsTestServer(t *testing.T, buf *lockedBuffer) (*Server, *httptest.Server) {
 	t.Helper()
 	art, _, _ := exampleModel(t)
 	s, err := New(reload(t, art), Config{
 		Logger: obs.NewLogger(buf, obs.LevelInfo, obs.FormatJSON),
-		Trace:  obs.NewTraceSource("t", 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -50,8 +49,10 @@ func getWithHeader(t *testing.T, url, traceID string) *http.Response {
 }
 
 // TestTraceIDEchoAndGeneration: valid client IDs are echoed verbatim,
-// invalid or absent ones are replaced from the seeded source, and every
-// response carries exactly one X-Request-Id.
+// invalid or absent ones are replaced by the tracer's minted IDs, and
+// every response carries exactly one X-Request-Id. "." and ".." are
+// replaced too: path cleaning would redirect GET /v1/traces/{id} away from
+// a trace stored under either.
 func TestTraceIDEchoAndGeneration(t *testing.T) {
 	var buf lockedBuffer
 	_, ts := obsTestServer(t, &buf)
@@ -63,20 +64,27 @@ func TestTraceIDEchoAndGeneration(t *testing.T) {
 	}
 
 	resp = getWithHeader(t, url, "")
-	if got := resp.Header.Get("X-Request-Id"); got != "t-1" {
-		t.Fatalf("generated id = %q, want t-1 from the seeded source", got)
+	if got := resp.Header.Get("X-Request-Id"); got != "req-1" {
+		t.Fatalf("generated id = %q, want req-1 from a fresh tracer", got)
 	}
 
 	resp = getWithHeader(t, url, "bad id with spaces")
-	if got := resp.Header.Get("X-Request-Id"); got != "t-2" {
+	if got := resp.Header.Get("X-Request-Id"); got != "req-2" {
 		t.Fatalf("invalid client id not replaced: %q", got)
+	}
+
+	for i, dots := range []string{".", ".."} {
+		resp = getWithHeader(t, url, dots)
+		if got, want := resp.Header.Get("X-Request-Id"), "req-"+strconv.Itoa(3+i); got != want {
+			t.Fatalf("client id %q: response id %q, want minted %s", dots, got, want)
+		}
 	}
 }
 
 // TestAccessLogLines: each request produces one structured access line
 // carrying its trace ID, route, status and duration, flushed by Close.
-// Predict requests with a client X-Request-Id are force-sampled, so they
-// additionally emit one trace-summary line under the same ID.
+// Predict requests with a client X-Request-Id are force-sampled, so the
+// trace store also holds one trace under each of their IDs.
 func TestAccessLogLines(t *testing.T) {
 	var buf lockedBuffer
 	s, ts := obsTestServer(t, &buf)
@@ -92,29 +100,19 @@ func TestAccessLogLines(t *testing.T) {
 		Trace  string `json:"trace"`
 		Method string `json:"method"`
 		Route  string `json:"route"`
-		Root   string `json:"root"`
-		Spans  int    `json:"spans"`
 		Status int    `json:"status"`
 		DurUs  int64  `json:"dur_us"`
 	}
 	byTrace := map[string]logLine{}
-	traceByID := map[string]logLine{}
 	for _, line := range lines {
 		var al logLine
 		if err := json.Unmarshal([]byte(line), &al); err != nil {
 			t.Fatalf("log line is not valid JSON: %v (%q)", err, line)
 		}
-		switch al.Msg {
-		case "access":
-			if al.Method != "GET" {
-				t.Fatalf("unexpected access line: %+v", al)
-			}
-			byTrace[al.Trace] = al
-		case "trace":
-			traceByID[al.Trace] = al
-		default:
+		if al.Msg != "access" || al.Method != "GET" {
 			t.Fatalf("unexpected log line: %+v", al)
 		}
+		byTrace[al.Trace] = al
 	}
 	if len(byTrace) != 3 {
 		t.Fatalf("access log has %d request lines, want 3:\n%s", len(byTrace), out)
@@ -127,17 +125,17 @@ func TestAccessLogLines(t *testing.T) {
 	if bad.Status != http.StatusNotFound {
 		t.Fatalf("error access line wrong: %+v", bad)
 	}
-	if hz := byTrace["t-1"]; hz.Route != "healthz" {
+	if hz := byTrace["req-1"]; hz.Route != "healthz" {
 		t.Fatalf("healthz line missing or wrong: %+v", byTrace)
 	}
 	// Both predict requests carried valid client IDs, so both were force
-	// sampled: one trace-summary line each, same ID as the access line.
-	ts1 := traceByID["want-this-id"]
-	if ts1.Root != "predict" || ts1.Spans < 3 {
-		t.Fatalf("predict trace summary wrong: %+v", ts1)
+	// sampled: the store holds each trace under its access line's ID.
+	tr, found := s.tracer.Store().Get("want-this-id")
+	if !found || tr.Spans[0].Name != "predict" || len(tr.Spans) < 3 {
+		t.Fatalf("predict trace wrong: found=%v %+v", found, tr)
 	}
-	if _, found := traceByID["want-err-id"]; !found {
-		t.Fatalf("error request missing its trace summary: %+v", traceByID)
+	if _, found := s.tracer.Store().Get("want-err-id"); !found {
+		t.Fatalf("error request missing its trace: %+v", s.tracer.Store().List(0))
 	}
 	if snapshot(t, s).AccessLogDropped != 0 {
 		t.Fatal("unloaded server dropped access records")

@@ -345,6 +345,24 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestRunClosesOnEarlyFailure: when serving fails before ctx ends — here
+// on a listener that is already closed — Run still calls closeFn, so the
+// daemon flushes its access log on that path too.
+func TestRunClosesOnEarlyFailure(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed := 0
+	err = Run(context.Background(), l, http.NotFoundHandler(), time.Second, func() { closed++ })
+	if err == nil || closed != 1 {
+		t.Fatalf("Run on a closed listener: err=%v, closeFn ran %d times, want an error and 1", err, closed)
+	}
+}
+
 // TestOversizedBodyRejected: every route that decodes a request body
 // refuses one over MaxBody with 413 and the route's usual error shape,
 // while a body of exactly MaxBody bytes is still decoded.

@@ -78,26 +78,18 @@ type Config struct {
 	// Logger, when set, enables structured access logging: one line per
 	// request (trace id, method, route, status, duration), emitted off the
 	// hot path through a bounded ring drained by a background goroutine.
-	// Nil disables access logging entirely.
-	Logger *obs.Logger
-	// AccessLogSize bounds the access-log ring (0 = 1024 entries). When
-	// the drain goroutine cannot keep up the ring drops records and counts
+	// Nil disables access logging entirely. The ring holds 1024 records;
+	// when the drain goroutine cannot keep up it drops records and counts
 	// them in the access_log_dropped metric — logging never blocks a
 	// request.
-	AccessLogSize int
-	// Trace generates request IDs for requests that do not supply a valid
-	// X-Request-Id header (nil = a fresh "req"-prefixed source). Seeded
-	// sources make generated IDs deterministic in tests.
-	Trace *obs.TraceSource
+	Logger *obs.Logger
 	// TraceSampleEvery selects span-trace head sampling: every Nth request
 	// records a full span tree into the trace store (0 = the obs default,
 	// 1 in 16). Negative disables head sampling — only forced requests
 	// (client X-Request-Id, X-Trace-Sample: 1, or a propagated
 	// X-Trace-Context) trace. Sampling never changes response bytes.
+	// GET /v1/traces serves the most recent 256 finished traces.
 	TraceSampleEvery int
-	// TraceStoreSize bounds the ring of finished traces served by
-	// GET /v1/traces (0 = the obs default, 256).
-	TraceStoreSize int
 	// PromExemplars opts the /metrics latency histograms into OpenMetrics
 	// exemplar annotations (`# {trace_id="..."} <seconds>` on the bucket
 	// holding the most recent traced sample). Off by default so the classic
@@ -167,9 +159,8 @@ type Server struct {
 	reloading atomic.Bool // serializes reloads; readiness gate for routers
 	cfg       Config
 	met       metrics
-	trace     *obs.TraceSource
 	access    *obs.AccessLog // nil when Config.Logger is nil
-	tracer    *obs.Tracer
+	tracer    *obs.Tracer    // mints "req-N" IDs for requests without one
 }
 
 // New builds a server over a loaded artifact. The artifact is shared
@@ -186,17 +177,12 @@ func New(art *artifact.Artifact, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	trace := cfg.Trace
-	if trace == nil {
-		trace = obs.NewTraceSource("req", 0)
-	}
-	access := obs.NewAccessLog(cfg.Logger, cfg.AccessLogSize)
+	access := obs.NewAccessLog(cfg.Logger, 0)
 	s := &Server{
 		cfg:    cfg,
 		met:    newMetrics(access),
-		trace:  trace,
 		access: access,
-		tracer: obs.NewTracer(cfg.TraceSampleEvery, cfg.TraceStoreSize, cfg.Logger),
+		tracer: obs.NewTracer("req", cfg.TraceSampleEvery, 0),
 	}
 	s.mdl.Store(m)
 	s.ready.Store(true)
@@ -253,13 +239,11 @@ func (s *Server) Reload(path, wantDigest string) (ReloadResult, error) {
 	return ReloadResult{Previous: prev.digest, Artifact: m.digest}, nil
 }
 
-// Close flushes and stops the access-log and trace-summary drain
-// goroutines. Serve calls it on shutdown; tests and embedders that never
-// call Serve should close the server themselves. Idempotent and safe on a
-// logger-less server.
+// Close flushes and stops the access-log drain goroutine. Serve calls it
+// on shutdown; tests and embedders that never call Serve should close the
+// server themselves. Idempotent and safe on a logger-less server.
 func (s *Server) Close() {
 	s.access.Close()
-	s.tracer.Close()
 }
 
 // Handler returns the daemon's HTTP handler: its own ServeMux (never the
@@ -315,14 +299,25 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, drain time.Dur
 // Serve is ListenAndServe over an existing listener, which it takes
 // ownership of.
 func (s *Server) Serve(ctx context.Context, l net.Listener, drain time.Duration) error {
+	return Run(ctx, l, s.Handler(), drain, s.Close)
+}
+
+// Run is the HTTP shell lamod serve and lamod gateway share. It serves h
+// on l, which it takes ownership of, until ctx is canceled, then shuts
+// down gracefully: the listener closes immediately and in-flight requests
+// drain for up to drain (<= 0 waits for all of them). closeFn runs once
+// no request is left — after the drain, or when serving fails early — so
+// buffered logs are flushed before the process reports a clean shutdown.
+func Run(ctx context.Context, l net.Listener, h http.Handler, drain time.Duration, closeFn func()) error {
 	hs := &http.Server{
-		Handler:           s.Handler(),
+		Handler:           h,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(l) }()
 	select {
 	case err := <-errc:
+		closeFn()
 		return err
 	case <-ctx.Done():
 	}
@@ -333,8 +328,8 @@ func (s *Server) Serve(ctx context.Context, l net.Listener, drain time.Duration)
 		defer cancel()
 	}
 	err := hs.Shutdown(sctx)
-	<-errc    // Serve has returned http.ErrServerClosed
-	s.Close() // flush buffered access logs before the process reports clean shutdown
+	<-errc // Serve has returned http.ErrServerClosed
+	closeFn()
 	if err != nil {
 		return fmt.Errorf("serve: drain: %w", err)
 	}
@@ -374,7 +369,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		if !obs.ValidTraceID(id) {
 			// Invalid or absent client IDs are replaced, never sanitized, so
 			// logs cannot carry attacker-shaped strings.
-			id = s.trace.Next()
+			id = s.tracer.NextID()
 		}
 		rec := recorderPool.Get().(*statusRecorder)
 		rec.ResponseWriter = w
@@ -498,7 +493,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		if ks := parsePredictQuery(r.URL.RawQuery, sc); ks != "" {
 			v, err := strconv.Atoi(ks)
 			if err != nil {
-				s.writeFieldError(w, http.StatusBadRequest, query.Errorf("k", "must be an integer, got %q", ks))
+				writeFieldError(w, http.StatusBadRequest, query.Errorf("k", "must be an integer, got %q", ks))
 				return
 			}
 			k = v
@@ -506,13 +501,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		var req predictRequest
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBody)).Decode(&req); err != nil {
-			s.writeError(w, bodyStatus(err), "bad request body: %v", err)
+			WriteError(w, bodyStatus(err), "bad request body: %v", err)
 			return
 		}
 		sc.proteins = append(sc.proteins, req.Proteins...)
 		k = req.K
 	default:
-		s.writeError(w, http.StatusMethodNotAllowed, "use GET or POST")
+		WriteError(w, http.StatusMethodNotAllowed, "use GET or POST")
 		return
 	}
 	// Bounds checks run through the shared plan-validation path in
@@ -520,11 +515,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// inputs a plan's topk would, with the same structured (field, reason)
 	// body, instead of this handler's former ad-hoc prose.
 	if fe := query.ValidateBatch(len(sc.proteins), s.cfg.MaxBatch); fe != nil {
-		s.writeFieldError(w, http.StatusBadRequest, fe)
+		writeFieldError(w, http.StatusBadRequest, fe)
 		return
 	}
 	if fe := query.ValidateTopK(k); fe != nil {
-		s.writeFieldError(w, http.StatusBadRequest, fe)
+		writeFieldError(w, http.StatusBadRequest, fe)
 		return
 	}
 	if k == 0 || k > m.view.NumFunctions() {
@@ -533,7 +528,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	for _, name := range sc.proteins {
 		p, ok := m.resolve(name)
 		if !ok {
-			s.writeFieldError(w, http.StatusNotFound, query.Errorf("protein", "unknown protein %q", name))
+			writeFieldError(w, http.StatusNotFound, query.Errorf("protein", "unknown protein %q", name))
 			return
 		}
 		sc.ids = append(sc.ids, p)
@@ -561,7 +556,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	tr.EndSpan(rankSpan)
 	encodeSpan := tr.StartSpan(tr.Root(), "encode")
 	sc.buf = appendPredictResponse(sc.buf, m.digest, k, sc.proteins, sc.rankings, m.art.FunctionNames)
-	s.writeRaw(w, http.StatusOK, sc.buf)
+	writeRaw(w, http.StatusOK, sc.buf)
 	tr.EndSpan(encodeSpan)
 }
 
@@ -575,7 +570,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 // internal/query.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "use POST")
+		WriteError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	tr := s.startTrace(w, r, "query")
@@ -584,7 +579,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	decodeSpan := tr.StartSpan(tr.Root(), "decode")
 	var plan query.Plan
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBody)).Decode(&plan); err != nil {
-		s.writeFieldError(w, bodyStatus(err), query.Errorf("body", "bad plan JSON: %v", err))
+		writeFieldError(w, bodyStatus(err), query.Errorf("body", "bad plan JSON: %v", err))
 		return
 	}
 	tr.EndSpan(decodeSpan)
@@ -595,7 +590,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// either way; the response body gains the explain field only on request.
 	res, stats, fe := query.ExecuteStats(m.view, &plan, s.cfg.Parallelism, tr != nil)
 	if fe != nil {
-		s.writeFieldError(w, http.StatusBadRequest, fe)
+		writeFieldError(w, http.StatusBadRequest, fe)
 		return
 	}
 	tr.EndSpan(execSpan)
@@ -636,8 +631,8 @@ type fieldErrorResponse struct {
 	Reason string `json:"reason"`
 }
 
-func (s *Server) writeFieldError(w http.ResponseWriter, status int, fe *query.FieldError) {
-	s.writeJSON(w, status, fieldErrorResponse{Error: fe.Error(), Field: fe.Field, Reason: fe.Reason})
+func writeFieldError(w http.ResponseWriter, status int, fe *query.FieldError) {
+	WriteJSON(w, status, fieldErrorResponse{Error: fe.Error(), Field: fe.Field, Reason: fe.Reason})
 }
 
 // bodyStatus is the status for a request body that failed to decode: 413
@@ -682,11 +677,11 @@ type healthzResponse struct {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, "use GET")
+		WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	m := s.mdl.Load()
-	s.writeJSON(w, http.StatusOK, healthzResponse{
+	WriteJSON(w, http.StatusOK, healthzResponse{
 		Status:       "ok",
 		Ready:        s.ready.Load(),
 		Artifact:     m.digest,
@@ -710,35 +705,35 @@ type reloadRequest struct {
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "use POST")
+		WriteError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	var req reloadRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBody)).Decode(&req); err != nil {
-		s.writeError(w, bodyStatus(err), "bad request body: %v", err)
+		WriteError(w, bodyStatus(err), "bad request body: %v", err)
 		return
 	}
 	if req.Artifact == "" {
-		s.writeError(w, http.StatusBadRequest, "artifact path is required")
+		WriteError(w, http.StatusBadRequest, "artifact path is required")
 		return
 	}
 	if dir := s.cfg.ReloadDir; dir != "" {
 		rel, err := filepath.Rel(dir, filepath.Clean(req.Artifact))
 		if err != nil || rel == ".." || strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
-			s.writeError(w, http.StatusForbidden, "artifact path %q is outside the reload directory", req.Artifact)
+			WriteError(w, http.StatusForbidden, "artifact path %q is outside the reload directory", req.Artifact)
 			return
 		}
 	}
 	res, err := s.Reload(req.Artifact, req.Digest)
 	switch {
 	case errors.Is(err, ErrReloadInFlight):
-		s.writeError(w, http.StatusConflict, "%v", err)
+		WriteError(w, http.StatusConflict, "%v", err)
 		return
 	case err != nil:
-		s.writeError(w, http.StatusUnprocessableEntity, "%v", err)
+		WriteError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, res)
+	WriteJSON(w, http.StatusOK, res)
 }
 
 // MotifSummary describes one labeled motif without its occurrence list.
@@ -759,7 +754,7 @@ type MotifsResponse struct {
 
 func (s *Server) handleMotifs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, "use GET")
+		WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	m := s.mdl.Load()
@@ -780,25 +775,28 @@ func (s *Server) handleMotifs(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Motifs[i] = ms
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 type errorResponse struct {
 	Error string `json:"error"`
 }
 
-func (s *Server) writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	s.writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
+// WriteError writes the {"error": ...} body the daemon and the gateway
+// answer every failed request with.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as one line of JSON.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	b, err := json.Marshal(v)
 	if err != nil {
 		// Marshal over plain structs cannot fail; guard anyway.
 		w.WriteHeader(http.StatusInternalServerError)
 		return
 	}
-	s.writeRaw(w, status, append(b, '\n'))
+	writeRaw(w, status, append(b, '\n'))
 }
 
 // contentTypeJSON is the shared Content-Type header value: assigning the
@@ -808,7 +806,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 var contentTypeJSON = []string{"application/json"}
 
 // writeRaw writes a pre-encoded JSON body.
-func (s *Server) writeRaw(w http.ResponseWriter, status int, body []byte) {
+func writeRaw(w http.ResponseWriter, status int, body []byte) {
 	h := w.Header()
 	if _, ok := h["Content-Type"]; !ok {
 		h["Content-Type"] = contentTypeJSON

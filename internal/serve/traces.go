@@ -47,7 +47,7 @@ func (s *Server) startTrace(w http.ResponseWriter, r *http.Request, root string)
 		return nil
 	}
 	if id == "" {
-		id = s.trace.Next()
+		id = s.tracer.NextID()
 		// Overwrite the middleware's echoed ID so the client is told the ID
 		// its trace is stored under.
 		w.Header()["X-Request-Id"] = []string{id}
@@ -74,13 +74,24 @@ type tracesResponse struct {
 	Traces []obs.TraceSummary `json:"traces"`
 }
 
-// handleTraces serves the trace store: GET /v1/traces lists recent traces
-// (newest first, optional ?n= cap), GET /v1/traces/{id} returns one full
-// span tree. Admin-timescale endpoints — they allocate freely.
+// handleTraces serves the daemon's trace store.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
+	if out, ok := ServeTraces(w, r, s.tracer.Store()); ok {
+		WriteJSON(w, http.StatusOK, out)
+	}
+}
+
+// ServeTraces answers what GET /v1/traces and GET /v1/traces/{id} share
+// on the daemon and the gateway: it refuses other methods, writes the
+// listing (newest first, optional ?n= cap), and 404s an ID the store does
+// not hold. Only for a by-ID fetch that hits does it return ok, leaving
+// the stored trace for the caller to write — the daemon as it is, the
+// gateway merged with its replicas' traces. Admin-timescale endpoints —
+// they allocate freely.
+func ServeTraces(w http.ResponseWriter, r *http.Request, store *obs.TraceStore) (obs.TraceOut, bool) {
 	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
+		WriteError(w, http.StatusMethodNotAllowed, "use GET")
+		return obs.TraceOut{}, false
 	}
 	id := strings.TrimPrefix(r.URL.Path, "/v1/traces")
 	id = strings.TrimPrefix(id, "/")
@@ -89,18 +100,17 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		if raw := r.URL.Query().Get("n"); raw != "" {
 			v, err := strconv.Atoi(raw)
 			if err != nil || v < 0 {
-				s.writeError(w, http.StatusBadRequest, "n must be a non-negative integer, got %q", raw)
-				return
+				WriteError(w, http.StatusBadRequest, "n must be a non-negative integer, got %q", raw)
+				return obs.TraceOut{}, false
 			}
 			n = v
 		}
-		s.writeJSON(w, http.StatusOK, tracesResponse{Traces: s.tracer.Store().List(n)})
-		return
+		WriteJSON(w, http.StatusOK, tracesResponse{Traces: store.List(n)})
+		return obs.TraceOut{}, false
 	}
-	out, ok := s.tracer.Store().Get(id)
+	out, ok := store.Get(id)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, "no stored trace %q (the store keeps the most recent %d sampled traces)", id, s.tracer.Store().Cap())
-		return
+		WriteError(w, http.StatusNotFound, "no stored trace %q (the store keeps the most recent %d sampled traces)", id, store.Cap())
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	return out, ok
 }

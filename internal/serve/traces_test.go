@@ -11,13 +11,12 @@ import (
 	"lamofinder/internal/obs"
 )
 
-// tracedServer builds a server with a deterministic trace setup: seeded
-// ID source, given head-sampling rate, small store.
+// tracedServer builds a server with a deterministic trace setup: a fresh
+// tracer at the given head-sampling rate.
 func tracedServer(t testing.TB, sampleEvery int) (*Server, *httptest.Server) {
 	t.Helper()
 	art, _, _ := exampleModel(t)
 	s, err := New(reload(t, art), Config{
-		Trace:            obs.NewTraceSource("t", 0),
 		TraceSampleEvery: sampleEvery,
 	})
 	if err != nil {
@@ -227,7 +226,6 @@ func TestResponseBytesUnchangedByTracing(t *testing.T) {
 	for _, v := range variants {
 		s, err := New(reload(t, art), Config{
 			Parallelism:      v.parallelism,
-			Trace:            obs.NewTraceSource("t", 0),
 			TraceSampleEvery: v.sample,
 		})
 		if err != nil {
