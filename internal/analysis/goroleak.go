@@ -10,10 +10,9 @@ import (
 // nobody can join outlives shutdown: it keeps writing to rings and
 // counters while the process reports a clean drain, which is exactly the
 // class of bug the SIGTERM-drain smoke test cannot reliably catch. The
-// obs entry covers both bounded-ring drain loops — the access log's and
-// the trace summary's (Tracer.Close must join the goroutine that turns
-// finished-trace summaries into log lines, or a "clean" shutdown races
-// its final writes).
+// obs entry covers the access log's bounded-ring drain loop
+// (AccessLog.Close must join the goroutine that turns records into log
+// lines, or a "clean" shutdown races its final writes).
 var goroLeakScope = []string{
 	"internal/par",
 	"internal/serve",
