@@ -42,6 +42,7 @@ func TestTable1MatchesPaperExceptKnownDeviation(t *testing.T) {
 	if !strings.Contains(sb.String(), "documented deviation") {
 		t.Error("text output missing deviation note")
 	}
+	checkText(t, "table1", r)
 }
 
 func TestTable3CloseToPaper(t *testing.T) {
@@ -62,6 +63,7 @@ func TestTable3CloseToPaper(t *testing.T) {
 	if r.SO > 1 {
 		t.Errorf("SO = %.3f out of range", r.SO)
 	}
+	checkText(t, "table3", r)
 }
 
 func TestTable4AllRowsMatch(t *testing.T) {
@@ -74,6 +76,7 @@ func TestTable4AllRowsMatch(t *testing.T) {
 			t.Errorf("row %d: got %v, paper %v", i+1, row.Common, row.Paper)
 		}
 	}
+	checkText(t, "table4", r)
 }
 
 func miniFigure6Config() Figure6Config {
@@ -122,6 +125,7 @@ func TestFigure6PipelineMini(t *testing.T) {
 	if !strings.Contains(sb.String(), "Figure 6") {
 		t.Error("text output malformed")
 	}
+	checkText(t, "fig6_mini", r)
 }
 
 func TestFigure9PipelineMini(t *testing.T) {
@@ -162,6 +166,7 @@ func TestFigure9PipelineMini(t *testing.T) {
 	if !strings.Contains(sb.String(), "PRODISTIN") {
 		t.Error("text output missing methods")
 	}
+	checkText(t, "fig9_mini", r)
 }
 
 func TestFigure7PipelineMini(t *testing.T) {
@@ -193,6 +198,7 @@ func TestFigure7PipelineMini(t *testing.T) {
 	if !strings.Contains(sb.String(), "g1-like") {
 		t.Error("text output malformed")
 	}
+	checkText(t, "fig7_mini", r)
 }
 
 func TestFigure8Demonstration(t *testing.T) {
@@ -213,4 +219,5 @@ func TestFigure8Demonstration(t *testing.T) {
 	if !strings.Contains(sb.String(), "Figure 8") {
 		t.Error("text output malformed")
 	}
+	checkText(t, "fig8", r)
 }
