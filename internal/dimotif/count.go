@@ -1,11 +1,13 @@
 package dimotif
 
+import "lamofinder/internal/graph"
+
 // countDirUpTo counts vertex sets of g whose induced directed subgraph is
 // isomorphic to pattern, stopping at limit (<= 0: exhaustive) or when the
 // step budget runs out (exact = false). Counting is by distinct vertex
-// sets: matched mappings divided by |Aut(pattern)|.
-func countDirUpTo(g *DiGraph, pattern *DiDense, limit int, maxSteps int64) (count int, exact bool) {
-	aut := len(Automorphisms(pattern, 0))
+// sets: matched mappings divided by aut, the order of pattern's
+// automorphism group, which the caller computes once per pattern.
+func countDirUpTo(g *DiGraph, pattern *DiDense, aut, limit int, maxSteps int64) (count int, exact bool) {
 	mapLimit := int64(0)
 	if limit > 0 {
 		mapLimit = int64(limit) * int64(aut)
@@ -19,7 +21,7 @@ func countDirMappings(g *DiGraph, pattern *DiDense, mapLimit, maxSteps int64) (i
 	if k == 0 {
 		return 0, true
 	}
-	order, prior := weakOrder(pattern)
+	order, prior := graph.ConnectedOrder(pattern.Underlying())
 	// Precompute per-position arc constraints against earlier positions.
 	type constraint struct {
 		pos     int
@@ -103,51 +105,4 @@ func countDirMappings(g *DiGraph, pattern *DiDense, mapLimit, maxSteps int64) (i
 		return cnt, true
 	}
 	return cnt, !exhausted
-}
-
-// weakOrder orders pattern vertices so each (after the first) is weakly
-// adjacent to an earlier one; prior[pos] gives the position of one such
-// earlier neighbor.
-func weakOrder(pattern *DiDense) (order []int, prior []int) {
-	k := pattern.N()
-	under := pattern.Underlying()
-	inOrder := make([]bool, k)
-	order = make([]int, 0, k)
-	prior = make([]int, k)
-	start := 0
-	for v := 1; v < k; v++ {
-		if under.Degree(v) > under.Degree(start) {
-			start = v
-		}
-	}
-	order = append(order, start)
-	inOrder[start] = true
-	for len(order) < k {
-		bestV, bestAnchor, bestDeg := -1, -1, -1
-		for v := 0; v < k; v++ {
-			if inOrder[v] {
-				continue
-			}
-			for pos, w := range order {
-				if under.HasEdge(v, w) {
-					if under.Degree(v) > bestDeg {
-						bestV, bestAnchor, bestDeg = v, pos, under.Degree(v)
-					}
-					break
-				}
-			}
-		}
-		if bestV < 0 { // weakly disconnected pattern
-			for v := 0; v < k; v++ {
-				if !inOrder[v] {
-					bestV, bestAnchor = v, 0
-					break
-				}
-			}
-		}
-		prior[len(order)] = bestAnchor
-		order = append(order, bestV)
-		inOrder[bestV] = true
-	}
-	return order, prior
 }

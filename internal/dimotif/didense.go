@@ -9,6 +9,7 @@ package dimotif
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"lamofinder/internal/graph"
@@ -182,7 +183,7 @@ func wlColorsDir(d *DiDense) []uint64 {
 			for m := d.out[v]; m != 0; m &= m - 1 {
 				buf = append(buf, cur[bits.TrailingZeros32(m)])
 			}
-			sortU64(buf)
+			slices.Sort(buf)
 			for _, c := range buf {
 				h = (h ^ c) * 0x100000001b3
 			}
@@ -194,7 +195,7 @@ func wlColorsDir(d *DiDense) []uint64 {
 					buf = append(buf, cur[u])
 				}
 			}
-			sortU64(buf)
+			slices.Sort(buf)
 			for _, c := range buf {
 				h = (h ^ c) * 0x100000001b3
 			}
@@ -207,18 +208,10 @@ func wlColorsDir(d *DiDense) []uint64 {
 	return out
 }
 
-func sortU64(s []uint64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 // Invariant returns an isomorphism-invariant hash of d.
 func Invariant(d *DiDense) uint64 {
 	cols := wlColorsDir(d)
-	sortU64(cols)
+	slices.Sort(cols)
 	h := uint64(d.n)*0x9e3779b97f4a7c15 + uint64(d.M())
 	for _, c := range cols {
 		h = (h ^ c) * 0x100000001b3
@@ -228,54 +221,8 @@ func Invariant(d *DiDense) uint64 {
 
 // vf2DirMap finds an isomorphism mapping from a to b (nil if none).
 func vf2DirMap(a, b *DiDense) []int {
-	n := a.n
-	if n != b.n || a.M() != b.M() {
-		return nil
-	}
-	ca, cb := wlColorsDir(a), wlColorsDir(b)
-	cand := make([]uint32, n)
-	for u := 0; u < n; u++ {
-		var m uint32
-		for v := 0; v < n; v++ {
-			if ca[u] == cb[v] {
-				m |= 1 << uint(v)
-			}
-		}
-		if m == 0 {
-			return nil
-		}
-		cand[u] = m
-	}
-	mapping := make([]int, n)
-	var used uint32
-	var rec func(u int) bool
-	rec = func(u int) bool {
-		if u == n {
-			return true
-		}
-		for m := cand[u] &^ used; m != 0; {
-			v := bits.TrailingZeros32(m)
-			m &= m - 1
-			ok := true
-			for p := 0; p < u; p++ {
-				if a.HasArc(u, p) != b.HasArc(v, mapping[p]) ||
-					a.HasArc(p, u) != b.HasArc(mapping[p], v) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				mapping[u] = v
-				used |= 1 << uint(v)
-				if rec(u + 1) {
-					return true
-				}
-				used &^= 1 << uint(v)
-			}
-		}
-		return false
-	}
-	if !rec(0) {
+	mapping := make([]int, a.n)
+	if !dirMappings(a, b, mapping, nil) {
 		return nil
 	}
 	return mapping
@@ -289,93 +236,89 @@ func Isomorphic(a, b *DiDense) bool {
 	return vf2DirMap(a, b) != nil
 }
 
-// Automorphisms enumerates the automorphisms of d, up to cap (0 = no cap).
+// Automorphisms enumerates the automorphisms of d, up to cap (0 = no cap),
+// in the isomorphism search's order from d onto itself.
 func Automorphisms(d *DiDense, cap int) [][]int {
-	n := d.n
-	cols := wlColorsDir(d)
-	cand := make([]uint32, n)
-	for u := 0; u < n; u++ {
-		var m uint32
-		for v := 0; v < n; v++ {
-			if cols[u] == cols[v] {
-				m |= 1 << uint(v)
-			}
-		}
-		cand[u] = m
-	}
 	var out [][]int
-	mapping := make([]int, n)
-	var used uint32
-	var rec func(u int) bool
-	rec = func(u int) bool {
-		if u == n {
-			out = append(out, append([]int(nil), mapping...))
-			return cap > 0 && len(out) >= cap
-		}
-		for m := cand[u] &^ used; m != 0; {
-			v := bits.TrailingZeros32(m)
-			m &= m - 1
-			ok := true
-			for p := 0; p < u; p++ {
-				if d.HasArc(u, p) != d.HasArc(v, mapping[p]) ||
-					d.HasArc(p, u) != d.HasArc(mapping[p], v) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				mapping[u] = v
-				used |= 1 << uint(v)
-				stop := rec(u + 1)
-				used &^= 1 << uint(v)
-				if stop {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	rec(0)
+	mapping := make([]int, d.n)
+	dirMappings(d, d, mapping, func() bool {
+		out = append(out, append([]int(nil), mapping...))
+		return cap > 0 && len(out) >= cap
+	})
 	return out
 }
 
-// Orbits returns the automorphism orbits (directed symmetry sets).
-func Orbits(d *DiDense) [][]int {
-	n := d.n
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
+// dirMappings runs the one directed isomorphism search, from a onto b,
+// writing each mapping into mapping[:a.N()]. Vertex u of a may map only to
+// vertices of b with u's directed WL color; a's vertices are placed in
+// index order, candidates tried in ascending order, and every arc to and
+// from the placed vertices must agree. With each nil it stops at the first
+// mapping; otherwise it calls each at every mapping, in search order,
+// until each returns true. It reports whether the search stopped. It is
+// graph's undirected search with arcs checked in both directions.
+func dirMappings(a, b *DiDense, mapping []int, each func() bool) bool {
+	n := a.n
+	if n != b.n || a.M() != b.M() {
+		return false
 	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, perm := range Automorphisms(d, 4096) {
-		for i, img := range perm {
-			ri, rj := find(i), find(img)
-			if ri != rj {
-				if ri > rj {
-					ri, rj = rj, ri
-				}
-				parent[rj] = ri
+	ca, cb := wlColorsDir(a), wlColorsDir(b)
+	s := dirSearch{a: a, b: b, mapping: mapping[:n], each: each}
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if ca[u] == cb[v] {
+				s.cand[u] |= 1 << uint(v)
 			}
 		}
-	}
-	groups := map[int][]int{}
-	for v := 0; v < n; v++ {
-		groups[find(v)] = append(groups[find(v)], v)
-	}
-	var orbits [][]int
-	for r := 0; r < n; r++ {
-		if g, ok := groups[r]; ok {
-			orbits = append(orbits, g)
+		if s.cand[u] == 0 {
+			return false
 		}
 	}
-	return orbits
+	return s.rec(0)
+}
+
+// dirSearch is dirMappings' backtracking state: per-vertex candidate masks
+// of b, the b vertices used, the mapping being built and the hook that
+// receives complete ones.
+type dirSearch struct {
+	a, b    *DiDense
+	cand    [graph.MaxDense]uint32
+	used    uint32
+	mapping []int
+	each    func() bool
+}
+
+// rec extends the partial mapping of a's vertices [0, u) to vertex u.
+func (s *dirSearch) rec(u int) bool {
+	if u == len(s.mapping) {
+		return s.each == nil || s.each()
+	}
+	for m := s.cand[u] &^ s.used; m != 0; {
+		v := bits.TrailingZeros32(m)
+		m &= m - 1
+		ok := true
+		for p := 0; p < u; p++ {
+			if s.a.HasArc(u, p) != s.b.HasArc(v, s.mapping[p]) ||
+				s.a.HasArc(p, u) != s.b.HasArc(s.mapping[p], v) {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			s.mapping[u] = v
+			s.used |= 1 << uint(v)
+			if s.rec(u + 1) {
+				return true
+			}
+			s.used &^= 1 << uint(v)
+		}
+	}
+	return false
+}
+
+// Orbits returns the automorphism orbits (directed symmetry sets), in
+// graph.OrbitsOf's order.
+func Orbits(d *DiDense) [][]int {
+	return graph.OrbitsOf(d.n, Automorphisms(d, 4096))
 }
 
 // Classifier interns directed graphs into isomorphism classes. Like the

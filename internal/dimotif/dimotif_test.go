@@ -245,7 +245,7 @@ func TestDirectedUniqueness(t *testing.T) {
 func TestCountDirUpToExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := plantFFLNetwork(120, 30, rng)
-	cnt, exact := countDirUpTo(g, feedForwardLoop(), 0, 0)
+	cnt, exact := countDirUpTo(g, feedForwardLoop(), 1, 0, 0)
 	if !exact {
 		t.Fatal("exhaustive count not exact")
 	}
@@ -253,7 +253,7 @@ func TestCountDirUpToExact(t *testing.T) {
 		t.Errorf("FFL count = %d, want >= 30", cnt)
 	}
 	// The directed 3-cycle is absent from this DAG-ish construction.
-	c3, exact := countDirUpTo(g, threeCycle(), 0, 0)
+	c3, exact := countDirUpTo(g, threeCycle(), 3, 0, 0)
 	if !exact || c3 != 0 {
 		t.Errorf("C3 count = %d (exact=%v), want 0", c3, exact)
 	}

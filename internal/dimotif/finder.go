@@ -69,42 +69,50 @@ func Find(g *DiGraph, cfg motif.Config) []*Motif {
 	var arena graph.OccArena
 	var seenSets graph.VSetDedup
 	var d DiDense
+	// The level being counted: its classifier and class states, indexed
+	// by the classifier's dense first-seen ids.
+	var cl *Classifier
+	var classes []*diClassState
+	// record counts the sorted candidate vertex set vs, once per level,
+	// into its class, and stores it in the class representative's vertex
+	// order while the class has room, else by reservoir replacement.
+	record := func(vs []int32) {
+		if !seenSets.Insert(vs) {
+			return
+		}
+		g.FillInducedDi(&d, vs)
+		id := cl.Classify(&d)
+		if id == len(classes) {
+			classes = append(classes, &diClassState{pattern: cl.Rep(id)})
+		}
+		cs := classes[id]
+		cs.freq++
+		var occ []int32
+		if cfg.MaxOccPerClass == 0 || len(cs.occs) < cfg.MaxOccPerClass {
+			occ = arena.Take(vs)
+			cs.occs = append(cs.occs, occ)
+		} else if r := rng.Intn(cs.freq); r < cfg.MaxOccPerClass {
+			occ = cs.occs[r]
+		}
+		if occ != nil {
+			mp := cl.OccMapping(id, &d)
+			for i := range vs {
+				occ[i] = vs[mp[i]]
+			}
+		}
+	}
 
 	// Level 2: the two weak-edge classes (single arc u->v; mutual arcs).
-	var level []*diClassState // indexed by class id (dense, first-seen order)
-	cl2 := NewClassifier()
+	cl = NewClassifier()
 	seenSets.Reset(2)
 	var pair [2]int32
 	for u := 0; u < g.N(); u++ {
 		g.weakNeighbors(u, func(w int32) {
-			a, b := int32(u), w
-			if a > b {
-				a, b = b, a
-			}
-			pair[0], pair[1] = a, b
-			if !seenSets.Insert(pair[:]) {
-				return
-			}
-			g.FillInducedDi(&d, pair[:])
-			id := cl2.Classify(&d)
-			if id == len(level) {
-				level = append(level, &diClassState{pattern: cl2.Rep(id)})
-			}
-			cs := level[id]
-			cs.freq++
-			var occ []int32
-			if cfg.MaxOccPerClass == 0 || len(cs.occs) < cfg.MaxOccPerClass {
-				occ = arena.Take(pair[:])
-				cs.occs = append(cs.occs, occ)
-			} else if r := rng.Intn(cs.freq); r < cfg.MaxOccPerClass {
-				occ = cs.occs[r]
-			}
-			if occ != nil {
-				mp := cl2.OccMapping(id, &d)
-				occ[0], occ[1] = pair[mp[0]], pair[mp[1]]
-			}
+			pair[0], pair[1] = min(int32(u), w), max(int32(u), w)
+			record(pair[:])
 		})
 	}
+	level := classes
 	sort.SliceStable(level, func(i, j int) bool { return level[i].freq > level[j].freq })
 
 	var out []*Motif
@@ -125,8 +133,7 @@ func Find(g *DiGraph, cfg motif.Config) []*Motif {
 	}
 
 	for size := 3; size <= cfg.MaxSize && len(level) > 0; size++ {
-		cl := NewClassifier()
-		var next []*diClassState // indexed by class id
+		cl, classes = NewClassifier(), nil
 		seenSets.Reset(size)
 		sortedOcc := make([]int32, 0, size)
 		vsBuf := make([]int32, size)
@@ -147,35 +154,13 @@ func Find(g *DiGraph, cfg motif.Config) []*Motif {
 						}
 						vs[pos] = w
 						copy(vs[pos+1:], sortedOcc[pos:])
-						if !seenSets.Insert(vs) {
-							return
-						}
-						g.FillInducedDi(&d, vs)
-						id := cl.Classify(&d)
-						if id == len(next) {
-							next = append(next, &diClassState{pattern: cl.Rep(id)})
-						}
-						ns := next[id]
-						ns.freq++
-						var no []int32
-						if cfg.MaxOccPerClass == 0 || len(ns.occs) < cfg.MaxOccPerClass {
-							no = arena.Take(vs)
-							ns.occs = append(ns.occs, no)
-						} else if r := rng.Intn(ns.freq); r < cfg.MaxOccPerClass {
-							no = ns.occs[r]
-						}
-						if no != nil {
-							mp := cl.OccMapping(id, &d)
-							for i := range vs {
-								no[i] = vs[mp[i]]
-							}
-						}
+						record(vs)
 					})
 				}
 			}
 		}
 		var kept []*diClassState
-		for _, ns := range next {
+		for _, ns := range classes {
 			if ns.freq >= cfg.MinFreq {
 				kept = append(kept, ns)
 			}
@@ -224,32 +209,24 @@ func contains32(s []int32, x int32) bool {
 }
 
 // ScoreUniqueness fills each motif's Uniqueness against in/out-degree-
-// preserving randomizations, with the same certification semantics as the
-// undirected version (count cap; zero-match budget exhaustion is a win).
+// preserving randomizations, with the undirected version's round limit and
+// verdict (motif.UniquenessConfig.Limit and Won). Each motif's
+// automorphism group is listed once, not once per network.
 func ScoreUniqueness(g *DiGraph, motifs []*Motif, cfg motif.UniquenessConfig) {
 	if cfg.Networks <= 0 {
 		return
+	}
+	auts := make([]int, len(motifs))
+	for i, m := range motifs {
+		auts[i] = len(Automorphisms(m.Pattern, 0))
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	wins := make([]int, len(motifs))
 	for r := 0; r < cfg.Networks; r++ {
 		rnet := g.Randomize(0, rng)
 		for i, m := range motifs {
-			limit := m.Frequency + 1
-			if cfg.CountCap > 0 && limit > cfg.CountCap {
-				limit = cfg.CountCap
-			}
-			cnt, exact := countDirUpTo(rnet, m.Pattern, limit, cfg.MaxSteps)
-			if !exact {
-				if cnt == 0 {
-					wins[i]++
-				}
-				continue
-			}
-			if cnt >= limit && limit <= m.Frequency {
-				continue
-			}
-			if cnt <= m.Frequency {
+			cnt, exact := countDirUpTo(rnet, m.Pattern, auts[i], cfg.Limit(m.Frequency), cfg.MaxSteps)
+			if cfg.Won(m.Frequency, cnt, exact) {
 				wins[i]++
 			}
 		}
@@ -303,22 +280,7 @@ func (lm *LabeledMotif) Describe(o *ontology.Ontology) string {
 // drives the occurrence pairing, everything else (similarity, clustering,
 // least-general schemes, stopping rule) is the shared machinery.
 func Label(l *label.Labeler, m *Motif) []*LabeledMotif {
-	orbits := Orbits(m.Pattern)
-	product := 1
-	for _, orb := range orbits {
-		for k := 2; k <= len(orb); k++ {
-			product *= k
-			if product > 5040 {
-				break
-			}
-		}
-	}
-	cap := product
-	if cap > 5040 {
-		cap = 5040
-	}
-	auts := Automorphisms(m.Pattern, cap+1)
-	sym := label.NewSymmetryFromGroup(orbits, auts, len(auts) == product && product <= 5040)
+	sym := label.SymmetryOf(Orbits(m.Pattern), func(cap int) [][]int { return Automorphisms(m.Pattern, cap) })
 	schemes := l.LabelOccurrences(m.Size(), m.Occurrences, sym)
 	out := make([]*LabeledMotif, 0, len(schemes))
 	for _, s := range schemes {

@@ -235,13 +235,14 @@ func Isomorphic(a, b *Dense) bool {
 	if a.n <= canonExactMax {
 		return CanonicalKey(a) == CanonicalKey(b)
 	}
-	return vf2DenseIso(a, b)
+	var mapping [MaxDense]int
+	return IsoMappingInto(a, b, mapping[:])
 }
 
 // Classifier interns dense graphs into isomorphism classes. It is the
 // mechanism the motif miner uses to group subgraph occurrences by pattern,
 // combining exact canonical keys (small graphs) with invariant buckets
-// resolved by VF2 (meso-scale graphs).
+// resolved by the isomorphism search (meso-scale graphs).
 type Classifier struct {
 	byRaw  map[string]int   // raw (uncanonicalized) adjacency bits -> class id
 	byKey  map[uint64]int   // packed canonical code -> class id (n <= canonExactMax)
@@ -306,7 +307,7 @@ func (c *Classifier) OccMapping(id int, d *Dense) []int {
 }
 
 // classifySlow is Classify without the raw-bits shortcut: canonical keys for
-// small graphs, invariant buckets plus VF2 for meso-scale ones.
+// small graphs, invariant buckets plus IsoMappingInto for meso-scale ones.
 func (c *Classifier) classifySlow(d *Dense) int {
 	if d.n <= canonExactMax {
 		var rows [canonExactMax]uint32
@@ -321,8 +322,9 @@ func (c *Classifier) classifySlow(d *Dense) int {
 		return id
 	}
 	inv := Invariant(d)
+	var mapping [MaxDense]int
 	for _, id := range c.byInv[inv] {
-		if vf2DenseIso(c.reps[id], d) {
+		if IsoMappingInto(c.reps[id], d, mapping[:]) {
 			return id
 		}
 	}

@@ -22,6 +22,17 @@ func IsoMapping(a, b *Dense) []int {
 //
 // alloc-budget: 0
 func IsoMappingInto(a, b *Dense, mapping []int) bool {
+	return isoMappings(a, b, mapping, nil)
+}
+
+// isoMappings runs the one undirected isomorphism search, from a onto b,
+// writing each mapping into mapping[:a.N()]. Vertex u of a may map only to
+// vertices of b with u's WL color; a's vertices are placed in index order
+// and candidates tried in ascending order. With each nil it stops at the
+// first mapping; otherwise it calls each at every mapping, in search
+// order, until each returns true. It reports whether the search stopped.
+// IsoMappingInto, Isomorphic, the classifier and Automorphisms all run it.
+func isoMappings(a, b *Dense, mapping []int, each func() bool) bool {
 	n := a.n
 	if n != b.n || a.M() != b.M() {
 		return false
@@ -30,7 +41,7 @@ func IsoMappingInto(a, b *Dense, mapping []int) bool {
 	wlColors(a, &caArr)
 	wlColors(b, &cbArr)
 	ca, cb := caArr[:n], cbArr[:n]
-	s := isoSearch{a: a, b: b, n: n, mapping: mapping[:n]}
+	s := isoSearch{a: a, b: b, n: n, mapping: mapping[:n], each: each}
 	for u := 0; u < n; u++ {
 		var m uint32
 		for v := 0; v < n; v++ {
@@ -46,14 +57,18 @@ func IsoMappingInto(a, b *Dense, mapping []int) bool {
 	return s.rec(0)
 }
 
-// isoSearch is the stack-resident state of IsoMappingInto's backtracking
-// search: per-vertex candidate masks of b and the set of b vertices used.
+// isoSearch is the stack-resident state of isoMappings' backtracking
+// search: per-vertex candidate masks of b, the set of b vertices used, the
+// mapping being built and the hook that receives complete ones.
 type isoSearch struct {
 	a, b    *Dense
 	n       int
 	cand    [MaxDense]uint32
 	usedB   uint32
 	mapping []int
+	// each, when set, is called at every complete mapping and returns true
+	// to stop; nil stops at the first.
+	each func() bool
 }
 
 // rec extends the partial mapping of a's vertices [0, u) to vertex u.
@@ -61,7 +76,7 @@ type isoSearch struct {
 // alloc-budget: 0
 func (s *isoSearch) rec(u int) bool {
 	if u == s.n {
-		return true
+		return s.each == nil || s.each()
 	}
 	for m := s.cand[u] &^ s.usedB; m != 0; {
 		v := bits.TrailingZeros32(m)

@@ -47,7 +47,7 @@ func FindConforming(g *graph.Graph, c *ontology.Corpus, lm *LabeledMotif, limit 
 	}
 
 	// Connected matching order over the pattern.
-	order, prior := connectedOrderDense(lm.Pattern)
+	order, prior := graph.ConnectedOrder(lm.Pattern)
 	mapped := make([]int, k)
 	used := make([]bool, g.N())
 	seenSets := map[string]bool{}
@@ -110,50 +110,4 @@ func FindConforming(g *graph.Graph, c *ontology.Corpus, lm *LabeledMotif, limit 
 	}
 	rec(0)
 	return out
-}
-
-// connectedOrderDense orders pattern vertices so each (after the first) is
-// adjacent to an earlier one; prior[pos] is the position of one such
-// earlier neighbor.
-func connectedOrderDense(d *graph.Dense) (order []int, prior []int) {
-	k := d.N()
-	order = make([]int, 0, k)
-	prior = make([]int, k)
-	in := make([]bool, k)
-	start := 0
-	for v := 1; v < k; v++ {
-		if d.Degree(v) > d.Degree(start) {
-			start = v
-		}
-	}
-	order = append(order, start)
-	in[start] = true
-	for len(order) < k {
-		bv, ba, bd := -1, -1, -1
-		for v := 0; v < k; v++ {
-			if in[v] {
-				continue
-			}
-			for pos, w := range order {
-				if d.HasEdge(v, w) {
-					if d.Degree(v) > bd {
-						bv, ba, bd = v, pos, d.Degree(v)
-					}
-					break
-				}
-			}
-		}
-		if bv < 0 {
-			for v := 0; v < k; v++ {
-				if !in[v] {
-					bv, ba = v, 0
-					break
-				}
-			}
-		}
-		prior[len(order)] = ba
-		order = append(order, bv)
-		in[bv] = true
-	}
-	return order, prior
 }

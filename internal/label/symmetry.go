@@ -19,12 +19,20 @@ type Symmetry struct {
 	Auts [][]int
 }
 
-// NewSymmetry analyzes a pattern. When the product of orbit-size factorials
-// equals the automorphism group order, orbit-wise pairing is exact (stars,
-// paths, cliques); otherwise (cycles, most meso-scale shapes) pairings must
-// range over explicit automorphisms to keep occurrence correspondence valid.
+// NewSymmetry analyzes an undirected pattern: SymmetryOf its orbits and
+// automorphisms.
 func NewSymmetry(p *graph.Dense) *Symmetry {
-	orbits := graph.Orbits(p)
+	return SymmetryOf(graph.Orbits(p), func(cap int) [][]int { return graph.Automorphisms(p, cap) })
+}
+
+// SymmetryOf builds a pattern's Symmetry from its orbit partition and its
+// automorphism enumerator (automorphisms(cap) lists up to cap of them, in
+// a fixed order); directed patterns use it with their own. When the
+// product of orbit-size factorials equals the automorphism group order,
+// orbit-wise pairing is exact (stars, paths, cliques); otherwise (cycles,
+// most meso-scale shapes) pairings must range over explicit automorphisms
+// to keep occurrence correspondence valid.
+func SymmetryOf(orbits [][]int, automorphisms func(cap int) [][]int) *Symmetry {
 	product := 1
 	for _, orb := range orbits {
 		for k := 2; k <= len(orb); k++ {
@@ -42,7 +50,7 @@ func NewSymmetry(p *graph.Dense) *Symmetry {
 	if cap > maxAuts {
 		cap = maxAuts
 	}
-	auts := graph.Automorphisms(p, cap+1)
+	auts := automorphisms(cap + 1)
 	if len(auts) == product && product <= maxAuts {
 		// Orbit-wise assignment spans exactly the automorphism group.
 		return &Symmetry{Orbits: orbits}
@@ -53,14 +61,3 @@ func NewSymmetry(p *graph.Dense) *Symmetry {
 // ExactOrbitPairing reports whether per-orbit assignment is exact for this
 // pattern.
 func (sy *Symmetry) ExactOrbitPairing() bool { return sy.Auts == nil }
-
-// NewSymmetryFromGroup builds a Symmetry from an externally computed orbit
-// partition and automorphism list — the hook that lets directed (or
-// otherwise decorated) patterns reuse the labeling machinery. When exact is
-// true the automorphism list may be nil and per-orbit assignment is used.
-func NewSymmetryFromGroup(orbits [][]int, auts [][]int, exact bool) *Symmetry {
-	if exact {
-		return &Symmetry{Orbits: orbits}
-	}
-	return &Symmetry{Orbits: orbits, Auts: auts}
-}

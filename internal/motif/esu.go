@@ -44,6 +44,9 @@ func enumerateESURange(s *esuScratch, lo, hi int, visit func(vs []int32) bool) b
 // enumerateRoot enumerates every connected k-set rooted at v (v is the
 // minimum vertex of each set).
 func (s *esuScratch) enumerateRoot(v int32, visit func(vs []int32) bool) bool {
+	if s.keep != nil && !s.keep(0) {
+		return true
+	}
 	// Root extension set: neighbors of v greater than v, ascending.
 	row := s.g.Neighbors(int(v))
 	i := sort.Search(len(row), func(i int) bool { return row[i] > v })
@@ -80,6 +83,9 @@ func (s *esuScratch) extend(extLo, extHi int, visit func(vs []int32) bool) bool 
 	for extHi > extLo {
 		w := s.ext[extHi-1]
 		extHi--
+		if s.keep != nil && !s.keep(depth) {
+			continue
+		}
 		// Child extension = parent remainder + exclusive neighbors of w.
 		cnt := s.bits.ExclusiveInto(s.cand, s.coveredAt(depth), int(w), root)
 		childLo := s.top

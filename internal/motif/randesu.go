@@ -62,10 +62,10 @@ type chunkSample struct {
 // c*prime)) stream, and per-chunk tallies merge in chunk order, so the
 // estimate is deterministic and independent of the worker count.
 //
-// The pruned tree walks the same arena-scratch kernels as the exact census;
-// the per-chunk RNG consumes one draw per popped extension entry in exactly
-// the enumeration order, so the sample is bit-identical to the historical
-// map-based formulation.
+// The pruned tree is the exact census's walk with a keep hook: the
+// per-chunk RNG consumes one draw per root and one per popped extension
+// entry, in exactly the enumeration order, so the sample is bit-identical
+// to the historical map-based formulation.
 //
 // invariant: len(cfg.Probabilities), when set, equals cfg.K — one retention
 // probability per tree depth. A mismatched configuration is a programmer
@@ -97,9 +97,12 @@ func SampleConcentrations(g *graph.Graph, cfg RandESUConfig) []Concentration {
 	par.Chunks(n, esuRootChunk, par.Workers(cfg.Parallelism), func(c, lo, hi int) {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(c)*0x9e3779b9))
 		cs := &chunkSample{cl: graph.NewClassifier()}
-		smp := esuSampler{s: newESUScratch(csr, bits, k), probs: probs, rng: rng}
+		s := newESUScratch(csr, bits, k)
+		// Depth d is the number of vertices already chosen; adding the
+		// (d+1)-th survives when its draw falls below probs[d].
+		s.keep = func(depth int) bool { return rng.Float64() < probs[depth] }
 		var d graph.Dense
-		smp.visit = func(vs []int32) {
+		enumerateESURange(s, lo, hi, func(vs []int32) bool {
 			fillInduced(&d, bits, vs)
 			id := cs.cl.Classify(&d)
 			if id == len(cs.counts) {
@@ -107,10 +110,8 @@ func SampleConcentrations(g *graph.Graph, cfg RandESUConfig) []Concentration {
 			}
 			cs.counts[id]++
 			cs.total++
-		}
-		for v := lo; v < hi; v++ {
-			smp.sampleRoot(int32(v))
-		}
+			return true
+		})
 		chunks[c] = cs
 	})
 
@@ -166,76 +167,4 @@ func defaultProbs(k int, frac float64) []float64 {
 		probs[i] = per
 	}
 	return probs
-}
-
-// esuSampler prunes the ESU tree with per-depth retention probabilities,
-// walking the same scratch arena as the exact enumeration. Depth d is the
-// number of vertices already chosen; adding the (d+1)-th consumes one RNG
-// draw and survives when it falls below probs[d].
-type esuSampler struct {
-	s     *esuScratch
-	probs []float64
-	rng   *rand.Rand
-	visit func(vs []int32)
-}
-
-// sampleRoot decides the root's own retention, then samples its subtree.
-func (sp *esuSampler) sampleRoot(v int32) {
-	if sp.rng.Float64() >= sp.probs[0] {
-		return
-	}
-	s := sp.s
-	row := s.g.Neighbors(int(v))
-	i := sort.Search(len(row), func(i int) bool { return row[i] > v })
-	ext := row[i:]
-	s.grow(len(ext))
-	copy(s.ext, ext)
-	s.top = len(ext)
-
-	s.sub = append(s.sub[:0], v)
-	cov := s.coveredAt(1)
-	for i := range cov {
-		cov[i] = 0
-	}
-	s.bits.OrRowInto(cov, int(v))
-	sp.sampleExtend(0, s.top)
-}
-
-// sampleExtend mirrors esuScratch.extend with a retention draw per popped
-// extension entry. The draw happens before the survival test on every pop —
-// exactly the historical consumption order, which keeps chunk RNG streams
-// (and therefore the sampled set) byte-identical across refactors.
-func (sp *esuSampler) sampleExtend(extLo, extHi int) {
-	s := sp.s
-	if len(s.sub) == s.k {
-		sp.visit(s.sortedSub())
-		return
-	}
-	depth := len(s.sub)
-	root := int(s.sub[0])
-	for extHi > extLo {
-		w := s.ext[extHi-1]
-		extHi--
-		if sp.rng.Float64() >= sp.probs[depth] {
-			continue
-		}
-		cnt := s.bits.ExclusiveInto(s.cand, s.coveredAt(depth), int(w), root)
-		childLo := s.top
-		childHi := childLo + (extHi - extLo) + cnt
-		s.grow(childHi)
-		copy(s.ext[childLo:], s.ext[extLo:extHi])
-		p := childLo + (extHi - extLo)
-		for u := nextBit(s.cand, 0); u >= 0; u = nextBit(s.cand, u+1) {
-			s.ext[p] = int32(u)
-			p++
-		}
-		s.sub = append(s.sub, w)
-		cov, next := s.coveredAt(depth), s.coveredAt(depth+1)
-		copy(next, cov)
-		s.bits.OrRowInto(next, int(w))
-		s.top = childHi
-		sp.sampleExtend(childLo, childHi)
-		s.top = childLo
-		s.sub = s.sub[:depth]
-	}
 }

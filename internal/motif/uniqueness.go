@@ -42,6 +42,32 @@ func DefaultUniquenessConfig() UniquenessConfig {
 	return UniquenessConfig{Networks: 20, MaxSteps: 2_000_000, CountCap: 20_000, Seed: 7}
 }
 
+// Limit returns how many randomized-network vertex sets a uniqueness round
+// counts for a motif of real frequency freq: freq+1, enough to see the
+// randomized network beat the real one, capped by CountCap.
+func (cfg UniquenessConfig) Limit(freq int) int {
+	limit := freq + 1
+	if cfg.CountCap > 0 && limit > cfg.CountCap {
+		limit = cfg.CountCap
+	}
+	return limit
+}
+
+// Won is the verdict of one uniqueness round, given the count and exact
+// flag of a search stopped at Limit(freq). A search that ran out of budget
+// wins only if it completed no embedding: the pattern is rare in the
+// randomized network, and a partial count certifies nothing. An exact
+// count wins when it stayed below the limit, so at or below the real
+// frequency; reaching the limit means the randomized network has more
+// sets than the real one, or hit the count cap below the real frequency
+// and cannot be certified.
+func (cfg UniquenessConfig) Won(freq, count int, exact bool) bool {
+	if !exact {
+		return count == 0
+	}
+	return count < cfg.Limit(freq)
+}
+
 // ScoreUniqueness fills in Uniqueness for each motif: the fraction of
 // randomized networks whose pattern frequency does not exceed the real
 // frequency. The matcher counts distinct vertex sets and stops as soon as
@@ -60,28 +86,8 @@ func ScoreUniqueness(g *graph.Graph, motifs []*Motif, cfg UniquenessConfig) {
 		mt := graph.NewMatcher(randnet.Randomize(g, rng))
 		wins := make([]int, len(motifs))
 		for i, m := range motifs {
-			// Count up to Frequency+1 sets (capped): if the randomized
-			// network has more sets than the real one, the round is
-			// lost.
-			limit := m.Frequency + 1
-			if cfg.CountCap > 0 && limit > cfg.CountCap {
-				limit = cfg.CountCap
-			}
-			cnt, exact := mt.CountInducedUpTo(plans[i], limit, cfg.MaxSteps)
-			if !exact {
-				if cnt == 0 {
-					// Budget exhausted without completing one embedding:
-					// the pattern is rare in the randomized network.
-					wins[i]++
-				}
-				continue // otherwise: cannot certify this round
-			}
-			if cnt >= limit && limit <= m.Frequency {
-				// Hit the count cap below the real frequency: cannot
-				// certify.
-				continue
-			}
-			if cnt <= m.Frequency {
+			cnt, exact := mt.CountInducedUpTo(plans[i], cfg.Limit(m.Frequency), cfg.MaxSteps)
+			if cfg.Won(m.Frequency, cnt, exact) {
 				wins[i]++
 			}
 		}
