@@ -105,28 +105,51 @@ func client(timeout time.Duration) *http.Client {
 	return &http.Client{Timeout: timeout}
 }
 
-// getBody GETs u and returns the response body, or a non-zero exit code
-// after reporting transport/HTTP errors (including the daemon's JSON
-// error bodies) to stderr.
-func getBody(c *http.Client, u string, stderr io.Writer) ([]byte, int) {
-	resp, err := c.Get(u)
+// send performs one request and returns the response body and header, or
+// a non-zero exit code after reporting transport/HTTP errors (including
+// the server's JSON error bodies) to stderr. Every network subcommand goes
+// through it. A non-nil body is sent as JSON; a non-empty requestID rides
+// in X-Request-Id.
+func send(c *http.Client, method, u string, body []byte, requestID string, stderr io.Writer) ([]byte, http.Header, int) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequest(method, u, rd)
 	if err != nil {
 		errf(stderr, "lamoctl: %v\n", err)
-		return nil, 1
+		return nil, nil, 1
 	}
-	body, err := io.ReadAll(resp.Body)
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if requestID != "" {
+		req.Header.Set("X-Request-Id", requestID)
+	}
+	resp, err := c.Do(req)
+	if err != nil {
+		errf(stderr, "lamoctl: %v\n", err)
+		return nil, nil, 1
+	}
+	out, err := io.ReadAll(resp.Body)
 	if cerr := resp.Body.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		errf(stderr, "lamoctl: read response: %v\n", err)
-		return nil, 1
+		return nil, nil, 1
 	}
 	if resp.StatusCode != http.StatusOK {
-		errf(stderr, "lamoctl: server returned %s: %s", resp.Status, body)
-		return nil, 1
+		errf(stderr, "lamoctl: server returned %s: %s", resp.Status, out)
+		return nil, nil, 1
 	}
-	return body, 0
+	return out, resp.Header, 0
+}
+
+// getBody GETs u through send and returns the response body.
+func getBody(c *http.Client, u string, stderr io.Writer) ([]byte, int) {
+	body, _, code := send(c, http.MethodGet, u, nil, "", stderr)
+	return body, code
 }
 
 // fetch GETs url and writes the response body through verbatim.
@@ -312,22 +335,9 @@ func runRollout(args []string, stdout, stderr io.Writer) int {
 		errf(stderr, "lamoctl rollout: %v\n", err)
 		return 1
 	}
-	resp, err := client(*timeout).Post(*server+"/v1/admin/rollout", "application/json", bytes.NewReader(body))
-	if err != nil {
-		errf(stderr, "lamoctl: %v\n", err)
-		return 1
-	}
-	out, err := io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		errf(stderr, "lamoctl: read response: %v\n", err)
-		return 1
-	}
-	if resp.StatusCode != http.StatusOK {
-		errf(stderr, "lamoctl: gateway returned %s: %s", resp.Status, out)
-		return 1
+	out, _, code := send(client(*timeout), http.MethodPost, *server+"/v1/admin/rollout", body, "", stderr)
+	if code != 0 {
+		return code
 	}
 	_, _ = stdout.Write(out)
 	return 0
@@ -383,36 +393,14 @@ func runPredict(args []string, stdout, stderr io.Writer) int {
 		q.Set("k", fmt.Sprint(*k))
 	}
 	u := *sf.server + "/v1/predict?" + q.Encode()
-	if *trace == "" {
-		return fetch(client(*sf.timeout), u, stdout, stderr)
-	}
-	req, err := http.NewRequest(http.MethodGet, u, nil)
-	if err != nil {
-		errf(stderr, "lamoctl: %v\n", err)
-		return 1
-	}
-	req.Header.Set("X-Request-Id", *trace)
-	resp, err := client(*sf.timeout).Do(req)
-	if err != nil {
-		errf(stderr, "lamoctl: %v\n", err)
-		return 1
-	}
-	body, err := io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		errf(stderr, "lamoctl: read response: %v\n", err)
-		return 1
-	}
-	if resp.StatusCode != http.StatusOK {
-		errf(stderr, "lamoctl: server returned %s: %s", resp.Status, body)
-		return 1
+	body, header, code := send(client(*sf.timeout), http.MethodGet, u, nil, *trace, stderr)
+	if code != 0 {
+		return code
 	}
 	// The daemon echoes valid client IDs so one ID links the client call,
 	// the response and the daemon's access-log line; a mismatch means the
 	// trace is broken (or the ID was invalid and got replaced).
-	if got := resp.Header.Get("X-Request-Id"); got != *trace {
+	if got := header.Get("X-Request-Id"); *trace != "" && got != *trace {
 		errf(stderr, "lamoctl: trace id not echoed: sent %q, got %q\n", *trace, got)
 		return 1
 	}
@@ -457,22 +445,9 @@ func runQuery(args []string, stdout, stderr io.Writer) int {
 		errf(stderr, "lamoctl query: %v\n", err)
 		return 1
 	}
-	resp, err := client(*sf.timeout).Post(*sf.server+"/v1/query", "application/json", bytes.NewReader(body))
-	if err != nil {
-		errf(stderr, "lamoctl: %v\n", err)
-		return 1
-	}
-	out, err := io.ReadAll(resp.Body)
-	if cerr := resp.Body.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		errf(stderr, "lamoctl: read response: %v\n", err)
-		return 1
-	}
-	if resp.StatusCode != http.StatusOK {
-		errf(stderr, "lamoctl: server returned %s: %s", resp.Status, out)
-		return 1
+	out, _, code := send(client(*sf.timeout), http.MethodPost, *sf.server+"/v1/query", body, "", stderr)
+	if code != 0 {
+		return code
 	}
 	if *explain {
 		return writeExplainTable(out, stdout, stderr)

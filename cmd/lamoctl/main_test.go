@@ -179,3 +179,32 @@ func TestErrorStatusFails(t *testing.T) {
 		})
 	}
 }
+
+// TestRequestErrorStatusFails: the subcommands that send their own
+// request (a POST, or a GET with a request ID) exit 1 and name the status
+// when the server answers with an error, like the GET-only ones above.
+func TestRequestErrorStatusFails(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+		_, _ = io.WriteString(w, `{"error":"draining"}`+"\n")
+	}))
+	defer ts.Close()
+	for _, args := range [][]string{
+		{"rollout", "-artifact", "model.lamoart"},
+		{"query", "-topk", "3"},
+		{"predict", "-protein", "p1", "-trace", "req-trace-1"},
+	} {
+		t.Run(args[0], func(t *testing.T) {
+			var out, errb bytes.Buffer
+			if code := run(append(args, "-server", ts.URL), &out, &errb); code != 1 {
+				t.Fatalf("exit %d, want 1; stdout: %s", code, out.String())
+			}
+			if !strings.Contains(errb.String(), "server returned 503 Service Unavailable") {
+				t.Fatalf("stderr does not name the status: %s", errb.String())
+			}
+			if out.Len() != 0 {
+				t.Fatalf("stdout not empty on error: %s", out.String())
+			}
+		})
+	}
+}
