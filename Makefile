@@ -1,5 +1,6 @@
-# Tier-1 gates for the LaMoFinder reproduction. CI (.github/workflows/ci.yml)
-# runs `make ci`; the individual targets exist for local iteration.
+# Tier-1 gates for the LaMoFinder reproduction. `make ci` runs them all;
+# CI (.github/workflows/ci.yml) runs each gate's target as its own step, so
+# every gate's command is defined here once.
 
 GO ?= go
 
@@ -24,7 +25,7 @@ RACEPKGS = ./internal/par/... ./internal/label/... ./internal/cluster/... \
 	./internal/serve/... ./internal/fleet/... ./internal/artifact/... \
 	./internal/obs/... ./internal/analysis/... ./internal/query/...
 
-.PHONY: all build fmt vet govet lamovet vet-json lint test race alloc alloc-build paper-golden fuzz bench-module bench-smoke e2e ci
+.PHONY: all build fmt vet govet lamovet vet-json lint test race alloc alloc-build paper-golden results fuzz bench-module bench-smoke e2e ci
 
 all: ci
 
@@ -87,30 +88,47 @@ alloc-build:
 # paper-golden runs `lamod build` at the paper preset (1877 proteins) and
 # fails unless it prints the pinned artifact digest and stage counts: the
 # paper-scale twin of the quick-preset golden in tier-1
-# (TestQuickBuildGolden). About 10 s on 2 vCPUs.
+# (TestQuickBuildGolden). It then runs `experiments -run fig9` and fails
+# unless every line but the timing line matches results_fig9.txt, so a
+# change that moves one labeled motif or one Figure 9 cell fails here.
+# About 35 s on 2 vCPUs.
 PAPER_DIGEST = b15b70d42ebf328107dd41a2349372463fb7bbf667e11c968a9dd7b0dc4b2b60
 PAPER_COUNTS = mined=254 unique=140 labeled=279
 paper-golden:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) build -o "$$tmp/lamod" ./cmd/lamod && \
-	"$$tmp/lamod" build -out "$$tmp/paper.lamoart" | tee "$$tmp/build.txt" && \
-	grep -q "artifact $(PAPER_DIGEST) " "$$tmp/build.txt" && \
-	grep -q "$(PAPER_COUNTS)" "$$tmp/build.txt" || \
-	{ echo "paper-golden: want artifact $(PAPER_DIGEST) and $(PAPER_COUNTS)"; exit 1; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/lamod" ./cmd/lamod; \
+	$(GO) build -o "$$tmp/experiments" ./cmd/experiments; \
+	"$$tmp/lamod" build -out "$$tmp/paper.lamoart" | tee "$$tmp/build.txt"; \
+	grep -q "artifact $(PAPER_DIGEST) " "$$tmp/build.txt" && grep -q "$(PAPER_COUNTS)" "$$tmp/build.txt" || \
+		{ echo "paper-golden: want artifact $(PAPER_DIGEST) and $(PAPER_COUNTS)"; exit 1; }; \
+	"$$tmp/experiments" -run fig9 > "$$tmp/fig9.txt"; \
+	diff -I '^\[fig9 completed in ' results_fig9.txt "$$tmp/fig9.txt" || \
+		{ echo "paper-golden: experiments -run fig9 differs from results_fig9.txt"; exit 1; }
+
+# results regenerates the committed paper-scale outputs. Figure 6 takes
+# about 4 min on 2 vCPUs, Figures 7 and 9 seconds each.
+results:
+	$(GO) run ./cmd/experiments -run fig6 > results_fig6.txt
+	$(GO) run ./cmd/experiments -run fig7 > results_fig7.txt
+	$(GO) run ./cmd/experiments -run fig9 > results_fig9.txt
 
 # fuzz mutates artifact payloads through artifact.Decode for 20 s,
 # starting from the committed seed corpus
 # (internal/artifact/testdata/fuzz/FuzzDecode): no input may panic, and
 # any accepted one must re-encode to a stable byte form. It then runs
 # FuzzPredictQuery for 10 s: the GET /v1/predict query scanner must read
-# the proteins and the first k exactly as url.ParseQuery does. Last,
+# the proteins and the first k exactly as url.ParseQuery does. Then
 # FuzzTraceContext for 10 s: an accepted X-Trace-Context must name a real
 # span slot and a trace ID that is one clean path segment, and must
-# survive a format/parse round trip.
+# survive a format/parse round trip. Last, FuzzPlan for 10 s: a JSON query
+# plan is either rejected with a named field or runs without a panic into
+# JSON whose row_count counts its rows, byte-identical at parallelism 1
+# and 4.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzPredictQuery$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceContext$$' -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzPlan$$' -fuzztime 10s ./internal/query
 
 # bench-module vets and tests the benchmark's own Go module (bench/), which
 # the root ./... patterns never reach although it calls the pipeline's

@@ -129,11 +129,7 @@ func runBuild(args []string) int {
 	rec := &obs.StageRecorder{}
 	mined := experiments.MineLabeledTraced(cfg, rec)
 	m := mined.MIPS
-	names := make([]string, len(m.CategoryTerm))
-	for c, ct := range m.CategoryTerm {
-		names[c] = m.Ontology.ID(ct)
-	}
-	art, err := artifact.Build("synthetic-mips", *note, m.Task, names,
+	art, err := artifact.Build("synthetic-mips", *note, m.Task, m.CategoryNames(),
 		m.Corpus, m.Corpus.DirectCounts(), cfg.Label.MinDirect, mined.Labeled)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lamod build: %v\n", err)

@@ -37,6 +37,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -208,17 +209,9 @@ func relPath(path string) (string, bool) {
 	return "", false
 }
 
-// inScope reports whether the pass's package is one of the listed
+// inScope reports whether the package at path is one of the listed
 // module-relative package paths.
-func inScope(pass *Pass, scoped []string) bool {
-	rel, ok := relPath(pass.Path)
-	if !ok {
-		return false
-	}
-	for _, s := range scoped {
-		if rel == s {
-			return true
-		}
-	}
-	return false
+func inScope(path string, scoped []string) bool {
+	rel, ok := relPath(path)
+	return ok && slices.Contains(scoped, rel)
 }

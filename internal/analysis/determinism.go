@@ -39,7 +39,7 @@ func Determinism() *Analyzer {
 }
 
 func runDeterminism(pass *Pass) {
-	if !inScope(pass, determinismScope) {
+	if !inScope(pass.Path, determinismScope) {
 		return
 	}
 	for _, f := range pass.Files {

@@ -28,7 +28,7 @@ func FloatEq() *Analyzer {
 }
 
 func runFloatEq(pass *Pass) {
-	if !inScope(pass, floatEqScope) {
+	if !inScope(pass.Path, floatEqScope) {
 		return
 	}
 	for _, f := range pass.Files {

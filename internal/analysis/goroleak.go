@@ -45,7 +45,7 @@ func GoroLeak() *Analyzer {
 func runGoroLeak(mp *ModulePass) {
 	e := mp.Engine
 	for _, pkg := range mp.TargetPackages() {
-		if !inScopePkg(pkg, goroLeakScope) {
+		if !inScope(pkg.Path, goroLeakScope) {
 			continue
 		}
 		for _, f := range pkg.Files {

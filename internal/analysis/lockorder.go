@@ -84,7 +84,7 @@ func reportLockInversions(mp *ModulePass) {
 			continue // report each {A,B} once, from the smaller key
 		}
 		for _, site := range byKey[key] {
-			if !inScopePkg(site.pkg, lockOrderScope) || !mp.InTarget(site.pkg) {
+			if !inScope(site.pkg.Path, lockOrderScope) || !mp.InTarget(site.pkg) {
 				continue
 			}
 			opp := reverse[0]
@@ -94,7 +94,7 @@ func reportLockInversions(mp *ModulePass) {
 				acquired, held, oppPos.Filename, oppPos.Line)
 		}
 		for _, site := range reverse {
-			if !inScopePkg(site.pkg, lockOrderScope) || !mp.InTarget(site.pkg) {
+			if !inScope(site.pkg.Path, lockOrderScope) || !mp.InTarget(site.pkg) {
 				continue
 			}
 			opp := byKey[key][0]
@@ -141,7 +141,7 @@ func reportMixedAtomics(mp *ModulePass) {
 	// Phase 2: in the target scope packages, report any access to those
 	// fields that is not itself an atomic-call operand.
 	for _, pkg := range mp.TargetPackages() {
-		if !inScopePkg(pkg, lockOrderScope) {
+		if !inScope(pkg.Path, lockOrderScope) {
 			continue
 		}
 		for _, f := range pkg.Files {
@@ -209,18 +209,4 @@ func fieldSelector(pkg *Package, arg ast.Expr) *ast.SelectorExpr {
 		return nil
 	}
 	return sel
-}
-
-// inScopePkg is inScope for engine packages.
-func inScopePkg(pkg *Package, scoped []string) bool {
-	rel, ok := relPath(pkg.Path)
-	if !ok {
-		return false
-	}
-	for _, s := range scoped {
-		if rel == s {
-			return true
-		}
-	}
-	return false
 }

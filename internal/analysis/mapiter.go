@@ -40,7 +40,7 @@ func MapIter() *Analyzer {
 }
 
 func runMapIter(pass *Pass) {
-	if !inScope(pass, mapIterScope) {
+	if !inScope(pass.Path, mapIterScope) {
 		return
 	}
 	for _, f := range pass.Files {

@@ -104,9 +104,9 @@ func (a *Artifact) encodeIndex(e *enc) error {
 // decodeIndex reads and validates the score-index section. The stored
 // rankings are only function ids; scores come from the matrix, and the
 // section is rejected unless each ranking is exactly predict.TopK of its
-// row — complete over the positive scores, strictly ordered by descending
-// score with ties toward the smaller function index. All rankings share
-// one backing array, sized from the matrix's positive scores.
+// row — complete over the positive scores, each entry ranked Before the
+// next. All rankings share one backing array, sized from the matrix's
+// positive scores.
 func decodeIndex(d *dec, a *Artifact) (*ScoreIndex, error) {
 	n := a.Graph.N()
 	nf := d.count(0)
@@ -149,7 +149,7 @@ func decodeIndex(d *dec, a *Artifact) (*ScoreIndex, error) {
 				d.fail("protein %d ranks function %d with non-positive score", p, f)
 				break
 			}
-			if i > 0 && !rankedBefore(all[len(all)-1], cur) {
+			if i > 0 && !all[len(all)-1].Before(cur) {
 				d.fail("protein %d ranking out of order at position %d", p, i)
 				break
 			}
@@ -161,16 +161,4 @@ func decodeIndex(d *dec, a *Artifact) (*ScoreIndex, error) {
 		return nil, d.err
 	}
 	return ix, nil
-}
-
-// rankedBefore mirrors predict's ranking order (descending score, ties to
-// the smaller function index) for index validation.
-func rankedBefore(a, b predict.Ranked) bool {
-	if a.Score > b.Score {
-		return true
-	}
-	if a.Score < b.Score {
-		return false
-	}
-	return a.Function < b.Function
 }

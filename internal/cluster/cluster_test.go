@@ -91,40 +91,6 @@ func bruteForceMax(s [][]float64) float64 {
 	return best
 }
 
-func TestHierarchicalLinkageTwoBlobs(t *testing.T) {
-	// Items 0-2 mutually similar, 3-5 mutually similar, cross pairs not.
-	sim := func(i, j int) float64 {
-		if (i < 3) == (j < 3) {
-			return 0.9
-		}
-		return 0.1
-	}
-	steps := HierarchicalLinkage(6, sim, AverageLinkage)
-	if len(steps) != 5 {
-		t.Fatalf("steps = %d, want 5", len(steps))
-	}
-	labels := CutDendrogram(6, steps, 0.5)
-	if labels[0] != labels[1] || labels[1] != labels[2] {
-		t.Errorf("first blob split: %v", labels)
-	}
-	if labels[3] != labels[4] || labels[4] != labels[5] {
-		t.Errorf("second blob split: %v", labels)
-	}
-	if labels[0] == labels[3] {
-		t.Errorf("blobs merged: %v", labels)
-	}
-}
-
-func TestLinkageVariants(t *testing.T) {
-	sim := func(i, j int) float64 { return 1 / (1 + math.Abs(float64(i-j))) }
-	for _, link := range []Linkage{AverageLinkage, SingleLinkage, CompleteLinkage} {
-		steps := HierarchicalLinkage(4, sim, link)
-		if len(steps) != 3 {
-			t.Errorf("link %v: %d steps", link, len(steps))
-		}
-	}
-}
-
 func TestAgglomerativeDriver(t *testing.T) {
 	// Clusters are sets of ints; merging unions them. ids index into store.
 	store := map[int][]int{0: {0}, 1: {1}, 2: {2}, 3: {10}}
@@ -173,34 +139,6 @@ func TestAgglomerativeVeto(t *testing.T) {
 	out := ag.Run([]int{1, 2, 3})
 	if len(out) != 3 {
 		t.Errorf("veto ignored: %v", out)
-	}
-}
-
-func TestKMeansSeparatesBlobs(t *testing.T) {
-	// 1-D points: 0,1,2 and 100,101,102.
-	pts := []float64{0, 1, 2, 100, 101, 102}
-	dist := func(i, j int) float64 { return math.Abs(pts[i] - pts[j]) }
-	rng := rand.New(rand.NewSource(9))
-	assign := KMeans(6, 2, dist, 50, rng)
-	if assign[0] != assign[1] || assign[1] != assign[2] {
-		t.Errorf("blob 1 split: %v", assign)
-	}
-	if assign[3] != assign[4] || assign[4] != assign[5] {
-		t.Errorf("blob 2 split: %v", assign)
-	}
-	if assign[0] == assign[3] {
-		t.Errorf("blobs joined: %v", assign)
-	}
-}
-
-func TestKMeansDegenerate(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	if got := KMeans(0, 3, nil, 10, rng); len(got) != 0 {
-		t.Error("n=0 should return empty")
-	}
-	assign := KMeans(3, 10, func(i, j int) float64 { return 1 }, 10, rng)
-	if len(assign) != 3 {
-		t.Errorf("assign len = %d", len(assign))
 	}
 }
 

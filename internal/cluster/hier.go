@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math"
 	"slices"
 	"sync"
 )
@@ -13,8 +12,7 @@ import (
 // id the caller manages); CanMerge may veto a proposed merge.
 //
 // LaMoFinder uses this driver with occurrence-cluster ids, SO similarity,
-// and the border-informative-FC stopping rule. The simpler linkage-based
-// API below (HierarchicalLinkage) serves tests and generic uses.
+// and the border-informative-FC stopping rule.
 type Agglomerative struct {
 	// Sim returns the similarity of two live clusters.
 	Sim func(a, b int) float64
@@ -300,143 +298,4 @@ func (t *simTable) refresh(s int32) {
 			t.best[x] = s
 		}
 	}
-}
-
-// Dendrogram records one merge step of HierarchicalLinkage.
-type Dendrogram struct {
-	A, B int     // merged cluster indices (0..n-1 leaves, then n, n+1, ...)
-	Sim  float64 // similarity at which they merged
-}
-
-// Linkage selects how inter-cluster similarity is derived from item
-// similarities in HierarchicalLinkage.
-type Linkage int
-
-// Supported linkage criteria.
-const (
-	AverageLinkage Linkage = iota
-	SingleLinkage          // maximum similarity (single link)
-	CompleteLinkage
-)
-
-// HierarchicalLinkage clusters n items given a pairwise similarity function,
-// returning the full merge history (n-1 steps). Cluster k (k >= n) is the
-// result of step k-n.
-func HierarchicalLinkage(n int, sim func(i, j int) float64, link Linkage) []Dendrogram {
-	if n == 0 {
-		return nil
-	}
-	members := make([][]int, n, 2*n)
-	for i := 0; i < n; i++ {
-		members[i] = []int{i}
-	}
-	live := make([]int, n)
-	for i := range live {
-		live[i] = i
-	}
-	// Cache item-level similarities.
-	simAt := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		simAt[i] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			if i < j {
-				simAt[i][j] = sim(i, j)
-			}
-		}
-	}
-	getSim := func(i, j int) float64 {
-		if i > j {
-			i, j = j, i
-		}
-		return simAt[i][j]
-	}
-	clusterSim := func(a, b int) float64 {
-		switch link {
-		case SingleLinkage:
-			best := math.Inf(-1)
-			for _, x := range members[a] {
-				for _, y := range members[b] {
-					if s := getSim(x, y); s > best {
-						best = s
-					}
-				}
-			}
-			return best
-		case CompleteLinkage:
-			worst := math.Inf(1)
-			for _, x := range members[a] {
-				for _, y := range members[b] {
-					if s := getSim(x, y); s < worst {
-						worst = s
-					}
-				}
-			}
-			return worst
-		default:
-			sum := 0.0
-			for _, x := range members[a] {
-				for _, y := range members[b] {
-					sum += getSim(x, y)
-				}
-			}
-			return sum / float64(len(members[a])*len(members[b]))
-		}
-	}
-	var steps []Dendrogram
-	for len(live) > 1 {
-		bi, bj := 0, 1
-		best := math.Inf(-1)
-		for i := 0; i < len(live); i++ {
-			for j := i + 1; j < len(live); j++ {
-				if s := clusterSim(live[i], live[j]); s > best {
-					best, bi, bj = s, i, j
-				}
-			}
-		}
-		a, b := live[bi], live[bj]
-		steps = append(steps, Dendrogram{A: a, B: b, Sim: best})
-		merged := len(members)
-		members = append(members, append(append([]int(nil), members[a]...), members[b]...))
-		live[bj] = live[len(live)-1]
-		live = live[:len(live)-1]
-		live[bi] = merged
-	}
-	return steps
-}
-
-// CutDendrogram returns the cluster membership (item -> cluster id) obtained
-// by replaying merges with similarity >= minSim.
-func CutDendrogram(n int, steps []Dendrogram, minSim float64) []int {
-	parent := make([]int, n+len(steps))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	next := n
-	for _, st := range steps {
-		if st.Sim >= minSim {
-			parent[find(st.A)] = next
-			parent[find(st.B)] = next
-		}
-		next++
-	}
-	out := make([]int, n)
-	canon := map[int]int{}
-	for i := 0; i < n; i++ {
-		r := find(i)
-		id, ok := canon[r]
-		if !ok {
-			id = len(canon)
-			canon[r] = id
-		}
-		out[i] = id
-	}
-	return out
 }

@@ -1,7 +1,7 @@
 // Package cluster provides the clustering and assignment substrates used by
 // LaMoFinder and the prediction baselines: optimal assignment (Hungarian
-// algorithm), agglomerative hierarchical clustering, k-means over abstract
-// distance spaces, and BIONJ-style neighbor joining for PRODISTIN.
+// algorithm), the agglomerative driver that clusters motif occurrences, and
+// BIONJ-style neighbor joining for PRODISTIN.
 package cluster
 
 import "math"

@@ -7,7 +7,6 @@ package eval
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"lamofinder/internal/predict"
@@ -72,22 +71,19 @@ func LeaveOneOut(t *predict.Task, s predict.Scorer, maxK int) Curve {
 	correct := make([]float64, maxK)
 	predicted := make([]float64, maxK)
 	totalTrue := 0.0
-	order := make([]int, t.NumFunctions)
 	for p := 0; p < t.Network.N(); p++ {
 		if !t.Annotated(p) {
 			continue
 		}
-		scores := s.Scores(p)
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool { return scores[order[a]] > scores[order[b]] })
+		// Only positive-scored functions count as predictions, so a
+		// ranking shorter than maxK predicts nothing past its end.
+		ranked := predict.TopK(s.Scores(p), maxK)
 		totalTrue += float64(len(t.Functions[p]))
 		hits := 0.0
 		for k := 0; k < maxK; k++ {
-			if scores[order[k]] > 0 { // only positive-scored functions count as predictions
+			if k < len(ranked) {
 				predicted[k] += 1
-				if t.Has(p, order[k]) {
+				if t.Has(p, ranked[k].Function) {
 					hits++
 				}
 			}
@@ -111,16 +107,6 @@ func LeaveOneOut(t *predict.Task, s predict.Scorer, maxK int) Curve {
 		curve.Points = append(curve.Points, pt)
 	}
 	return curve
-}
-
-// CompareAll runs LeaveOneOut for every scorer and returns the curves in
-// input order.
-func CompareAll(t *predict.Task, scorers []predict.Scorer, maxK int) []Curve {
-	out := make([]Curve, 0, len(scorers))
-	for _, s := range scorers {
-		out = append(out, LeaveOneOut(t, s, maxK))
-	}
-	return out
 }
 
 // FormatCurves renders curves as an aligned text table (one row per k, one

@@ -113,12 +113,9 @@ func TestF1AndSummaries(t *testing.T) {
 	}
 }
 
-func TestCompareAllAndFormat(t *testing.T) {
+func TestFormatCurves(t *testing.T) {
 	task := singleFunctionTask()
-	curves := CompareAll(task, []predict.Scorer{oracle{task}, antiOracle{task}}, 2)
-	if len(curves) != 2 {
-		t.Fatalf("curves = %d", len(curves))
-	}
+	curves := []Curve{LeaveOneOut(task, oracle{task}, 2), LeaveOneOut(task, antiOracle{task}, 2)}
 	txt := FormatCurves(curves)
 	if !strings.Contains(txt, "oracle") || !strings.Contains(txt, "anti") {
 		t.Errorf("format missing methods:\n%s", txt)

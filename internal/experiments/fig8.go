@@ -54,37 +54,16 @@ func Figure8() *Figure8Result {
 	// Query: protein p1 (vertex 0 of occurrence o1). Scores exclude p1's
 	// own annotations by construction.
 	const query = 0 // p1
-	scores := scorer.Scores(query)
+	ranked := predict.TopK(scorer.Scores(query), 0)
 	res := &Figure8Result{Protein: pe.Network.Name(query), Vertex: 0}
-	best, bestScore := -1, 0.0
-	for t, s := range scores {
-		if s > bestScore {
-			best, bestScore = t, s
-		}
-	}
-	if best >= 0 {
+	best := -1
+	if len(ranked) > 0 {
+		best = ranked[0].Function
 		res.TopFunction = o.ID(best)
-		res.Score = bestScore
-	}
-	type ts struct {
-		t int
-		s float64
-	}
-	var ranked []ts
-	for t, s := range scores {
-		if s > 0 {
-			ranked = append(ranked, ts{t, s})
-		}
-	}
-	for i := 0; i < len(ranked); i++ {
-		for j := i + 1; j < len(ranked); j++ {
-			if ranked[j].s > ranked[i].s {
-				ranked[i], ranked[j] = ranked[j], ranked[i]
-			}
-		}
+		res.Score = ranked[0].Score
 	}
 	for _, r := range ranked {
-		res.Ranking = append(res.Ranking, fmt.Sprintf("%s:%.2f", o.ID(r.t), r.s))
+		res.Ranking = append(res.Ranking, fmt.Sprintf("%s:%.2f", o.ID(r.Function), r.Score))
 	}
 	// Truth: p1 is annotated with G04, G09, G10 (Table 2). The prediction
 	// is "correct" when the top term is one of them or an ancestor.

@@ -38,10 +38,3 @@ func (c *CSR) N() int { return len(c.offsets) - 1 }
 func (c *CSR) Neighbors(v int) []int32 {
 	return c.targets[c.offsets[v]:c.offsets[v+1]]
 }
-
-// Degree returns the number of neighbors of v.
-//
-// alloc-budget: 0
-func (c *CSR) Degree(v int) int {
-	return int(c.offsets[v+1] - c.offsets[v])
-}

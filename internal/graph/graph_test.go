@@ -595,8 +595,8 @@ func TestTreeHelpersInPackage(t *testing.T) {
 }
 
 func TestIsomorphicViaInvariantPath(t *testing.T) {
-	// Large graphs route through vf2DenseIso; ensure mismatched edge counts
-	// short-circuit.
+	// Graphs above canonExactMax route through the isomorphism search
+	// (IsoMappingInto); ensure mismatched edge counts short-circuit first.
 	a := NewDense(12)
 	b := NewDense(12)
 	for v := 1; v < 12; v++ {

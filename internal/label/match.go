@@ -21,31 +21,6 @@ func FindConforming(g *graph.Graph, c *ontology.Corpus, lm *LabeledMotif, limit 
 	if k == 0 || k > g.N() {
 		return nil
 	}
-	// conforms reports whether protein gv may play pattern vertex v.
-	conforms := func(v, gv int) bool {
-		scheme := lm.Labels[v]
-		if len(scheme) == 0 {
-			return true
-		}
-		ann := c.Terms(gv)
-		if len(ann) == 0 {
-			return true
-		}
-		for _, st := range scheme {
-			ok := false
-			for _, at := range ann {
-				if o.IsAncestorOrSelf(int(st), int(at)) {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-
 	// Connected matching order over the pattern.
 	order, prior := graph.ConnectedOrder(lm.Pattern)
 	mapped := make([]int, k)
@@ -78,7 +53,7 @@ func FindConforming(g *graph.Graph, c *ontology.Corpus, lm *LabeledMotif, limit 
 		}
 		u := order[pos]
 		try := func(gv int) bool {
-			if used[gv] || !conforms(u, gv) {
+			if used[gv] || !vertexConforms(o, lm.Labels[u], c.Terms(gv)) {
 				return false
 			}
 			for p := 0; p < pos; p++ {

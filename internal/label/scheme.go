@@ -52,33 +52,6 @@ func leastGeneral(lca func(ta, tb int) int, o *ontology.Ontology, w ontology.Wei
 	return capTerms(o, w, cand, maxTerms)
 }
 
-// MinimalFrontier removes every term that is a proper ancestor of another
-// term in the set, leaving the most specific cover. Exposed for callers
-// that want compact schemes (the paper's Table 4 keeps the full union).
-func MinimalFrontier(o *ontology.Ontology, ts []int32) []int32 {
-	return minimalFrontier(o, ts)
-}
-
-// minimalFrontier removes every term that is a proper ancestor of another
-// term in the set, leaving the most specific cover.
-func minimalFrontier(o *ontology.Ontology, ts []int32) []int32 {
-	var out []int32
-	for _, t := range ts {
-		minimal := true
-		for _, u := range ts {
-			if u != t && o.IsAncestorOrSelf(int(t), int(u)) {
-				minimal = false
-				break
-			}
-		}
-		if minimal {
-			out = append(out, t)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // capTerms keeps at most maxTerms terms, preferring the most specific
 // (lowest weight); ties break on term index for determinism.
 func capTerms(o *ontology.Ontology, w ontology.Weights, ts []int32, maxTerms int) []int32 {
@@ -115,26 +88,35 @@ func dedup(ts []int32) []int32 {
 
 // Conforms reports whether the labeling scheme (per-vertex label sets)
 // conforms to an occurrence's direct annotations under the given vertex
-// pairing semantics: every scheme term must be equal to or more general than
-// some annotation of the corresponding occurrence vertex. Vertices with an
-// empty scheme ("unknown") conform trivially, as do unannotated occurrence
-// vertices (the paper derives their labels from the other occurrences).
+// pairing semantics: every vertex's labels conform to the annotations of
+// the corresponding occurrence vertex (see vertexConforms).
 func Conforms(o *ontology.Ontology, scheme [][]int32, occLabels [][]int32) bool {
 	for v := range scheme {
-		if len(scheme[v]) == 0 || len(occLabels[v]) == 0 {
-			continue
+		if !vertexConforms(o, scheme[v], occLabels[v]) {
+			return false
 		}
-		for _, st := range scheme[v] {
-			ok := false
-			for _, at := range occLabels[v] {
-				if o.IsAncestorOrSelf(int(st), int(at)) {
-					ok = true
-					break
-				}
+	}
+	return true
+}
+
+// vertexConforms is the per-vertex conformance rule: every scheme term must
+// be equal to or more general than some annotation of the protein. An
+// empty scheme ("unknown") conforms trivially, as does an unannotated
+// protein (the paper derives its labels from the other occurrences).
+func vertexConforms(o *ontology.Ontology, scheme, ann []int32) bool {
+	if len(scheme) == 0 || len(ann) == 0 {
+		return true
+	}
+	for _, st := range scheme {
+		ok := false
+		for _, at := range ann {
+			if o.IsAncestorOrSelf(int(st), int(at)) {
+				ok = true
+				break
 			}
-			if !ok {
-				return false
-			}
+		}
+		if !ok {
+			return false
 		}
 	}
 	return true

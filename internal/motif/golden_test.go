@@ -60,3 +60,19 @@ func TestSampleConcentrationsGolden(t *testing.T) {
 	}
 	checkGolden(t, "randesu_sample.golden", b.Bytes())
 }
+
+// TestNeMoFindGolden pins NeMoFind's output on a fixed Barabási–Albert
+// graph: the pattern and frequency of every reported class, in order. The
+// tree-class cap and the occurrence reservoir are both tight, so a walk
+// that followed map order instead of each level's kept order would keep
+// different occurrences and move the classes and counts.
+func TestNeMoFindGolden(t *testing.T) {
+	g := randnet.BarabasiAlbert(300, 3, 2, rand.New(rand.NewSource(14)))
+	ms := NeMoFind(g, NeMoConfig{MinSize: 3, MaxSize: 6, MinFreq: 10, MaxTreeClasses: 12, MaxOccPerTree: 60, Seed: 3})
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "classes=%d\n", len(ms))
+	for _, m := range ms {
+		fmt.Fprintf(&b, "  %s freq=%d\n", m.Pattern, m.Frequency)
+	}
+	checkGolden(t, "nemofind.golden", b.Bytes())
+}

@@ -61,9 +61,10 @@ func NeMoFind(g *graph.Graph, cfg NeMoConfig) []*Motif {
 		freq int
 	}
 
-	// Level 2: the single edge tree.
+	// Level 2: the single edge tree. Each level is a slice in its kept
+	// order (frequency, then key), so the walk below, the reservoir's draws
+	// and the occurrences kept are the same on every run.
 	edgeKey, _ := graph.TreeCanonicalKey(edgePattern())
-	lvl := map[string]*treeClass{}
 	ec := &treeClass{key: edgeKey}
 	for _, e := range g.Edges(nil) {
 		ec.occs = append(ec.occs, []int32{e[0], e[1]})
@@ -73,16 +74,18 @@ func NeMoFind(g *graph.Graph, cfg NeMoConfig) []*Motif {
 		rng.Shuffle(len(ec.occs), func(i, j int) { ec.occs[i], ec.occs[j] = ec.occs[j], ec.occs[i] })
 		ec.occs = ec.occs[:cfg.MaxOccPerTree]
 	}
-	lvl[edgeKey] = ec
+	lvl := []*treeClass{ec}
 
 	var out []*Motif
-	report := func(classes map[string]*treeClass, size int) {
+	report := func(classes []*treeClass, size int) {
 		if size < cfg.MinSize {
 			return
 		}
-		// Group all supporting vertex sets by induced subgraph class.
+		// Group all supporting vertex sets by induced subgraph class;
+		// byClass is indexed by classifier id, so classes emit in the order
+		// they were first seen.
 		cl := graph.NewClassifier()
-		byClass := map[int]*Motif{}
+		var byClass []*Motif
 		seen := map[string]bool{}
 		for _, tc := range classes {
 			for _, vs := range tc.occs {
@@ -93,11 +96,10 @@ func NeMoFind(g *graph.Graph, cfg NeMoConfig) []*Motif {
 				seen[k] = true
 				d := g.Induced(vs)
 				id := cl.Classify(d)
-				m := byClass[id]
-				if m == nil {
-					m = &Motif{Pattern: cl.Rep(id), Uniqueness: -1}
-					byClass[id] = m
+				if id == len(byClass) {
+					byClass = append(byClass, &Motif{Pattern: cl.Rep(id), Uniqueness: -1})
 				}
+				m := byClass[id]
 				m.Frequency++
 				mp := cl.OccMapping(id, d)
 				occ := make([]int32, len(vs))
@@ -172,10 +174,7 @@ func NeMoFind(g *graph.Graph, cfg NeMoConfig) []*Motif {
 		if cfg.MaxTreeClasses > 0 && len(kept) > cfg.MaxTreeClasses {
 			kept = kept[:cfg.MaxTreeClasses]
 		}
-		lvl = map[string]*treeClass{}
-		for _, nc := range kept {
-			lvl[nc.key] = nc
-		}
+		lvl = kept
 		report(lvl, size)
 	}
 	sort.SliceStable(out, func(i, j int) bool {

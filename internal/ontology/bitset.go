@@ -21,18 +21,6 @@ func (b bitset) or(o bitset) {
 	}
 }
 
-func (b bitset) and(o bitset) {
-	for i := range b.words {
-		b.words[i] &= o.words[i]
-	}
-}
-
-func (b bitset) clone() bitset {
-	c := bitset{words: make([]uint64, len(b.words)), n: b.n}
-	copy(c.words, b.words)
-	return c
-}
-
 // each calls f for every set bit in ascending order.
 func (b bitset) each(f func(i int)) {
 	for wi, w := range b.words {
@@ -48,7 +36,7 @@ func (b bitset) each(f func(i int)) {
 // without materializing the intersection. This is the allocation-free
 // core of the LCA lookups on the precomputed ancestor bitsets: the hot
 // label-similarity path intersects ancestor sets millions of times, and
-// clone()+and()+each() would allocate a fresh word slice per call.
+// materializing each intersection would allocate a word slice per call.
 func (b bitset) eachAnd(o bitset, f func(i int)) {
 	words := b.words
 	if len(o.words) < len(words) {

@@ -1,7 +1,6 @@
 package predict
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -21,78 +20,21 @@ func TestTopK(t *testing.T) {
 	}
 }
 
-// TestTopKHeapEqualsSort sweeps random score vectors — drawn from a small
-// discrete set so ties are frequent — across every k, and requires the heap
-// selection to reproduce the sort path exactly, ties included.
-func TestTopKHeapEqualsSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	levels := []float64{0, 0, 0.25, 0.25, 0.5, 0.5, 0.75, 1, -1}
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(60)
-		scores := make([]float64, n)
-		for i := range scores {
-			scores[i] = levels[rng.Intn(len(levels))]
-		}
-		for k := 1; k <= n+1; k++ {
-			sorted := topKSort(scores, k)
-			heaped := topKHeap(scores, k)
-			if len(sorted) == 0 && len(heaped) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(heaped, sorted) {
-				t.Fatalf("trial %d n=%d k=%d: heap %v, sort %v\nscores %v",
-					trial, n, k, heaped, sorted, scores)
-			}
-		}
-	}
-}
-
-// TestTopKDispatch pins the selection threshold: a small k over a wide
-// vector must take the heap path and still match the sort path.
-func TestTopKDispatch(t *testing.T) {
-	scores := make([]float64, 160)
-	rng := rand.New(rand.NewSource(5))
-	for i := range scores {
-		scores[i] = float64(rng.Intn(8)) / 8
-	}
-	for _, k := range []int{0, 1, 10, 20, 21, 159, 160, 200} {
-		if got, want := TopK(scores, k), topKSort(scores, k); !reflect.DeepEqual(got, want) {
-			t.Fatalf("k=%d: TopK %v, sort %v", k, got, want)
-		}
-	}
-}
-
-// rankBenchScores builds a wide, mostly-positive score vector — the shape
-// of a GO-term-granularity task where partial selection pays off.
-func rankBenchScores(n int, seed int64) []float64 {
-	rng := rand.New(rand.NewSource(seed))
-	scores := make([]float64, n)
-	for i := range scores {
-		if rng.Float64() < 0.75 {
-			scores[i] = rng.Float64()
-		}
-	}
-	return scores
-}
-
-func BenchmarkTopKSort(b *testing.B) {
-	scores := rankBenchScores(4096, 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := topKSort(scores, 10); len(got) != 10 {
-			b.Fatal("short ranking")
-		}
-	}
-}
-
-func BenchmarkTopKHeap(b *testing.B) {
-	scores := rankBenchScores(4096, 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := topKHeap(scores, 10); len(got) != 10 {
-			b.Fatal("short ranking")
+// TestBefore pins the order itself: a higher score ranks first, and equal
+// scores rank by function index; no entry ranks before itself.
+func TestBefore(t *testing.T) {
+	hi, lo := Ranked{Function: 3, Score: 0.9}, Ranked{Function: 1, Score: 0.5}
+	tieA, tieB := Ranked{Function: 0, Score: 0.5}, Ranked{Function: 4, Score: 0.5}
+	for _, c := range []struct {
+		a, b Ranked
+		want bool
+	}{
+		{hi, lo, true}, {lo, hi, false},
+		{tieA, tieB, true}, {tieB, tieA, false},
+		{hi, hi, false},
+	} {
+		if got := c.a.Before(c.b); got != c.want {
+			t.Errorf("%v.Before(%v) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 }
