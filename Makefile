@@ -120,15 +120,20 @@ results:
 # the proteins and the first k exactly as url.ParseQuery does. Then
 # FuzzTraceContext for 10 s: an accepted X-Trace-Context must name a real
 # span slot and a trace ID that is one clean path segment, and must
-# survive a format/parse round trip. Last, FuzzPlan for 10 s: a JSON query
+# survive a format/parse round trip. Then FuzzPlan for 10 s: a JSON query
 # plan is either rejected with a named field or runs without a panic into
 # JSON whose row_count counts its rows, byte-identical at parallelism 1
-# and 4.
+# and 4. Then FuzzParseOBO for 10 s: no OBO input may panic, and an
+# accepted ontology indexes every term by its own ID and has no term among
+# its own ancestors. Last, FuzzLoadGAF for 10 s: no GAF input may panic,
+# with or without an aspect filter and symbol matching.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzPredictQuery$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceContext$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzPlan$$' -fuzztime 10s ./internal/query
+	$(GO) test -run '^$$' -fuzz '^FuzzParseOBO$$' -fuzztime 10s ./internal/ontology
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadGAF$$' -fuzztime 10s ./internal/dataset
 
 # bench-module vets and tests the benchmark's own Go module (bench/), which
 # the root ./... patterns never reach although it calls the pipeline's

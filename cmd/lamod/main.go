@@ -21,16 +21,15 @@
 //	lamod serve -artifact FILE [-addr HOST:PORT] [-parallelism N]
 //	            [-timeout D] [-drain D] [-pprof]
 //	            [-reload] [-reload-dir DIR]
-//	            [-log-level LEVEL] [-log-format json|logfmt]
-//	            [-trace-sample N] [-exemplars]
+//	            [-log-level LEVEL] [-trace-sample N] [-exemplars]
 //	lamod gateway -replicas HOST:PORT,HOST:PORT,... [-addr HOST:PORT]
 //	            [-vnodes N] [-probe-interval D] [-fail-threshold N]
 //	            [-attempts N] [-hedge-max D] [-drain D]
-//	            [-log-level LEVEL] [-log-format json|logfmt] [-trace-sample N]
+//	            [-log-level LEVEL] [-trace-sample N]
 //
 // build always traces its pipeline stages (census, uniqueness, labeling,
 // clustering, ranking) into the artifact's build metadata; -stats prints
-// the stage table after the build. serve emits structured access logs to
+// the stage table after the build. serve emits JSON access-log lines to
 // stderr at -log-level info and below (-log-level off disables them).
 // serve -reload exposes POST /v1/admin/reload for zero-downtime artifact
 // swaps (restricted to -reload-dir when set); gateway drives that
@@ -340,26 +339,18 @@ func runGateway(args []string) int {
 	return 0
 }
 
-// logFlags registers -log-level and -log-format, which lamod serve and
-// lamod gateway share, and returns the function that builds the logger
-// they select: nil at -log-level off, an error for a value neither flag
-// accepts. Logs go to stderr: stdout stays reserved for the operator
-// lines the e2e suite reads.
+// logFlags registers -log-level, which lamod serve and lamod gateway
+// share, and returns the function that builds the JSON logger it selects:
+// nil at -log-level off, an error for a value the flag does not accept.
+// Logs go to stderr: stdout stays reserved for the operator lines the e2e
+// suite reads.
 func logFlags(fs *flag.FlagSet) func() (*obs.Logger, error) {
 	level := fs.String("log-level", "info", "structured log level: debug, info, warn, error, off")
-	format := fs.String("log-format", "json", "structured log format: json or logfmt")
 	return func() (*obs.Logger, error) {
 		lv, err := obs.ParseLevel(*level)
-		if err != nil {
+		if err != nil || lv >= obs.LevelOff {
 			return nil, err
 		}
-		f, err := obs.ParseFormat(*format)
-		if err != nil {
-			return nil, err
-		}
-		if lv >= obs.LevelOff {
-			return nil, nil
-		}
-		return obs.NewLogger(os.Stderr, lv, f), nil
+		return obs.NewLogger(os.Stderr, lv), nil
 	}
 }

@@ -74,15 +74,15 @@ func (m *MIPS) CategoryOf(term int) int {
 }
 
 // randomTemplate returns a random connected pattern of the given size: a
-// random spanning tree plus extra chords. Distinct planting rounds get
-// distinct topologies with high probability, so their occurrence lists do
-// not pool into one isomorphism class.
-func randomTemplate(size int, rng *rand.Rand) *graph.Dense {
+// random spanning tree plus extra chord draws (a draw of one vertex twice
+// adds nothing). Distinct planting rounds get distinct topologies with
+// high probability, so their occurrence lists do not pool into one
+// isomorphism class.
+func randomTemplate(size, extra int, rng *rand.Rand) *graph.Dense {
 	d := graph.NewDense(size)
 	for v := 1; v < size; v++ {
 		d.AddEdge(v, rng.Intn(v))
 	}
-	extra := size/2 + 1
 	for e := 0; e < extra; e++ {
 		a, b := rng.Intn(size), rng.Intn(size)
 		if a != b {
@@ -90,6 +90,44 @@ func randomTemplate(size int, rng *rand.Rand) *graph.Dense {
 		}
 	}
 	return d
+}
+
+// plantInstances wires up to count embeddings of pat into g. Position v of
+// an instance takes protein pick(v, r) for a draw r in [0, perPos), so
+// positions repeat across instances (position-coherent, like subunits of
+// a complex); after eight draws that all clash with the instance's earlier
+// positions, the instance is dropped.
+func plantInstances(g *graph.Graph, pat *graph.Dense, count, perPos int, pick func(v, r int) int, rng *rand.Rand) PlantedTemplate {
+	n := pat.N()
+	pt := PlantedTemplate{Pattern: pat}
+	for inst := 0; inst < count; inst++ {
+		vs := make([]int32, n)
+		used := map[int]bool{}
+		ok := true
+		for v := 0; v < n && ok; v++ {
+			ok = false
+			for try := 0; try < 8; try++ {
+				if cand := pick(v, rng.Intn(perPos)); !used[cand] {
+					used[cand] = true
+					vs[v] = int32(cand)
+					ok = true
+					break
+				}
+			}
+		}
+		if !ok {
+			continue
+		}
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if pat.HasEdge(i, j) {
+					g.AddEdge(int(vs[i]), int(vs[j]))
+				}
+			}
+		}
+		pt.Instances = append(pt.Instances, vs)
+	}
+	return pt
 }
 
 // NewMIPS builds the benchmark. Planted motif instances receive
@@ -121,8 +159,8 @@ func NewMIPS(cfg MIPSConfig) *MIPS {
 	var planted []PlantedTemplate
 	nextProtein := 0
 	for nextProtein < budget {
-		tpl := randomTemplate(4+rng.Intn(4), rng) // sizes 4..7
-		nv := tpl.N()
+		nv := 4 + rng.Intn(4) // sizes 4..7
+		tpl := randomTemplate(nv, nv/2+1, rng)
 		// Fixed per-position categories drawn from a two-category pool:
 		// positions are deterministic (the labeled-motif signal) while
 		// within-template edges still often connect same-category proteins
@@ -142,40 +180,8 @@ func NewMIPS(cfg MIPSConfig) *MIPS {
 			break
 		}
 		nextProtein += need
-		pt := PlantedTemplate{Pattern: tpl.Clone()}
-		instances := perPos * 3 // heavy position reuse across instances
-		for inst := 0; inst < instances; inst++ {
-			vs := make([]int32, nv)
-			used := map[int]bool{}
-			ok := true
-			for v := 0; v < nv; v++ {
-				placed := false
-				for try := 0; try < 8; try++ {
-					cand := poolBase + v*perPos + rng.Intn(perPos)
-					if !used[cand] {
-						used[cand] = true
-						vs[v] = int32(cand)
-						placed = true
-						break
-					}
-				}
-				if !placed {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			for i := 0; i < nv; i++ {
-				for j := i + 1; j < nv; j++ {
-					if tpl.HasEdge(i, j) {
-						g.AddEdge(int(vs[i]), int(vs[j]))
-					}
-				}
-			}
-			pt.Instances = append(pt.Instances, vs)
-		}
+		// Heavy position reuse: three instances per sub-pool slot.
+		pt := plantInstances(g, tpl, perPos*3, perPos, func(v, r int) int { return poolBase + v*perPos + r }, rng)
 		planted = append(planted, pt)
 		// Assign position categories to the pool proteins.
 		for v := 0; v < nv; v++ {

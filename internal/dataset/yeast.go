@@ -223,65 +223,13 @@ func branchPrefix(b Branch) string {
 }
 
 // plantTemplate creates a random connected pattern and wires Instances
-// embeddings of it into g over a bounded protein pool.
+// embeddings of it into g over a bounded protein pool: position v draws
+// from its own sub-pool of the pool.
 func plantTemplate(g *graph.Graph, spec TemplateSpec, rng *rand.Rand) PlantedTemplate {
 	n := spec.Size
-	pat := graph.NewDense(n)
-	// Random spanning tree plus extra edges.
-	for v := 1; v < n; v++ {
-		pat.AddEdge(v, rng.Intn(v))
-	}
-	for e := 0; e < spec.Edges; e++ {
-		a, b := rng.Intn(n), rng.Intn(n)
-		if a != b {
-			pat.AddEdge(a, b)
-		}
-	}
-	// Pool of proteins for this template, per position: position v draws
-	// from its own sub-pool so corresponding vertices repeat across
-	// instances (position-coherent, like subunits of a complex).
-	poolSize := spec.PoolSize
-	if poolSize < n {
-		poolSize = n
-	}
+	pat := randomTemplate(n, spec.Edges, rng)
+	poolSize := max(spec.PoolSize, n)
 	pool := rng.Perm(g.N())[:poolSize]
 	perPos := poolSize / n
-	if perPos < 1 {
-		perPos = 1
-	}
-	pt := PlantedTemplate{Pattern: pat.Clone()}
-	for inst := 0; inst < spec.Instances; inst++ {
-		used := map[int]bool{}
-		vs := make([]int32, n)
-		ok := true
-		for v := 0; v < n; v++ {
-			// Try a few draws from position v's sub-pool to avoid clashes.
-			placed := false
-			for try := 0; try < 8; try++ {
-				cand := pool[(v*perPos+rng.Intn(perPos))%poolSize]
-				if !used[cand] {
-					used[cand] = true
-					vs[v] = int32(cand)
-					placed = true
-					break
-				}
-			}
-			if !placed {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if pat.HasEdge(i, j) {
-					g.AddEdge(int(vs[i]), int(vs[j]))
-				}
-			}
-		}
-		pt.Instances = append(pt.Instances, vs)
-	}
-	return pt
+	return plantInstances(g, pat, spec.Instances, perPos, func(v, r int) int { return pool[(v*perPos+r)%poolSize] }, rng)
 }

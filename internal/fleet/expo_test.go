@@ -360,7 +360,7 @@ func TestGatewayPromHostileDigest(t *testing.T) {
 	rt, err := New(Config{
 		Replicas:      []string{fake.URL},
 		ProbeInterval: 25 * time.Millisecond,
-		Logger:        obs.NewLogger(io.Discard, obs.LevelOff, obs.FormatLogfmt),
+		Logger:        obs.NewLogger(io.Discard, obs.LevelOff),
 	})
 	if err != nil {
 		t.Fatal(err)

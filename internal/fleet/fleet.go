@@ -63,8 +63,8 @@ const (
 	DefaultHedgeMax      = 500 * time.Millisecond
 )
 
-// Fixed limits. The gateway buffers a POST body under serve.MaxBody, the
-// replicas' own cap.
+// Fixed limits. The gateway reads a POST body under serve.MaxBody, the
+// replicas' own cap, and answers an oversized one with 413 as they do.
 const (
 	backoffMax   = 30 * time.Second // ceiling of an ejected replica's reprobe backoff
 	drainTimeout = 10 * time.Second // rollout: wait for a replica's in-flight requests

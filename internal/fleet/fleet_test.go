@@ -97,7 +97,7 @@ func newTestFleet(t testing.TB, n int, artPath, reloadDir string, tune func(*Con
 		ProbeTimeout:  time.Second,
 		BackoffBase:   50 * time.Millisecond,
 		HedgeMax:      -1, // hedging off unless a test opts in
-		Logger:        obs.NewLogger(io.Discard, obs.LevelOff, obs.FormatLogfmt),
+		Logger:        obs.NewLogger(io.Discard, obs.LevelOff),
 	}
 	if tune != nil {
 		tune(&cfg)
@@ -404,7 +404,7 @@ func TestFleetHedging(t *testing.T) {
 		ProbeInterval: 25 * time.Millisecond,
 		HedgeMin:      time.Millisecond,
 		HedgeMax:      20 * time.Millisecond,
-		Logger:        obs.NewLogger(io.Discard, obs.LevelOff, obs.FormatLogfmt),
+		Logger:        obs.NewLogger(io.Discard, obs.LevelOff),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -450,6 +450,48 @@ func TestFleetHedging(t *testing.T) {
 
 // TestFleetMetricsShape: the JSON snapshot self-identifies as a fleet
 // and carries upstream latency plus the replica table.
+// TestGatewayOversizedBodyRejected: both gateway routes that read a POST
+// body refuse one over serve.MaxBody with 413, as every daemon route does
+// (serve's TestOversizedBodyRejected), while a body of exactly
+// serve.MaxBody bytes is still read.
+func TestGatewayOversizedBodyRejected(t *testing.T) {
+	dir := t.TempDir()
+	path, _ := saveExample(t, dir, "version a")
+	_, _, ts := newTestFleet(t, 1, path, dir, nil)
+	// body is a JSON object padded to n bytes with an ignored field.
+	body := func(n int) string {
+		const open, close = `{"pad":"`, `"}`
+		return open + strings.Repeat("a", n-len(open)-len(close)) + close
+	}
+	post := func(url, body string) (int, []byte) {
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", url, err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, b
+	}
+	for _, route := range []string{"/v1/predict", "/v1/admin/rollout"} {
+		status, resp := post(ts.URL+route, body(serve.MaxBody+1))
+		if status != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: oversized body got status %d: %s", route, status, resp)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(resp, &e); err != nil || !strings.Contains(e.Error, "too large") {
+			t.Fatalf("%s: error body %s (%v)", route, resp, err)
+		}
+		if status, resp := post(ts.URL+route, body(serve.MaxBody)); status == http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: body at the cap refused: %s", route, resp)
+		}
+	}
+}
+
 func TestFleetMetricsShape(t *testing.T) {
 	dir := t.TempDir()
 	path, dig := saveExample(t, dir, "version a")

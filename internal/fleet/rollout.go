@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -233,12 +234,12 @@ func (rt *Router) handleRollout(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RolloutRequest
-	body, err := readBody(r, serve.MaxBody)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxBody))
 	if err == nil {
 		err = json.Unmarshal(body, &req)
 	}
 	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, "decode request: %v", err)
+		serve.WriteError(w, serve.BodyStatus(err), "decode request: %v", err)
 		return
 	}
 	if req.Artifact == "" {

@@ -321,13 +321,9 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	if r.Method == http.MethodPost {
 		var err error
-		body, err = readBody(r, serve.MaxBody)
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxBody))
 		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, errBodyTooLarge) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			serve.WriteError(w, status, "read body: %v", err)
+			serve.WriteError(w, serve.BodyStatus(err), "read body: %v", err)
 			return
 		}
 	}
@@ -458,21 +454,6 @@ func (rt *Router) handleFleet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	serve.WriteJSON(w, http.StatusOK, rt.fleetStatus())
-}
-
-var errBodyTooLarge = errors.New("request body too large")
-
-// readBody buffers a request body up to max bytes, failing rather than
-// truncating when the cap is exceeded.
-func readBody(r *http.Request, max int64) ([]byte, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, max+1))
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(body)) > max {
-		return nil, fmt.Errorf("%w (limit %d bytes)", errBodyTooLarge, max)
-	}
-	return body, nil
 }
 
 // getJSON GETs url within ctx and decodes the JSON body into v.

@@ -1,10 +1,12 @@
 // Package jsonx holds the zero-allocation JSON append encoders shared by
-// the serving hot paths: the /v1/predict response encoder in internal/serve
-// and the bulk-query row encoder in internal/query. Both paths render
-// byte-for-byte what encoding/json.Marshal would produce for the same
-// values, without reflection or intermediate buffers, so a pooled []byte
-// can carry a whole response. TestAppendStringMatchesStdlib and
-// TestAppendFloatMatchesStdlib pin the compatibility.
+// the serving hot paths: the /v1/predict response encoder in internal/serve,
+// the bulk-query row encoder in internal/query, and the structured log line
+// encoder in internal/obs, which quotes every string it writes through
+// AppendString. They render byte-for-byte what encoding/json.Marshal would
+// produce for the same values, without reflection or intermediate buffers,
+// so a pooled []byte can carry a whole response or log line.
+// TestAppendStringMatchesStdlib and TestAppendFloatMatchesStdlib pin the
+// compatibility.
 package jsonx
 
 import (

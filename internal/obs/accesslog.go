@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,48 +137,22 @@ func (a *AccessLog) flush() {
 	a.scratch = batch[:0]
 }
 
-// access encodes one access line without allocating: every value appends
-// into the pooled buffer through fixed-shape code, never fmt or variadic
-// fields. This is the path the serve alloc-budget gate measures with
-// logging enabled.
+// access writes one access line through the logger's one line encoder:
+// the record's own time, level info, msg "access", and five fixed fields
+// in a stack array, never fmt or a variadic call. This is the path the
+// serve alloc-budget gate measures with logging enabled.
 //
 // alloc-budget: 0
 func (l *Logger) access(rec *AccessRecord) {
 	if !l.Enabled(LevelInfo) {
 		return
 	}
-	bp := l.pool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	if l.format == FormatJSON {
-		buf = append(buf, `{"ts":"`...)
-		buf = rec.Time.UTC().AppendFormat(buf, time.RFC3339Nano)
-		buf = append(buf, `","level":"info","msg":"access","trace":`...)
-		buf = appendQuoted(buf, rec.TraceID)
-		buf = append(buf, `,"method":`...)
-		buf = appendQuoted(buf, rec.Method)
-		buf = append(buf, `,"route":`...)
-		buf = appendQuoted(buf, rec.Route)
-		buf = append(buf, `,"status":`...)
-		buf = strconv.AppendInt(buf, int64(rec.Status), 10)
-		buf = append(buf, `,"dur_us":`...)
-		buf = strconv.AppendInt(buf, rec.Duration.Microseconds(), 10)
-		buf = append(buf, "}\n"...)
-	} else {
-		buf = append(buf, "ts="...)
-		buf = rec.Time.UTC().AppendFormat(buf, time.RFC3339Nano)
-		buf = append(buf, " level=info msg=access trace="...)
-		buf = appendLogfmtValue(buf, rec.TraceID)
-		buf = append(buf, " method="...)
-		buf = appendLogfmtValue(buf, rec.Method)
-		buf = append(buf, " route="...)
-		buf = appendLogfmtValue(buf, rec.Route)
-		buf = append(buf, " status="...)
-		buf = strconv.AppendInt(buf, int64(rec.Status), 10)
-		buf = append(buf, " dur_us="...)
-		buf = strconv.AppendInt(buf, rec.Duration.Microseconds(), 10)
-		buf = append(buf, '\n')
+	fields := [5]Field{
+		String("trace", rec.TraceID),
+		String("method", rec.Method),
+		String("route", rec.Route),
+		Int64("status", int64(rec.Status)),
+		Int64("dur_us", rec.Duration.Microseconds()),
 	}
-	l.write(buf)
-	*bp = buf[:0]
-	l.pool.Put(bp)
+	l.line(rec.Time, LevelInfo, "access", fields[:])
 }

@@ -1,6 +1,6 @@
 // Package obs is the stdlib-only observability layer of the lamod stack:
-// lock-free latency histograms, leveled structured logging (JSON or
-// logfmt) with a pooled encoder, a bounded access-log ring that keeps
+// lock-free latency histograms, leveled structured logging (one JSON line
+// per call) through one pooled encoder, a bounded access-log ring that keeps
 // request logging off the serving hot path, deterministic request trace
 // IDs, per-stage pipeline tracing, and the metric Registry on which the
 // daemon and the gateway declare each series once, rendered from there to

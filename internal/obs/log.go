@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"lamofinder/internal/jsonx"
 )
 
 // Level orders log severities. LevelOff disables every message.
@@ -50,25 +52,6 @@ func (l Level) String() string {
 	return "off"
 }
 
-// Format selects the line encoding.
-type Format int8
-
-const (
-	FormatJSON Format = iota
-	FormatLogfmt
-)
-
-// ParseFormat reads a -log-format flag value.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "json":
-		return FormatJSON, nil
-	case "logfmt":
-		return FormatLogfmt, nil
-	}
-	return FormatJSON, fmt.Errorf("unknown log format %q (want json or logfmt)", s)
-}
-
 // Field is one key/value pair of a structured log line. Construct fields
 // with String/Int64/Dur so the encoder never reflects.
 type Field struct {
@@ -87,29 +70,27 @@ func Int64(k string, v int64) Field { return Field{Key: k, num: v, kind: 1} }
 // Dur builds a duration field, encoded as integer microseconds.
 func Dur(k string, d time.Duration) Field { return Field{Key: k, num: d.Microseconds(), kind: 2} }
 
-// Logger writes leveled structured lines (one per call) to a single
-// writer. Lines are encoded into pooled buffers and written under one
-// mutex, so concurrent goroutines never interleave bytes. A nil *Logger is
-// a valid no-op logger, which lets call sites skip nil checks.
+// Logger writes leveled structured lines, one JSON object per call, to a
+// single writer. Lines are encoded into pooled buffers and written under
+// one mutex, so concurrent goroutines never interleave bytes. A nil
+// *Logger is a valid no-op logger, which lets call sites skip nil checks.
 type Logger struct {
-	mu     sync.Mutex
-	w      io.Writer
-	level  Level
-	format Format
-	pool   sync.Pool
+	mu    sync.Mutex
+	w     io.Writer
+	level Level
+	pool  sync.Pool
 	// now is the timestamp source; tests pin it for deterministic lines.
 	now func() time.Time
 }
 
 // NewLogger builds a logger. w must tolerate concurrent Write calls being
 // serialized by the logger's mutex (os.File and bytes.Buffer both do).
-func NewLogger(w io.Writer, level Level, format Format) *Logger {
+func NewLogger(w io.Writer, level Level) *Logger {
 	return &Logger{
-		w:      w,
-		level:  level,
-		format: format,
-		pool:   sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }},
-		now:    time.Now,
+		w:     w,
+		level: level,
+		pool:  sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }},
+		now:   time.Now,
 	}
 }
 
@@ -129,122 +110,37 @@ func (l *Logger) emit(lv Level, msg string, fields []Field) {
 	if !l.Enabled(lv) {
 		return
 	}
+	l.line(l.now(), lv, msg, fields)
+}
+
+// line is the one line encoder: it writes ts (in UTC), level, msg and then
+// the fields in order as one JSON object, quoting every string with
+// jsonx.AppendString, into a pooled buffer, and writes that buffer whole.
+//
+// alloc-budget: 0
+func (l *Logger) line(ts time.Time, lv Level, msg string, fields []Field) {
 	bp := l.pool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	buf = l.head(buf, lv, msg)
-	for _, f := range fields {
-		buf = l.field(buf, f)
-	}
-	buf = append(buf, l.tail()...)
-	l.write(buf)
-	*bp = buf[:0]
-	l.pool.Put(bp)
-}
-
-// head opens a line: timestamp, level, msg.
-func (l *Logger) head(buf []byte, lv Level, msg string) []byte {
-	ts := l.now().UTC()
-	if l.format == FormatJSON {
-		buf = append(buf, `{"ts":"`...)
-		buf = ts.AppendFormat(buf, time.RFC3339Nano)
-		buf = append(buf, `","level":"`...)
-		buf = append(buf, lv.String()...)
-		buf = append(buf, `","msg":`...)
-		buf = appendQuoted(buf, msg)
-		return buf
-	}
-	buf = append(buf, "ts="...)
-	buf = ts.AppendFormat(buf, time.RFC3339Nano)
-	buf = append(buf, " level="...)
+	buf := append((*bp)[:0], `{"ts":"`...)
+	buf = ts.UTC().AppendFormat(buf, time.RFC3339Nano)
+	buf = append(buf, `","level":"`...)
 	buf = append(buf, lv.String()...)
-	buf = append(buf, " msg="...)
-	buf = appendLogfmtValue(buf, msg)
-	return buf
-}
-
-func (l *Logger) field(buf []byte, f Field) []byte {
-	if l.format == FormatJSON {
+	buf = append(buf, `","msg":`...)
+	buf = jsonx.AppendString(buf, msg)
+	for _, f := range fields {
 		buf = append(buf, ',')
-		buf = appendQuoted(buf, f.Key)
+		buf = jsonx.AppendString(buf, f.Key)
 		buf = append(buf, ':')
-		switch f.kind {
-		case 0:
-			buf = appendQuoted(buf, f.str)
-		default:
+		if f.kind == 0 {
+			buf = jsonx.AppendString(buf, f.str)
+		} else {
 			buf = strconv.AppendInt(buf, f.num, 10)
 		}
-		return buf
 	}
-	buf = append(buf, ' ')
-	buf = append(buf, f.Key...)
-	buf = append(buf, '=')
-	switch f.kind {
-	case 0:
-		buf = appendLogfmtValue(buf, f.str)
-	default:
-		buf = strconv.AppendInt(buf, f.num, 10)
-	}
-	return buf
-}
-
-func (l *Logger) tail() string {
-	if l.format == FormatJSON {
-		return "}\n"
-	}
-	return "\n"
-}
-
-func (l *Logger) write(buf []byte) {
+	buf = append(buf, "}\n"...)
 	l.mu.Lock()
 	// A failed log write has nowhere to be reported; the next line retries.
 	_, _ = l.w.Write(buf)
 	l.mu.Unlock()
-}
-
-const logHex = "0123456789abcdef"
-
-// appendQuoted appends s as a JSON string. Only the escapes a JSON parser
-// requires (quote, backslash, control bytes); multi-byte UTF-8 passes
-// through verbatim, which every JSON decoder accepts.
-func appendQuoted(buf []byte, s string) []byte {
-	buf = append(buf, '"')
-	start := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= 0x20 && c != '"' && c != '\\' {
-			continue
-		}
-		buf = append(buf, s[start:i]...)
-		switch c {
-		case '"', '\\':
-			buf = append(buf, '\\', c)
-		case '\n':
-			buf = append(buf, '\\', 'n')
-		case '\r':
-			buf = append(buf, '\\', 'r')
-		case '\t':
-			buf = append(buf, '\\', 't')
-		default:
-			buf = append(buf, '\\', 'u', '0', '0', logHex[c>>4], logHex[c&0xF])
-		}
-		start = i + 1
-	}
-	buf = append(buf, s[start:]...)
-	return append(buf, '"')
-}
-
-// appendLogfmtValue appends s, quoting it only when it contains a space,
-// an equals sign, a quote, or a control byte.
-func appendLogfmtValue(buf []byte, s string) []byte {
-	needQuote := len(s) == 0
-	for i := 0; i < len(s) && !needQuote; i++ {
-		c := s[i]
-		if c <= ' ' || c == '=' || c == '"' {
-			needQuote = true
-		}
-	}
-	if !needQuote {
-		return append(buf, s...)
-	}
-	return appendQuoted(buf, s)
+	*bp = buf[:0]
+	l.pool.Put(bp)
 }

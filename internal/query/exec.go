@@ -542,8 +542,10 @@ func siftDown(h []pair, i, m int) {
 }
 
 // appendRow append-encodes one projected row as a JSON array, prefixed
-// with ',' (the writer strips the first row's).
+// with ',' (the writer strips the first row's). Every /v1/query and lamod
+// query row passes through it, so taintdet treats it as a sink.
 //
+// lamovet:sink
 // alloc-budget: 0
 func appendRow(buf []byte, v *View, proj []uint8, p, f int32, score float64) []byte {
 	buf = append(buf, ',', '[')

@@ -63,7 +63,7 @@ func TestInstrumentedPredictAllocs(t *testing.T) {
 	}
 	art := indexedModel(t)
 	s, err := New(art, Config{
-		Logger: obs.NewLogger(io.Discard, obs.LevelInfo, obs.FormatJSON),
+		Logger: obs.NewLogger(io.Discard, obs.LevelInfo),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestInstrumentedPredictAllocs(t *testing.T) {
 func BenchmarkHandlerPredictInstrumented(b *testing.B) {
 	art := indexedModel(b)
 	s, err := New(art, Config{
-		Logger: obs.NewLogger(io.Discard, obs.LevelInfo, obs.FormatJSON),
+		Logger: obs.NewLogger(io.Discard, obs.LevelInfo),
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -21,7 +21,7 @@ func obsTestServer(t *testing.T, buf *lockedBuffer) (*Server, *httptest.Server) 
 	t.Helper()
 	art, _, _ := exampleModel(t)
 	s, err := New(reload(t, art), Config{
-		Logger: obs.NewLogger(buf, obs.LevelInfo, obs.FormatJSON),
+		Logger: obs.NewLogger(buf, obs.LevelInfo),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -55,8 +55,8 @@ import (
 
 // MaxBody caps the request body a replica decodes — a predict batch, a
 // query plan or a reload request — at 1 MiB, far above any valid request.
-// A larger body is answered with 413. The gateway buffers POST bodies
-// under the same cap (fleet.DefaultMaxBody).
+// A larger body is answered with 413. The gateway reads its POST bodies
+// (predict and rollout) under the same cap and answers them the same way.
 const MaxBody = 1 << 20
 
 // Config tunes the daemon. The zero value of any field falls back to the
@@ -501,7 +501,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		var req predictRequest
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBody)).Decode(&req); err != nil {
-			WriteError(w, bodyStatus(err), "bad request body: %v", err)
+			WriteError(w, BodyStatus(err), "bad request body: %v", err)
 			return
 		}
 		sc.proteins = append(sc.proteins, req.Proteins...)
@@ -579,7 +579,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	decodeSpan := tr.StartSpan(tr.Root(), "decode")
 	var plan query.Plan
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBody)).Decode(&plan); err != nil {
-		writeFieldError(w, bodyStatus(err), query.Errorf("body", "bad plan JSON: %v", err))
+		writeFieldError(w, BodyStatus(err), query.Errorf("body", "bad plan JSON: %v", err))
 		return
 	}
 	tr.EndSpan(decodeSpan)
@@ -635,9 +635,10 @@ func writeFieldError(w http.ResponseWriter, status int, fe *query.FieldError) {
 	WriteJSON(w, status, fieldErrorResponse{Error: fe.Error(), Field: fe.Field, Reason: fe.Reason})
 }
 
-// bodyStatus is the status for a request body that failed to decode: 413
-// when it overran MaxBody, 400 otherwise.
-func bodyStatus(err error) int {
+// BodyStatus is the status for a request body that failed to read or
+// decode through http.MaxBytesReader: 413 when it overran MaxBody, 400
+// otherwise. The gateway answers its own POST bodies through it too.
+func BodyStatus(err error) int {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		return http.StatusRequestEntityTooLarge
@@ -710,7 +711,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 	var req reloadRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBody)).Decode(&req); err != nil {
-		WriteError(w, bodyStatus(err), "bad request body: %v", err)
+		WriteError(w, BodyStatus(err), "bad request body: %v", err)
 		return
 	}
 	if req.Artifact == "" {
