@@ -775,7 +775,7 @@ func runInspect(args []string, stdout, stderr io.Writer) int {
 		BorderTerms:  len(art.Border),
 		MinDirect:    art.MinDirect,
 		Motifs:       len(art.Motifs),
-		Coverage:     art.NewScorer().Coverage(),
+		Coverage:     art.Coverage(),
 		BuildStats:   stats,
 	}
 	var buf bytes.Buffer

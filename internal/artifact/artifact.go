@@ -152,6 +152,26 @@ func (a *Artifact) NewScorer() *predict.LabeledMotif {
 	return label.NewScorer(a.Task(), a.Motifs)
 }
 
+// Coverage counts the proteins that occur in at least one labeled motif,
+// the population Eq. 5 can score at all. It equals NewScorer().Coverage()
+// without building the scorer: one pass over the motifs' occurrences.
+func (a *Artifact) Coverage() int {
+	seen := make([]uint64, (a.Graph.N()+63)/64)
+	n := 0
+	for _, lm := range a.Motifs {
+		for _, occ := range lm.Occurrences {
+			for _, p := range occ {
+				w, bit := p>>6, uint64(1)<<(p&63)
+				if seen[w]&bit == 0 {
+					seen[w] |= bit
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
 // Digest returns the hex SHA-256 of the artifact's encoded form, encoding
 // on first use. Loaded artifacts carry the verified on-disk digest.
 func (a *Artifact) Digest() (string, error) {

@@ -159,6 +159,17 @@ func TestScorerMatchesDirectConstruction(t *testing.T) {
 	}
 }
 
+// TestCoverageMatchesScorer pins Coverage, one pass over the occurrences,
+// to the scorer's count of proteins with at least one motif incidence.
+func TestCoverageMatchesScorer(t *testing.T) {
+	for _, a := range []*Artifact{testArtifact(t), paperExample(t)} {
+		got, want := a.Coverage(), a.NewScorer().Coverage()
+		if got != want || got == 0 {
+			t.Fatalf("%s: Coverage() = %d, NewScorer().Coverage() = %d", a.Dataset, got, want)
+		}
+	}
+}
+
 func TestTamperDetection(t *testing.T) {
 	a := testArtifact(t)
 	good, err := a.Encode()

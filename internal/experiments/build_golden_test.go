@@ -49,4 +49,7 @@ func TestQuickBuildGolden(t *testing.T) {
 	if digest != quickBuildDigest {
 		t.Errorf("digest %s, want %s", digest, quickBuildDigest)
 	}
+	if got, want := art.Coverage(), art.NewScorer().Coverage(); got != want {
+		t.Errorf("Coverage() = %d, NewScorer().Coverage() = %d", got, want)
+	}
 }

@@ -45,10 +45,12 @@ type AccessLog struct {
 
 // NewAccessLog builds a ring of the given capacity (<=0 selects 1024) and
 // starts its drain goroutine. Close stops the goroutine after flushing.
-// A nil logger yields a nil AccessLog, whose methods all no-op, so "logging
-// disabled" needs no branches at call sites.
+// A logger that drops Info lines (nil, or a level above info) yields a nil
+// AccessLog, whose methods all no-op, so "logging disabled" needs no
+// branches at call sites and no request pushes a record only to have it
+// dropped.
 func NewAccessLog(logger *Logger, capacity int) *AccessLog {
-	if logger == nil {
+	if !logger.Enabled(LevelInfo) {
 		return nil
 	}
 	if capacity <= 0 {

@@ -136,6 +136,11 @@ func TestAccessLogNilSafe(t *testing.T) {
 	if got := NewAccessLog(nil, 8); got != nil {
 		t.Fatal("NewAccessLog(nil logger) should be nil")
 	}
+	for _, lv := range []Level{LevelWarn, LevelError, LevelOff} {
+		if got := NewAccessLog(NewLogger(io.Discard, lv), 8); got != nil {
+			t.Fatalf("NewAccessLog at level %v should be nil: it would drop every line", lv)
+		}
+	}
 }
 
 func TestTracerNextID(t *testing.T) {

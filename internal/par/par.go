@@ -21,10 +21,11 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Do runs fn(i) for every i in [0, n) on up to workers goroutines. fn must
-// confine its writes to data owned by index i (slot i of a result slice);
-// under that contract the result is independent of the schedule. Do returns
-// after every call has completed. workers <= 0 resolves via Workers.
+// Do runs fn(i) for every i in [0, n) on up to workers goroutines, the
+// calling goroutine being one of them. fn must confine its writes to data
+// owned by index i (slot i of a result slice); under that contract the
+// result is independent of the schedule. Do returns after every call has
+// completed. workers <= 0 resolves via Workers.
 func Do(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -40,20 +41,24 @@ func Do(n, workers int, fn func(i int)) {
 		return
 	}
 	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 }
 

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -30,6 +31,25 @@ func TestDoCoversAllIndices(t *testing.T) {
 	}
 	Do(0, 4, func(int) { t.Fatal("fn called for n=0") })
 	Do(-3, 4, func(int) { t.Fatal("fn called for n<0") })
+}
+
+// TestDoRunsOnCaller: the calling goroutine is one of Do's workers, so w
+// workers start only w-1 goroutines.
+func TestDoRunsOnCaller(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var extra atomic.Int64
+	Do(256, 3, func(int) {
+		g := int64(runtime.NumGoroutine() - base)
+		for {
+			old := extra.Load()
+			if g <= old || extra.CompareAndSwap(old, g) {
+				return
+			}
+		}
+	})
+	if got := extra.Load(); got > 2 {
+		t.Fatalf("Do with 3 workers ran %d goroutines beside the caller, want at most 2", got)
+	}
 }
 
 func TestChunksBoundariesIndependentOfWorkers(t *testing.T) {

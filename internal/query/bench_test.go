@@ -54,19 +54,19 @@ func BenchmarkFilterBits(b *testing.B) {
 	reportPerRow(b, BatchSize)
 }
 
-func BenchmarkTopKColumn(b *testing.B) {
+func BenchmarkTopKCategory(b *testing.B) {
 	v := mipsView()
 	live := make([]uint64, len(v.annotated))
 	for i := range live {
 		live[i] = ^uint64(0)
 	}
-	heap := make([]pair, 0, 16)
+	top := make([]int32, 0, 16)
 	col := v.Column(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		heap = topkColumn(heap[:0], col, live, nil, 5)
+		top = topkCategory(top[:0], v.byCategory[0], col, live, nil, 5)
 	}
-	reportPerRow(b, v.NumProteins())
+	reportPerRow(b, len(top))
 }
 
 func BenchmarkAppendRows(b *testing.B) {
@@ -106,6 +106,7 @@ func BenchmarkExecuteGroupTopK(b *testing.B) {
 	v := mipsView()
 	plan := &Plan{GroupBy: "category", TopK: 10}
 	b.ReportAllocs()
+	var rows int
 	for i := 0; i < b.N; i++ {
 		res, fe := Execute(v, plan, 0)
 		if fe != nil {
@@ -114,9 +115,9 @@ func BenchmarkExecuteGroupTopK(b *testing.B) {
 		if _, err := res.WriteTo(io.Discard); err != nil {
 			b.Fatal(err)
 		}
+		rows = res.RowCount()
 	}
-	// Group mode scans every column slot regardless of k.
-	reportPerRow(b, v.NumProteins()*v.NumFunctions())
+	reportPerRow(b, rows)
 }
 
 // TestOperatorKernelAllocs is the runtime counterpart of the static
@@ -129,7 +130,7 @@ func TestOperatorKernelAllocs(t *testing.T) {
 		t.Fatal(fe)
 	}
 	sel := make([]int32, 0, BatchSize)
-	heap := make([]pair, 0, 16)
+	top := make([]int32, 0, 16)
 	buf := make([]byte, 0, 1<<20)
 	live := make([]uint64, len(v.annotated))
 	col := v.Column(0)
@@ -138,9 +139,12 @@ func TestOperatorKernelAllocs(t *testing.T) {
 		s = filterDegree(s, v.degree, opGE, 2)
 		s = filterBits(s, v.annotated, true)
 		markBits(live, s)
-		heap = topkColumn(heap[:0], col, live, nil, 5)
-		rows := 0
+		top = topkCategory(top[:0], v.byCategory[0], col, live, nil, 5)
 		buf2 := buf[:0]
+		for _, p := range top {
+			buf2 = appendRow(buf2, v, prog.proj, p, 0)
+		}
+		rows := rankingRowBound(v, prog.topk, s)
 		for _, p := range s {
 			buf2, rows = appendRankingRows(buf2, v, prog, p, rows)
 		}

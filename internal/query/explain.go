@@ -15,7 +15,7 @@ import (
 // allocation-identical whether or not anyone is watching.
 
 // Operator slots, in pipeline order. Per-protein plans use scan, filter,
-// emit; group plans add the per-category topk heap stage.
+// emit; group plans add the per-category topk stage.
 const (
 	opStageScan = iota
 	opStageFilter
@@ -128,14 +128,10 @@ func ExecuteStats(v *View, plan *Plan, parallelism int, collect bool) (*Result, 
 	}
 	res := &Result{Artifact: v.digest, Kind: prog.kind, Columns: prog.cols}
 	workers := par.Workers(parallelism)
-	var counts []int
 	if prog.group {
-		counts = execGroup(v, prog, workers, res, st)
+		execGroup(v, prog, workers, res, st)
 	} else {
-		counts = execPerProtein(v, prog, workers, res, st)
-	}
-	for _, c := range counts {
-		res.rowCount += c
+		execPerProtein(v, prog, workers, res, st)
 	}
 	if st == nil {
 		return res, nil, nil

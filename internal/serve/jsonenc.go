@@ -5,28 +5,31 @@ import (
 
 	"lamofinder/internal/jsonx"
 	"lamofinder/internal/predict"
+	"lamofinder/internal/query"
 )
 
 // This file is the zero-allocation JSON encoder for the predict hot path.
 // Responses were previously rendered by encoding/json over response
 // structs; the append-style encoder below produces byte-identical output
 // for the fixed /v1/predict shape without reflection or intermediate
-// buffers, so an index hit can serve entirely from a pooled []byte. The
-// string and float primitives live in internal/jsonx (shared with the
-// bulk-query row encoder); TestAppendPredictResponseMatchesStdlib pins the
-// response-shape compatibility.
+// buffers, so an index hit can serve entirely from a pooled []byte.
+// Function names and scores are copied from the query view's text,
+// encoded once per model load; the request's protein names are quoted
+// through internal/jsonx (shared with the bulk-query row encoder).
+// TestAppendPredictResponseMatchesStdlib pins the response-shape
+// compatibility.
 
 // appendPredictResponse renders the full /v1/predict body (trailing
 // newline included): byte-for-byte what json.Marshal produces over
 // PredictResponse, built by appending into the caller's buffer.
-// rankings[i] is the (already truncated) ranking for proteins[i]; function
-// names resolve through fnNames at encode time.
+// rankings[i] is the (already truncated) ranking of vertex ids[i], asked
+// for as proteins[i].
 //
 // alloc-budget: 0
-func appendPredictResponse(buf []byte, digest string, k int, proteins []string,
-	rankings [][]predict.Ranked, fnNames []string) []byte {
+func appendPredictResponse(buf []byte, v *query.View, k int, proteins []string,
+	ids []int, rankings [][]predict.Ranked) []byte {
 	buf = append(buf, `{"artifact":`...)
-	buf = jsonx.AppendString(buf, digest)
+	buf = jsonx.AppendString(buf, v.Digest())
 	buf = append(buf, `,"k":`...)
 	buf = strconv.AppendInt(buf, int64(k), 10)
 	buf = append(buf, `,"results":[`...)
@@ -44,9 +47,9 @@ func appendPredictResponse(buf []byte, digest string, k int, proteins []string,
 			buf = append(buf, `{"function":`...)
 			buf = strconv.AppendInt(buf, int64(r.Function), 10)
 			buf = append(buf, `,"name":`...)
-			buf = jsonx.AppendString(buf, fnNames[r.Function])
+			buf = append(buf, v.FunctionJSON(r.Function)...)
 			buf = append(buf, `,"score":`...)
-			buf = jsonx.AppendFloat(buf, r.Score)
+			buf = append(buf, v.ScoreJSON(ids[i], r.Function)...)
 			buf = append(buf, '}')
 		}
 		buf = append(buf, `]}`...)

@@ -3,13 +3,16 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"lamofinder/internal/obs"
 )
@@ -149,6 +152,46 @@ var promLine = regexp.MustCompile(`^[a-z_]+(\{[^}]*\})? [0-9.e+-]+$`)
 // TestPromEndpoint: /metrics parses line-by-line, carries the counters
 // and a non-empty predict histogram, and its histogram count matches the
 // JSON snapshot's.
+// TestWarnLevelServerSkipsAccessLog: a server whose logger drops Info
+// lines never writes an access line, so it builds no ring and starts no
+// drain goroutine, while /metrics still lists the drop counter, at 0. An
+// info-level server, the control, does start one.
+func TestWarnLevelServerSkipsAccessLog(t *testing.T) {
+	drains := func() int {
+		buf := make([]byte, 1<<20)
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "obs.(*AccessLog).drain")
+	}
+	before := drains()
+	info, err := New(indexedModel(t), Config{Logger: obs.NewLogger(io.Discard, obs.LevelInfo)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := drains(); got != before+1 {
+		t.Fatalf("info-level server: %d drain goroutines, want %d", got, before+1)
+	}
+	info.Close()
+	// Close returns once the drain has flushed; its goroutine exits just after.
+	for end := time.Now().Add(2 * time.Second); drains() != before && time.Now().Before(end); {
+		time.Sleep(time.Millisecond)
+	}
+	s, err := New(indexedModel(t), Config{Logger: obs.NewLogger(io.Discard, obs.LevelWarn)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := drains(); s.access != nil || got != before {
+		t.Fatalf("warn-level server built an access-log ring (%d drain goroutines, want %d)", got, before)
+	}
+	ts := newHTTPTestServer(t, s)
+	if status, body := get(t, ts.URL+"/v1/predict?protein=p1&k=3"); status != http.StatusOK {
+		t.Fatalf("predict: status %d: %s", status, body)
+	}
+	status, body := get(t, ts.URL+"/metrics")
+	if status != http.StatusOK || !strings.Contains(string(body), "\nlamod_access_log_dropped_total 0\n") {
+		t.Fatalf("/metrics (status %d) does not list lamod_access_log_dropped_total 0:\n%s", status, body)
+	}
+}
+
 func TestPromEndpoint(t *testing.T) {
 	var buf lockedBuffer
 	s, ts := obsTestServer(t, &buf)

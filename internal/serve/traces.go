@@ -8,12 +8,11 @@ import (
 	"lamofinder/internal/obs"
 )
 
-// Request tracing. Traces are created by the handlers themselves (not by
-// the instrument middleware): http.TimeoutHandler hands handlers a private
-// ResponseWriter with no Unwrap, so the middleware has no allocation-free
-// way to pass a per-request value through the deadlined chain — but the
-// request headers travel it untouched, and sampling plus trace identity
-// are pure functions of those headers.
+// Request tracing. Traces are created by the handlers themselves, not by
+// the instrument middleware: sampling and trace identity are pure
+// functions of the request headers, which reach every handler on the
+// request's own goroutine, and only the handler knows its root span's
+// name, so no per-request value has to pass through the mux.
 
 // startTrace decides sampling for one request and, when selected, checks
 // out a pooled trace whose root span is already open. Sampling is forced
@@ -26,10 +25,7 @@ import (
 // On the forced paths this function does not allocate (the alloc gate
 // measures it with a client-supplied ID). A head-sampled request with no
 // usable client ID mints one — that path allocates the ID string and a
-// fresh header slice, never the pooled recorder array: TimeoutHandler
-// copies the handler's header map into the outer one after the handler
-// returns, which can race a pooled array's next reuse but not a
-// per-request allocation.
+// one-element header slice in place of the recorder's echoed ID.
 func (s *Server) startTrace(w http.ResponseWriter, r *http.Request, root string) *obs.Trace {
 	id := r.Header.Get("X-Request-Id")
 	forced := obs.ValidTraceID(id)
