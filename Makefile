@@ -37,18 +37,18 @@ build:
 fmt:
 	@out=$$(gofmt -l .) && [ -z "$$out" ] || { echo "gofmt -l lists:"; echo "$$out"; exit 1; }
 
-# vet runs both the stock toolchain vet and the full 11-rule lamovet
-# suite (seven per-package rules plus the interprocedural taintdet,
-# lockorder, goroleak, and allocbudget).
+# vet runs both the stock toolchain vet and the full 12-rule lamovet
+# suite (seven per-package rules plus the module-wide taintdet,
+# lockorder, goroleak, allocbudget and unreached).
 vet: govet lamovet
 
 govet:
 	$(GO) vet ./...
 
 # lamovet is the project-specific analyzer suite guarding the determinism
-# contract (see DESIGN.md "Static analysis gates" and "Interprocedural
-# analysis"). It is stdlib-only and self-hosted: the repo must pass its
-# own linter.
+# contract and the reachability of every function (see DESIGN.md "Static
+# analysis gates" and "Interprocedural analysis"). It is stdlib-only and
+# self-hosted: the repo must pass its own linter.
 lamovet:
 	$(GO) run ./cmd/lamovet ./...
 
@@ -125,15 +125,20 @@ results:
 # JSON whose row_count counts its rows, byte-identical at parallelism 1
 # and 4. Then FuzzParseOBO for 10 s: no OBO input may panic, and an
 # accepted ontology indexes every term by its own ID and has no term among
-# its own ancestors. Last, FuzzLoadGAF for 10 s: no GAF input may panic,
-# with or without an aspect filter and symbol matching.
+# its own ancestors. Then FuzzLoadEdgeList for 10 s: no edge list may
+# panic, and an accepted one gives each vertex one distinct name, has no
+# self loop and keeps its edge set through a write/read round trip. Last,
+# FuzzLoadAnnotations for 10 s: no annotation file may panic, and an
+# accepted one covers every protein with no more annotations plus skipped
+# rows than it has lines.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzPredictQuery$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceContext$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzPlan$$' -fuzztime 10s ./internal/query
 	$(GO) test -run '^$$' -fuzz '^FuzzParseOBO$$' -fuzztime 10s ./internal/ontology
-	$(GO) test -run '^$$' -fuzz '^FuzzLoadGAF$$' -fuzztime 10s ./internal/dataset
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadEdgeList$$' -fuzztime 10s ./internal/dataset
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadAnnotations$$' -fuzztime 10s ./internal/dataset
 
 # bench-module vets and tests the benchmark's own Go module (bench/), which
 # the root ./... patterns never reach although it calls the pipeline's

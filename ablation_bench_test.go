@@ -118,29 +118,3 @@ func BenchmarkDirectedMiner(b *testing.B) {
 		dimotif.Find(g, cfg)
 	}
 }
-
-// BenchmarkRandESUSampling measures the RAND-ESU concentration estimator
-// against the exact census cost (BenchmarkESUCensus).
-func BenchmarkRandESUSampling(b *testing.B) {
-	g := benchNetwork(500, 1000, 2)
-	cfg := motif.RandESUConfig{K: 4, SampleFraction: 0.1, Seed: 3}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		motif.SampleConcentrations(g, cfg)
-	}
-}
-
-// BenchmarkMinerBeamStyle vs BenchmarkMinerNeMoStyle — the two mining
-// strategies: induced-class beam pruning vs repeated-tree pruning.
-func BenchmarkMinerNeMoStyle(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	g := randnet.BarabasiAlbert(600, 3, 2, rng)
-	cfg := motif.NeMoConfig{MinSize: 3, MaxSize: 6, MinFreq: 20,
-		MaxTreeClasses: 30, MaxOccPerTree: 200, Seed: 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		motif.NeMoFind(g, cfg)
-	}
-}

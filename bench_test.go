@@ -126,25 +126,6 @@ func benchNetwork(n, m int, seed int64) *graph.Graph {
 	return randnet.BarabasiAlbert(n, 3, m/n, rng)
 }
 
-// BenchmarkCanonicalKey measures exact canonicalization of size-8 patterns.
-func BenchmarkCanonicalKey(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	var ds []*graph.Dense
-	for i := 0; i < 64; i++ {
-		d := graph.NewDense(8)
-		for v := 1; v < 8; v++ {
-			d.AddEdge(v, rng.Intn(v))
-		}
-		d.AddEdge(rng.Intn(8), rng.Intn(8))
-		ds = append(ds, d)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		graph.CanonicalKey(ds[i%len(ds)])
-	}
-}
-
 // BenchmarkESUCensus measures the exact FANMOD-style size-4 census.
 func BenchmarkESUCensus(b *testing.B) {
 	g := benchNetwork(500, 1000, 2)

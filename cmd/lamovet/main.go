@@ -10,11 +10,12 @@
 //
 // Patterns follow the go tool ("./...", "./internal/graph"); with no
 // patterns the whole module is analyzed. The per-package rules run in
-// parallel across packages; the interprocedural rules (taintdet,
-// lockorder, goroleak, allocbudget) run once over the module-wide engine
-// built from every loaded package. -json emits the findings as a JSON
-// array (empty array when clean) for the CI artifact. Exit status is 1 if
-// any analyzer reports a finding, 2 on usage or load errors.
+// parallel across the matched packages; the module-wide rules (taintdet,
+// lockorder, goroleak, allocbudget, unreached) run once over an engine
+// built from every package of the module, and report on the matched
+// ones. -json emits the findings as a JSON array (empty array when clean)
+// for the CI artifact. Exit status is 1 if any analyzer reports a finding,
+// 2 on usage or load errors.
 package main
 
 import (
@@ -73,25 +74,15 @@ func main() {
 		os.Exit(2)
 	}
 	loader := analysis.NewLoader(root)
-	paths, err := loader.Expand(patterns)
+	paths, err := loader.LoadTargets(patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lamovet:", err)
 		os.Exit(2)
 	}
-	if len(paths) == 0 {
-		fmt.Fprintf(os.Stderr, "lamovet: no packages match %v\n", patterns)
-		os.Exit(2)
-	}
-	for _, path := range paths {
-		if _, err := loader.Load(path); err != nil {
-			fmt.Fprintln(os.Stderr, "lamovet:", err)
-			os.Exit(2)
-		}
-	}
 
-	// The engine sees every loaded package (targets plus the dependencies
-	// the loader pulled in), so interprocedural facts cross package
-	// boundaries; diagnostics are reported only for the target paths.
+	// The engine sees every package of the module, so interprocedural
+	// facts cross package boundaries and unreached sees every caller;
+	// diagnostics are reported only for the target paths.
 	engine := analysis.NewEngine(loader.Loaded())
 	diags := engine.Run(analyzers, paths, *workers)
 

@@ -26,7 +26,6 @@ func main() {
 	minFreq := flag.Int("minfreq", 20, "frequency threshold")
 	maxSize := flag.Int("maxsize", 8, "maximum motif size (beam miner)")
 	esu := flag.Int("esu", 0, "run the exact ESU census at this size instead of the beam miner")
-	nemo := flag.Bool("nemo", false, "use the NeMoFinder-style repeated-tree miner")
 	nullNets := flag.Int("nullnets", 10, "randomized networks for the uniqueness test")
 	uniq := flag.Float64("uniq", 0.9, "uniqueness threshold for the report")
 	zscores := flag.Bool("z", false, "also report Milo-style z-scores")
@@ -53,18 +52,10 @@ func main() {
 	fmt.Printf("network: %d vertices, %d edges\n", net.N(), net.M())
 
 	var motifs []*motif.Motif
-	switch {
-	case *esu > 0:
+	if *esu > 0 {
 		fmt.Printf("exact ESU census at size %d...\n", *esu)
 		motifs = motif.CensusESU(net, *esu, 200)
-	case *nemo:
-		cfg := motif.DefaultNeMoConfig()
-		cfg.MinFreq = *minFreq
-		cfg.MaxSize = *maxSize
-		cfg.Seed = *seed
-		fmt.Println("NeMoFinder-style repeated-tree mining...")
-		motifs = motif.NeMoFind(net, cfg)
-	default:
+	} else {
 		cfg := motif.DefaultConfig()
 		cfg.MinFreq = *minFreq
 		cfg.MaxSize = *maxSize

@@ -112,6 +112,7 @@ func All() []*Analyzer {
 		LockOrder(),
 		GoroLeak(),
 		AllocBudget(),
+		Unreached(),
 	}
 }
 
@@ -195,6 +196,22 @@ func sortDiagnostics(diags []Diagnostic) {
 		}
 		return a.Message < b.Message
 	})
+}
+
+// docLine finds the first doc-comment line that starts with marker and
+// returns the rest of it, trimmed: the one parser behind the markers the
+// rules read ("invariant:", "alloc-budget:", "lamovet:keep").
+func docLine(doc *ast.CommentGroup, marker string) (rest string, ok bool) {
+	if doc == nil {
+		return "", false
+	}
+	for _, c := range doc.List {
+		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+		if rest, ok := strings.CutPrefix(text, marker); ok {
+			return strings.TrimSpace(rest), true
+		}
+	}
+	return "", false
 }
 
 // relPath returns the package path relative to the module root, or ok=false

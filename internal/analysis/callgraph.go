@@ -37,16 +37,6 @@ func NewCallGraph() *CallGraph {
 	}
 }
 
-// Decl returns the syntax of a declared function, or nil for functions
-// outside the analyzed packages (standard library, interface methods).
-func (g *CallGraph) Decl(fn *types.Func) *ast.FuncDecl { return g.decls[fn] }
-
-// DeclPackage returns the analyzed package declaring fn, or nil.
-func (g *CallGraph) DeclPackage(fn *types.Func) *Package { return g.declPkg[fn] }
-
-// Callees returns fn's static callees in deterministic order.
-func (g *CallGraph) Callees(fn *types.Func) []*types.Func { return g.callees[fn] }
-
 // AddPackage records every function declaration and call edge of pkg.
 func (g *CallGraph) AddPackage(pkg *Package) {
 	for _, f := range pkg.Files {
@@ -66,12 +56,12 @@ func (g *CallGraph) AddPackage(pkg *Package) {
 	}
 }
 
-// collectCallees walks one function body (function literals included) and
-// resolves every statically known callee: direct calls, method calls, and
-// method values (x.M used as a value is an edge too — the method runs
-// whenever the value is invoked, and the rules here care about what *can*
-// run, not when).
-func collectCallees(pkg *Package, body *ast.BlockStmt) []*types.Func {
+// collectCallees walks one syntax tree — a function body (function
+// literals included) or a package-level declaration — and resolves every
+// statically known callee: direct calls, method calls, and method values
+// (x.M used as a value is an edge too — the method runs whenever the value
+// is invoked, and the rules here care about what *can* run, not when).
+func collectCallees(pkg *Package, root ast.Node) []*types.Func {
 	var out []*types.Func
 	seen := map[*types.Func]bool{}
 	add := func(fn *types.Func) {
@@ -80,7 +70,7 @@ func collectCallees(pkg *Package, body *ast.BlockStmt) []*types.Func {
 			out = append(out, fn)
 		}
 	}
-	ast.Inspect(body, func(n ast.Node) bool {
+	ast.Inspect(root, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.Ident:
 			if fn, ok := pkg.Info.Uses[n].(*types.Func); ok {
@@ -89,12 +79,13 @@ func collectCallees(pkg *Package, body *ast.BlockStmt) []*types.Func {
 		case *ast.SelectorExpr:
 			// Selections covers method calls and method values; package-
 			// qualified functions resolve through Uses on the Sel ident
-			// (handled by the Ident case above).
+			// (handled by the Ident case above). The walk goes on into the
+			// receiver expression, so f in f().M() is an edge too; seen
+			// drops the Sel ident's repeat of the method.
 			if sel, ok := pkg.Info.Selections[n]; ok && sel.Kind() != types.FieldVal {
 				if fn, ok := sel.Obj().(*types.Func); ok {
 					add(fn)
 				}
-				return false // Sel's Ident would double-count via Uses
 			}
 		}
 		return true

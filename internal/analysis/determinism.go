@@ -7,8 +7,9 @@ import (
 
 // determinismScope lists the algorithm packages whose output feeds the
 // paper's σ-frequency counts and figures: any randomness here must come
-// from an injected, explicitly seeded *rand.Rand (the pattern in
-// internal/motif/randesu.go), and wall-clock reads are forbidden outright.
+// from an injected, explicitly seeded *rand.Rand (the pattern of
+// internal/motif/uniqueness.go, one seeded stream per randomized
+// network), and wall-clock reads are forbidden outright.
 var determinismScope = []string{
 	"internal/graph",
 	"internal/motif",

@@ -21,8 +21,6 @@ type Engine struct {
 	Pkgs  []*Package // dependency order: imports precede importers
 	Graph *CallGraph
 	Facts *FactStore
-
-	byPath map[string]*Package
 }
 
 // NewEngine builds the engine over the given packages. The input may be
@@ -39,15 +37,8 @@ func NewEngine(pkgs []*Package) *Engine {
 	facts := newFactStore(pkgs, g)
 	computeTaintSummaries(pkgs, facts)
 	expandHeldCalls(g, facts)
-	byPath := make(map[string]*Package, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.Path] = p
-	}
-	return &Engine{Pkgs: pkgs, Graph: g, Facts: facts, byPath: byPath}
+	return &Engine{Pkgs: pkgs, Graph: g, Facts: facts}
 }
-
-// Package returns the analyzed package with the given import path, or nil.
-func (e *Engine) Package(path string) *Package { return e.byPath[path] }
 
 func dedupe(pkgs []*Package) []*Package {
 	seen := map[string]bool{}

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/token"
 	"math/rand"
 	"path/filepath"
@@ -51,26 +50,7 @@ func TestInterproceduralFixtures(t *testing.T) {
 				t.Fatal(err)
 			}
 			dir := filepath.Join(root, "internal", "analysis", "testdata", "src", tc.rule)
-			want := wantMarkers(t, dir)
-			got := map[string]int{}
-			for _, d := range engine.Run(analyzers, []string{tc.asPath}, 1) {
-				if d.Rule != tc.rule {
-					t.Errorf("diagnostic from unexpected rule: %s", d)
-				}
-				got[fmt.Sprintf("%s:%d", filepath.Base(d.Pos.Filename), d.Pos.Line)]++
-			}
-			for loc := range want {
-				if got[loc] == 0 {
-					t.Errorf("expected a %s finding at %s, got none", tc.rule, loc)
-				}
-			}
-			for loc, n := range got {
-				if !want[loc] {
-					t.Errorf("unexpected %s finding at %s", tc.rule, loc)
-				} else if n > 1 {
-					t.Errorf("%d duplicate %s findings at %s", n, tc.rule, loc)
-				}
-			}
+			checkWant(t, tc.rule, dir, engine.Run(analyzers, []string{tc.asPath}, 1))
 		})
 	}
 }
@@ -89,7 +69,7 @@ func TestOldRulesMissInterproceduralFixtures(t *testing.T) {
 	for _, tc := range interprocCases {
 		t.Run(tc.rule, func(t *testing.T) {
 			dir := filepath.Join(root, "internal", "analysis", "testdata", "src", tc.rule)
-			pkg, err := NewLoader(root).LoadDir(dir, tc.asPath)
+			pkg, err := sharedLoader(t).LoadDir(dir, tc.asPath)
 			if err != nil {
 				t.Fatalf("load fixture: %v", err)
 			}
@@ -100,13 +80,14 @@ func TestOldRulesMissInterproceduralFixtures(t *testing.T) {
 	}
 }
 
-// TestCallGraphEdges asserts the three edge kinds the graph promises:
-// static calls, method values, and calls made from inside a closure
-// (attributed to the enclosing declared function).
+// TestCallGraphEdges asserts the edge kinds the graph promises: static
+// calls, method values, calls made from inside a closure (attributed to
+// the enclosing declared function), and calls made inside a method call's
+// receiver.
 func TestCallGraphEdges(t *testing.T) {
 	root := moduleRoot(t)
 	dir := filepath.Join(root, "internal", "analysis", "testdata", "src", "callgraph")
-	pkg, err := NewLoader(root).LoadDir(dir, ModulePath+"/internal/cgfix")
+	pkg, err := sharedLoader(t).LoadDir(dir, ModulePath+"/internal/cgfix")
 	if err != nil {
 		t.Fatalf("load fixture: %v", err)
 	}
@@ -117,7 +98,7 @@ func TestCallGraphEdges(t *testing.T) {
 	for _, fn := range g.Functions() {
 		byName[fn.Name()] = true
 	}
-	for _, name := range []string{"Static", "MethodValue", "Closure", "target", "M"} {
+	for _, name := range []string{"Static", "MethodValue", "Closure", "Receiver", "target", "newT", "M"} {
 		if !byName[name] {
 			t.Fatalf("declared function %s missing from graph (have %v)", name, byName)
 		}
@@ -126,7 +107,7 @@ func TestCallGraphEdges(t *testing.T) {
 		for _, fn := range g.Functions() {
 			if fn.Name() == caller {
 				out := map[string]bool{}
-				for _, c := range g.Callees(fn) {
+				for _, c := range g.callees[fn] {
 					out[c.Name()] = true
 				}
 				return out
@@ -143,6 +124,9 @@ func TestCallGraphEdges(t *testing.T) {
 	}
 	if c := callees("Closure"); !c["target"] {
 		t.Errorf("Closure callees = %v, want target (closure-attributed edge)", c)
+	}
+	if c := callees("Receiver"); !c["newT"] || !c["M"] {
+		t.Errorf("Receiver callees = %v, want newT (called in the receiver) and M", c)
 	}
 	for _, fn := range g.Functions() {
 		if fn.Name() != "Static" {
@@ -162,8 +146,7 @@ func TestCallGraphEdges(t *testing.T) {
 // module-internal import of a package has its facts computed before the
 // package itself — even when the engine is handed packages in reverse.
 func TestFactsDependencyOrder(t *testing.T) {
-	root := moduleRoot(t)
-	loader := NewLoader(root)
+	loader := sharedLoader(t)
 	if _, err := loader.Load(ModulePath + "/internal/serve"); err != nil {
 		t.Fatal(err)
 	}

@@ -224,22 +224,15 @@ func (s *FactStore) sinkName(fn *types.Func) (string, bool) {
 // reachable through the call graph (0 = none). Returns -1 without the
 // annotation.
 func parseAllocBudget(doc *ast.CommentGroup) int {
-	if doc == nil {
+	rest, ok := docLine(doc, "alloc-budget:")
+	if !ok {
 		return -1
 	}
-	for _, c := range doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		rest, ok := strings.CutPrefix(text, "alloc-budget:")
-		if !ok {
-			continue
-		}
-		n, err := strconv.Atoi(strings.TrimSpace(rest))
-		if err != nil || n < 0 {
-			return -1
-		}
-		return n
+	n, err := strconv.Atoi(rest)
+	if err != nil || n < 0 {
+		return -1
 	}
-	return -1
+	return n
 }
 
 // hasJoinOps reports whether the body contains a channel operation, a

@@ -169,6 +169,31 @@ func (l *Loader) Load(path string) (*Package, error) {
 	return pkg, nil
 }
 
+// LoadTargets expands patterns into the target import paths and
+// type-checks them together with every other package of the module (the
+// "./..." expansion): module-wide rules such as unreached need every
+// caller loaded, whichever packages a run reports on. It fails when no
+// package matches.
+func (l *Loader) LoadTargets(patterns []string) ([]string, error) {
+	targets, err := l.Expand(patterns)
+	if err != nil {
+		return nil, err
+	}
+	if len(targets) == 0 {
+		return nil, fmt.Errorf("no packages match %v", patterns)
+	}
+	all, err := l.Expand([]string{"./..."})
+	if err != nil {
+		return nil, err
+	}
+	for _, path := range append(targets, all...) {
+		if _, err := l.Load(path); err != nil {
+			return nil, err
+		}
+	}
+	return targets, nil
+}
+
 // Loaded returns every package this loader has type-checked, in
 // dependency order (imports precede importers). Fixture packages loaded
 // via LoadDir are not included; append them explicitly when building an
@@ -182,6 +207,8 @@ func (l *Loader) Loaded() []*Package {
 // LoadDir type-checks a single directory outside the normal module layout
 // (analyzer test fixtures) under an assumed import path, so scoped rules
 // see the fixture as if it lived in the real package.
+//
+// lamovet:keep loads this package's rule fixtures and the bench module's package in bench/bench_test.go (TestLamovetClean)
 func (l *Loader) LoadDir(dir, asPath string) (*Package, error) {
 	return l.check(asPath, dir)
 }

@@ -37,7 +37,7 @@ func runNoPanic(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if hasInvariantDoc(fd.Doc) {
+			if _, ok := docLine(fd.Doc, invariantMarker); ok {
 				continue
 			}
 			name := fd.Name.Name
@@ -58,19 +58,4 @@ func runNoPanic(pass *Pass) {
 			})
 		}
 	}
-}
-
-// hasInvariantDoc reports whether any line of the doc comment starts with
-// the invariant marker.
-func hasInvariantDoc(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if strings.HasPrefix(text, invariantMarker) {
-			return true
-		}
-	}
-	return false
 }

@@ -1,6 +1,7 @@
-// Package fixture exercises the three call-graph edge kinds the unit
-// tests assert: a plain static call, a method value, and a call made from
-// inside a closure (attributed to the enclosing declared function).
+// Package fixture exercises the call-graph edge kinds the unit tests
+// assert: a plain static call, a method value, a call made from inside a
+// closure (attributed to the enclosing declared function), and a call
+// made inside a method call's receiver.
 package fixture
 
 type T struct {
@@ -33,4 +34,14 @@ func Closure() func() int {
 	return func() int {
 		return target()
 	}
+}
+
+// Receiver calls newT only inside the receiver of a method call; both
+// newT and T.M are its callees.
+func Receiver() int {
+	return newT().M()
+}
+
+func newT() T {
+	return T{n: 2}
 }

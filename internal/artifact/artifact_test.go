@@ -243,15 +243,15 @@ func TestSaveLoadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := loaded.Save(&buf); err != nil {
+	got, err := loaded.Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
 	orig, err := a.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), orig) {
+	if !bytes.Equal(got, orig) {
 		t.Fatal("file round trip not byte-identical")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -86,27 +85,6 @@ func (a *Artifact) Encode() ([]byte, error) {
 	sum := sha256.Sum256(out)
 	out = append(out, sum[:]...)
 	return out, nil
-}
-
-// Save writes the encoded artifact to w.
-func (a *Artifact) Save(w io.Writer) error {
-	b, err := a.Encode()
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(b); err != nil {
-		return fmt.Errorf("artifact: write: %w", err)
-	}
-	return nil
-}
-
-// Load reads an artifact from r, verifying magic, version and digest.
-func Load(r io.Reader) (*Artifact, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("artifact: read: %w", err)
-	}
-	return Decode(b)
 }
 
 // Decode verifies and decodes one encoded artifact.

@@ -7,6 +7,23 @@ import (
 	"testing/quick"
 )
 
+// MaxAssignment solves the maximum-score assignment problem for the square
+// score matrix s (s[i][j] = score of pairing row i with column j) and
+// returns the column assigned to each row plus the total score: the
+// slice-of-rows front the tests drive MaxAssignmentInto through.
+func MaxAssignment(s [][]float64) (assign []int, total float64) {
+	n := len(s)
+	if n == 0 {
+		return nil, 0
+	}
+	flat := make([]float64, 0, n*n)
+	for _, row := range s {
+		flat = append(flat, row[:n]...)
+	}
+	assign = make([]int, n)
+	return assign, MaxAssignmentInto(flat, n, assign, NewAssignScratch(n))
+}
+
 func TestMaxAssignmentSimple(t *testing.T) {
 	s := [][]float64{
 		{1, 5},
@@ -179,6 +196,24 @@ func TestNeighborJoiningQuartet(t *testing.T) {
 	if len(leaves) != 4 {
 		t.Errorf("root covers %d leaves", len(leaves))
 	}
+}
+
+// LeavesBelow returns the leaf ids in the subtree rooted at node, for the
+// neighbor-joining tests.
+func (t *Tree) LeavesBelow(node int) []int {
+	var out []int
+	var walk func(v int)
+	walk = func(v int) {
+		if v < t.NumLeaves {
+			out = append(out, v)
+			return
+		}
+		for _, c := range t.Children[v] {
+			walk(c)
+		}
+	}
+	walk(node)
+	return out
 }
 
 func TestNeighborJoiningTrivial(t *testing.T) {

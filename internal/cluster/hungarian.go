@@ -6,23 +6,6 @@ package cluster
 
 import "math"
 
-// MaxAssignment solves the maximum-score assignment problem for the square
-// score matrix s (s[i][j] = score of pairing row i with column j) and
-// returns the column assigned to each row plus the total score. It runs the
-// O(n^3) Hungarian (Kuhn–Munkres) algorithm on negated scores.
-func MaxAssignment(s [][]float64) (assign []int, total float64) {
-	n := len(s)
-	if n == 0 {
-		return nil, 0
-	}
-	flat := make([]float64, 0, n*n)
-	for _, row := range s {
-		flat = append(flat, row[:n]...)
-	}
-	assign = make([]int, n)
-	return assign, MaxAssignmentInto(flat, n, assign, NewAssignScratch(n))
-}
-
 // AssignScratch is the working memory of MaxAssignmentInto: the dual
 // potentials, the column matching and the per-row search state of the
 // Hungarian algorithm, for problems up to the size it was made for.

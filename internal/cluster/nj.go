@@ -150,22 +150,5 @@ func NeighborJoining(d [][]float64) *Tree {
 	return t
 }
 
-// LeavesBelow returns the leaf ids in the subtree rooted at node.
-func (t *Tree) LeavesBelow(node int) []int {
-	var out []int
-	var walk func(v int)
-	walk = func(v int) {
-		if v < t.NumLeaves {
-			out = append(out, v)
-			return
-		}
-		for _, c := range t.Children[v] {
-			walk(c)
-		}
-	}
-	walk(node)
-	return out
-}
-
 // NumNodes returns the total node count (leaves + internal).
 func (t *Tree) NumNodes() int { return len(t.Parent) }

@@ -168,15 +168,6 @@ func TestMIPSScale(t *testing.T) {
 	if len(m.Planted) == 0 {
 		t.Fatal("no planted templates")
 	}
-	// Category terms resolve.
-	for c, ct := range m.CategoryTerm {
-		if m.CategoryOf(ct) != c {
-			t.Errorf("CategoryOf(categoryTerm[%d]) = %d", c, m.CategoryOf(ct))
-		}
-	}
-	if m.CategoryOf(m.Ontology.Index("FC:root")) != -1 {
-		t.Error("root should have no category")
-	}
 }
 
 func TestMIPSPositionCategories(t *testing.T) {
@@ -301,45 +292,5 @@ func TestMIPSCorpusInformativeLeaves(t *testing.T) {
 	inf := m.Ontology.InformativeFC(direct, 30)
 	if len(inf) < cfg.Categories {
 		t.Errorf("only %d informative terms; labeling space too thin", len(inf))
-	}
-}
-
-func TestLoadGAF(t *testing.T) {
-	pe := NewPaperExample()
-	names := make([]string, 22)
-	for i := range names {
-		names[i] = pe.Network.Name(i)
-	}
-	gaf := "!gaf-version: 2.2\n" +
-		"SGD\tp1\tPROT1\t\tG04\tPMID:1\tIDA\t\tP\tname\t\tprotein\ttaxon:559292\t20070101\tSGD\t\t\n" +
-		"SGD\tp1\tPROT1\tNOT\tG09\tPMID:1\tIDA\t\tP\tname\t\tprotein\ttaxon:559292\t20070101\tSGD\t\t\n" +
-		"SGD\tp2\tPROT2\t\tG10\tPMID:1\tIDA\t\tC\tname\t\tprotein\ttaxon:559292\t20070101\tSGD\t\t\n" +
-		"SGD\tnope\tNOPE\t\tG04\tPMID:1\tIDA\t\tP\tname\t\tprotein\ttaxon:559292\t20070101\tSGD\t\t\n"
-	c, skipped, err := LoadGAF(strings.NewReader(gaf), pe.Ontology, names, GAFOptions{Aspect: 'P'})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Skipped: the NOT row, the aspect-C row, the unknown protein.
-	if skipped != 3 {
-		t.Errorf("skipped = %d, want 3", skipped)
-	}
-	if len(c.Terms(0)) != 1 || pe.Ontology.ID(int(c.Terms(0)[0])) != "G04" {
-		t.Errorf("p1 terms = %v", c.Terms(0))
-	}
-	if c.Annotated(1) {
-		t.Error("p2's component-aspect row should be filtered")
-	}
-	// Symbol matching.
-	names[0] = "PROT1"
-	c2, _, err := LoadGAF(strings.NewReader(gaf), pe.Ontology, names, GAFOptions{UseSymbol: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c2.Annotated(0) {
-		t.Error("symbol matching failed")
-	}
-	// Malformed row.
-	if _, _, err := LoadGAF(strings.NewReader("too\tfew\tcolumns\n"), pe.Ontology, names, GAFOptions{}); err == nil {
-		t.Error("malformed GAF accepted")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"lamofinder/internal/graph"
@@ -54,16 +53,6 @@ func LoadEdgeList(r io.Reader) (*graph.Graph, []string, error) {
 	return g, names, nil
 }
 
-// WriteEdgeList writes the graph as a protein-name edge list compatible
-// with LoadEdgeList.
-func WriteEdgeList(w io.Writer, g *graph.Graph) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range g.Edges(nil) {
-		fmt.Fprintf(bw, "%s\t%s\n", g.Name(int(e[0])), g.Name(int(e[1])))
-	}
-	return bw.Flush()
-}
-
 // LoadAnnotations reads a two-column "protein<TAB>term" annotation file
 // (GAF-flavored minimal form) into a corpus over the given ontology and
 // protein name table. Unknown proteins and terms are skipped and counted.
@@ -99,19 +88,4 @@ func LoadAnnotations(r io.Reader, o *ontology.Ontology, names []string) (*ontolo
 		return nil, skipped, fmt.Errorf("annotations: %w", err)
 	}
 	return c, skipped, nil
-}
-
-// WriteAnnotations writes the corpus in the format read by LoadAnnotations,
-// using the graph names for proteins.
-func WriteAnnotations(w io.Writer, c *ontology.Corpus, names []string) error {
-	bw := bufio.NewWriter(w)
-	o := c.Ontology()
-	for p := 0; p < c.NumProteins(); p++ {
-		ts := append([]int32(nil), c.Terms(p)...)
-		sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-		for _, t := range ts {
-			fmt.Fprintf(bw, "%s\t%s\n", names[p], o.ID(int(t)))
-		}
-	}
-	return bw.Flush()
 }

@@ -54,23 +54,12 @@ func DefaultMIPSConfig() MIPSConfig {
 type MIPS struct {
 	Task *predict.Task
 	// Ontology has one root, Categories subtree roots, and
-	// LeavesPerCategory leaves under each; CategoryOf maps a term to its
-	// category.
+	// LeavesPerCategory leaves under each.
 	Ontology *ontology.Ontology
 	Corpus   *ontology.Corpus
 	// CategoryTerm[c] is the subtree-root term index of category c.
 	CategoryTerm []int
 	Planted      []PlantedTemplate
-}
-
-// CategoryOf returns the category of a GO term (-1 for the root).
-func (m *MIPS) CategoryOf(term int) int {
-	for c, ct := range m.CategoryTerm {
-		if m.Ontology.IsAncestorOrSelf(ct, term) {
-			return c
-		}
-	}
-	return -1
 }
 
 // randomTemplate returns a random connected pattern of the given size: a

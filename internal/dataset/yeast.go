@@ -84,18 +84,6 @@ const (
 	numBranches
 )
 
-// String returns the branch's GO domain name.
-func (b Branch) String() string {
-	switch b {
-	case Process:
-		return "biological_process"
-	case Function:
-		return "molecular_function"
-	default:
-		return "cellular_component"
-	}
-}
-
 // Yeast is a synthetic whole-genome interactome with planted, GO-annotated
 // motif structure, substituting for the paper's BIND Y2H download.
 type Yeast struct {

@@ -111,35 +111,6 @@ func (d *DiDense) Underlying() *graph.Dense {
 	return u
 }
 
-// WeaklyConnected reports whether the underlying skeleton is connected.
-func (d *DiDense) WeaklyConnected() bool { return d.Underlying().Connected() }
-
-// Permute returns the graph relabeled so new vertex i is old vertex perm[i].
-func (d *DiDense) Permute(perm []int) *DiDense {
-	p := NewDiDense(d.n)
-	for i := 0; i < d.n; i++ {
-		for j := 0; j < d.n; j++ {
-			if i != j && d.HasArc(perm[i], perm[j]) {
-				p.AddArc(i, j)
-			}
-		}
-	}
-	return p
-}
-
-// Equal reports whether two directed graphs are identical as labeled graphs.
-func (d *DiDense) Equal(o *DiDense) bool {
-	if d.n != o.n {
-		return false
-	}
-	for i := 0; i < d.n; i++ {
-		if d.out[i] != o.out[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns a copy.
 func (d *DiDense) Clone() *DiDense {
 	c := *d
@@ -226,14 +197,6 @@ func vf2DirMap(a, b *DiDense) []int {
 		return nil
 	}
 	return mapping
-}
-
-// Isomorphic reports whether a and b are isomorphic directed graphs.
-func Isomorphic(a, b *DiDense) bool {
-	if a.n != b.n || a.M() != b.M() || Invariant(a) != Invariant(b) {
-		return false
-	}
-	return vf2DirMap(a, b) != nil
 }
 
 // Automorphisms enumerates the automorphisms of d, up to cap (0 = no cap),
@@ -338,9 +301,6 @@ type Classifier struct {
 func NewClassifier() *Classifier {
 	return &Classifier{byRaw: map[string]int{}, byInv: map[uint64][]int{}}
 }
-
-// NumClasses returns the number of classes seen.
-func (c *Classifier) NumClasses() int { return len(c.reps) }
 
 // Rep returns class id's representative.
 func (c *Classifier) Rep(id int) *DiDense { return c.reps[id] }

@@ -61,12 +61,6 @@ func (g *DiGraph) HasArc(u, v int) bool {
 	return i < len(s) && s[i] == int32(v)
 }
 
-// Out returns the sorted out-neighbors of v (owned by the graph).
-func (g *DiGraph) Out(v int) []int32 { return g.out[v] }
-
-// In returns the sorted in-neighbors of v (owned by the graph).
-func (g *DiGraph) In(v int) []int32 { return g.in[v] }
-
 // OutDegree and InDegree return the respective degrees of v.
 func (g *DiGraph) OutDegree(v int) int { return len(g.out[v]) }
 
@@ -120,16 +114,8 @@ func (g *DiGraph) weakNeighbors(v int, f func(w int32)) {
 	}
 }
 
-// InducedDi returns the directed induced subgraph on vs, in vs order.
-func (g *DiGraph) InducedDi(vs []int32) *DiDense {
-	d := NewDiDense(len(vs))
-	g.FillInducedDi(d, vs)
-	return d
-}
-
 // FillInducedDi resets d to the directed induced subgraph on vs, in vs
-// order: the scratch-reuse variant of InducedDi for the miner's per-
-// candidate loop.
+// order, reusing d's storage across the miner's candidates.
 func (g *DiGraph) FillInducedDi(d *DiDense, vs []int32) {
 	d.Reset(len(vs))
 	for i := range vs {

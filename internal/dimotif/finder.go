@@ -256,9 +256,6 @@ type LabeledMotif struct {
 	Uniqueness  float64
 }
 
-// Size returns the vertex count.
-func (lm *LabeledMotif) Size() int { return lm.Pattern.N() }
-
 // Describe renders the labeled motif against an ontology.
 func (lm *LabeledMotif) Describe(o *ontology.Ontology) string {
 	parts := []string{fmt.Sprintf("%s freq=%d uniq=%.2f", lm.Pattern, lm.Frequency, lm.Uniqueness)}

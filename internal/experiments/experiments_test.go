@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lamofinder/internal/dataset"
+	"lamofinder/internal/eval"
 )
 
 func TestTable1MatchesPaperExceptKnownDeviation(t *testing.T) {
@@ -126,6 +127,16 @@ func TestFigure6PipelineMini(t *testing.T) {
 		t.Error("text output malformed")
 	}
 	checkText(t, "fig6_mini", r)
+}
+
+// Curve returns the named method's curve, or nil.
+func (r *Figure9Result) Curve(name string) *eval.Curve {
+	for i := range r.Curves {
+		if r.Curves[i].Method == name {
+			return &r.Curves[i]
+		}
+	}
+	return nil
 }
 
 func TestFigure9PipelineMini(t *testing.T) {

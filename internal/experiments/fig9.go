@@ -207,16 +207,6 @@ func Figure9(cfg Figure9Config) *Figure9Result {
 	return res
 }
 
-// Curve returns the named method's curve, or nil.
-func (r *Figure9Result) Curve(name string) *eval.Curve {
-	for i := range r.Curves {
-		if r.Curves[i].Method == name {
-			return &r.Curves[i]
-		}
-	}
-	return nil
-}
-
 // WriteText renders the PR table and the method ordering, the textual
 // analogue of Figure 9.
 func (r *Figure9Result) WriteText(w io.Writer) error {

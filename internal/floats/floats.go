@@ -30,9 +30,3 @@ func Eq(a, b float64) bool {
 	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 	return diff <= Eps*scale
 }
-
-// Less reports whether a is less than b by more than the shared tolerance,
-// i.e. a < b and not Eq(a, b).
-func Less(a, b float64) bool {
-	return a < b && !Eq(a, b)
-}

@@ -30,15 +30,3 @@ func TestEq(t *testing.T) {
 		}
 	}
 }
-
-func TestLess(t *testing.T) {
-	if !Less(1, 2) {
-		t.Error("Less(1, 2) = false")
-	}
-	if Less(2, 1) {
-		t.Error("Less(2, 1) = true")
-	}
-	if Less(1, 1+1e-12) {
-		t.Error("Less within tolerance = true")
-	}
-}

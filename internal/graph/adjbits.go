@@ -36,13 +36,6 @@ func (a *AdjBits) Has(u, v int) bool {
 // Stride returns the number of 64-bit words per adjacency row.
 func (a *AdjBits) Stride() int { return a.stride }
 
-// Row returns the adjacency row of u as a word slice (read-only).
-//
-// alloc-budget: 0
-func (a *AdjBits) Row(u int) []uint64 {
-	return a.words[u*a.stride : (u+1)*a.stride]
-}
-
 // ExclusiveInto writes into dst the exclusive-neighborhood word mask of w:
 // row(w) with every bit <= root and every bit of covered cleared. covered
 // is the union of the current subgraph's membership and adjacency masks, so

@@ -4,7 +4,7 @@ import (
 	"math/bits"
 )
 
-// canonExactMax is the largest vertex count for which CanonicalKey computes
+// canonExactMax is the largest vertex count for which canonRows computes
 // an exact canonical form by (pruned) permutation search. Above this size,
 // pattern classes are resolved by invariant hashing plus explicit
 // isomorphism checks (see Classifier).
@@ -66,30 +66,6 @@ func Invariant(d *Dense) uint64 {
 		h = (h ^ c) * 0x100000001b3
 	}
 	return h
-}
-
-// CanonicalKey returns a string that is identical for isomorphic graphs and
-// distinct for non-isomorphic ones, for graphs with at most canonExactMax
-// vertices. It panics for larger graphs; use Classifier for those.
-//
-// invariant: d.n <= canonExactMax — exact canonical search is factorial in
-// the vertex count, so a larger input is a caller bug (the miner routes
-// meso-scale patterns through Classifier), never a data-dependent state.
-func CanonicalKey(d *Dense) string {
-	if d.n > canonExactMax {
-		panic("graph: CanonicalKey limited to 8 vertices; use Classifier")
-	}
-	var rows [canonExactMax]uint32
-	canonRows(d, &rows)
-	best := NewDense(d.n)
-	for i := 0; i < d.n; i++ {
-		for p := 0; p < i; p++ {
-			if rows[i]&(1<<uint(p)) != 0 {
-				best.AddEdge(i, p)
-			}
-		}
-	}
-	return best.bitsKey()
 }
 
 // canonState is the stack-resident state of the canonical permutation
@@ -222,21 +198,6 @@ func lexLess(a, b []uint32) bool {
 		}
 	}
 	return false
-}
-
-// Isomorphic reports whether a and b are isomorphic.
-func Isomorphic(a, b *Dense) bool {
-	if a.n != b.n || a.M() != b.M() {
-		return false
-	}
-	if Invariant(a) != Invariant(b) {
-		return false
-	}
-	if a.n <= canonExactMax {
-		return CanonicalKey(a) == CanonicalKey(b)
-	}
-	var mapping [MaxDense]int
-	return IsoMappingInto(a, b, mapping[:])
 }
 
 // Classifier interns dense graphs into isomorphism classes. It is the

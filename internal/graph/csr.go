@@ -28,9 +28,6 @@ func NewCSR(g *Graph) *CSR {
 	return c
 }
 
-// N returns the vertex count.
-func (c *CSR) N() int { return len(c.offsets) - 1 }
-
 // Neighbors returns the sorted neighbor row of v as a subslice of the
 // shared targets array. Callers must treat it as read-only.
 //

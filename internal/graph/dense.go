@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -70,23 +69,12 @@ func (d *Dense) HasEdge(u, v int) bool {
 	return d.rows[u]&(1<<uint(v)) != 0
 }
 
-// Row returns the adjacency bitmask of vertex v.
-func (d *Dense) Row(v int) uint32 { return d.rows[v] }
-
 // Degree returns the degree of vertex v.
 func (d *Dense) Degree(v int) int { return bits.OnesCount32(d.rows[v]) }
 
-// DegreeSequence returns the vertex degrees sorted descending.
-func (d *Dense) DegreeSequence() []int {
-	ds := make([]int, d.n)
-	for i := 0; i < d.n; i++ {
-		ds[i] = d.Degree(i)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(ds)))
-	return ds
-}
-
 // Connected reports whether the graph is connected (true for n <= 1).
+//
+// lamovet:keep checks patterns in tests of internal/graph, internal/motif (motif_test.go), internal/dimotif and the facade (lamofinder_test.go)
 func (d *Dense) Connected() bool {
 	if d.n <= 1 {
 		return true
@@ -112,46 +100,6 @@ func (d *Dense) Clone() *Dense {
 	return &c
 }
 
-// Permute returns the graph relabeled so that new vertex i is old vertex
-// perm[i].
-func (d *Dense) Permute(perm []int) *Dense {
-	p := NewDense(d.n)
-	for i := 0; i < d.n; i++ {
-		for j := i + 1; j < d.n; j++ {
-			if d.HasEdge(perm[i], perm[j]) {
-				p.AddEdge(i, j)
-			}
-		}
-	}
-	return p
-}
-
-// Equal reports whether d and o are identical labeled graphs.
-func (d *Dense) Equal(o *Dense) bool {
-	if d.n != o.n {
-		return false
-	}
-	for i := 0; i < d.n; i++ {
-		if d.rows[i] != o.rows[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Sparse converts d to a sparse Graph.
-func (d *Dense) Sparse() *Graph {
-	g := New(d.n)
-	for i := 0; i < d.n; i++ {
-		for j := i + 1; j < d.n; j++ {
-			if d.HasEdge(i, j) {
-				g.AddEdge(i, j)
-			}
-		}
-	}
-	return g
-}
-
 // String renders the edge list, e.g. "5:[0-1 1-2 2-3 3-4 4-0]".
 func (d *Dense) String() string {
 	var b strings.Builder
@@ -172,16 +120,9 @@ func (d *Dense) String() string {
 	return b.String()
 }
 
-// bitsKey packs the upper-triangle adjacency bits into a comparable string,
-// suitable as a map key for a fixed vertex labeling.
-func (d *Dense) bitsKey() string {
-	return string(d.AppendBits(make([]byte, 0, d.n*4+1)))
-}
-
 // AppendBits appends the raw adjacency-bits key of d to buf and returns the
 // extended slice. Classifier lookups use it with a reused scratch buffer so
-// the per-subgraph hot path performs zero allocations; bitsKey is the
-// allocating convenience wrapper.
+// the per-subgraph hot path performs zero allocations.
 //
 // alloc-budget: 0
 func (d *Dense) AppendBits(buf []byte) []byte {

@@ -149,47 +149,10 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// DegreeSequence returns the sorted (descending) degree sequence.
-func (g *Graph) DegreeSequence() []int {
-	ds := make([]int, len(g.adj))
-	for i := range g.adj {
-		ds[i] = len(g.adj[i])
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(ds)))
-	return ds
-}
-
-// ConnectedComponents returns the vertex sets of the connected components.
-func (g *Graph) ConnectedComponents() [][]int {
-	seen := make([]bool, len(g.adj))
-	var comps [][]int
-	var stack []int
-	for s := range g.adj {
-		if seen[s] {
-			continue
-		}
-		var comp []int
-		stack = append(stack[:0], s)
-		seen[s] = true
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, v)
-			for _, w := range g.adj[v] {
-				if !seen[w] {
-					seen[w] = true
-					stack = append(stack, int(w))
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
 // Induced returns the dense induced subgraph on the given vertices, in the
 // given vertex order. It panics if len(vs) exceeds MaxDense.
+//
+// lamovet:keep builds subgraphs in internal/motif's reference census and brute-force tests (esu_ref_test.go, motif_test.go) and in TestInduced
 func (g *Graph) Induced(vs []int32) *Dense {
 	d := NewDense(len(vs))
 	for i := 0; i < len(vs); i++ {

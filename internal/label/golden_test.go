@@ -52,8 +52,8 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // them runs the symmetry analysis that pairs occurrences.
 func TestFindConformingGolden(t *testing.T) {
 	var b bytes.Buffer
-	pe, d := exampleDictionary(t)
-	for i, lm := range d.Motifs() {
+	pe, motifs := exampleMotifs(t)
+	for i, lm := range motifs {
 		fmt.Fprintf(&b, "paper motif %d: %s\n", i, lm.Describe(pe.Ontology))
 		writeOccurrences(&b, FindConforming(pe.Network, pe.Corpus, lm, 0))
 	}

@@ -30,7 +30,7 @@ func TestMotifDictionaryRoundTrip(t *testing.T) {
 	}
 	for i := range got {
 		a, b := motifs[i], got[i]
-		if !a.Pattern.Equal(b.Pattern) {
+		if a.Pattern.String() != b.Pattern.String() {
 			t.Errorf("motif %d pattern differs: %v vs %v", i, a.Pattern, b.Pattern)
 		}
 		if a.Frequency != b.Frequency || a.Uniqueness != b.Uniqueness {

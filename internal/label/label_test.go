@@ -199,19 +199,19 @@ func TestConforms(t *testing.T) {
 	g04 := int32(pe.Term("G04"))
 	// Scheme {G05} conforms to occurrence vertex annotated {G09} (G05 is an
 	// ancestor of G09).
-	if !Conforms(o, [][]int32{{g05}}, [][]int32{{g09}}) {
+	if !vertexConforms(o, []int32{g05}, []int32{g09}) {
 		t.Error("ancestor scheme should conform")
 	}
 	// Scheme {G04} does not conform to {G09}.
-	if Conforms(o, [][]int32{{g04}}, [][]int32{{g09}}) {
+	if vertexConforms(o, []int32{g04}, []int32{g09}) {
 		t.Error("unrelated scheme should not conform")
 	}
 	// Unknown scheme vertex conforms to anything.
-	if !Conforms(o, [][]int32{nil}, [][]int32{{g09}}) {
+	if !vertexConforms(o, nil, []int32{g09}) {
 		t.Error("unknown scheme vertex must conform")
 	}
 	// Unannotated occurrence vertex conforms to any scheme.
-	if !Conforms(o, [][]int32{{g04}}, [][]int32{nil}) {
+	if !vertexConforms(o, []int32{g04}, nil) {
 		t.Error("unannotated occurrence vertex must conform")
 	}
 }
@@ -241,13 +241,11 @@ func TestLabelMotifPaperExample(t *testing.T) {
 		}
 		// The scheme must conform to every member occurrence.
 		for _, occ := range lm.Occurrences {
-			occLabels := make([][]int32, 4)
 			for v, p := range occ {
-				occLabels[v] = pe.Corpus.Terms(int(p))
-			}
-			if !Conforms(pe.Ontology, lm.Labels, occLabels) {
-				t.Errorf("scheme %v does not conform to occurrence %v",
-					lm.Describe(pe.Ontology), occ)
+				if !vertexConforms(pe.Ontology, lm.Labels[v], pe.Corpus.Terms(int(p))) {
+					t.Errorf("scheme %v does not conform to occurrence %v at vertex %d",
+						lm.Describe(pe.Ontology), occ, v)
+				}
 			}
 		}
 	}

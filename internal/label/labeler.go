@@ -146,9 +146,6 @@ func NewLabelerWithCounts(corpus *ontology.Corpus, direct []int, cfg Config) *La
 	}
 }
 
-// Weights exposes the genome-specific term weights in use.
-func (l *Labeler) Weights() ontology.Weights { return l.w }
-
 // ClusterStats returns the cumulative agglomeration telemetry: summed
 // per-motif clustering time (across all workers, so it can exceed wall
 // time) and the total occurrences clustered. Both are zero unless
@@ -156,9 +153,6 @@ func (l *Labeler) Weights() ontology.Weights { return l.w }
 func (l *Labeler) ClusterStats() (busy time.Duration, occurrences int64) {
 	return time.Duration(l.clusterNanos.Load()), l.clusterOccs.Load()
 }
-
-// Sim exposes the memoized similarity calculator.
-func (l *Labeler) Sim() *Sim { return l.sim }
 
 // initialLabels returns protein p's direct annotations, optionally
 // restricted to the label space T (border informative FC and descendants).

@@ -88,14 +88,3 @@ func TestLabelMotifMaxOccurrencesCap(t *testing.T) {
 		}
 	}
 }
-
-func TestWeightsAndSimAccessors(t *testing.T) {
-	pe := dataset.NewPaperExample()
-	l := NewLabelerWithCounts(pe.Corpus, pe.Direct, Config{Sigma: 2, MinDirect: 30})
-	if len(l.Weights()) != pe.Ontology.NumTerms() {
-		t.Error("Weights() wrong length")
-	}
-	if l.Sim() == nil {
-		t.Error("Sim() nil")
-	}
-}

@@ -86,19 +86,6 @@ func dedup(ts []int32) []int32 {
 	return out[:k]
 }
 
-// Conforms reports whether the labeling scheme (per-vertex label sets)
-// conforms to an occurrence's direct annotations under the given vertex
-// pairing semantics: every vertex's labels conform to the annotations of
-// the corresponding occurrence vertex (see vertexConforms).
-func Conforms(o *ontology.Ontology, scheme [][]int32, occLabels [][]int32) bool {
-	for v := range scheme {
-		if !vertexConforms(o, scheme[v], occLabels[v]) {
-			return false
-		}
-	}
-	return true
-}
-
 // vertexConforms is the per-vertex conformance rule: every scheme term must
 // be equal to or more general than some annotation of the protein. An
 // empty scheme ("unknown") conforms trivially, as does an unannotated

@@ -119,10 +119,6 @@ func NewSim(o *ontology.Ontology, w ontology.Weights) *Sim {
 	return &Sim{o: o, w: w, lca: ontology.NewLCAIndex(o, w), st: newSTCache(o.NumTerms())}
 }
 
-// LCAIndex exposes the prebuilt min-weight LCA index (same ontology and
-// weights as the Sim).
-func (s *Sim) LCAIndex() *ontology.LCAIndex { return s.lca }
-
 // Term returns the Lin similarity ST(ta, tb) (Eq. 1), memoized.
 func (s *Sim) Term(ta, tb int) float64 {
 	if ta > tb {

@@ -8,19 +8,6 @@ import (
 	"lamofinder/internal/par"
 )
 
-// EnumerateESU enumerates every connected vertex set of size k exactly once
-// (Wernicke's ESU algorithm, the core of FANMOD) and calls visit with the
-// sorted vertex set. The slice passed to visit is scratch reused across
-// subgraphs: copy it if it must outlive the call. visit may return false to
-// stop the enumeration early.
-func EnumerateESU(g *graph.Graph, k int, visit func(vs []int32) bool) {
-	if k <= 0 {
-		return
-	}
-	csr, bits := graph.NewCSR(g), graph.NewAdjBits(g)
-	enumerateESURange(newESUScratch(csr, bits, k), 0, g.N(), visit)
-}
-
 // enumerateESURange enumerates every connected k-set whose ESU root (the
 // set's smallest vertex) lies in [lo, hi), in ascending root order. The
 // union over a partition of [0, n) is exactly the full enumeration, which
@@ -44,9 +31,6 @@ func enumerateESURange(s *esuScratch, lo, hi int, visit func(vs []int32) bool) b
 // enumerateRoot enumerates every connected k-set rooted at v (v is the
 // minimum vertex of each set).
 func (s *esuScratch) enumerateRoot(v int32, visit func(vs []int32) bool) bool {
-	if s.keep != nil && !s.keep(0) {
-		return true
-	}
 	// Root extension set: neighbors of v greater than v, ascending.
 	row := s.g.Neighbors(int(v))
 	i := sort.Search(len(row), func(i int) bool { return row[i] > v })
@@ -83,9 +67,6 @@ func (s *esuScratch) extend(extLo, extHi int, visit func(vs []int32) bool) bool 
 	for extHi > extLo {
 		w := s.ext[extHi-1]
 		extHi--
-		if s.keep != nil && !s.keep(depth) {
-			continue
-		}
 		// Child extension = parent remainder + exclusive neighbors of w.
 		cnt := s.bits.ExclusiveInto(s.cand, s.coveredAt(depth), int(w), root)
 		childLo := s.top

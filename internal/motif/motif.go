@@ -9,7 +9,6 @@ package motif
 
 import (
 	"fmt"
-	"sort"
 
 	"lamofinder/internal/graph"
 )
@@ -37,23 +36,4 @@ func (m *Motif) Size() int { return m.Pattern.N() }
 // String summarizes the motif.
 func (m *Motif) String() string {
 	return fmt.Sprintf("motif%s freq=%d uniq=%.2f", m.Pattern, m.Frequency, m.Uniqueness)
-}
-
-// VertexSet returns occurrence k's vertices sorted ascending.
-func (m *Motif) VertexSet(k int) []int32 {
-	vs := append([]int32(nil), m.Occurrences[k]...)
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	return vs
-}
-
-// setKey encodes a sorted vertex set as a map key.
-func setKey(vs []int32) string {
-	b := make([]byte, 4*len(vs))
-	for i, v := range vs {
-		b[4*i] = byte(v)
-		b[4*i+1] = byte(v >> 8)
-		b[4*i+2] = byte(v >> 16)
-		b[4*i+3] = byte(v >> 24)
-	}
-	return string(b)
 }

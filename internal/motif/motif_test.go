@@ -1,12 +1,27 @@
 package motif
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"lamofinder/internal/graph"
 	"lamofinder/internal/randnet"
 )
+
+// EnumerateESU enumerates every connected vertex set of size k exactly once
+// (Wernicke's ESU algorithm, the core of FANMOD) and calls visit with the
+// sorted vertex set: the census walker over all roots, which the tests
+// check against brute force and the map-and-slice reference. The slice
+// passed to visit is scratch reused across subgraphs. visit may return
+// false to stop the enumeration early.
+func EnumerateESU(g *graph.Graph, k int, visit func(vs []int32) bool) {
+	if k <= 0 {
+		return
+	}
+	csr, bits := graph.NewCSR(g), graph.NewAdjBits(g)
+	enumerateESURange(newESUScratch(csr, bits, k), 0, g.N(), visit)
+}
 
 // ring returns a cycle graph of n vertices.
 func ring(n int) *graph.Graph {
@@ -42,7 +57,7 @@ func TestEnumerateESUCompleteGraph(t *testing.T) {
 	count := 0
 	seen := map[string]bool{}
 	EnumerateESU(g, 3, func(vs []int32) bool {
-		k := setKey(vs)
+		k := fmt.Sprint(vs)
 		if seen[k] {
 			t.Fatalf("duplicate set %v", vs)
 		}
@@ -204,23 +219,24 @@ func TestFindFrequencyMatchesESUWhenUncapped(t *testing.T) {
 	mined := Find(g, cfg)
 	for _, k := range []int{3, 4} {
 		exact := CensusESU(g, k, 0)
-		exactBy := map[string]int{}
+		cl := graph.NewClassifier()
+		exactBy := map[int]int{}
 		for _, m := range exact {
-			exactBy[graph.CanonicalKey(m.Pattern)] = m.Frequency
+			exactBy[cl.Classify(m.Pattern)] = m.Frequency
 		}
 		for _, m := range mined {
 			if m.Size() != k {
 				continue
 			}
-			key := graph.CanonicalKey(m.Pattern)
-			if exactBy[key] != m.Frequency {
+			id := cl.Classify(m.Pattern)
+			if exactBy[id] != m.Frequency {
 				t.Errorf("k=%d pattern %v: mined freq %d, exact %d",
-					k, m.Pattern, m.Frequency, exactBy[key])
+					k, m.Pattern, m.Frequency, exactBy[id])
 			}
-			delete(exactBy, key)
+			delete(exactBy, id)
 		}
-		for key, f := range exactBy {
-			t.Errorf("k=%d: exact class %x freq %d missed by miner", k, key, f)
+		for id, f := range exactBy {
+			t.Errorf("k=%d: exact class %v freq %d missed by miner", k, cl.Rep(id), f)
 		}
 	}
 }
@@ -302,10 +318,6 @@ func TestMotifAccessors(t *testing.T) {
 	m := &Motif{Pattern: p, Occurrences: [][]int32{{9, 4, 7}}, Frequency: 1, Uniqueness: 0.5}
 	if m.Size() != 3 {
 		t.Errorf("Size = %d", m.Size())
-	}
-	vs := m.VertexSet(0)
-	if vs[0] != 4 || vs[1] != 7 || vs[2] != 9 {
-		t.Errorf("VertexSet = %v", vs)
 	}
 	if m.String() == "" {
 		t.Error("empty String()")

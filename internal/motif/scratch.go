@@ -28,12 +28,6 @@ type esuScratch struct {
 	top     int      // arena high-water mark of the live segments
 	stride  int
 	k       int
-	// keep, when set, prunes the walk (RAND-ESU): it is asked once before
-	// a root's set-up, at depth 0, and once per popped extension entry,
-	// at the current subgraph size, before the entry's exclusive
-	// neighbours are computed; false skips that root or entry. Nil keeps
-	// everything, the exact census.
-	keep func(depth int) bool
 }
 
 // newESUScratch sizes an arena for size-k enumeration over the given views.

@@ -58,7 +58,7 @@ type Field struct {
 	Key  string
 	str  string
 	num  int64
-	kind uint8 // 0 = string, 1 = int64, 2 = duration-in-µs
+	kind uint8 // 0 = string, 1 = int64
 }
 
 // String builds a string-valued field.
@@ -66,9 +66,6 @@ func String(k, v string) Field { return Field{Key: k, str: v} }
 
 // Int64 builds an integer-valued field.
 func Int64(k string, v int64) Field { return Field{Key: k, num: v, kind: 1} }
-
-// Dur builds a duration field, encoded as integer microseconds.
-func Dur(k string, d time.Duration) Field { return Field{Key: k, num: d.Microseconds(), kind: 2} }
 
 // Logger writes leveled structured lines, one JSON object per call, to a
 // single writer. Lines are encoded into pooled buffers and written under
@@ -94,17 +91,12 @@ func NewLogger(w io.Writer, level Level) *Logger {
 	}
 }
 
-// SetClock replaces the timestamp source (tests only).
-func (l *Logger) SetClock(now func() time.Time) { l.now = now }
-
 // Enabled reports whether lines at lv would be written.
 func (l *Logger) Enabled(lv Level) bool { return l != nil && lv >= l.level && l.level != LevelOff }
 
-// Debug, Info, Warn and Error emit one structured line at their level.
-func (l *Logger) Debug(msg string, fields ...Field) { l.emit(LevelDebug, msg, fields) }
-func (l *Logger) Info(msg string, fields ...Field)  { l.emit(LevelInfo, msg, fields) }
-func (l *Logger) Warn(msg string, fields ...Field)  { l.emit(LevelWarn, msg, fields) }
-func (l *Logger) Error(msg string, fields ...Field) { l.emit(LevelError, msg, fields) }
+// Info and Warn emit one structured line at their level.
+func (l *Logger) Info(msg string, fields ...Field) { l.emit(LevelInfo, msg, fields) }
+func (l *Logger) Warn(msg string, fields ...Field) { l.emit(LevelWarn, msg, fields) }
 
 func (l *Logger) emit(lv Level, msg string, fields []Field) {
 	if !l.Enabled(lv) {

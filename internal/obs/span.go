@@ -162,14 +162,6 @@ func (t *Trace) AddSpan(parent int32, name, detail string, start time.Time, dur 
 	return i
 }
 
-// Dropped returns how many spans were discarded after the tree filled.
-func (t *Trace) Dropped() int32 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped
-}
-
 // Tracer is a server's one telemetry object for requests: it mints the
 // IDs of requests that bring none, decides which requests record spans,
 // and owns the pooled traces and the bounded store finished traces land

@@ -57,7 +57,7 @@ func TestTraceSpanOverflowCountsDrops(t *testing.T) {
 	for i := 0; i < MaxSpans+5; i++ {
 		trace.StartSpan(trace.Root(), "extra")
 	}
-	if d := trace.Dropped(); d != 6 { // root + (MaxSpans-1) fit; 6 spill
+	if d := trace.dropped; d != 6 { // root + (MaxSpans-1) fit; 6 spill
 		t.Fatalf("dropped = %d, want 6", d)
 	}
 	tr.Finish(trace)

@@ -64,37 +64,3 @@ func (c *Corpus) DirectCounts() []int {
 	}
 	return counts
 }
-
-// MeanTermsPerProtein returns the average number of annotation terms per
-// annotated protein, counting inherited ancestor terms, mirroring the
-// paper's "average of 9.34 GO terms" statistic for yeast.
-func (c *Corpus) MeanTermsPerProtein() float64 {
-	total, n := 0, 0
-	seen := newBitset(c.o.NumTerms())
-	for _, ts := range c.terms {
-		if len(ts) == 0 {
-			continue
-		}
-		for i := range seen.words {
-			seen.words[i] = 0
-		}
-		for _, t := range ts {
-			seen.or(c.o.anc[int(t)])
-		}
-		total += seen.count()
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(total) / float64(n)
-}
-
-// Clone returns a deep copy of the corpus.
-func (c *Corpus) Clone() *Corpus {
-	n := &Corpus{o: c.o, terms: make([][]int32, len(c.terms))}
-	for i, ts := range c.terms {
-		n.terms[i] = append([]int32(nil), ts...)
-	}
-	return n
-}

@@ -264,19 +264,3 @@ func (x *LCAIndex) Lin(ta, tb int) float64 {
 	}
 	return st
 }
-
-// Resnik returns the Resnik similarity of ta and tb under the index's
-// weights, identical to Ontology.Resnik.
-//
-// alloc-budget: 0
-func (x *LCAIndex) Resnik(ta, tb int) float64 {
-	lca := x.LCA(ta, tb)
-	if lca < 0 || x.w[lca] <= 0 {
-		return 0
-	}
-	ic := -math.Log(x.w[lca])
-	if ic < 0 {
-		return 0
-	}
-	return ic
-}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -100,34 +99,4 @@ func ParseOBO(r io.Reader) (*Ontology, error) {
 		o.addAlias(alt, primary)
 	}
 	return o, nil
-}
-
-// WriteOBO serializes the ontology in the minimal OBO subset understood by
-// ParseOBO, with terms in index order.
-func WriteOBO(w io.Writer, o *Ontology) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "format-version: 1.2")
-	for t := 0; t < o.NumTerms(); t++ {
-		fmt.Fprintln(bw)
-		fmt.Fprintln(bw, "[Term]")
-		fmt.Fprintf(bw, "id: %s\n", o.ID(t))
-		if o.Name(t) != "" {
-			fmt.Fprintf(bw, "name: %s\n", o.Name(t))
-		}
-		parents := o.Parents(t)
-		rels := o.ParentRels(t)
-		idx := make([]int, len(parents))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, b int) bool { return parents[idx[a]] < parents[idx[b]] })
-		for _, i := range idx {
-			if rels[i] == PartOf {
-				fmt.Fprintf(bw, "relationship: part_of %s\n", o.ID(parents[i]))
-			} else {
-				fmt.Fprintf(bw, "is_a: %s\n", o.ID(parents[i]))
-			}
-		}
-	}
-	return bw.Flush()
 }

@@ -8,7 +8,6 @@ package ontology
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // RelType is the kind of child-to-parent relation in the GO DAG.
@@ -363,29 +362,6 @@ func (o *Ontology) LCA(w Weights, ta, tb int) int {
 	return best
 }
 
-// AllMinimalCommonAncestors returns every common ancestor of ta and tb that
-// has no common-ancestor descendant — the full frontier of "minimum common
-// father" terms, used by the least-general labeling scheme.
-func (o *Ontology) AllMinimalCommonAncestors(ta, tb int) []int {
-	var cand []int
-	o.anc[ta].eachAnd(o.anc[tb], func(t int) { cand = append(cand, t) })
-	var out []int
-	for _, t := range cand {
-		minimal := true
-		for _, u := range cand {
-			if u != t && o.anc[u].get(t) { // t is a proper ancestor of u
-				minimal = false
-				break
-			}
-		}
-		if minimal {
-			out = append(out, t)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Lin returns the Lin (1998) similarity between ta and tb under weights w:
 // ST(ta,tb) = 2 ln w(lca) / (ln w(ta) + ln w(tb)), in [0,1].
 // Identical terms score 1; terms whose only shared ancestor is the root
@@ -414,56 +390,6 @@ func (o *Ontology) Lin(w Weights, ta, tb int) float64 {
 		return 1
 	}
 	return st
-}
-
-// Resnik returns the Resnik (1995) similarity between ta and tb under
-// weights w: the information content -ln w(lca) of the lowest common
-// ancestor. Lord et al. evaluated GO semantic similarity with this measure
-// before the paper adopted Lin's normalized variant; it is unbounded above
-// (more specific shared ancestors score higher) and 0 when the terms only
-// share a root.
-func (o *Ontology) Resnik(w Weights, ta, tb int) float64 {
-	lca := o.LCA(w, ta, tb)
-	if lca < 0 || w[lca] <= 0 {
-		return 0
-	}
-	ic := -math.Log(w[lca])
-	if ic < 0 {
-		return 0
-	}
-	return ic
-}
-
-// GeneralizeTo maps a term onto a target slim set: the targets that are
-// ancestors-or-self of the term. This is the paper's footnote-1 operation
-// ("we generalized all function annotations to the top 13 key functions")
-// and the standard GO-slim mapping. The result is sorted and deduplicated;
-// empty when no target covers the term.
-func (o *Ontology) GeneralizeTo(term int, targets []int) []int {
-	var out []int
-	for _, tgt := range targets {
-		if o.IsAncestorOrSelf(tgt, term) {
-			out = append(out, tgt)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// SlimCorpus rewrites a corpus onto a slim target set: each protein's
-// annotations become the covering targets of its direct terms. Proteins
-// whose terms fall outside every target subtree end up unannotated.
-func SlimCorpus(c *Corpus, targets []int) *Corpus {
-	o := c.Ontology()
-	out := NewCorpus(o, c.NumProteins())
-	for p := 0; p < c.NumProteins(); p++ {
-		for _, t := range c.Terms(p) {
-			for _, g := range o.GeneralizeTo(int(t), targets) {
-				out.Annotate(p, g)
-			}
-		}
-	}
-	return out
 }
 
 // addAlias makes Index resolve the alternative id to the primary term

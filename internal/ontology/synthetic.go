@@ -2,7 +2,6 @@ package ontology
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -102,43 +101,4 @@ func (o *Ontology) Leaves() []int {
 		}
 	}
 	return out
-}
-
-// AnnotateRandom fills corpus c with random direct annotations: each
-// protein is annotated with probability coverage; annotated proteins get
-// 1 + Poisson(meanExtra) direct terms drawn uniformly from the ontology's
-// leaf terms (specific annotations, as biologists record them).
-func AnnotateRandom(c *Corpus, coverage, meanExtra float64, rng *rand.Rand) {
-	leaves := c.o.Leaves()
-	if len(leaves) == 0 {
-		return
-	}
-	for p := 0; p < c.NumProteins(); p++ {
-		if rng.Float64() >= coverage {
-			continue
-		}
-		k := 1 + poisson(meanExtra, rng)
-		for i := 0; i < k; i++ {
-			c.Annotate(p, leaves[rng.Intn(len(leaves))])
-		}
-	}
-}
-
-// poisson draws from a Poisson distribution with the given mean (Knuth).
-func poisson(mean float64, rng *rand.Rand) int {
-	if mean <= 0 {
-		return 0
-	}
-	l := math.Exp(-mean)
-	k, p := 0, 1.0
-	for {
-		p *= rng.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-		if k > 1000 {
-			return k
-		}
-	}
 }

@@ -64,7 +64,7 @@ func BenchmarkTopKCategory(b *testing.B) {
 	col := v.Column(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		top = topkCategory(top[:0], v.byCategory[0], col, live, nil, 5)
+		top, _ = topkCategory(top[:0], v.byCategory[0], col, live, nil, 5)
 	}
 	reportPerRow(b, len(top))
 }
@@ -139,7 +139,7 @@ func TestOperatorKernelAllocs(t *testing.T) {
 		s = filterDegree(s, v.degree, opGE, 2)
 		s = filterBits(s, v.annotated, true)
 		markBits(live, s)
-		top = topkCategory(top[:0], v.byCategory[0], col, live, nil, 5)
+		top, _ = topkCategory(top[:0], v.byCategory[0], col, live, nil, 5)
 		buf2 := buf[:0]
 		for _, p := range top {
 			buf2 = appendRow(buf2, v, prog.proj, p, 0)

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"bytes"
 	"io"
 	"strconv"
 	"sync"
@@ -198,16 +197,6 @@ func (r *Result) WriteTo(w io.Writer) (int64, error) {
 	return n, err
 }
 
-// Explain returns the execution stats when the plan requested them.
-func (r *Result) Explain() *Stats { return r.explain }
-
-// Bytes materializes the full response body (CLI and test consumers).
-func (r *Result) Bytes() []byte {
-	var b bytes.Buffer
-	_, _ = r.WriteTo(&b) // bytes.Buffer writes cannot fail
-	return b.Bytes()
-}
-
 func writeAll(w io.Writer, b []byte, n *int64) error {
 	m, err := w.Write(b)
 	*n += int64(m)
@@ -329,10 +318,10 @@ func execGroup(v *View, prog *program, workers int, res *Result, st *statCol) {
 		if st != nil {
 			t0 = time.Now()
 		}
-		top := topkCategory(sc.top[:0], ranked, v.Column(f), live, prog.score, k)
+		top, read := topkCategory(sc.top[:0], ranked, v.Column(f), live, prog.score, k)
 		if st != nil {
 			t1 := time.Now()
-			st.add(opStageTopK, int64(v.n), int64(len(top)), t1.Sub(t0))
+			st.add(opStageTopK, int64(read), int64(len(top)), t1.Sub(t0))
 			t0 = t1
 		}
 		for _, p := range top {
@@ -505,20 +494,23 @@ func passScore(s float64, preds []numPred) bool {
 // topkCategory keeps the first k proteins of one category's ranking
 // (positive scores only, best first by pairBefore) that are live and pass
 // every score predicate: the k best selected proteins by (score desc,
-// protein asc), mirroring predict's rank order on the protein axis.
+// protein asc), mirroring predict's rank order on the protein axis. It
+// also returns how many ranking entries it read, explain's topk rows_in.
 //
 // alloc-budget: 0
-func topkCategory(dst, ranked []int32, col []float64, live []uint64, preds []numPred, k int) []int32 {
+func topkCategory(dst, ranked []int32, col []float64, live []uint64, preds []numPred, k int) ([]int32, int) {
+	read := 0
 	for _, p := range ranked {
 		if len(dst) >= k {
 			break
 		}
+		read++
 		if live[p>>6]&(1<<(uint(p)&63)) == 0 || !passScore(col[p], preds) {
 			continue
 		}
 		dst = append(dst, p)
 	}
-	return dst
+	return dst, read
 }
 
 // appendRow append-encodes one projected row as a JSON array, prefixed

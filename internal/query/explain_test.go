@@ -29,7 +29,7 @@ func TestExplainRowsByteIdentical(t *testing.T) {
 		if fe != nil {
 			t.Fatalf("execute with explain: %v", fe)
 		}
-		if stats == nil || res.Explain() != stats {
+		if stats == nil || res.explain != stats {
 			t.Fatal("explain plan returned no stats")
 		}
 		body := res.Bytes()
@@ -100,6 +100,41 @@ func TestExplainOperatorCounts(t *testing.T) {
 	}
 }
 
+// TestExplainTopKRowsInCountsEntriesRead pins what the group-mode topk
+// operator's rows_in counts: the category ranking entries it read before
+// keeping k rows, not every protein of every category.
+func TestExplainTopKRowsInCountsEntriesRead(t *testing.T) {
+	v := mipsView()
+	for _, plan := range []*Plan{
+		{GroupBy: "category", TopK: 3, Explain: true},
+		{GroupBy: "category", TopK: 3, Explain: true, Filter: []Predicate{{Field: "degree", Op: "ge", Value: f(3)}}},
+	} {
+		_, stats, fe := ExecuteStats(v, plan, 2, false)
+		if fe != nil {
+			t.Fatalf("execute: %v", fe)
+		}
+		var want, wantOut int64
+		for _, ranked := range v.byCategory {
+			kept := 0
+			for _, p := range ranked {
+				if kept == plan.TopK {
+					break
+				}
+				want++
+				if len(plan.Filter) == 0 || v.Degree(int(p)) >= 3 {
+					kept++
+				}
+			}
+			wantOut += int64(kept)
+		}
+		for _, o := range stats.Ops {
+			if o.Op == "topk" && (o.RowsIn != want || o.RowsOut != wantOut) {
+				t.Errorf("filter %v: topk rows in=%d out=%d, want in=%d out=%d", plan.Filter, o.RowsIn, o.RowsOut, want, wantOut)
+			}
+		}
+	}
+}
+
 func TestExplainRowCountsDeterministicAcrossParallelism(t *testing.T) {
 	v := mipsView()
 	plan := &Plan{Filter: []Predicate{{Field: "degree", Op: "ge", Value: f(3)}}, TopK: 2, Explain: true}
@@ -132,7 +167,7 @@ func TestCollectWithoutExplainLeavesBodyClean(t *testing.T) {
 	if stats == nil {
 		t.Fatal("collect=true returned no stats")
 	}
-	if res.Explain() != nil {
+	if res.explain != nil {
 		t.Fatal("collect-only execution attached explain to the body")
 	}
 	if bytes.Contains(res.Bytes(), []byte("explain")) {

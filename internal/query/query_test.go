@@ -13,6 +13,13 @@ import (
 	"lamofinder/internal/predict"
 )
 
+// Bytes materializes the full response body.
+func (r *Result) Bytes() []byte {
+	var b bytes.Buffer
+	_, _ = r.WriteTo(&b) // bytes.Buffer writes cannot fail
+	return b.Bytes()
+}
+
 // plantedMotifs converts the benchmark's planted templates into
 // labeled-motif fixtures: the ground-truth occurrence sets with full
 // frequency and a fixed high uniqueness, vertices left unlabeled. Eq.-5

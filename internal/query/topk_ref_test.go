@@ -131,7 +131,7 @@ func TestTopKCategoryMatchesHeap(t *testing.T) {
 				k = n
 			}
 			want := topkColumn(nil, col, live, preds, k)
-			got := topkCategory(nil, ranked, col, live, preds, k)
+			got, _ := topkCategory(nil, ranked, col, live, preds, k)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d topk %d: kernel kept %d proteins, heap %d", trial, topk, len(got), len(want))
 			}

@@ -220,9 +220,6 @@ func (v *View) Resolve(name string) (int, bool) {
 	return p, ok
 }
 
-// Name returns protein p's display name.
-func (v *View) Name(p int) string { return v.names[p] }
-
 // Ranking returns protein p's full descending ranking (read-only).
 //
 // alloc-budget: 0
@@ -230,14 +227,6 @@ func (v *View) Ranking(p int) []predict.Ranked { return v.ix.Ranking(p) }
 
 // Column returns category f's contiguous score column (read-only).
 func (v *View) Column(f int) []float64 { return v.ix.Column(f) }
-
-// Degree returns protein p's interaction degree.
-func (v *View) Degree(p int) int { return int(v.degree[p]) }
-
-// Annotated reports whether protein p carries a known annotation.
-func (v *View) Annotated(p int) bool {
-	return v.annotated[p>>6]&(1<<(p&63)) != 0
-}
 
 // ScoreJSON returns protein p's category-f score as JSON text, the bytes
 // jsonx.AppendFloat writes for it (read-only). It is empty unless the

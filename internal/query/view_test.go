@@ -8,6 +8,17 @@ import (
 	"lamofinder/internal/jsonx"
 )
 
+// Name returns protein p's display name.
+func (v *View) Name(p int) string { return v.names[p] }
+
+// Degree returns protein p's interaction degree.
+func (v *View) Degree(p int) int { return int(v.degree[p]) }
+
+// Annotated reports whether protein p carries a known annotation.
+func (v *View) Annotated(p int) bool {
+	return v.annotated[p>>6]&(1<<(p&63)) != 0
+}
+
 // TestViewText pins the view's pre-encoded text to the encoders it
 // replaces: every score is jsonx.AppendFloat of its value (empty when not
 // positive) and every protein and category name is jsonx.AppendString of

@@ -1,7 +1,7 @@
 // Package randnet generates random networks: the degree-preserving null
-// model used for motif uniqueness testing (Milo et al.), and generative
-// models (Erdős–Rényi, Barabási–Albert, duplication-divergence) used to
-// synthesize PPI-like interactomes.
+// model used for motif uniqueness testing (Milo et al.), generative models
+// (Barabási–Albert, duplication-divergence) used to synthesize PPI-like
+// interactomes, and Erdős–Rényi graphs for tests.
 package randnet
 
 import (
@@ -12,6 +12,8 @@ import (
 
 // ErdosRenyi returns a G(n, m) random simple graph with exactly m edges
 // (or fewer if m exceeds the number of vertex pairs).
+//
+// lamovet:keep test graph generator shared by internal/motif (esu_ref_test.go, find_ref_test.go, motif_test.go) and this package
 func ErdosRenyi(n, m int, rng *rand.Rand) *graph.Graph {
 	if n < 2 {
 		// No vertex pair exists, so the rejection loop below could never

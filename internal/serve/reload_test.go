@@ -110,7 +110,7 @@ func TestReloadSwapsModelAtomically(t *testing.T) {
 	if got := s.Digest(); got != digB {
 		t.Fatalf("Digest() = %s after reload, want %s", got, digB)
 	}
-	if !s.Ready() {
+	if !s.ready.Load() {
 		t.Fatal("server not ready after completed reload")
 	}
 
@@ -162,7 +162,7 @@ func TestReloadDigestMismatchKeepsOldModel(t *testing.T) {
 	if got := s.Digest(); got != digA {
 		t.Fatalf("digest changed to %s after refused reload, want %s", got, digA)
 	}
-	if !s.Ready() {
+	if !s.ready.Load() {
 		t.Fatal("server must return to ready after a refused reload")
 	}
 }

@@ -195,11 +195,6 @@ func New(art *artifact.Artifact, cfg Config) (*Server, error) {
 // Digest returns the served artifact's identity.
 func (s *Server) Digest() string { return s.mdl.Load().digest }
 
-// Ready reports readiness: true when the server is willing to take new
-// traffic, false while an artifact reload is in flight (the liveness half
-// — the process answering at all — is the HTTP response itself).
-func (s *Server) Ready() bool { return s.ready.Load() }
-
 // ErrReloadInFlight is returned when a reload is requested while another
 // one is still running; the caller should retry after the first finishes.
 var ErrReloadInFlight = errors.New("serve: artifact reload already in flight")

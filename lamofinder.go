@@ -110,16 +110,6 @@ func ScoreUniqueness(g *Graph, ms []*Motif, cfg NullModel) { motif.ScoreUniquene
 // FilterUnique keeps motifs with uniqueness >= minUniq.
 func FilterUnique(ms []*Motif, minUniq float64) []*Motif { return motif.FilterUnique(ms, minUniq) }
 
-// NeMoConfig controls the NeMoFinder-style repeated-tree miner.
-type NeMoConfig = motif.NeMoConfig
-
-// DefaultNeMoConfig mirrors the SIGKDD-2006 setup at laptop scale.
-func DefaultNeMoConfig() NeMoConfig { return motif.DefaultNeMoConfig() }
-
-// NeMoFind mines frequent subgraph classes via repeated trees (the miner
-// the paper's pipeline is built on).
-func NeMoFind(g *Graph, cfg NeMoConfig) []*Motif { return motif.NeMoFind(g, cfg) }
-
 // ZScore is the Milo-style over-representation statistic (extension to the
 // paper's uniqueness fraction).
 type ZScore = motif.ZScore
@@ -169,15 +159,6 @@ func NewSymmetry(p *Pattern) *Symmetry { return label.NewSymmetry(p) }
 // (the paper's "minimum common father" labels, Table 4).
 func LeastGeneral(o *Ontology, w Weights, a, b []int32, maxTerms int) []int32 {
 	return label.LeastGeneral(o, w, a, b, maxTerms)
-}
-
-// Dictionary indexes labeled motifs for lookup by protein or GO term — the
-// motif-function dictionary the paper's Section 5 envisages.
-type Dictionary = label.Dictionary
-
-// NewDictionary builds a queryable index over labeled motifs.
-func NewDictionary(o *Ontology, motifs []*LabeledMotif) *Dictionary {
-	return label.NewDictionary(o, motifs)
 }
 
 // WriteMotifs serializes labeled motifs as JSON lines; ReadMotifs loads

@@ -163,10 +163,6 @@ func TestFacadeDictionaryAndPersistence(t *testing.T) {
 	if len(motifs) == 0 {
 		t.Fatal("no motifs")
 	}
-	d := NewDictionary(pe.Ontology, motifs)
-	if len(d.CoveredProteins()) == 0 {
-		t.Error("dictionary empty")
-	}
 	var sb strings.Builder
 	if err := WriteMotifs(&sb, pe.Ontology, motifs); err != nil {
 		t.Fatal(err)
@@ -209,22 +205,6 @@ func TestFacadeDirected(t *testing.T) {
 	p.AddArc(0, 1)
 	if p.M() != 1 {
 		t.Error("DiPattern wrong")
-	}
-}
-
-func TestFacadeNeMoFind(t *testing.T) {
-	g := NewGraph(60)
-	for i := 0; i < 60; i++ {
-		g.AddEdge(i, (i+1)%60)
-	}
-	ms := NeMoFind(g, NeMoConfig{MinSize: 3, MaxSize: 4, MinFreq: 10, Seed: 1})
-	if len(ms) == 0 {
-		t.Fatal("no classes")
-	}
-	for _, m := range ms {
-		if m.Frequency < 10 {
-			t.Errorf("below-threshold class: %v", m)
-		}
 	}
 }
 
