@@ -21,14 +21,15 @@ const keepMarker = "lamovet:keep"
 //     bench module when it is loaded);
 //   - every function a package-level variable initializer refers to;
 //   - the facade's (package lamofinder's) exported functions;
-//   - every method of a type that is converted to an interface anywhere
-//     in the loaded packages — dynamic dispatch has no call edge, so the
-//     conversion stands in for it;
+//   - a method of a type converted to an interface anywhere in the loaded
+//     packages, when the interface declares it or the standard library
+//     finds it by type assertion (stdDynamic) — dynamic dispatch has no
+//     call edge, so the conversion stands in for it;
 //   - every function carrying a "// lamovet:keep <reason>" doc line.
 //
 // The rule is only as complete as the engine: a function whose callers
 // were never loaded looks unreached, so the engine must hold the whole
-// module (Loader.LoadModule), whatever the targets. Functions in bench/
+// module (Loader.LoadTargets), whatever the targets. Functions in bench/
 // are never reported; the bench is a root, not a target.
 func Unreached() *Analyzer {
 	return &Analyzer{
