@@ -123,6 +123,14 @@ func runBuild(args []string) int {
 	if *seed != 0 {
 		cfg.MIPS.Seed = *seed
 	}
+	// The generator adds background edges until it reaches the count, so a
+	// count above the simple graph's n(n-1)/2 would never finish.
+	n := cfg.MIPS.Proteins
+	if maxEdges := n * (n - 1) / 2; cfg.MIPS.Edges > maxEdges {
+		fmt.Fprintf(os.Stderr, "lamod build: %d interactions cannot fit %d proteins; set -edges to at most %d\n",
+			cfg.MIPS.Edges, n, maxEdges)
+		return 2
+	}
 
 	start := time.Now()
 	rec := &obs.StageRecorder{}

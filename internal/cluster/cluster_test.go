@@ -124,19 +124,20 @@ func TestAgglomerativeDriver(t *testing.T) {
 		return best
 	}
 	ag := &Agglomerative{
-		Sim: sim,
+		BatchSim: batchOf(sim),
 		Merge: func(a, b int) int {
 			store[a] = append(store[a], store[b]...)
 			delete(store, b)
 			return a
 		},
-		MinSim: -5,
+		// Clusters more than 5 apart never merge.
+		CanMerge: func(a, b int) bool { return sim(a, b) >= -5 },
 	}
 	out := ag.Run([]int{0, 1, 2, 3})
 	if len(out) != 2 {
 		t.Fatalf("clusters = %v (store %v), want 2", out, store)
 	}
-	// {0,1,2} merged; {10} frozen by MinSim.
+	// {0,1,2} merged; {10} frozen by CanMerge.
 	sizes := map[int]bool{}
 	for _, id := range out {
 		sizes[len(store[id])] = true
@@ -148,10 +149,9 @@ func TestAgglomerativeDriver(t *testing.T) {
 
 func TestAgglomerativeVeto(t *testing.T) {
 	ag := &Agglomerative{
-		Sim:      func(a, b int) float64 { return 1 },
+		BatchSim: batchOf(func(a, b int) float64 { return 1 }),
 		Merge:    func(a, b int) int { return a },
 		CanMerge: func(a, b int) bool { return false },
-		MinSim:   0,
 	}
 	out := ag.Run([]int{1, 2, 3})
 	if len(out) != 3 {

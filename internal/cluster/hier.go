@@ -6,21 +6,17 @@ import (
 )
 
 // Agglomerative performs generic bottom-up hierarchical clustering over n
-// items. Sim(a, b) returns the similarity between two current clusters,
-// identified by their representative ids; Merge(a, b) combines them and
+// items. BatchSim scores one current cluster, identified by its
+// representative id, against a row of others; Merge(a, b) combines two and
 // returns the id representing the merged cluster (one of a, b, or a fresh
 // id the caller manages); CanMerge may veto a proposed merge.
 //
 // LaMoFinder uses this driver with occurrence-cluster ids, SO similarity,
 // and the border-informative-FC stopping rule.
 type Agglomerative struct {
-	// Sim returns the similarity of two live clusters.
-	Sim func(a, b int) float64
-	// BatchSim, if non-nil, computes the similarity of a against each id in
-	// bs, writing result i to out[i]. It replaces per-pair Sim calls when a
-	// cluster's whole similarity row is needed at once, letting callers
-	// fan the row out to a worker pool. BatchSim(a, bs, out) must be
-	// equivalent to out[i] = Sim(a, bs[i]) for every i.
+	// BatchSim computes the similarity of live cluster a against each id
+	// in bs, writing result i to out[i]. A cluster's whole row is scored
+	// at once, so callers can fan it out to a worker pool.
 	BatchSim func(a int, bs []int, out []float64)
 	// Merge fuses cluster b into cluster a (or returns a fresh id).
 	Merge func(a, b int) int
@@ -28,9 +24,6 @@ type Agglomerative struct {
 	// cluster). It must be stable: its verdict for a given pair of live
 	// ids may not change while both remain live.
 	CanMerge func(a, b int) bool
-	// MinSim stops the process when the best available pair's similarity
-	// falls below this threshold.
-	MinSim float64
 }
 
 // Run clusters the given live ids until no admissible pair remains, and
@@ -49,14 +42,6 @@ type Agglomerative struct {
 // merge costs one similarity row plus O(k) bookkeeping, and a rescan of
 // the row of each cluster whose best partner just merged.
 func (ag *Agglomerative) Run(ids []int) []int {
-	batch := ag.BatchSim
-	if batch == nil {
-		batch = func(a int, bs []int, out []float64) {
-			for i, b := range bs {
-				out[i] = ag.Sim(a, b)
-			}
-		}
-	}
 	admissible := func(a, b int) bool {
 		return ag.CanMerge == nil || ag.CanMerge(a, b)
 	}
@@ -73,7 +58,7 @@ func (ag *Agglomerative) Run(ids []int) []int {
 				t.bslot = append(t.bslot, int32(i+1+j))
 			}
 		}
-		t.score(batch, a, int32(i))
+		t.score(ag.BatchSim, a, int32(i))
 	}
 	for s := range ids {
 		t.rescan(int32(s))
@@ -81,7 +66,7 @@ func (ag *Agglomerative) Run(ids []int) []int {
 
 	for {
 		x, y := t.bestPair()
-		if x < 0 || t.sim[int(x)*t.k+int(y)] < ag.MinSim {
+		if x < 0 {
 			break
 		}
 		a, b := t.id[x], t.id[y]
@@ -101,7 +86,7 @@ func (ag *Agglomerative) Run(ids []int) []int {
 				t.bslot = append(t.bslot, cur)
 			}
 		}
-		t.score(batch, merged, s)
+		t.score(ag.BatchSim, merged, s)
 		t.refresh(s)
 	}
 

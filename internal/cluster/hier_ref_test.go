@@ -65,13 +65,6 @@ func (h *candHeap) Pop() any {
 // function of the similarity values regardless of how rows are computed.
 func heapRun(ag *Agglomerative, ids []int) []int {
 	batch := ag.BatchSim
-	if batch == nil {
-		batch = func(a int, bs []int, out []float64) {
-			for i, b := range bs {
-				out[i] = ag.Sim(a, b)
-			}
-		}
-	}
 	admissible := func(a, b int) bool {
 		return ag.CanMerge == nil || ag.CanMerge(a, b)
 	}
@@ -121,9 +114,6 @@ func heapRun(ag *Agglomerative, ids []int) []int {
 		vb, bLive := ver[c.b]
 		if !aLive || !bLive || va != c.va || vb != c.vb {
 			continue // stale: one side has merged since this was scored
-		}
-		if c.sim < ag.MinSim {
-			break // max-heap: nothing better remains
 		}
 		merged := ag.Merge(c.a, c.b)
 		delete(ver, c.a)
@@ -182,7 +172,6 @@ func traceRun(seed int64, reuse bool, drive func(*Agglomerative, []int) []int) a
 	m := newAggloModel(rand.New(rand.NewSource(seed)))
 	var tr aggloTrace
 	ag := m.driver()
-	ag.Sim = m.asymSim
 	ag.BatchSim = func(a int, bs []int, out []float64) {
 		tr.rows = append(tr.rows, fmt.Sprint(a, bs))
 		for i, b := range bs {

@@ -18,7 +18,6 @@ type aggloModel struct {
 	members map[int][]int
 	next    int
 	maxSize int
-	minSim  float64
 	merges  []int // merge log (ids), for cross-checking the sequence
 }
 
@@ -44,7 +43,6 @@ func newAggloModel(rng *rand.Rand) *aggloModel {
 		members: map[int][]int{},
 		next:    n,
 		maxSize: 2 + rng.Intn(4),
-		minSim:  rng.Float64() * 0.5,
 	}
 	for i := 0; i < n; i++ {
 		m.members[i] = []int{i}
@@ -84,18 +82,27 @@ func (m *aggloModel) canMerge(a, b int) bool {
 
 func (m *aggloModel) driver() *Agglomerative {
 	return &Agglomerative{
-		Sim:      m.sim,
+		BatchSim: batchOf(m.sim),
 		Merge:    m.merge,
 		CanMerge: m.canMerge,
-		MinSim:   m.minSim,
+	}
+}
+
+// batchOf scores a row through the pair function sim, one pair at a time.
+func batchOf(sim func(a, b int) float64) func(a int, bs []int, out []float64) {
+	return func(a int, bs []int, out []float64) {
+		for i, b := range bs {
+			out[i] = sim(a, b)
+		}
 	}
 }
 
 // rescanRun is the brute-force O(k^2)-per-merge reference: every round it
-// rescans all live admissible pairs in ascending (a, b) id order and takes
-// the first strict maximum — exactly Run's documented order (max
-// similarity, ties to the smallest id pair).
-func rescanRun(ag *Agglomerative, ids []int) []int {
+// rescans all live admissible pairs of m's items in ascending (a, b) id
+// order and takes the first strict maximum — exactly Run's documented
+// order (max similarity, ties to the smallest id pair).
+func rescanRun(m *aggloModel) []int {
+	ids := m.ids()
 	live := map[int]bool{}
 	order := append([]int(nil), ids...)
 	for _, id := range ids {
@@ -111,18 +118,18 @@ func rescanRun(ag *Agglomerative, ids []int) []int {
 		best := math.Inf(-1)
 		for i := 0; i < len(cur); i++ {
 			for j := i + 1; j < len(cur); j++ {
-				if ag.CanMerge != nil && !ag.CanMerge(cur[i], cur[j]) {
+				if !m.canMerge(cur[i], cur[j]) {
 					continue
 				}
-				if s := ag.Sim(cur[i], cur[j]); s > best {
+				if s := m.sim(cur[i], cur[j]); s > best {
 					best, bestA, bestB = s, cur[i], cur[j]
 				}
 			}
 		}
-		if bestA < 0 || best < ag.MinSim {
+		if bestA < 0 {
 			break
 		}
-		merged := ag.Merge(bestA, bestB)
+		merged := m.merge(bestA, bestB)
 		delete(live, bestA)
 		delete(live, bestB)
 		live[merged] = true
@@ -149,7 +156,7 @@ func TestAgglomerativeMatchesRescan(t *testing.T) {
 		mRef := newAggloModel(rand.New(rand.NewSource(seed)))
 
 		gotOut := mRun.driver().Run(mRun.ids())
-		wantOut := rescanRun(mRef.driver(), mRef.ids())
+		wantOut := rescanRun(mRef)
 
 		if !reflect.DeepEqual(mRun.merges, mRef.merges) {
 			t.Logf("seed %d: merge sequence diverged\nrun:    %v\nrescan: %v",
@@ -172,32 +179,5 @@ func TestAgglomerativeMatchesRescan(t *testing.T) {
 	}
 	if err := quick.Check(check, cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestAgglomerativeBatchSimEquivalent runs the same model with a BatchSim
-// hook (as the parallel labeler does) and requires identical results to the
-// per-pair Sim path.
-func TestAgglomerativeBatchSimEquivalent(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		plain := newAggloModel(rand.New(rand.NewSource(seed)))
-		batched := newAggloModel(rand.New(rand.NewSource(seed)))
-
-		plainOut := plain.driver().Run(plain.ids())
-
-		ag := batched.driver()
-		ag.BatchSim = func(a int, bs []int, out []float64) {
-			for i, b := range bs {
-				out[i] = batched.sim(a, b)
-			}
-		}
-		batchedOut := ag.Run(batched.ids())
-
-		if !reflect.DeepEqual(plainOut, batchedOut) {
-			t.Fatalf("seed %d: BatchSim path diverged: %v vs %v", seed, plainOut, batchedOut)
-		}
-		if !reflect.DeepEqual(plain.merges, batched.merges) {
-			t.Fatalf("seed %d: merge sequences diverged: %v vs %v", seed, plain.merges, batched.merges)
-		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"lamofinder/internal/dataset"
 	"lamofinder/internal/eval"
+	"lamofinder/internal/label"
 )
 
 func TestTable1MatchesPaperExceptKnownDeviation(t *testing.T) {
@@ -210,6 +211,29 @@ func TestFigure7PipelineMini(t *testing.T) {
 		t.Error("text output malformed")
 	}
 	checkText(t, "fig7_mini", r)
+}
+
+// TestLabelKind: a motif is uni- or non-uni-labeled only when at least two
+// of its vertices carry labels; one labeled vertex among unknowns is
+// neither.
+func TestLabelKind(t *testing.T) {
+	cases := []struct {
+		labels [][]int32
+		want   string
+	}{
+		{[][]int32{nil, nil, nil}, "other"},
+		{[][]int32{{3}, nil, nil, nil}, "other"},
+		{[][]int32{nil, {3, 5}, nil}, "other"},
+		{[][]int32{{3}, nil, {3}}, "uni"},
+		{[][]int32{{3, 5}, {5}, {3}}, "uni"},
+		{[][]int32{{3}, nil, {2}}, "multi"},
+		{[][]int32{{3}, {3}, {2}}, "multi"},
+	}
+	for _, tc := range cases {
+		if got := labelKind(&label.LabeledMotif{Labels: tc.labels}); got != tc.want {
+			t.Errorf("labelKind(%v) = %q, want %q", tc.labels, got, tc.want)
+		}
+	}
 }
 
 func TestFigure8Demonstration(t *testing.T) {

@@ -104,49 +104,59 @@ func Figure7(cfg Figure7Config) *Figure7Result {
 				}
 			}
 		}
-		locMotifs := slots[i].locMotifs
-		if len(funcMotifs) > 0 && len(locMotifs) > 0 {
+		// Parallel labels count only when both branches label a vertex.
+		fm, lm := firstLabeled(funcMotifs), firstLabeled(slots[i].locMotifs)
+		if fm != nil && lm != nil {
 			res.ParallelCount++
 			if res.ParallelLabeled == "" {
 				res.ParallelLabeled = fmt.Sprintf("function: %s\n  location: %s",
-					funcMotifs[0].Describe(procO), locMotifs[0].Describe(locO))
+					fm.Describe(procO), lm.Describe(locO))
 			}
 		}
 	}
 	return res
 }
 
-// labelKind classifies a labeled motif: "uni" when all labeled vertices
-// share at least one common term, "multi" when at least two labeled
-// vertices have disjoint label sets, "other" otherwise.
+// labelKind classifies a labeled motif with at least two labeled vertices:
+// "uni" when every labeled vertex shares a term with the first, "multi"
+// when one of them has a label set disjoint from the first's. A motif with
+// fewer than two labeled vertices is "other".
 func labelKind(lm *label.LabeledMotif) string {
 	var first []int32
+	labeled := 0
 	uni := true
-	multi := false
 	for _, ts := range lm.Labels {
 		if len(ts) == 0 {
 			continue
 		}
+		labeled++
 		if first == nil {
 			first = ts
-			continue
+		} else if !intersects(first, ts) {
+			uni = false
 		}
-		if intersects(first, ts) {
-			continue
-		}
-		uni = false
-		multi = true
 	}
-	if first == nil {
+	switch {
+	case labeled < 2:
 		return "other"
-	}
-	if uni {
+	case uni:
 		return "uni"
-	}
-	if multi {
+	default:
 		return "multi"
 	}
-	return "other"
+}
+
+// firstLabeled returns the first motif of ms with at least one labeled
+// vertex, or nil when every motif is label-free.
+func firstLabeled(ms []*label.LabeledMotif) *label.LabeledMotif {
+	for _, lm := range ms {
+		for _, ts := range lm.Labels {
+			if len(ts) > 0 {
+				return lm
+			}
+		}
+	}
+	return nil
 }
 
 func intersects(a, b []int32) bool {

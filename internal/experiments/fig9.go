@@ -25,10 +25,6 @@ type Figure9Config struct {
 	Label         label.Config
 	// MaxK bounds the PR sweep (paper: top 13 categories).
 	MaxK int
-	// IncludeProdistin can be disabled for speed (its tree is O(n^3)).
-	IncludeProdistin bool
-	// IncludeGibbs adds the fuller Gibbs-sampling MRF as a sixth curve.
-	IncludeGibbs bool
 }
 
 // DefaultFigure9Config runs at the paper's MIPS scale (1877 proteins, 2448
@@ -49,13 +45,12 @@ func DefaultFigure9Config() Figure9Config {
 	lab.Sigma = 8
 	lab.MaxOccurrences = 220
 	return Figure9Config{
-		MIPS:             dataset.DefaultMIPSConfig(),
-		Mine:             mine,
-		Null:             null,
-		MinUniqueness:    0.6,
-		Label:            lab,
-		MaxK:             13,
-		IncludeProdistin: true,
+		MIPS:          dataset.DefaultMIPSConfig(),
+		Mine:          mine,
+		Null:          null,
+		MinUniqueness: 0.6,
+		Label:         lab,
+		MaxK:          13,
 	}
 }
 
@@ -165,12 +160,7 @@ func Figure9(cfg Figure9Config) *Figure9Result {
 		predict.NewMRF(m.Task),
 		predict.NewChiSquare(m.Task),
 		predict.NewNC(m.Task),
-	}
-	if cfg.IncludeProdistin {
-		scorers = append(scorers, predict.NewProdistin(m.Task))
-	}
-	if cfg.IncludeGibbs {
-		scorers = append(scorers, predict.NewGibbsMRF(m.Task, predict.DefaultGibbsConfig()))
+		predict.NewProdistin(m.Task),
 	}
 	// Evaluate the methods concurrently, one goroutine per scorer: the task
 	// is read-only during scoring, and confining each scorer to a single

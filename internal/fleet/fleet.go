@@ -66,10 +66,11 @@ const (
 // Fixed limits. The gateway reads a POST body under serve.MaxBody, the
 // replicas' own cap, and answers an oversized one with 413 as they do.
 const (
-	backoffMax   = 30 * time.Second // ceiling of an ejected replica's reprobe backoff
-	drainTimeout = 10 * time.Second // rollout: wait for a replica's in-flight requests
-	rolloutWait  = 60 * time.Second // rollout: wait for a reloaded replica to be ready
-	maxReplicas  = 64               // Preference's member bitset is one uint64
+	backoffMax      = 30 * time.Second // ceiling of an ejected replica's reprobe backoff
+	drainTimeout    = 10 * time.Second // rollout: wait for a replica's in-flight requests
+	rolloutWait     = 60 * time.Second // rollout: wait for a reloaded replica to be ready
+	upstreamTimeout = 10 * time.Second // bounds one proxied request to a replica
+	maxReplicas     = 64               // Preference's member bitset is one uint64
 )
 
 // Config tunes the router. Zero values fall back to the defaults above.
@@ -96,8 +97,6 @@ type Config struct {
 	// disables hedging entirely.
 	HedgeMin time.Duration
 	HedgeMax time.Duration
-	// UpstreamTimeout bounds one proxied request to a replica.
-	UpstreamTimeout time.Duration
 	// RolloutSettle is an extra pause after draining and between replicas
 	// (useful to widen the observable mixed-digest window in tests). A
 	// rollout waits up to 10 s for a replica's in-flight requests to drain
@@ -144,9 +143,6 @@ func (c *Config) fill() error {
 	}
 	if c.HedgeMax == 0 {
 		c.HedgeMax = DefaultHedgeMax
-	}
-	if c.UpstreamTimeout <= 0 {
-		c.UpstreamTimeout = 10 * time.Second
 	}
 	return nil
 }
@@ -211,7 +207,7 @@ func New(cfg Config) (*Router, error) {
 		ring:    ring,
 		members: members,
 		client: &http.Client{
-			Timeout: cfg.UpstreamTimeout,
+			Timeout: upstreamTimeout,
 			Transport: &http.Transport{
 				MaxIdleConns:        4 * ring.Len(),
 				MaxIdleConnsPerHost: 8,

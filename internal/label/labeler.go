@@ -28,15 +28,6 @@ type Config struct {
 	// MaxOccurrences caps the occurrences clustered per motif (0 = all);
 	// clustering is O(D^2) in this value.
 	MaxOccurrences int
-	// MinSim freezes merges whose best available occurrence similarity
-	// falls below this value (0 = merge until the stopping rule fires).
-	MinSim float64
-	// RestrictLabelSpace, when true, drops direct annotations outside the
-	// label space T (border informative FC and descendants) before
-	// clustering. The paper's worked example (Table 4) keeps above-border
-	// terms in merged schemes, so the default is false; generalization is
-	// bounded by the border stopping rule either way.
-	RestrictLabelSpace bool
 	// Parallelism caps the worker goroutines used for occurrence-similarity
 	// rows and per-motif labeling (0 = runtime.GOMAXPROCS(0)). Output is
 	// byte-identical at every setting: similarity rows land in
@@ -60,7 +51,6 @@ func DefaultConfig() Config {
 		MinDirect:          30,
 		MaxLabelsPerVertex: 4,
 		MaxOccurrences:     150,
-		MinSim:             0,
 	}
 }
 
@@ -105,7 +95,6 @@ type Labeler struct {
 	w        ontology.Weights
 	corpus   *ontology.Corpus
 	sim      *Sim
-	space    []bool // term usable as a label (border FC or descendant)
 	atBorder []bool // term at or above the border frontier (maximally general)
 	cfg      Config
 
@@ -115,8 +104,8 @@ type Labeler struct {
 	clusterOccs  atomic.Int64
 }
 
-// NewLabeler prepares a labeler: weights, border informative FC and the
-// label space are derived from the corpus.
+// NewLabeler prepares a labeler: weights and the border informative FC are
+// derived from the corpus.
 func NewLabeler(corpus *ontology.Corpus, cfg Config) *Labeler {
 	return NewLabelerWithCounts(corpus, corpus.DirectCounts(), cfg)
 }
@@ -129,7 +118,6 @@ func NewLabelerWithCounts(corpus *ontology.Corpus, direct []int, cfg Config) *La
 	o := corpus.Ontology()
 	w := o.ComputeWeights(direct)
 	border := o.BorderInformativeFC(direct, cfg.MinDirect)
-	space := o.LabelSpace(direct, cfg.MinDirect)
 	atBorder := make([]bool, o.NumTerms())
 	for _, b := range border {
 		atBorder[b] = true
@@ -140,7 +128,6 @@ func NewLabelerWithCounts(corpus *ontology.Corpus, direct []int, cfg Config) *La
 	return &Labeler{
 		o: o, w: w, corpus: corpus,
 		sim:      NewSim(o, w),
-		space:    space,
 		atBorder: atBorder,
 		cfg:      cfg,
 	}
@@ -152,22 +139,6 @@ func NewLabelerWithCounts(corpus *ontology.Corpus, direct []int, cfg Config) *La
 // Config.Now was set.
 func (l *Labeler) ClusterStats() (busy time.Duration, occurrences int64) {
 	return time.Duration(l.clusterNanos.Load()), l.clusterOccs.Load()
-}
-
-// initialLabels returns protein p's direct annotations, optionally
-// restricted to the label space T (border informative FC and descendants).
-func (l *Labeler) initialLabels(p int32) []int32 {
-	ts := l.corpus.Terms(int(p))
-	if !l.cfg.RestrictLabelSpace {
-		return append([]int32(nil), ts...)
-	}
-	var out []int32
-	for _, t := range ts {
-		if l.space[t] {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // vertexAtBorder reports whether a vertex's labels have generalized all the
@@ -234,7 +205,7 @@ func (l *Labeler) LabelOccurrences(nv int, occurrences [][]int32, sym *Symmetry)
 	for _, occ := range occs {
 		cs := &clusterState{occs: [][]int32{occ}, scheme: make([][]int32, nv)}
 		for v := 0; v < nv; v++ {
-			cs.scheme[v] = l.initialLabels(occ[v])
+			cs.scheme[v] = append([]int32(nil), l.corpus.Terms(int(occ[v]))...)
 		}
 		cs.frozen = l.isFrozen(cs)
 		clusters = append(clusters, cs)
@@ -271,7 +242,6 @@ func (l *Labeler) LabelOccurrences(nv int, occurrences [][]int32, sym *Symmetry)
 		CanMerge: func(a, b int) bool {
 			return !clusters[a].frozen && !clusters[b].frozen
 		},
-		MinSim: l.cfg.MinSim,
 	}
 	ids := make([]int, len(clusters))
 	for i := range ids {

@@ -230,17 +230,6 @@ func (o *Ontology) IsAncestorOrSelf(a, d int) bool { return o.anc[d].get(a) }
 // alloc-budget: 0
 func (o *Ontology) Ancestors(t int) []int { return o.ancList[t] }
 
-// Descendants returns the descendants of t (excluding t), sorted ascending.
-func (o *Ontology) Descendants(t int) []int {
-	var out []int
-	for d := 0; d < len(o.ids); d++ {
-		if d != t && o.anc[d].get(t) {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // Weights holds the genome-specific weight w(t) of each term: the fraction
 // of annotation occurrences falling on t or any of its descendants
 // (Lord et al.). Roots of a single-rooted ontology get weight 1.
@@ -330,21 +319,6 @@ func (o *Ontology) BorderInformativeFC(direct []int, minDirect int) []int {
 		}
 	}
 	return out
-}
-
-// LabelSpace returns the set of terms eligible as motif labels: each border
-// informative FC and all of their descendants (the paper's label set T),
-// as a membership bitmap.
-func (o *Ontology) LabelSpace(direct []int, minDirect int) []bool {
-	border := o.BorderInformativeFC(direct, minDirect)
-	inSpace := make([]bool, len(o.ids))
-	for _, b := range border {
-		inSpace[b] = true
-		for _, d := range o.Descendants(b) {
-			inSpace[d] = true
-		}
-	}
-	return inSpace
 }
 
 // LCA returns the lowest common ancestor of ta and tb: the common ancestor

@@ -101,6 +101,17 @@ func TestBuildRejectsSelfRelation(t *testing.T) {
 	}
 }
 
+// Descendants returns the descendants of t (excluding t), sorted ascending.
+func (o *Ontology) Descendants(t int) []int {
+	var out []int
+	for d := 0; d < len(o.ids); d++ {
+		if d != t && o.anc[d].get(t) {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 func TestAncestorsDescendants(t *testing.T) {
 	o := figure1(t)
 	g10 := o.Index("G10")
@@ -178,20 +189,6 @@ func TestInformativeAndBorderFC(t *testing.T) {
 	for _, t2 := range border {
 		if !wantB[o.ID(t2)] {
 			t.Errorf("unexpected border FC %s", o.ID(t2))
-		}
-	}
-}
-
-func TestLabelSpace(t *testing.T) {
-	o := figure1(t)
-	direct := figure1Direct(o)
-	space := o.LabelSpace(direct, 30)
-	// Border = G04,G05,G06; descendants add G07..G11 and G09.
-	want := map[string]bool{"G04": true, "G05": true, "G06": true, "G07": true,
-		"G08": true, "G09": true, "G10": true, "G11": true}
-	for i := 0; i < o.NumTerms(); i++ {
-		if space[i] != want[o.ID(i)] {
-			t.Errorf("label space %s = %v, want %v", o.ID(i), space[i], want[o.ID(i)])
 		}
 	}
 }

@@ -17,16 +17,15 @@ type GibbsMRF struct {
 
 // GibbsConfig sizes the sampler.
 type GibbsConfig struct {
-	Sweeps  int // sampling sweeps after burn-in
-	BurnIn  int
-	FitIter int // pseudo-likelihood gradient steps
-	Seed    int64
+	Sweeps int // sampling sweeps after burn-in
+	BurnIn int
+	Seed   int64
 }
 
 // DefaultGibbsConfig balances mixing and run time for networks in the low
 // thousands of proteins.
 func DefaultGibbsConfig() GibbsConfig {
-	return GibbsConfig{Sweeps: 60, BurnIn: 20, FitIter: MRFIterations, Seed: 1}
+	return GibbsConfig{Sweeps: 60, BurnIn: 20, Seed: 1}
 }
 
 // NewGibbsMRF fits the per-function models and runs the sampler once,

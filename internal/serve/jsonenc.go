@@ -9,19 +9,18 @@ import (
 )
 
 // This file is the zero-allocation JSON encoder for the predict hot path.
-// Responses were previously rendered by encoding/json over response
-// structs; the append-style encoder below produces byte-identical output
-// for the fixed /v1/predict shape without reflection or intermediate
-// buffers, so an index hit can serve entirely from a pooled []byte.
-// Function names and scores are copied from the query view's text,
-// encoded once per model load; the request's protein names are quoted
-// through internal/jsonx (shared with the bulk-query row encoder).
-// TestAppendPredictResponseMatchesStdlib pins the response-shape
-// compatibility.
+// The append-style encoder below writes the fixed /v1/predict shape
+// without reflection or intermediate buffers, so an index hit can serve
+// entirely from a pooled []byte. Function names and scores are copied
+// from the query view's text, encoded once per model load; the request's
+// protein names are quoted through internal/jsonx (shared with the
+// bulk-query row encoder). The response structs that document the shape
+// live in the tests: TestAppendPredictResponseMatchesStdlib renders them
+// through encoding/json and requires the same bytes.
 
 // appendPredictResponse renders the full /v1/predict body (trailing
-// newline included): byte-for-byte what json.Marshal produces over
-// PredictResponse, built by appending into the caller's buffer.
+// newline included): byte-for-byte what json.Marshal produces over the
+// tests' PredictResponse, built by appending into the caller's buffer.
 // rankings[i] is the (already truncated) ranking of vertex ids[i], asked
 // for as proteins[i].
 //

@@ -9,6 +9,28 @@ import (
 	"lamofinder/internal/query"
 )
 
+// PredictResponse is the body of /v1/predict, as encoding/json renders
+// it: the reference appendPredictResponse must match byte for byte, and
+// the shape the tests decode responses into.
+type PredictResponse struct {
+	Artifact string          `json:"artifact"`
+	K        int             `json:"k"`
+	Results  []ProteinResult `json:"results"`
+}
+
+// ProteinResult is the ranking for one queried protein.
+type ProteinResult struct {
+	Protein     string       `json:"protein"`
+	Predictions []Prediction `json:"predictions"`
+}
+
+// Prediction is one ranked function for one protein.
+type Prediction struct {
+	Function int     `json:"function"`
+	Name     string  `json:"name"`
+	Score    float64 `json:"score"`
+}
+
 // TestAppendPredictResponseMatchesStdlib renders full response bodies both
 // ways and requires identical bytes, including empty rankings, empty
 // batches, and protein and function names that need escaping.

@@ -199,7 +199,7 @@ func TestQueryDeterministicAcrossParallelism(t *testing.T) {
 // JSON shape.
 func TestQueryAndPredictFieldErrors(t *testing.T) {
 	art, _, _ := exampleModel(t)
-	ts := newTestServer(t, reload(t, art), Config{MaxBatch: 4})
+	ts := newTestServer(t, reload(t, art), Config{})
 
 	type fieldErr struct {
 		Error  string `json:"error"`
@@ -240,7 +240,7 @@ func TestQueryAndPredictFieldErrors(t *testing.T) {
 	check(st, body, http.StatusBadRequest, "topk")
 	st, body = get(t, ts.URL+"/v1/predict?k=3")
 	check(st, body, http.StatusBadRequest, "proteins")
-	st, body = get(t, ts.URL+"/v1/predict?protein=p1&protein=p2&protein=p3&protein=p4&protein=p5")
+	st, body = get(t, ts.URL+"/v1/predict?protein=p1"+strings.Repeat("&protein=p1", maxBatch))
 	check(st, body, http.StatusBadRequest, "proteins")
 	st, body = get(t, ts.URL+"/v1/predict?protein=zzz")
 	check(st, body, http.StatusNotFound, "protein")

@@ -269,13 +269,15 @@ func TestCacheAndMetrics(t *testing.T) {
 
 func TestRequestErrors(t *testing.T) {
 	art, _, _ := exampleModel(t)
-	s, err := New(reload(t, art), Config{MaxBatch: 2})
+	s, err := New(reload(t, art), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	// One protein more than the batch cap.
+	overBatch := "/v1/predict?protein=p1" + strings.Repeat("&protein=p1", maxBatch)
 	cases := []struct {
 		url  string
 		want int
@@ -284,7 +286,7 @@ func TestRequestErrors(t *testing.T) {
 		{"/v1/predict", http.StatusBadRequest},
 		{"/v1/predict?protein=p1&k=notanumber", http.StatusBadRequest},
 		{"/v1/predict?protein=p1&k=-2", http.StatusBadRequest},
-		{"/v1/predict?protein=p1&protein=p2&protein=p3", http.StatusBadRequest},
+		{overBatch, http.StatusBadRequest},
 		{"/v1/nosuchendpoint", http.StatusNotFound},
 	}
 	for _, tc := range cases {

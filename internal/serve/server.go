@@ -59,6 +59,9 @@ import (
 // (predict and rollout) under the same cap and answers them the same way.
 const MaxBody = 1 << 20
 
+// maxBatch caps the proteins accepted in one predict request.
+const maxBatch = 64
+
 // Config tunes the daemon. The zero value of any field falls back to the
 // default; none of the knobs change response bytes.
 type Config struct {
@@ -69,8 +72,6 @@ type Config struct {
 	// the request's connection must finish reading its body and writing
 	// its response within it, or the connection is closed.
 	RequestTimeout time.Duration
-	// MaxBatch caps the proteins accepted in one predict request.
-	MaxBatch int
 	// EnablePprof mounts net/http/pprof's handlers under /debug/pprof/ on
 	// the daemon's own mux, outside the request deadline (a 30s CPU
 	// profile must outlive a 5s predict timeout). Off by default: the
@@ -114,7 +115,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		RequestTimeout: 5 * time.Second,
-		MaxBatch:       64,
 	}
 }
 
@@ -172,9 +172,6 @@ func New(art *artifact.Artifact, cfg Config) (*Server, error) {
 	def := DefaultConfig()
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = def.RequestTimeout
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = def.MaxBatch
 	}
 	m, err := newModel(art)
 	if err != nil {
@@ -421,26 +418,6 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 	})
 }
 
-// Prediction is one ranked function for one protein.
-type Prediction struct {
-	Function int     `json:"function"`
-	Name     string  `json:"name"`
-	Score    float64 `json:"score"`
-}
-
-// ProteinResult is the ranking for one queried protein.
-type ProteinResult struct {
-	Protein     string       `json:"protein"`
-	Predictions []Prediction `json:"predictions"`
-}
-
-// PredictResponse is the body of /v1/predict.
-type PredictResponse struct {
-	Artifact string          `json:"artifact"`
-	K        int             `json:"k"`
-	Results  []ProteinResult `json:"results"`
-}
-
 type predictRequest struct {
 	Proteins []string `json:"proteins"`
 	K        int      `json:"k"`
@@ -529,7 +506,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// internal/query: /v1/predict's k and batch cap reject exactly the
 	// inputs a plan's topk would, with the same structured (field, reason)
 	// body, instead of this handler's former ad-hoc prose.
-	if fe := query.ValidateBatch(len(sc.proteins), s.cfg.MaxBatch); fe != nil {
+	if fe := query.ValidateBatch(len(sc.proteins), maxBatch); fe != nil {
 		writeFieldError(w, http.StatusBadRequest, fe)
 		return
 	}
