@@ -138,7 +138,7 @@ func fuzzOntology(data []byte) (*Ontology, Weights) {
 	for i := 1; i < n; i++ {
 		p := next() % i
 		b.AddRelation(fmt.Sprintf("F:%d", i), fmt.Sprintf("F:%d", p), IsA)
-		if next()%4 == 0 { // second parent: exercise the DAG path
+		if next()%4 == 0 { // second parent: make the ontology a DAG
 			if p2 := next() % i; p2 != p {
 				b.AddRelation(fmt.Sprintf("F:%d", i), fmt.Sprintf("F:%d", p2), IsA)
 			}
@@ -155,7 +155,7 @@ func fuzzOntology(data []byte) (*Ontology, Weights) {
 	return o, w
 }
 
-// FuzzLCAIndex cross-checks the RMQ/packed-list index against an
+// FuzzLCAIndex cross-checks the packed-list index against an
 // independent brute-force walk over the ancestor DAG.
 func FuzzLCAIndex(f *testing.F) {
 	f.Add([]byte{0, 1})
@@ -173,7 +173,7 @@ func FuzzLCAIndex(f *testing.F) {
 			for b := 0; b < n; b++ {
 				// Brute force: lexicographic (weight, index) min over the
 				// explicit common-ancestor set, built by slice walks (no
-				// shared code with either fast path).
+				// shared code with the index).
 				best := -1
 				for _, c := range append(o.Ancestors(a), a) {
 					if c != b && !o.IsAncestorOrSelf(c, b) {
