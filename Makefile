@@ -152,13 +152,14 @@ bench-module:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
-# e2e builds lamod and lamoctl once and drives them as child processes:
-# one daemon (health, predict, metrics, exposition, SIGTERM drain), load
-# in closed and open loop counted by /v1/metrics, bulk queries served
-# and offline, a rolling rollout through a gateway under load, and span
-# traces across the gateway and a replica. -count=1 because the test
-# binary does not import the commands it builds, so a cached pass would
-# survive a change to them.
+# e2e builds lamod, lamoctl and the examples once and drives them as
+# child processes: one daemon (health, predict, metrics, exposition,
+# SIGTERM drain), load in closed and open loop counted by /v1/metrics,
+# bulk queries served and offline, a rolling rollout through a gateway
+# under load, span traces across the gateway and a replica, and each of
+# the five examples' stdout against its golden under
+# e2e/testdata/examples/. -count=1 because the test binary does not import
+# the programs it builds, so a cached pass would survive a change to them.
 e2e:
 	$(GO) vet -tags e2e ./e2e/
 	$(GO) test -tags e2e -count=1 ./e2e/

@@ -2,7 +2,9 @@
 
 // Package e2e drives the lamod and lamoctl binaries end to end: it builds
 // an artifact, serves it from a daemon or a gateway over replicas, and
-// checks what the daemons answer and what lamoctl prints. Every file is a
+// checks what the daemons answer and what lamoctl prints. It also runs the
+// programs under examples/ and compares what they print with goldens.
+// Every file is a
 // test file behind the e2e build tag, so plain `go build/vet/test ./...`
 // skip it. Run it with `make e2e`.
 package e2e
@@ -25,6 +27,7 @@ import (
 )
 
 var (
+	bin            string // the directory TestMain builds every binary into
 	lamod, lamoctl string // the binaries TestMain builds
 	artPath        string // the quick artifact TestMain builds with buildArgs
 	buildOut       string // what that build printed
@@ -38,8 +41,8 @@ var buildArgs = []string{"build", "-quick", "-note", "e2e", "-stats"}
 // send.
 var client = &http.Client{Timeout: 10 * time.Second}
 
-// TestMain builds lamod and lamoctl once, and the quick artifact every
-// test serves.
+// TestMain builds lamod, lamoctl and the examples once, and the quick
+// artifact every test serves.
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "lamofinder-e2e-")
 	if err != nil {
@@ -55,9 +58,10 @@ func TestMain(m *testing.M) {
 }
 
 func setup(dir string) int {
+	bin = dir
 	lamod, lamoctl = filepath.Join(dir, "lamod"), filepath.Join(dir, "lamoctl")
 	artPath = filepath.Join(dir, "model.lamoart")
-	out, err := exec.Command("go", "build", "-o", dir+"/", "lamofinder/cmd/lamod", "lamofinder/cmd/lamoctl").CombinedOutput()
+	out, err := exec.Command("go", "build", "-o", dir+"/", "lamofinder/cmd/lamod", "lamofinder/cmd/lamoctl", "lamofinder/examples/...").CombinedOutput()
 	if err == nil {
 		out, err = exec.Command(lamod, append(buildArgs, "-out", artPath)...).CombinedOutput()
 		buildOut = string(out)
