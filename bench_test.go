@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"lamofinder/internal/dataset"
+	"lamofinder/internal/eval"
 	"lamofinder/internal/experiments"
 	"lamofinder/internal/graph"
 	"lamofinder/internal/label"
@@ -213,7 +214,7 @@ func BenchmarkLeaveOneOutNC(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		LeaveOneOut(m.Task, nc, 13)
+		eval.LeaveOneOut(m.Task, nc, 13)
 	}
 }
 

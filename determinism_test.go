@@ -5,6 +5,11 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"lamofinder/internal/dataset"
+	"lamofinder/internal/label"
+	"lamofinder/internal/motif"
+	"lamofinder/internal/predict"
 )
 
 // runPaperPipeline executes the full pipeline on the paper-example
@@ -12,36 +17,36 @@ import (
 // (the parallel code path), label with LaMoFinder, predict functions —
 // and serializes every stage into one byte stream.
 func runPaperPipeline() ([]byte, error) {
-	pe := PaperExample()
+	pe := dataset.NewPaperExample()
 
-	mineCfg := DefaultMineConfig()
+	mineCfg := motif.DefaultConfig()
 	mineCfg.MinSize = 3
 	mineCfg.MaxSize = 4
 	mineCfg.MinFreq = 3
-	motifs := FindMotifs(pe.Network, mineCfg)
+	motifs := motif.Find(pe.Network, mineCfg)
 
-	null := DefaultNullModel()
+	null := motif.DefaultUniquenessConfig()
 	null.Networks = 8
-	ScoreUniqueness(pe.Network, motifs, null)
+	motif.ScoreUniqueness(pe.Network, motifs, null)
 
-	labeler := NewLabeler(pe.Corpus, DefaultLabelConfig())
-	var labeled []*LabeledMotif
+	labeler := label.NewLabeler(pe.Corpus, label.DefaultConfig())
+	var labeled []*label.LabeledMotif
 	for _, m := range motifs {
 		labeled = append(labeled, labeler.LabelMotif(m)...)
 	}
 
 	var buf bytes.Buffer
-	if err := WriteMotifs(&buf, pe.Ontology, labeled); err != nil {
+	if err := label.WriteMotifs(&buf, pe.Ontology, labeled); err != nil {
 		return nil, err
 	}
 
-	task := NewTask(pe.Network, pe.Ontology.NumTerms())
+	task := predict.NewTask(pe.Network, pe.Ontology.NumTerms())
 	for p := 0; p < pe.Network.N(); p++ {
 		for _, t := range pe.Corpus.Terms(p) {
 			task.Functions[p] = append(task.Functions[p], int(t))
 		}
 	}
-	scorer := NewLabeledMotifScorer(task, labeled)
+	scorer := label.NewScorer(task, labeled)
 	for p := 0; p < pe.Network.N(); p++ {
 		fmt.Fprintf(&buf, "p%d:", p+1)
 		for _, s := range scorer.Scores(p) {
@@ -111,21 +116,21 @@ func TestPipelineDeterminismAcrossGOMAXPROCS(t *testing.T) {
 // the labeled-motif stream must be identical at worker counts 1, 2, and 5
 // on the same mined motifs.
 func TestLabelParallelismKnobDeterminism(t *testing.T) {
-	pe := PaperExample()
-	mineCfg := DefaultMineConfig()
+	pe := dataset.NewPaperExample()
+	mineCfg := motif.DefaultConfig()
 	mineCfg.MinSize = 3
 	mineCfg.MaxSize = 4
 	mineCfg.MinFreq = 3
-	motifs := FindMotifs(pe.Network, mineCfg)
+	motifs := motif.Find(pe.Network, mineCfg)
 
 	var want []byte
 	for _, workers := range []int{1, 2, 5} {
-		lcfg := DefaultLabelConfig()
+		lcfg := label.DefaultConfig()
 		lcfg.Parallelism = workers
-		labeler := NewLabeler(pe.Corpus, lcfg)
+		labeler := label.NewLabeler(pe.Corpus, lcfg)
 		labeled := labeler.LabelAll(motifs)
 		var buf bytes.Buffer
-		if err := WriteMotifs(&buf, pe.Ontology, labeled); err != nil {
+		if err := label.WriteMotifs(&buf, pe.Ontology, labeled); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if want == nil {

@@ -10,7 +10,10 @@ import (
 	"fmt"
 	"math/rand"
 
-	"lamofinder"
+	"lamofinder/internal/dimotif"
+	"lamofinder/internal/label"
+	"lamofinder/internal/motif"
+	"lamofinder/internal/ontology"
 )
 
 func main() {
@@ -19,7 +22,7 @@ func main() {
 
 	// Regulatory network: a sparse random background plus 120 planted FFLs
 	// over a pool of transcription-factor-like vertices.
-	g := lamofinder.NewDiGraph(n)
+	g := dimotif.NewDiGraph(n)
 	for i := 0; i < 700; i++ {
 		g.AddArc(rng.Intn(n), rng.Intn(n))
 	}
@@ -41,7 +44,7 @@ func main() {
 		g.N(), g.M(), len(planted))
 
 	// GO-like roles: regulator / intermediate / target subtrees.
-	b := lamofinder.NewOntologyBuilder()
+	b := ontology.NewBuilder()
 	b.AddTerm("GO:root", "biological regulation")
 	roles := map[string]string{
 		"GO:tf":  "transcription regulator activity",
@@ -50,15 +53,15 @@ func main() {
 	}
 	for id, name := range roles {
 		b.AddTerm(id, name)
-		b.AddRelation(id, "GO:root", lamofinder.IsA)
-		b.AddRelation(id+".a", id, lamofinder.IsA)
-		b.AddRelation(id+".b", id, lamofinder.IsA)
+		b.AddRelation(id, "GO:root", ontology.IsA)
+		b.AddRelation(id+".a", id, ontology.IsA)
+		b.AddRelation(id+".b", id, ontology.IsA)
 	}
 	o, err := b.Build()
 	if err != nil {
 		panic(err)
 	}
-	corpus := lamofinder.NewCorpus(o, n)
+	corpus := ontology.NewCorpus(o, n)
 	leaf := func(role string) int {
 		if rng.Intn(2) == 0 {
 			return o.Index(role + ".a")
@@ -72,26 +75,26 @@ func main() {
 	}
 
 	// Mine directed motifs and keep the over-represented ones.
-	mine := lamofinder.DefaultMineConfig()
+	mine := motif.DefaultConfig()
 	mine.MaxSize = 3
 	mine.MinFreq = 30
-	motifs := lamofinder.FindDirectedMotifs(g, mine)
-	null := lamofinder.DefaultNullModel()
+	motifs := dimotif.Find(g, mine)
+	null := motif.DefaultUniquenessConfig()
 	null.Networks = 6
-	lamofinder.ScoreDirectedUniqueness(g, motifs, null)
-	unique := lamofinder.FilterUniqueDirected(motifs, 0.8)
+	dimotif.ScoreUniqueness(g, motifs, null)
+	unique := dimotif.FilterUnique(motifs, 0.8)
 	fmt.Printf("mined %d directed classes, %d over-represented:\n", len(motifs), len(unique))
 	for _, m := range unique {
 		fmt.Printf("  %s\n", m)
 	}
 
 	// Label them: the FFL's three roles should surface as distinct labels.
-	lcfg := lamofinder.DefaultLabelConfig()
+	lcfg := label.DefaultConfig()
 	lcfg.Sigma = 10
 	lcfg.MinDirect = 1000 // tiny corpus: disable border freezing
-	labeler := lamofinder.NewLabeler(corpus, lcfg)
+	labeler := label.NewLabeler(corpus, lcfg)
 	for _, m := range unique {
-		for _, lm := range lamofinder.LabelDirected(labeler, m) {
+		for _, lm := range dimotif.Label(labeler, m) {
 			fmt.Printf("labeled: %s\n", lm.Describe(o))
 		}
 	}

@@ -8,50 +8,52 @@ import (
 	"fmt"
 	"os"
 
-	"lamofinder"
-
+	"lamofinder/internal/dataset"
 	"lamofinder/internal/eval"
+	"lamofinder/internal/label"
+	"lamofinder/internal/motif"
+	"lamofinder/internal/predict"
 )
 
 func main() {
-	mcfg := lamofinder.DefaultMIPSConfig()
+	mcfg := dataset.DefaultMIPSConfig()
 	mcfg.Proteins = 700 // reduced scale keeps this example fast
 	mcfg.Edges = 960
-	m := lamofinder.NewMIPS(mcfg)
+	m := dataset.NewMIPS(mcfg)
 	task := m.Task
 	fmt.Printf("benchmark: %d proteins, %d interactions, %d annotated, %d categories\n",
 		task.Network.N(), task.Network.M(), task.NumAnnotated(), task.NumFunctions)
 
-	mine := lamofinder.DefaultMineConfig()
+	mine := motif.DefaultConfig()
 	mine.MaxSize = 7
 	mine.MinFreq = 10
 	mine.BeamWidth = 60
-	motifs := lamofinder.FindMotifs(task.Network, mine)
+	motifs := motif.Find(task.Network, mine)
 
-	null := lamofinder.DefaultNullModel()
+	null := motif.DefaultUniquenessConfig()
 	null.Networks = 4
-	lamofinder.ScoreUniqueness(task.Network, motifs, null)
-	unique := lamofinder.FilterUnique(motifs, 0.75)
+	motif.ScoreUniqueness(task.Network, motifs, null)
+	unique := motif.FilterUnique(motifs, 0.75)
 	fmt.Printf("mined %d classes, %d over-represented\n", len(motifs), len(unique))
 
-	lcfg := lamofinder.DefaultLabelConfig()
+	lcfg := label.DefaultConfig()
 	lcfg.Sigma = 6
 	lcfg.MaxOccurrences = 120
 	lcfg.MinDirect = 12 // informative-FC threshold scaled to 700 proteins
-	labeler := lamofinder.NewLabeler(m.Corpus, lcfg)
+	labeler := label.NewLabeler(m.Corpus, lcfg)
 	labeled := labeler.LabelAll(unique)
 	fmt.Printf("LaMoFinder produced %d labeled motifs\n", len(labeled))
 
-	scorers := []lamofinder.Scorer{
-		lamofinder.NewLabeledMotifScorer(task, labeled),
-		lamofinder.NewMRFScorer(task),
-		lamofinder.NewChiSquareScorer(task),
-		lamofinder.NewNCScorer(task),
-		lamofinder.NewProdistinScorer(task),
+	scorers := []predict.Scorer{
+		label.NewScorer(task, labeled),
+		predict.NewMRF(task),
+		predict.NewChiSquare(task),
+		predict.NewNC(task),
+		predict.NewProdistin(task),
 	}
-	var curves []lamofinder.Curve
+	var curves []eval.Curve
 	for _, s := range scorers {
-		curves = append(curves, lamofinder.LeaveOneOut(task, s, task.NumFunctions))
+		curves = append(curves, eval.LeaveOneOut(task, s, task.NumFunctions))
 	}
 	fmt.Println()
 	fmt.Print(eval.FormatCurves(curves))

@@ -8,43 +8,45 @@ package main
 import (
 	"fmt"
 
-	"lamofinder"
+	"lamofinder/internal/dataset"
+	"lamofinder/internal/label"
+	"lamofinder/internal/motif"
 )
 
 func main() {
 	// A mid-sized interactome keeps this example under a minute.
-	ycfg := lamofinder.DefaultYeastConfig()
+	ycfg := dataset.DefaultYeastConfig()
 	ycfg.Proteins = 1000
 	ycfg.Edges = 1800
 	ycfg.TermsPerBranch = 150
-	ycfg.Templates = []lamofinder.TemplateSpec{
+	ycfg.Templates = []dataset.TemplateSpec{
 		{Size: 5, Edges: 2, Instances: 30, PoolSize: 15},
 		{Size: 6, Edges: 2, Instances: 30, PoolSize: 18},
 		{Size: 8, Edges: 3, Instances: 30, PoolSize: 24},
 	}
-	y := lamofinder.NewYeast(ycfg)
+	y := dataset.NewYeast(ycfg)
 	net := y.Network
 	fmt.Printf("synthetic interactome: %d proteins, %d interactions\n", net.N(), net.M())
 
-	mine := lamofinder.DefaultMineConfig()
+	mine := motif.DefaultConfig()
 	mine.MaxSize = 8
 	mine.MinFreq = 20
 	mine.BeamWidth = 40
-	motifs := lamofinder.FindMotifs(net, mine)
+	motifs := motif.Find(net, mine)
 	fmt.Printf("mined %d frequent pattern classes (sizes %d..%d, freq >= %d)\n",
 		len(motifs), mine.MinSize, mine.MaxSize, mine.MinFreq)
 
-	null := lamofinder.DefaultNullModel()
+	null := motif.DefaultUniquenessConfig()
 	null.Networks = 5
-	lamofinder.ScoreUniqueness(net, motifs, null)
-	unique := lamofinder.FilterUnique(motifs, 0.9)
+	motif.ScoreUniqueness(net, motifs, null)
+	unique := motif.FilterUnique(motifs, 0.9)
 	fmt.Printf("%d network motifs with uniqueness >= 0.90\n", len(unique))
 
 	corpus := y.Corpora[0] // biological process branch
-	lcfg := lamofinder.DefaultLabelConfig()
+	lcfg := label.DefaultConfig()
 	lcfg.Sigma = 8
 	lcfg.MaxOccurrences = 60
-	labeler := lamofinder.NewLabeler(corpus, lcfg)
+	labeler := label.NewLabeler(corpus, lcfg)
 	labeled := labeler.LabelAll(unique)
 	fmt.Printf("LaMoFinder produced %d labeled network motifs\n", len(labeled))
 

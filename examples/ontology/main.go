@@ -8,7 +8,8 @@ import (
 	"fmt"
 	"strings"
 
-	"lamofinder"
+	"lamofinder/internal/label"
+	"lamofinder/internal/ontology"
 )
 
 // A miniature GO fragment in OBO format: metabolism with two sub-branches.
@@ -51,7 +52,7 @@ is_a: GO:0019538
 `
 
 func main() {
-	o, err := lamofinder.ParseOBO(strings.NewReader(obo))
+	o, err := ontology.ParseOBO(strings.NewReader(obo))
 	if err != nil {
 		panic(err)
 	}
@@ -59,7 +60,7 @@ func main() {
 
 	// Annotate 200 imaginary proteins: 120 glycolysis, 50 TCA, 30
 	// translation.
-	c := lamofinder.NewCorpus(o, 200)
+	c := ontology.NewCorpus(o, 200)
 	gly := o.Index("GO:0006096")
 	tca := o.Index("GO:0006099")
 	tra := o.Index("GO:0006412")
@@ -94,13 +95,13 @@ func main() {
 	}
 
 	fmt.Println("\nleast general common scheme of {glycolysis} and {TCA cycle}:")
-	merged := lamofinder.LeastGeneral(o, w, []int32{int32(gly)}, []int32{int32(tca)}, 0)
+	merged := label.LeastGeneral(o, w, []int32{int32(gly)}, []int32{int32(tca)}, 0)
 	for _, t := range merged {
 		fmt.Printf("  %s (%s)\n", o.ID(int(t)), o.Name(int(t)))
 	}
 }
 
-func ids(o *lamofinder.Ontology, ts []int) string {
+func ids(o *ontology.Ontology, ts []int) string {
 	out := make([]string, len(ts))
 	for i, t := range ts {
 		out[i] = o.Name(t)

@@ -7,11 +7,12 @@ import (
 	"fmt"
 	"os"
 
-	"lamofinder"
+	"lamofinder/internal/dataset"
+	"lamofinder/internal/label"
 )
 
 func main() {
-	pe := lamofinder.PaperExample()
+	pe := dataset.NewPaperExample()
 	o := pe.Ontology
 	w := pe.Weights()
 
@@ -28,8 +29,8 @@ func main() {
 		o.Lin(w, g08, g09), o.ID(o.LCA(w, g08, g09)))
 
 	fmt.Println("\n== Occurrence similarity (Eq. 3, Table 3) ==")
-	sim := lamofinder.NewSim(o, w)
-	sym := lamofinder.NewSymmetry(pe.Motif.Pattern)
+	sim := label.NewSim(o, w)
+	sym := label.NewSymmetry(pe.Motif.Pattern)
 	labelsOf := func(occ []int32) [][]int32 {
 		out := make([][]int32, len(occ))
 		for i, p := range occ {
@@ -43,9 +44,9 @@ func main() {
 	fmt.Printf("  SO(o1,o2) = %.3f with vertex pairing %v\n", so, pairing)
 
 	fmt.Println("\n== LaMoFinder (Algorithms 1-2) ==")
-	cfg := lamofinder.DefaultLabelConfig()
+	cfg := label.DefaultConfig()
 	cfg.Sigma = 2 // the worked example has only 4 occurrences
-	labeler := lamofinder.NewLabelerWithCounts(pe.Corpus, pe.Direct, cfg)
+	labeler := label.NewLabelerWithCounts(pe.Corpus, pe.Direct, cfg)
 	labeled := labeler.LabelMotif(pe.Motif)
 	if len(labeled) == 0 {
 		fmt.Println("  no labeled motifs (unexpected)")

@@ -150,11 +150,13 @@ func TestRepoIsClean(t *testing.T) {
 // inside a method call's receiver, a method reached only through an
 // interface conversion (flag.Value, and fmt's Stringer through any), a
 // package-level variable initializer and a keep marker with its callee.
-// The "// want" lines are the unreached functions, a bare keep marker and
-// a method no converted interface declares.
+// The "// want" lines are the unreached functions, a bare keep marker, a
+// method no converted interface declares and an exported function: the
+// fixture is loaded under the module's own import path, and an exported
+// name is no root there or anywhere else.
 func TestUnreachedFixture(t *testing.T) {
 	dir := filepath.Join(moduleRoot(t), "internal", "analysis", "testdata", "src", "unreached")
-	asPath := ModulePath + "/cmd/unreachfix"
+	asPath := ModulePath
 	pkg, err := sharedLoader(t).LoadDir(dir, asPath)
 	if err != nil {
 		t.Fatalf("load fixture: %v", err)

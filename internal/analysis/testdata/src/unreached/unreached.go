@@ -54,6 +54,10 @@ func keptHelper() int { return keptCallee() }
 // keptCallee is reached from the keep-marked helper.
 func keptCallee() int { return 1 }
 
+// Exported is exported from the module's root package, which no program
+// imports.
+func Exported() int { return 3 } // want
+
 // bareKeep's marker gives no reason, so it does not exempt it.
 //
 // lamovet:keep

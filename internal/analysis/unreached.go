@@ -20,7 +20,6 @@ const keepMarker = "lamovet:keep"
 //   - main and init of every loaded package (commands, examples, and the
 //     bench module when it is loaded);
 //   - every function a package-level variable initializer refers to;
-//   - the facade's (package lamofinder's) exported functions;
 //   - a method of a type converted to an interface anywhere in the loaded
 //     packages, when the interface declares it or the standard library
 //     finds it by type assertion (stdDynamic) — dynamic dispatch has no
@@ -34,7 +33,7 @@ const keepMarker = "lamovet:keep"
 func Unreached() *Analyzer {
 	return &Analyzer{
 		Name:      "unreached",
-		Doc:       "report functions that no main, init, package variable, facade function or interface conversion reaches",
+		Doc:       "report functions that no main, init, package variable or interface conversion reaches",
 		RunModule: runUnreached,
 	}
 }
@@ -51,7 +50,7 @@ func runUnreached(mp *ModulePass) {
 			continue
 		}
 		mp.Reportf(pkg, g.decls[fn].Name.Pos(),
-			"%s is unreached: no main, init, package variable, facade function or interface conversion reaches it; delete it, or mark it // %s <reason>",
+			"%s is unreached: no main, init, package variable or interface conversion reaches it; delete it, or mark it // %s <reason>",
 			funcName(fn), keepMarker)
 	}
 }
@@ -87,9 +86,7 @@ func isRoot(pkg *Package, d *ast.FuncDecl) bool {
 		return false
 	}
 	name := d.Name.Name
-	return name == "init" ||
-		(name == "main" && pkg.Types.Name() == "main") ||
-		(pkg.Path == ModulePath && d.Name.IsExported())
+	return name == "init" || (name == "main" && pkg.Types.Name() == "main")
 }
 
 func isBench(path string) bool {

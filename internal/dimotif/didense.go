@@ -22,24 +22,14 @@ type DiDense struct {
 	out [graph.MaxDense]uint32
 }
 
-// NewDiDense returns an empty directed dense graph with n vertices.
-//
-// invariant: 0 <= n <= graph.MaxDense — the bit-row representation cannot
-// hold more vertices; an out-of-range size is a programmer error.
-func NewDiDense(n int) *DiDense {
-	if n < 0 || n > graph.MaxDense {
-		panic(fmt.Sprintf("dimotif: size %d out of range", n))
-	}
-	return &DiDense{n: n}
-}
-
 // N returns the vertex count.
 func (d *DiDense) N() int { return d.n }
 
 // Reset clears d back to n isolated vertices in place, letting the miner
 // reuse one DiDense as scratch instead of allocating per candidate set.
 //
-// invariant: 0 <= n <= graph.MaxDense — same bound as NewDiDense.
+// invariant: 0 <= n <= graph.MaxDense — the bit-row representation cannot
+// hold more vertices; an out-of-range size is a programmer error.
 func (d *DiDense) Reset(n int) {
 	if n < 0 || n > graph.MaxDense {
 		panic(fmt.Sprintf("dimotif: size %d out of range", n))

@@ -10,6 +10,14 @@ import (
 	"lamofinder/internal/ontology"
 )
 
+// NewDiDense returns an empty directed dense graph with n vertices: the
+// tests' constructor. The miner reuses one DiDense through Reset instead.
+func NewDiDense(n int) *DiDense {
+	d := new(DiDense)
+	d.Reset(n)
+	return d
+}
+
 // feedForwardLoop returns the canonical FFL: 0->1, 0->2, 1->2.
 func feedForwardLoop() *DiDense {
 	d := NewDiDense(3)

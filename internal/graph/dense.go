@@ -74,7 +74,7 @@ func (d *Dense) Degree(v int) int { return bits.OnesCount32(d.rows[v]) }
 
 // Connected reports whether the graph is connected (true for n <= 1).
 //
-// lamovet:keep checks patterns in tests of internal/graph, internal/motif (motif_test.go), internal/dimotif and the facade (lamofinder_test.go)
+// lamovet:keep checks patterns in tests of internal/graph, internal/motif (motif_test.go) and internal/dimotif
 func (d *Dense) Connected() bool {
 	if d.n <= 1 {
 		return true

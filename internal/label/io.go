@@ -6,12 +6,11 @@ import (
 	"fmt"
 	"io"
 
-	"lamofinder/internal/graph"
 	"lamofinder/internal/ontology"
 )
 
 // motifJSON is the serialized form of a LabeledMotif: edges as index pairs,
-// labels as GO term ids (resolved against the ontology at load time).
+// labels as GO term ids.
 type motifJSON struct {
 	N           int        `json:"n"`
 	Edges       [][2]int   `json:"edges"`
@@ -52,50 +51,4 @@ func WriteMotifs(w io.Writer, o *ontology.Ontology, motifs []*LabeledMotif) erro
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadMotifs loads a JSON-lines motif dictionary written by WriteMotifs.
-// Labels naming unknown terms are dropped (with a count returned), so a
-// dictionary can be loaded against a newer ontology revision.
-func ReadMotifs(r io.Reader, o *ontology.Ontology) (motifs []*LabeledMotif, droppedTerms int, err error) {
-	dec := json.NewDecoder(r)
-	for {
-		var j motifJSON
-		if err := dec.Decode(&j); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, droppedTerms, fmt.Errorf("label: decode motif: %w", err)
-		}
-		if j.N < 0 || j.N > graph.MaxDense {
-			return nil, droppedTerms, fmt.Errorf("label: motif size %d out of range", j.N)
-		}
-		lm := &LabeledMotif{
-			Pattern:     graph.NewDense(j.N),
-			Labels:      make([][]int32, j.N),
-			Occurrences: j.Occurrences,
-			Frequency:   j.Frequency,
-			Uniqueness:  j.Uniqueness,
-		}
-		for _, e := range j.Edges {
-			if e[0] < 0 || e[0] >= j.N || e[1] < 0 || e[1] >= j.N {
-				return nil, droppedTerms, fmt.Errorf("label: edge %v out of range", e)
-			}
-			lm.Pattern.AddEdge(e[0], e[1])
-		}
-		for v, ids := range j.Labels {
-			if v >= j.N {
-				return nil, droppedTerms, fmt.Errorf("label: label row %d out of range", v)
-			}
-			for _, id := range ids {
-				t := o.Index(id)
-				if t < 0 {
-					droppedTerms++
-					continue
-				}
-				lm.Labels[v] = append(lm.Labels[v], int32(t))
-			}
-		}
-		motifs = append(motifs, lm)
-	}
-	return motifs, droppedTerms, nil
 }

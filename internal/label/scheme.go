@@ -85,26 +85,3 @@ func dedup(ts []int32) []int32 {
 	}
 	return out[:k]
 }
-
-// vertexConforms is the per-vertex conformance rule: every scheme term must
-// be equal to or more general than some annotation of the protein. An
-// empty scheme ("unknown") conforms trivially, as does an unannotated
-// protein (the paper derives its labels from the other occurrences).
-func vertexConforms(o *ontology.Ontology, scheme, ann []int32) bool {
-	if len(scheme) == 0 || len(ann) == 0 {
-		return true
-	}
-	for _, st := range scheme {
-		ok := false
-		for _, at := range ann {
-			if o.IsAncestorOrSelf(int(st), int(at)) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}

@@ -21,7 +21,8 @@ func MotifInputs(ms []*LabeledMotif) []predict.MotifInput {
 
 // NewScorer builds the paper's labeled-motif predictor (Eqs. 4-5) over a
 // task from LaMoFinder output. It is the single construction path shared by
-// the Figure-8/9 experiments, the facade, and the lamod serving daemon.
+// the Figure-8/9 experiments, the artifact the lamod serving daemon loads,
+// and examples/functionprediction.
 func NewScorer(t *predict.Task, ms []*LabeledMotif) *predict.LabeledMotif {
 	return predict.NewLabeledMotif(t, MotifInputs(ms))
 }

@@ -267,61 +267,6 @@ func TestLabeledMotifLMSWeighting(t *testing.T) {
 	}
 }
 
-func TestGibbsMRFLearnsHomophily(t *testing.T) {
-	// Same two-clique setting as the plain MRF, plus unannotated bridges:
-	// the sampler must fill them consistently with their clique.
-	g := graph.New(14)
-	task := NewTask(g, 2)
-	for i := 0; i < 6; i++ {
-		for j := i + 1; j < 6; j++ {
-			g.AddEdge(i, j)
-			g.AddEdge(6+i, 6+j)
-		}
-	}
-	for i := 0; i < 6; i++ {
-		if i != 2 { // protein 2 and 8 stay unannotated
-			task.Functions[i] = []int{0}
-		}
-		if i != 2 {
-			task.Functions[6+i] = []int{1}
-		}
-	}
-	// Two extra unannotated proteins hanging off each clique.
-	g.AddEdge(12, 0)
-	g.AddEdge(12, 1)
-	g.AddEdge(13, 6)
-	g.AddEdge(13, 7)
-	m := NewGibbsMRF(task, DefaultGibbsConfig())
-	if m.Name() != "MRF-Gibbs" {
-		t.Errorf("name = %q", m.Name())
-	}
-	s0 := m.Scores(0)
-	if s0[0] <= s0[1] {
-		t.Errorf("clique-0 member: %v", s0)
-	}
-	// Unannotated protein attached to clique 0 leans function 0.
-	s12 := m.Scores(12)
-	if s12[0] <= s12[1] {
-		t.Errorf("unannotated clique-0 satellite: %v", s12)
-	}
-	s13 := m.Scores(13)
-	if s13[1] <= s13[0] {
-		t.Errorf("unannotated clique-1 satellite: %v", s13)
-	}
-}
-
-func TestGibbsMRFPosteriorsInRange(t *testing.T) {
-	task := starTask()
-	m := NewGibbsMRF(task, GibbsConfig{Sweeps: 10, BurnIn: 5, Seed: 2})
-	for p := 0; p < 7; p++ {
-		for f, v := range m.Scores(p) {
-			if v < 0 || v > 1 {
-				t.Fatalf("posterior out of range: p=%d f=%d v=%v", p, f, v)
-			}
-		}
-	}
-}
-
 func TestLMSNormalization(t *testing.T) {
 	// Eq. 4: within each motif size, the strongest motif has LMS = 1.
 	g := graph.New(8)
