@@ -390,13 +390,6 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		rec.idval[0] = id
 		w.Header()["X-Request-Id"] = rec.idval[:]
 		next.ServeHTTP(rec, r)
-		// A handler that mints a trace (head-sampled request with no usable
-		// client ID) overrides the echoed X-Request-Id; re-read the header
-		// so the access log carries the ID the trace is stored under. One
-		// constant-key map lookup — nothing on the 0-alloc path changes.
-		if vs := rec.Header()["X-Request-Id"]; len(vs) == 1 {
-			id = vs[0]
-		}
 		dur := time.Since(start)
 		s.met.requests.Add(1)
 		if rec.status >= 400 {

@@ -22,16 +22,13 @@ import (
 // when unsampled — every obs recording method no-ops on nil, so callers
 // never branch.
 //
-// On the forced paths this function does not allocate (the alloc gate
-// measures it with a client-supplied ID). A head-sampled request with no
-// usable client ID mints one — that path allocates the ID string and a
-// one-element header slice in place of the recorder's echoed ID.
+// The trace is stored under the propagated trace ID, or else under the
+// X-Request-Id instrument put on the response (the client's valid ID, or
+// the one instrument minted), so the client's header names the stored
+// trace. This function does not allocate.
 func (s *Server) startTrace(w http.ResponseWriter, r *http.Request, root string) *obs.Trace {
-	id := r.Header.Get("X-Request-Id")
-	forced := obs.ValidTraceID(id)
-	if !forced {
-		id = ""
-	}
+	forced := obs.ValidTraceID(r.Header.Get("X-Request-Id"))
+	id := w.Header().Get("X-Request-Id")
 	remoteParent := obs.NoSpan
 	if tcID, parent, ok := obs.ParseTraceContext(r.Header.Get(obs.HeaderTraceContext)); ok {
 		id, remoteParent, forced = tcID, parent, true
@@ -41,12 +38,6 @@ func (s *Server) startTrace(w http.ResponseWriter, r *http.Request, root string)
 	}
 	if !s.tracer.Sample(forced) {
 		return nil
-	}
-	if id == "" {
-		id = s.tracer.NextID()
-		// Overwrite the middleware's echoed ID so the client is told the ID
-		// its trace is stored under.
-		w.Header()["X-Request-Id"] = []string{id}
 	}
 	return s.tracer.Start(id, remoteParent, root)
 }

@@ -181,23 +181,37 @@ func TestTraceContextPropagation(t *testing.T) {
 	}
 }
 
-// TestHeadSamplingMintsID: with 1-in-1 head sampling, an anonymous request
-// is traced under a minted ID, and that ID is the one echoed to the
-// client — the response header is the ticket to the stored trace.
+// TestHeadSamplingMintsID: with 1-in-1 head sampling, each anonymous
+// request is traced under the one ID minted for it, and that ID is the one
+// echoed to the client — the response header is the ticket to the stored
+// trace. Two requests mint req-1 and req-2, and the store holds exactly
+// those two traces, newest first.
 func TestHeadSamplingMintsID(t *testing.T) {
 	_, ts := tracedServer(t, 1)
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/predict?protein=p1&k=3", nil)
-	resp, _ := do(t, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("predict status %d", resp.StatusCode)
+	for _, want := range []string{"req-1", "req-2"} {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/predict?protein=p1&k=3", nil)
+		resp, _ := do(t, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("predict status %d", resp.StatusCode)
+		}
+		if id := resp.Header.Get("X-Request-Id"); id != want {
+			t.Fatalf("X-Request-Id %q, want %q", id, want)
+		}
 	}
-	id := resp.Header.Get("X-Request-Id")
-	if id == "" {
-		t.Fatal("no X-Request-Id on sampled response")
-	}
-	status, body := get(t, ts.URL+"/v1/traces/"+id)
+	status, body := get(t, ts.URL+"/v1/traces")
 	if status != http.StatusOK {
-		t.Fatalf("minted ID %q not in store: %d %s", id, status, body)
+		t.Fatalf("trace list status %d", status)
+	}
+	var list tracesResponse
+	if err := json.Unmarshal(body, &list); err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, tr := range list.Traces {
+		ids = append(ids, tr.Trace)
+	}
+	if strings.Join(ids, ",") != "req-2,req-1" {
+		t.Fatalf("stored traces %v, want [req-2 req-1]", ids)
 	}
 }
 
