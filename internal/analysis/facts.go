@@ -144,7 +144,7 @@ func (s *FactStore) addPackage(pkg *Package) {
 				fact.Joins = hasJoinOps(pkg, fd.Body)
 				collectLockFacts(pkg, fd.Body, fact)
 				s.funcs[fn] = fact
-				if hasMarker(fd.Doc, "lamovet:sink") {
+				if _, ok := docLine(fd.Doc, "lamovet:sink"); ok {
 					s.sinks[fn] = true
 				}
 			}
@@ -152,8 +152,8 @@ func (s *FactStore) addPackage(pkg *Package) {
 	}
 }
 
-// addSerializedFields records struct fields carrying a
-// "// lamovet:serialized" doc or line comment.
+// addSerializedFields records struct fields with a doc or trailing comment
+// line that starts with "lamovet:serialized".
 func (s *FactStore) addSerializedFields(pkg *Package, gd *ast.GenDecl) {
 	for _, spec := range gd.Specs {
 		ts, ok := spec.(*ast.TypeSpec)
@@ -165,7 +165,9 @@ func (s *FactStore) addSerializedFields(pkg *Package, gd *ast.GenDecl) {
 			continue
 		}
 		for _, field := range st.Fields.List {
-			if !hasMarker(field.Doc, "lamovet:serialized") && !hasMarker(field.Comment, "lamovet:serialized") {
+			_, doc := docLine(field.Doc, "lamovet:serialized")
+			_, trailing := docLine(field.Comment, "lamovet:serialized")
+			if !doc && !trailing {
 				continue
 			}
 			for _, name := range field.Names {
@@ -175,18 +177,6 @@ func (s *FactStore) addSerializedFields(pkg *Package, gd *ast.GenDecl) {
 			}
 		}
 	}
-}
-
-func hasMarker(cg *ast.CommentGroup, marker string) bool {
-	if cg == nil {
-		return false
-	}
-	for _, c := range cg.List {
-		if strings.Contains(c.Text, marker) {
-			return true
-		}
-	}
-	return false
 }
 
 // sinkName classifies a callee as a taint sink. Sinks are structural — the

@@ -33,3 +33,22 @@ func GoodPlain(names []string, rep *Report) int {
 	rep.Lines = names
 	return Emit(names)
 }
+
+// Quoted quotes the sink marker in prose: "lamovet:sink" declares a sink
+// only on a comment line that starts with it, so Quoted is no sink.
+func Quoted(lines []string) int {
+	return len(lines)
+}
+
+// Notes is no serialized payload: its field's comment only quotes the
+// marker.
+type Notes struct {
+	Lines []string // kept apart from "lamovet:serialized" fields
+}
+
+// GoodQuoted hands map-ordered keys to Quoted and into Notes.Lines,
+// neither of which serializes anything.
+func GoodQuoted(m map[string]int, n *Notes) int {
+	n.Lines = helper.Keys(m)
+	return Quoted(helper.Keys(m))
+}
