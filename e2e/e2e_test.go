@@ -4,9 +4,8 @@
 // an artifact, serves it from a daemon or a gateway over replicas, and
 // checks what the daemons answer and what lamoctl prints. It also runs the
 // programs under examples/ and compares what they print with goldens.
-// Every file is a
-// test file behind the e2e build tag, so plain `go build/vet/test ./...`
-// skip it. Run it with `make e2e`.
+// Every file is a test file behind the e2e build tag, so plain `go
+// build/vet/test ./...` skip it. Run it with `make e2e`.
 package e2e
 
 import (
@@ -27,7 +26,6 @@ import (
 )
 
 var (
-	bin            string // the directory TestMain builds every binary into
 	lamod, lamoctl string // the binaries TestMain builds
 	artPath        string // the quick artifact TestMain builds with buildArgs
 	buildOut       string // what that build printed
@@ -58,7 +56,6 @@ func TestMain(m *testing.M) {
 }
 
 func setup(dir string) int {
-	bin = dir
 	lamod, lamoctl = filepath.Join(dir, "lamod"), filepath.Join(dir, "lamoctl")
 	artPath = filepath.Join(dir, "model.lamoart")
 	out, err := exec.Command("go", "build", "-o", dir+"/", "lamofinder/cmd/lamod", "lamofinder/cmd/lamoctl", "lamofinder/examples/...").CombinedOutput()

@@ -14,7 +14,7 @@ import (
 var update = flag.Bool("update", false, "rewrite the example goldens under testdata/examples/")
 
 // examples names the programs under examples/; setup builds each one
-// into bin under its directory's name.
+// beside lamod, under its directory's name.
 var examples = []string{"directedmotifs", "functionprediction", "motiflabeling", "ontology", "quickstart"}
 
 // TestExamples runs each example and compares its stdout with
@@ -25,7 +25,7 @@ func TestExamples(t *testing.T) {
 	for _, name := range examples {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			got := run(t, filepath.Join(bin, name))
+			got := run(t, filepath.Join(filepath.Dir(lamod), name))
 			path := filepath.Join("testdata", "examples", name+".golden")
 			if *update {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
