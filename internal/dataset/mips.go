@@ -10,8 +10,11 @@ import (
 )
 
 // MIPSConfig sizes the synthetic MIPS-like function-prediction benchmark.
-// Defaults match the paper's Figure-9 dataset: 1877 proteins, 2448 physical
-// interactions, top 13 functional categories.
+// Defaults ask for the paper's Figure-9 dataset: 1877 proteins, 2448
+// physical interactions, top 13 functional categories. Edges is a floor,
+// not a count: NewMIPS plants its templates first and only tops the edge
+// count up to Edges, and at the defaults the templates alone place 2719
+// edges.
 type MIPSConfig struct {
 	Proteins   int
 	Edges      int
