@@ -6,9 +6,105 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
+
+	"lamofinder/internal/artifact"
+	"lamofinder/internal/dataset"
+	"lamofinder/internal/label"
+	"lamofinder/internal/obs"
+	"lamofinder/internal/predict"
+	"lamofinder/internal/serve"
 )
+
+// exampleArtifact builds the indexed serving artifact of the paper's
+// worked example: the Figure-2 motif labeled over the Figure-3 network,
+// one prediction category per GO term.
+func exampleArtifact(t *testing.T) *artifact.Artifact {
+	t.Helper()
+	pe := dataset.NewPaperExample()
+	o := pe.Ontology
+	l := label.NewLabelerWithCounts(pe.Corpus, pe.Direct, label.Config{Sigma: 2, MinDirect: 30})
+	motifs := l.LabelMotif(pe.Motif)
+	task := predict.NewTask(pe.Network, o.NumTerms())
+	for p := 0; p < pe.Network.N(); p++ {
+		for _, tm := range pe.Corpus.Terms(p) {
+			task.Functions[p] = append(task.Functions[p], int(tm))
+		}
+	}
+	names := make([]string, o.NumTerms())
+	for tm := range names {
+		names[tm] = o.ID(tm)
+	}
+	art, err := artifact.Build("paper-example", "lamoctl test fixture",
+		task, names, pe.Corpus, pe.Direct, 30, motifs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art.BuildIndex(0)
+	return art
+}
+
+// TestMetricsRatios runs metrics -ratios against a live daemon after a
+// fixed sequence of predicts (four known proteins, one unknown): the
+// counts and the error rate are exact, and the three predict percentiles
+// are ordered histogram bucket bounds.
+func TestMetricsRatios(t *testing.T) {
+	s, err := serve.New(exampleArtifact(t), serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, p := range []string{"p1", "p2", "p5", "p7", "nosuch"} {
+		want := 0
+		if p == "nosuch" {
+			want = 1
+		}
+		var out, errb bytes.Buffer
+		if code := run([]string{"predict", "-protein", p, "-server", ts.URL}, &out, &errb); code != want {
+			t.Fatalf("predict %s: exit %d, want %d; stderr: %s", p, code, want, errb.String())
+		}
+	}
+
+	var out, errb bytes.Buffer
+	if code := run([]string{"metrics", "-ratios", "-server", ts.URL}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	got := map[string]string{}
+	for _, f := range strings.Fields(out.String()) {
+		k, v, ok := strings.Cut(f, "=")
+		if !ok {
+			t.Fatalf("field %q is not key=value:\n%s", f, out.String())
+		}
+		got[k] = v
+	}
+	for k, want := range map[string]string{
+		"requests": "5", "errors": "1", "error_rate": "0.200",
+		"predictions": "4", "access_log_dropped": "0",
+	} {
+		if got[k] != want {
+			t.Errorf("%s=%q, want %q:\n%s", k, got[k], want, out.String())
+		}
+	}
+	prev := int64(0)
+	for _, k := range []string{"predict_p50_us", "predict_p90_us", "predict_p99_us"} {
+		v, err := strconv.ParseInt(got[k], 10, 64)
+		if err != nil {
+			t.Fatalf("%s=%q: %v\n%s", k, got[k], err, out.String())
+		}
+		bound := false
+		for i := 0; i < obs.NumBuckets; i++ {
+			bound = bound || obs.BucketBound(i) == v
+		}
+		if !bound || v < prev {
+			t.Errorf("%s=%d is not a bucket bound at or above %d:\n%s", k, v, prev, out.String())
+		}
+		prev = v
+	}
+}
 
 // TestTraceListTable renders GET /v1/traces as columns.
 func TestTraceListTable(t *testing.T) {
