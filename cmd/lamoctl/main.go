@@ -11,19 +11,19 @@
 //	lamoctl motifs  [-server URL]
 //	lamoctl health  [-server URL]
 //	lamoctl metrics [-ratios] [-server URL]
-//	lamoctl prom    [-server URL]
 //	lamoctl fleet   [-table] [-server URL]
 //	lamoctl rollout -artifact PATH [-digest HEX] [-server URL]
 //	lamoctl inspect -artifact FILE
 //
-// Network subcommands print the daemon's JSON response verbatim, so output
-// is byte-deterministic whenever the daemon's is; health and metrics
-// -ratios additionally lead with an "artifact=<digest>" line, because the
-// served artifact's identity is the first thing an operator checks during
-// a rollout. metrics -ratios derives the error rate client-side — from
-// one decoded snapshot, so the numerator and denominator always belong to
-// the same instant. prom prints the Prometheus text exposition. predict
-// -trace attaches an X-Request-Id and verifies the daemon echoes it.
+// Network subcommands print the server's response verbatim, so output is
+// byte-deterministic whenever the server's is; health additionally leads
+// with an "artifact=<digest>" line, because the served artifact's identity
+// is the first thing an operator checks during a rollout. metrics prints
+// the Prometheus text exposition of /metrics; with -ratios it derives the
+// error rate and the predict percentiles client-side from that one scrape,
+// so the numerator and denominator always belong to the same instant.
+// predict -trace attaches an X-Request-Id and verifies the daemon echoes
+// it.
 // query posts a bulk plan — from -plan file.json or assembled from the
 // plan flags — to /v1/query and prints the streamed JSON verbatim, or an
 // aligned table with -table, or the per-operator EXPLAIN ANALYZE stats
@@ -47,6 +47,7 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"strconv"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -55,7 +56,6 @@ import (
 	"lamofinder/internal/fleet"
 	"lamofinder/internal/obs"
 	"lamofinder/internal/query"
-	"lamofinder/internal/serve"
 )
 
 func main() {
@@ -64,7 +64,7 @@ func main() {
 
 func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
-		errln(stderr, "usage: lamoctl <predict|query|trace|motifs|health|metrics|prom|fleet|rollout|inspect> [flags]")
+		errln(stderr, "usage: lamoctl <predict|query|trace|motifs|health|metrics|fleet|rollout|inspect> [flags]")
 		return 2
 	}
 	switch args[0] {
@@ -80,8 +80,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runHealth(args[1:], stdout, stderr)
 	case "metrics":
 		return runMetrics(args[1:], stdout, stderr)
-	case "prom":
-		return runGet(args[1:], "/metrics", stdout, stderr)
 	case "fleet":
 		return runFleet(args[1:], stdout, stderr)
 	case "rollout":
@@ -89,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "inspect":
 		return runInspect(args[1:], stdout, stderr)
 	default:
-		errf(stderr, "lamoctl: unknown subcommand %q (want predict, query, trace, motifs, health, metrics, prom, fleet, rollout, or inspect)\n", args[0])
+		errf(stderr, "lamoctl: unknown subcommand %q (want predict, query, trace, motifs, health, metrics, fleet, rollout, or inspect)\n", args[0])
 		return 2
 	}
 }
@@ -220,17 +218,19 @@ func runHealth(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runMetrics prints /v1/metrics verbatim, or with -ratios derives the
-// error rate. All ratios come from ONE decoded snapshot struct, so
+// runMetrics prints /metrics verbatim, or with -ratios derives the error
+// rate and the predict percentiles. Everything comes from ONE scrape, so
 // numerator and denominator are the same point-in-time read — fetching
-// the endpoint twice (or deriving from separately scraped values) can
-// tear: a request landing between the two reads yields rates over
-// mismatched totals, and early versions of this command did exactly that.
+// twice (or deriving from separately scraped values) can tear: a request
+// landing between the two reads yields rates over mismatched totals, and
+// early versions of this command did exactly that. A gateway's scrape is
+// read through its lamod_fleet_* series, which count no predictions and
+// no access-log drops.
 func runMetrics(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("lamoctl metrics", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	sf := addServerFlags(fs)
-	ratios := fs.Bool("ratios", false, "derive the error rate from a single snapshot instead of printing raw JSON")
+	ratios := fs.Bool("ratios", false, "derive the error rate and predict percentiles from a single scrape instead of printing it")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -239,25 +239,48 @@ func runMetrics(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if !*ratios {
-		return fetch(client(*sf.timeout), *sf.server+"/v1/metrics", stdout, stderr)
+		return fetch(client(*sf.timeout), *sf.server+"/metrics", stdout, stderr)
 	}
-	body, code := getBody(client(*sf.timeout), *sf.server+"/v1/metrics", stderr)
+	body, code := getBody(client(*sf.timeout), *sf.server+"/metrics", stderr)
 	if code != 0 {
 		return code
 	}
-	var snap serve.MetricsSnapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		errf(stderr, "lamoctl: decode metrics: %v\n", err)
-		return 1
+	samples := map[string]int64{}
+	var buckets []int64 // the predict route's cumulative bucket counts
+	ns, latency := "lamod_", "lamod_request_duration_seconds"
+	if bytes.Contains(body, []byte("\nlamod_fleet_requests_total ")) {
+		ns, latency = "lamod_fleet_", "lamod_fleet_route_latency_seconds"
 	}
-	_, _ = fmt.Fprintf(stdout, "artifact=%s\n", snap.Artifact)
-	_, _ = fmt.Fprintf(stdout, "requests=%d errors=%d error_rate=%s\n",
-		snap.Requests, snap.Errors, ratio(snap.Errors, snap.Requests))
-	_, _ = fmt.Fprintf(stdout, "predictions=%d\n", snap.Predictions)
-	_, _ = fmt.Fprintf(stdout, "access_log_dropped=%d\n", snap.AccessLogDropped)
-	if lat, ok := snap.Latency["predict"]; ok {
+	for _, line := range strings.Split(string(body), "\n") {
+		// Fields splits off an exemplar too; no series read here has a
+		// label value with a space in it.
+		f := strings.Fields(line)
+		if len(f) < 2 || strings.HasPrefix(f[0], "#") {
+			continue
+		}
+		v, err := strconv.ParseInt(f[1], 10, 64)
+		if err != nil {
+			continue // a float sample: a _sum or a GC pause total
+		}
+		if strings.HasPrefix(f[0], latency+`_bucket{route="predict",`) {
+			buckets = append(buckets, v)
+		}
+		samples[f[0]] = v
+	}
+	reqs, errs := samples[ns+"requests_total"], samples[ns+"errors_total"]
+	_, _ = fmt.Fprintf(stdout, "requests=%d errors=%d error_rate=%s\n", reqs, errs, ratio(errs, reqs))
+	if ns == "lamod_" {
+		_, _ = fmt.Fprintf(stdout, "predictions=%d\n", samples["lamod_predictions_total"])
+		_, _ = fmt.Fprintf(stdout, "access_log_dropped=%d\n", samples["lamod_access_log_dropped_total"])
+	}
+	if len(buckets) == obs.NumBuckets {
+		var hs obs.HistSnapshot
+		for i, cum := range buckets {
+			hs.Buckets[i] = cum - hs.Count
+			hs.Count = cum
+		}
 		_, _ = fmt.Fprintf(stdout, "predict_p50_us=%d predict_p90_us=%d predict_p99_us=%d\n",
-			lat.P50Micros, lat.P90Micros, lat.P99Micros)
+			hs.Quantile(0.50), hs.Quantile(0.90), hs.Quantile(0.99))
 	}
 	return 0
 }

@@ -23,9 +23,7 @@
 //	            [-reload] [-reload-dir DIR]
 //	            [-log-level LEVEL] [-trace-sample N] [-exemplars]
 //	lamod gateway -replicas HOST:PORT,HOST:PORT,... [-addr HOST:PORT]
-//	            [-vnodes N] [-probe-interval D] [-fail-threshold N]
-//	            [-attempts N] [-hedge-max D] [-drain D]
-//	            [-log-level LEVEL] [-trace-sample N]
+//	            [-drain D] [-log-level LEVEL] [-trace-sample N]
 //
 // build always traces its pipeline stages (census, uniqueness, labeling,
 // clustering, ranking) into the artifact's build metadata; -stats prints
@@ -290,11 +288,6 @@ func runGateway(args []string) int {
 	fs := flag.NewFlagSet("lamod gateway", flag.ContinueOnError)
 	replicas := fs.String("replicas", "", "comma-separated replica addresses, host:port or URLs (required)")
 	addr := fs.String("addr", "127.0.0.1:8070", "listen address")
-	vnodes := fs.Int("vnodes", 0, "virtual nodes per replica on the hash ring (0 = default)")
-	probeInterval := fs.Duration("probe-interval", 0, "health-probe period (0 = default)")
-	failThreshold := fs.Int("fail-threshold", 0, "consecutive probe failures before eject (0 = default)")
-	attempts := fs.Int("attempts", 0, "max distinct replicas tried per request (0 = default)")
-	hedgeMax := fs.Duration("hedge-max", 0, "hedge-delay ceiling; negative disables hedging (0 = default)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
 	newLogger := logFlags(fs)
 	traceSample := fs.Int("trace-sample", 0, "span-trace head sampling: 1 in N requests (0 = default 16, negative = forced-only)")
@@ -323,11 +316,6 @@ func runGateway(args []string) int {
 	}
 	rt, err := fleet.New(fleet.Config{
 		Replicas:         members,
-		VNodes:           *vnodes,
-		ProbeInterval:    *probeInterval,
-		FailThreshold:    *failThreshold,
-		MaxAttempts:      *attempts,
-		HedgeMax:         *hedgeMax,
 		Logger:           logger,
 		TraceSampleEvery: *traceSample,
 	})

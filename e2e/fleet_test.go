@@ -73,8 +73,10 @@ func TestFleet(t *testing.T) {
 	if after := run(t, lamoctl, predict...); after != before {
 		t.Errorf("served bytes changed over the rollout:\n%s\n%s", before, after)
 	}
-	prom := run(t, lamoctl, "prom", "-server", gw.url)
+	prom := run(t, lamoctl, "metrics", "-server", gw.url)
 	matches(t, prom, `^lamod_fleet_mixed_digest 0$`, `^lamod_fleet_rollouts_total 1$`)
+	// -ratios reads the gateway's lamod_fleet_* series.
+	matches(t, run(t, lamoctl, "metrics", "-ratios", "-server", gw.url), `^requests=[1-9][0-9]* errors=0 `, `^predict_p50_us=`)
 	if n := countLines(prom, `^lamod_fleet_replica_up\{[^}]*\} 1$`); n != 3 {
 		t.Errorf("%d replicas up, want 3", n)
 	}
@@ -111,7 +113,7 @@ func TestTrace(t *testing.T) {
 		t.Errorf("a plain query carries explain stats:\n%s", first)
 	}
 	matches(t, run(t, lamoctl, append(q, "-explain")...), `^OP`, `^scan`, `^emit`, `wall_us=`)
-	contains(t, run(t, lamoctl, "prom", "-server", d.url), `# {trace_id="e2e-predict-1"}`)
+	contains(t, run(t, lamoctl, "metrics", "-server", d.url), `# {trace_id="e2e-predict-1"}`)
 
 	_, gw := startFleet(t)
 	run(t, lamoctl, "predict", "-server", gw.url, "-trace", "e2e-fleet-1", "-protein", "M0000", "-k", "5")

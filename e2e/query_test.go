@@ -100,12 +100,8 @@ func TestQuery(t *testing.T) {
 	contains(t, table, "FUNCTION")
 	matches(t, table, `^artifact=`)
 
-	metrics := run(t, lamoctl, "metrics", "-server", d.url)
-	contains(t, metrics, `"query_latency":`)
-	var snap struct{ Queries int64 }
-	decodeNumbers(t, metrics, &snap)
-	if snap.Queries == 0 {
-		t.Error("the daemon recorded no queries")
-	}
+	// The daemon counted the plans, and timed them by plan kind.
+	matches(t, run(t, lamoctl, "metrics", "-server", d.url),
+		`^lamod_queries_total [1-9][0-9]*$`, `^lamod_query_duration_seconds_count\{plan="[a-z_]+"\} [1-9]`)
 	d.stop(t)
 }

@@ -3,7 +3,6 @@
 package e2e
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"regexp"
@@ -14,8 +13,8 @@ import (
 )
 
 // TestServe drives one daemon: the build's stage trace, health, predict
-// with trace-ID echo, metrics, the Prometheus exposition, the SIGTERM
-// drain and the access log it flushes.
+// with trace-ID echo, the Prometheus exposition and the ratios derived
+// from it, the SIGTERM drain and the access log it flushes.
 func TestServe(t *testing.T) {
 	t.Parallel()
 	// -stats prints the stage table. A "0s" wall for census or labeling
@@ -39,11 +38,10 @@ func TestServe(t *testing.T) {
 		t.Errorf("the same predict answered different bytes:\n%s\n%s", first, again)
 	}
 
-	run(t, lamoctl, "metrics", "-server", d.url)
 	matches(t, run(t, lamoctl, "metrics", "-ratios", "-server", d.url), `^requests=`, `predict_p50_us=`)
 
 	// One malformed exposition line breaks a real scraper.
-	prom := run(t, lamoctl, "prom", "-server", d.url)
+	prom := run(t, lamoctl, "metrics", "-server", d.url)
 	line := regexp.MustCompile(`^(#|[a-z_]+(\{[^}]*\})? [0-9.e+-]+$)`)
 	for _, l := range strings.Split(strings.TrimSuffix(prom, "\n"), "\n") {
 		if !line.MatchString(l) {
@@ -59,7 +57,7 @@ func TestServe(t *testing.T) {
 }
 
 // TestLoad sends closed-loop, open-loop and query traffic to a fresh
-// daemon; every response must be 200, and /v1/metrics must count each
+// daemon; every response must be 200, and /metrics must count each
 // protein requested and each plan sent.
 func TestLoad(t *testing.T) {
 	t.Parallel()
@@ -119,12 +117,7 @@ func TestLoad(t *testing.T) {
 		t.Error(err)
 	}
 
-	var snap struct{ Predictions, Queries int64 }
-	if err := json.Unmarshal([]byte(run(t, lamoctl, "metrics", "-server", d.url)), &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Predictions != 300*2+100 || snap.Queries != 100 {
-		t.Errorf("metrics count %d predictions and %d queries, want 700 and 100", snap.Predictions, snap.Queries)
-	}
+	matches(t, run(t, lamoctl, "metrics", "-server", d.url),
+		fmt.Sprintf(`^lamod_predictions_total %d$`, 300*2+100), `^lamod_queries_total 100$`)
 	d.stop(t)
 }

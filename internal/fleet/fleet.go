@@ -17,14 +17,14 @@
 //
 // Endpoints:
 //
-//	GET  /v1/predict  — routed to a replica by protein affinity (retries, hedging)
-//	POST /v1/predict  — same, hashed on the first protein of the batch
+//	GET  /v1/predict  — routed to a replica by the first protein= value
+//	                    (retries, hedging)
 //	GET  /v1/motifs   — proxied to the first available replica
 //	GET  /v1/healthz  — fleet liveness/readiness + uniform artifact digest
 //	GET  /v1/fleet    — the membership table (state, digest, latency per replica)
-//	GET  /v1/metrics  — fleet counters and latency snapshot (JSON)
-//	GET  /metrics     — the same in Prometheus text format, including the
-//	                    lamod_fleet_mixed_digest gauge
+//	GET  /v1/traces   — the gateway's span traces, merged with the replicas'
+//	GET  /metrics     — fleet counters and latency in Prometheus text
+//	                    format, including the lamod_fleet_mixed_digest gauge
 //	POST /v1/admin/rollout — rolling artifact swap across the fleet, one
 //	                    replica at a time, digests verified end to end
 //
@@ -51,21 +51,23 @@ import (
 	"lamofinder/internal/serve"
 )
 
+// DefaultVNodes is the virtual-node count per replica on the hash ring.
+const DefaultVNodes = 64
+
 // Defaults for Config's zero values.
 const (
-	DefaultVNodes        = 64
 	DefaultProbeInterval = 500 * time.Millisecond
 	DefaultProbeTimeout  = 2 * time.Second
-	DefaultFailThreshold = 2
 	DefaultBackoffBase   = time.Second
-	DefaultMaxAttempts   = 3
 	DefaultHedgeMin      = 2 * time.Millisecond
 	DefaultHedgeMax      = 500 * time.Millisecond
 )
 
-// Fixed limits. The gateway reads a POST body under serve.MaxBody, the
+// Fixed limits. The gateway reads a rollout body under serve.MaxBody, the
 // replicas' own cap, and answers an oversized one with 413 as they do.
 const (
+	failThreshold   = 2                // consecutive probe or transport failures that eject a replica
+	maxAttempts     = 3                // distinct replicas tried per request; a hedge is not one
 	backoffMax      = 30 * time.Second // ceiling of an ejected replica's reprobe backoff
 	drainTimeout    = 10 * time.Second // rollout: wait for a replica's in-flight requests
 	rolloutWait     = 60 * time.Second // rollout: wait for a reloaded replica to be ready
@@ -77,20 +79,13 @@ const (
 type Config struct {
 	// Replicas lists the lamod daemons, as host:port or full base URLs.
 	Replicas []string
-	// VNodes is the virtual-node count per replica on the hash ring.
-	VNodes int
 	// ProbeInterval is the health-probe period; ProbeTimeout bounds one
 	// probe request.
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
-	// FailThreshold is the consecutive-failure count that ejects a
-	// replica; ejected replicas are reprobed after an exponential backoff
-	// growing from BackoffBase to 30 s.
-	FailThreshold int
-	BackoffBase   time.Duration
-	// MaxAttempts bounds the distinct replicas tried per predict request
-	// (first attempt + retries; the hedge does not consume an attempt).
-	MaxAttempts int
+	// BackoffBase starts the reprobe backoff of a replica ejected after
+	// two consecutive failures; it doubles per further failure up to 30 s.
+	BackoffBase time.Duration
 	// Hedge delay is derived from the fleet's observed upstream p99 and
 	// clamped to [HedgeMin, HedgeMax]; before any observation it is
 	// HedgeMax. HedgeMin <= 0 uses the default; a negative HedgeMax
@@ -120,23 +115,14 @@ func (c *Config) fill() error {
 	if len(c.Replicas) > maxReplicas {
 		return fmt.Errorf("fleet: %d replicas exceeds the %d-replica cap", len(c.Replicas), maxReplicas)
 	}
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = DefaultProbeInterval
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = DefaultProbeTimeout
 	}
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = DefaultFailThreshold
-	}
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = DefaultBackoffBase
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = DefaultMaxAttempts
 	}
 	if c.HedgeMin <= 0 {
 		c.HedgeMin = DefaultHedgeMin
@@ -190,7 +176,7 @@ func New(cfg Config) (*Router, error) {
 	for i, a := range cfg.Replicas {
 		addrs[i] = normalizeAddr(a)
 	}
-	ring := NewRing(addrs, cfg.VNodes)
+	ring := NewRing(addrs, DefaultVNodes)
 	if ring.Len() < len(addrs) {
 		return nil, fmt.Errorf("fleet: duplicate replica addresses in %v", cfg.Replicas)
 	}
@@ -294,7 +280,7 @@ func (rt *Router) probeOne(m *member, now time.Time) {
 	err := rt.getJSON(ctx, m.addr+"/v1/healthz", &ph)
 	switch {
 	case err != nil || ph.Status != "ok":
-		if m.noteFailure(now, rt.cfg.FailThreshold, rt.cfg.BackoffBase) {
+		if m.noteFailure(now, rt.cfg.BackoffBase) {
 			rt.met.ejects.Add(1)
 			rt.cfg.Logger.Warn("fleet eject", obs.String("replica", m.addr))
 		}

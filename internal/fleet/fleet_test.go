@@ -448,12 +448,10 @@ func TestFleetHedging(t *testing.T) {
 	}
 }
 
-// TestFleetMetricsShape: the JSON snapshot self-identifies as a fleet
-// and carries upstream latency plus the replica table.
-// TestGatewayOversizedBodyRejected: both gateway routes that read a POST
-// body refuse one over serve.MaxBody with 413, as every daemon route does
-// (serve's TestOversizedBodyRejected), while a body of exactly
-// serve.MaxBody bytes is still read.
+// TestGatewayOversizedBodyRejected: the gateway route that reads a POST
+// body, the rollout, refuses one over serve.MaxBody with 413, as every
+// daemon route does (serve's TestOversizedBodyRejected), while a body of
+// exactly serve.MaxBody bytes is still read.
 func TestGatewayOversizedBodyRejected(t *testing.T) {
 	dir := t.TempDir()
 	path, _ := saveExample(t, dir, "version a")
@@ -475,23 +473,55 @@ func TestGatewayOversizedBodyRejected(t *testing.T) {
 		}
 		return resp.StatusCode, b
 	}
-	for _, route := range []string{"/v1/predict", "/v1/admin/rollout"} {
-		status, resp := post(ts.URL+route, body(serve.MaxBody+1))
-		if status != http.StatusRequestEntityTooLarge {
-			t.Fatalf("%s: oversized body got status %d: %s", route, status, resp)
-		}
-		var e struct {
-			Error string `json:"error"`
-		}
-		if err := json.Unmarshal(resp, &e); err != nil || !strings.Contains(e.Error, "too large") {
-			t.Fatalf("%s: error body %s (%v)", route, resp, err)
-		}
-		if status, resp := post(ts.URL+route, body(serve.MaxBody)); status == http.StatusRequestEntityTooLarge {
-			t.Fatalf("%s: body at the cap refused: %s", route, resp)
-		}
+	const route = "/v1/admin/rollout"
+	status, resp := post(ts.URL+route, body(serve.MaxBody+1))
+	if status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%s: oversized body got status %d: %s", route, status, resp)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(resp, &e); err != nil || !strings.Contains(e.Error, "too large") {
+		t.Fatalf("%s: error body %s (%v)", route, resp, err)
+	}
+	if status, resp := post(ts.URL+route, body(serve.MaxBody)); status == http.StatusRequestEntityTooLarge {
+		t.Fatalf("%s: body at the cap refused: %s", route, resp)
 	}
 }
 
+// TestGatewayPredictIsGetOnly: the gateway refuses a POST to /v1/predict
+// with a 405 that names GET, before routing it anywhere, and /v1/metrics,
+// the retired JSON exposition, is not found.
+func TestGatewayPredictIsGetOnly(t *testing.T) {
+	dir := t.TempDir()
+	path, _ := saveExample(t, dir, "version a")
+	_, rt, ts := newTestFleet(t, 1, path, dir, nil)
+	resp, err := http.Post(ts.URL+"/v1/predict", "application/json",
+		strings.NewReader(`{"proteins":["p1"],"k":3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusMethodNotAllowed || string(body) != `{"error":"use GET"}`+"\n" {
+		t.Fatalf("POST /v1/predict: %d %s, want 405 naming GET", resp.StatusCode, body)
+	}
+	if n := rt.members[0].requests.Load(); n != 0 {
+		t.Fatalf("refused POST was relayed: %d upstream requests", n)
+	}
+	if status, body := get(t, ts.URL+"/v1/metrics"); status != http.StatusNotFound {
+		t.Fatalf("GET /v1/metrics: %d %s, want 404", status, body)
+	}
+}
+
+// TestFleetMetricsShape: Router.Metrics carries the uniform digest, the
+// router-side predict latency, the merged upstream latency and the
+// replica table.
 func TestFleetMetricsShape(t *testing.T) {
 	dir := t.TempDir()
 	path, dig := saveExample(t, dir, "version a")
@@ -506,11 +536,7 @@ func TestFleetMetricsShape(t *testing.T) {
 			t.Fatalf("predict status %d", status)
 		}
 	}
-	_, body := get(t, ts.URL+"/v1/metrics")
-	var snap Snapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatal(err)
-	}
+	snap := rt.Metrics()
 	if !snap.Fleet {
 		t.Fatal("snapshot fleet marker false")
 	}
@@ -523,17 +549,7 @@ func TestFleetMetricsShape(t *testing.T) {
 	if len(snap.Replicas) != 2 {
 		t.Fatalf("snapshot lists %d replicas, want 2", len(snap.Replicas))
 	}
-	if _, ok := snap.Latency["predict"]; !ok {
-		t.Fatalf("snapshot latency map lacks predict: %v", snap.Latency)
-	}
-
-	// A daemon's snapshot decoded with the fleet shape stays Fleet=false,
-	// which is how a client tells the two apart.
-	var daemonAsFleet Snapshot
-	if err := json.Unmarshal([]byte(`{"requests":1}`), &daemonAsFleet); err != nil {
-		t.Fatal(err)
-	}
-	if daemonAsFleet.Fleet {
-		t.Fatal("daemon-shaped snapshot must not decode as a fleet")
+	if lat := snap.Latency["predict"]; lat.Count != 5 || snap.Requests != 5 {
+		t.Fatalf("snapshot counts %d requests and %+v predict latency, want 5 of each", snap.Requests, lat)
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // Member states. The state machine is:
 //
-//	Ready ──probe fails FailThreshold times──▶ Ejected
+//	Ready ──probe fails failThreshold times──▶ Ejected
 //	Ready ──replica reports ready:false, or rollout drain──▶ Draining
 //	Draining ──probe reports ready:true──▶ Ready
 //	Ejected ──probe succeeds (after backoff)──▶ Ready (a readmission)
@@ -85,16 +85,16 @@ func (m *member) noteSuccess() (readmitted bool) {
 }
 
 // noteFailure records one failed probe or transport error and ejects the
-// member once the streak reaches threshold. Ejected members back off
-// exponentially: base<<(streak-threshold), capped at backoffMax. Returns
-// true when this call performed the eject transition.
-func (m *member) noteFailure(now time.Time, threshold int, base time.Duration) (ejected bool) {
+// member once the streak reaches failThreshold. Ejected members back off
+// exponentially: base<<(streak-failThreshold), capped at backoffMax.
+// Returns true when this call performed the eject transition.
+func (m *member) noteFailure(now time.Time, base time.Duration) (ejected bool) {
 	m.mu.Lock()
 	m.consecFails++
 	streak := m.consecFails
-	if streak >= threshold {
+	if streak >= failThreshold {
 		backoff := base
-		for i := threshold; i < streak && backoff < backoffMax; i++ {
+		for i := failThreshold; i < streak && backoff < backoffMax; i++ {
 			backoff *= 2
 		}
 		if backoff > backoffMax {
@@ -103,7 +103,7 @@ func (m *member) noteFailure(now time.Time, threshold int, base time.Duration) (
 		m.nextProbe = now.Add(backoff)
 	}
 	m.mu.Unlock()
-	if streak >= threshold {
+	if streak >= failThreshold {
 		return m.state.Swap(memberEjected) != memberEjected
 	}
 	return false
@@ -122,7 +122,7 @@ func (m *member) probeDue(now time.Time) bool {
 }
 
 // MemberStatus is one row of the membership table as served by /v1/fleet
-// and embedded in the fleet metrics snapshot.
+// and carried in Router.Metrics.
 type MemberStatus struct {
 	Replica             string `json:"replica"`
 	State               string `json:"state"`

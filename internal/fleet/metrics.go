@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -39,7 +38,7 @@ func fleetRouteOf(path string) int {
 		return fleetRouteHealthz
 	case "/v1/fleet":
 		return fleetRouteFleet
-	case "/v1/metrics", "/metrics":
+	case "/metrics":
 		return fleetRouteMetrics
 	case "/v1/admin/rollout":
 		return fleetRouteRollout
@@ -53,8 +52,7 @@ func fleetRouteOf(path string) int {
 }
 
 // fleetMetrics holds the router's series, each declared once on reg,
-// which renders both /metrics (under the lamod_fleet_* namespace) and the
-// metric fields of /v1/metrics.
+// which renders /metrics under the lamod_fleet_* namespace.
 type fleetMetrics struct {
 	reg       obs.Registry
 	requests  *atomic.Int64 // client requests handled by the router
@@ -75,15 +73,15 @@ type fleetMetrics struct {
 // artifact digest, 0 once the fleet is uniform again.
 func (rt *Router) declareMetrics() {
 	m, r := &rt.met, &rt.met.reg
-	m.requests = r.Counter("lamod_fleet_requests_total", "requests", "Client requests handled by the fleet router.")
-	m.errors = r.Counter("lamod_fleet_errors_total", "errors", "Client responses with status >= 400.")
-	m.retries = r.Counter("lamod_fleet_retries_total", "retries", "Upstream retry attempts launched.")
-	m.hedges = r.Counter("lamod_fleet_hedges_total", "hedges", "Hedged duplicate upstream requests launched.")
-	m.hedgeWins = r.Counter("lamod_fleet_hedge_wins_total", "hedge_wins", "Requests answered first by the hedged attempt.")
-	m.ejects = r.Counter("lamod_fleet_ejects_total", "ejects", "Replica ejections after consecutive probe failures.")
-	m.readmits = r.Counter("lamod_fleet_readmits_total", "readmits", "Ejected replicas readmitted after a successful probe.")
-	m.rollouts = r.Counter("lamod_fleet_rollouts_total", "rollouts", "Rolling artifact swaps completed.")
-	r.Func("gauge", "lamod_fleet_mixed_digest", "", "1 while live replicas serve more than one artifact digest, 0 when uniform.", func() int64 {
+	m.requests = r.Counter("lamod_fleet_requests_total", "Client requests handled by the fleet router.")
+	m.errors = r.Counter("lamod_fleet_errors_total", "Client responses with status >= 400.")
+	m.retries = r.Counter("lamod_fleet_retries_total", "Upstream retry attempts launched.")
+	m.hedges = r.Counter("lamod_fleet_hedges_total", "Hedged duplicate upstream requests launched.")
+	m.hedgeWins = r.Counter("lamod_fleet_hedge_wins_total", "Requests answered first by the hedged attempt.")
+	m.ejects = r.Counter("lamod_fleet_ejects_total", "Replica ejections after consecutive probe failures.")
+	m.readmits = r.Counter("lamod_fleet_readmits_total", "Ejected replicas readmitted after a successful probe.")
+	m.rollouts = r.Counter("lamod_fleet_rollouts_total", "Rolling artifact swaps completed.")
+	r.Func("gauge", "lamod_fleet_mixed_digest", "1 while live replicas serve more than one artifact digest, 0 when uniform.", func() int64 {
 		if _, mixed := rt.mixedDigest(); mixed {
 			return 1
 		}
@@ -105,17 +103,17 @@ func (rt *Router) declareMetrics() {
 				emit(1, mb.addr, mb.getDigest())
 			}
 		})
-	m.upstream = r.Histograms("lamod_fleet_upstream_latency_seconds", "", "Upstream request latency per replica.", "replica", rt.ring.Members(), true)
+	m.upstream = r.Histograms("lamod_fleet_upstream_latency_seconds", "Upstream request latency per replica.", "replica", rt.ring.Members(), true)
 	for i, mb := range rt.members {
 		mb.lat = m.upstream.Hist(i)
 	}
-	m.lat = r.Histograms("lamod_fleet_route_latency_seconds", "latency", "Router-side request latency per route.", "route", fleetRouteNames[:], false)
+	m.lat = r.Histograms("lamod_fleet_route_latency_seconds", "Router-side request latency per route.", "route", fleetRouteNames[:], false)
 }
 
-// Snapshot decodes the router's /v1/metrics body. Fleet is always true so
-// a client can tell a router from a daemon: daemon snapshots have no
-// "fleet" key, which decodes as false. Upstream merges
-// every replica's observed latency into one fleet-wide summary.
+// Snapshot is the router's state at one read: its counters, the uniform
+// artifact digest, router-side latency per route with samples, every
+// replica's observed latency merged into one summary, and the membership
+// table. Fleet is always true.
 type Snapshot struct {
 	Fleet       bool                          `json:"fleet"`
 	Artifact    string                        `json:"artifact"`
@@ -133,33 +131,32 @@ type Snapshot struct {
 	Replicas    []MemberStatus                `json:"replicas"`
 }
 
-// metricValues is the /v1/metrics body: the registry's keyed series plus
-// the fleet fields that are not metrics.
-func (rt *Router) metricValues() map[string]any {
-	v := rt.met.reg.Values()
-	v["fleet"] = true
-	v["artifact"], v["mixed_digest"] = rt.mixedDigest()
-	v["upstream"] = rt.met.upstream.Merged().Summary()
-	v["replicas"] = rt.fleetStatus().Replicas
-	return v
-}
-
-// Metrics returns the current /v1/metrics body, decoded.
+// Metrics reads the router's counters and histograms into a Snapshot.
 func (rt *Router) Metrics() Snapshot {
-	var s Snapshot
-	// Both calls run over plain values the router just built; neither can
-	// fail.
-	b, _ := json.Marshal(rt.metricValues())
-	_ = json.Unmarshal(b, &s)
-	return s
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		serve.WriteError(w, http.StatusMethodNotAllowed, "use GET")
-		return
+	m := &rt.met
+	lat := make(map[string]obs.LatencySummary)
+	for i, route := range fleetRouteNames {
+		if hs := m.lat.Hist(i).Snapshot(); hs.Count > 0 {
+			lat[route] = hs.Summary()
+		}
 	}
-	serve.WriteJSON(w, http.StatusOK, rt.metricValues())
+	fs := rt.fleetStatus()
+	return Snapshot{
+		Fleet:       true,
+		Artifact:    fs.Artifact,
+		MixedDigest: fs.MixedDigest,
+		Requests:    m.requests.Load(),
+		Errors:      m.errors.Load(),
+		Retries:     m.retries.Load(),
+		Hedges:      m.hedges.Load(),
+		HedgeWins:   m.hedgeWins.Load(),
+		Ejects:      m.ejects.Load(),
+		Readmits:    m.readmits.Load(),
+		Rollouts:    m.rollouts.Load(),
+		Latency:     lat,
+		Upstream:    m.upstream.Merged().Summary(),
+		Replicas:    fs.Replicas,
+	}
 }
 
 // handleProm serves /metrics, the Prometheus rendering of the registry.

@@ -48,7 +48,7 @@ func mix64(h uint64) uint64 {
 	return h
 }
 
-// Ring is a consistent-hash ring: each member owns VNodes points on a
+// Ring is a consistent-hash ring: each member owns vnodes points on a
 // 64-bit circle, and a key belongs to the vnode with the smallest
 // clockwise distance from any of the key's ringProbes probe points (see
 // winner). Placement is a pure function of the member
@@ -66,13 +66,9 @@ type ringNode struct {
 	member int32
 }
 
-// NewRing builds a ring with vnodes virtual nodes per member (<=0 means
-// DefaultVNodes). Member names are deduplicated and sorted, so the input
-// order never matters.
+// NewRing builds a ring with vnodes virtual nodes per member. Member
+// names are deduplicated and sorted, so the input order never matters.
 func NewRing(members []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
 	uniq := make([]string, 0, len(members))
 	seen := make(map[string]bool, len(members))
 	for _, m := range members {

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -24,7 +23,6 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("/v1/motifs", rt.handleMotifs)
 	mux.HandleFunc("/v1/healthz", rt.handleHealthz)
 	mux.HandleFunc("/v1/fleet", rt.handleFleet)
-	mux.HandleFunc("/v1/metrics", rt.handleMetrics)
 	mux.HandleFunc("/metrics", rt.handleProm)
 	mux.HandleFunc("/v1/admin/rollout", rt.handleRollout)
 	mux.HandleFunc("/v1/traces", rt.handleTraces)
@@ -58,20 +56,10 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
-// affinityKey extracts the routing key — the first protein named by the
-// request — from a predict request. GET reads the first protein= query
-// value; POST decodes the buffered JSON body. An empty key routes like
-// any other key (it simply always hashes to the same replica).
-func affinityKey(r *http.Request, body []byte) string {
-	if r.Method == http.MethodPost {
-		var req struct {
-			Proteins []string `json:"proteins"`
-		}
-		if err := json.Unmarshal(body, &req); err == nil && len(req.Proteins) > 0 {
-			return req.Proteins[0]
-		}
-		return ""
-	}
+// affinityKey extracts the routing key — the first protein= query value —
+// from a predict request. An empty key routes like any other key (it
+// simply always hashes to the same replica).
+func affinityKey(r *http.Request) string {
 	for raw := r.URL.RawQuery; raw != ""; {
 		key, val, rest, ok := serve.NextQueryPair(raw)
 		if ok && key == "protein" {
@@ -109,10 +97,10 @@ func (u *upstreamResult) retryable() bool {
 	return false
 }
 
-// issue proxies one buffered request to one member and buffers the full
-// response. Latency is recorded per member; transport failures count
-// toward the member's eject streak unless the router itself canceled the
-// attempt (a lost hedge race is not evidence the replica is sick).
+// issue proxies one GET to one member and buffers the full response.
+// Latency is recorded per member; transport failures count toward the
+// member's eject streak unless the router itself canceled the attempt (a
+// lost hedge race is not evidence the replica is sick).
 //
 // requestID is the gateway's ID for this request — minted once in the
 // handler when the client supplied none, so every attempt (retry or
@@ -120,13 +108,9 @@ func (u *upstreamResult) retryable() bool {
 // join on it. traceCtx, when non-empty, is the X-Trace-Context value
 // binding the replica-side trace to this attempt's span in the gateway
 // trace.
-func (rt *Router) issue(ctx context.Context, m *member, method, uri string, body []byte, requestID, traceCtx string, hedged bool) *upstreamResult {
+func (rt *Router) issue(ctx context.Context, m *member, uri, requestID, traceCtx string, hedged bool) *upstreamResult {
 	res := &upstreamResult{member: m, hedged: hedged}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, m.addr+uri, rd)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.addr+uri, nil)
 	if err != nil {
 		res.err = err
 		return res
@@ -136,9 +120,6 @@ func (rt *Router) issue(ctx context.Context, m *member, method, uri string, body
 	}
 	if traceCtx != "" {
 		req.Header.Set(obs.HeaderTraceContext, traceCtx)
-	}
-	if method == http.MethodPost {
-		req.Header.Set("Content-Type", "application/json")
 	}
 	m.inflight.Add(1)
 	m.requests.Add(1)
@@ -159,7 +140,7 @@ func (rt *Router) issue(ctx context.Context, m *member, method, uri string, body
 		res.err = err
 		if !errors.Is(err, context.Canceled) {
 			m.errors.Add(1)
-			if m.noteFailure(time.Now(), rt.cfg.FailThreshold, rt.cfg.BackoffBase) {
+			if m.noteFailure(time.Now(), rt.cfg.BackoffBase) {
 				rt.met.ejects.Add(1)
 				rt.cfg.Logger.Warn("fleet eject", obs.String("replica", m.addr), obs.String("cause", "transport"))
 			}
@@ -202,9 +183,9 @@ type attemptState struct {
 	done bool
 }
 
-// route proxies one predict request: primary attempt on the key's owner,
-// a hedged duplicate on the next replica once the p99-derived delay
-// expires, then sequential retries over the remaining candidates. The
+// route proxies one GET: primary attempt on the key's owner, a hedged
+// duplicate on the next replica once the p99-derived delay expires, then
+// sequential retries over the remaining candidates. The
 // first non-retryable result wins; a lost hedge is canceled by the
 // request context when the handler returns.
 //
@@ -214,12 +195,9 @@ type attemptState struct {
 // replica's trace nests under the exact attempt that caused it. All span
 // mutation happens on this goroutine (the trace's single-writer
 // contract); the issue goroutines never touch tr.
-func (rt *Router) route(ctx context.Context, candidates []*member, method, uri string, body []byte, requestID string, tr *obs.Trace) *upstreamResult {
-	maxAttempts := rt.cfg.MaxAttempts
-	if maxAttempts > len(candidates) {
-		maxAttempts = len(candidates)
-	}
-	resc := make(chan *upstreamResult, maxAttempts+1) // buffered: losers never block
+func (rt *Router) route(ctx context.Context, candidates []*member, uri, requestID string, tr *obs.Trace) *upstreamResult {
+	limit := min(maxAttempts, len(candidates))
+	resc := make(chan *upstreamResult, limit+1) // buffered: losers never block
 	inFlight, next := 0, 0
 	var attempts []attemptState
 	launch := func(hedged bool) {
@@ -237,7 +215,7 @@ func (rt *Router) route(ctx context.Context, candidates []*member, method, uri s
 			traceCtx = obs.FormatTraceContext(tr.ID(), si)
 		}
 		attempts = append(attempts, attemptState{m: m, span: si})
-		go func() { resc <- rt.issue(ctx, m, method, uri, body, requestID, traceCtx, hedged) }()
+		go func() { resc <- rt.issue(ctx, m, uri, requestID, traceCtx, hedged) }()
 	}
 	// settle closes the span of one returned attempt and logs the attempt
 	// line that joins the gateway access log to the replica's.
@@ -298,7 +276,7 @@ func (rt *Router) route(ctx context.Context, candidates []*member, method, uri s
 			lastFail = res
 			// Sequential retry on the next candidate, bounded by
 			// maxAttempts non-hedged launches in total.
-			if next < len(candidates) && next < maxAttempts {
+			if next < limit {
 				rt.met.retries.Add(1)
 				launch(false)
 			}
@@ -314,27 +292,18 @@ func (rt *Router) route(ctx context.Context, candidates []*member, method, uri s
 }
 
 func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodPost {
-		serve.WriteError(w, http.StatusMethodNotAllowed, "use GET or POST")
+	if r.Method != http.MethodGet {
+		serve.WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	var body []byte
-	if r.Method == http.MethodPost {
-		var err error
-		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxBody))
-		if err != nil {
-			serve.WriteError(w, serve.BodyStatus(err), "read body: %v", err)
-			return
-		}
-	}
 	var scratch [maxReplicas]int
-	cands := rt.candidates(affinityKey(r, body), scratch[:])
+	cands := rt.candidates(affinityKey(r), scratch[:])
 	if len(cands) == 0 {
 		serve.WriteError(w, http.StatusServiceUnavailable, "no replicas configured")
 		return
 	}
 	id, tr := rt.startTrace(r, "predict")
-	res := rt.route(r.Context(), cands, r.Method, r.URL.RequestURI(), body, id, tr)
+	res := rt.route(r.Context(), cands, r.URL.RequestURI(), id, tr)
 	// Finish before relaying: the trace is queryable the moment the client
 	// has the response (the root span measures routing, not the client
 	// write, which is the half the gateway actually controls).
@@ -357,7 +326,7 @@ func (rt *Router) handleMotifs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id, tr := rt.startTrace(r, "motifs")
-	res := rt.route(r.Context(), cands, r.Method, r.URL.RequestURI(), nil, id, tr)
+	res := rt.route(r.Context(), cands, r.URL.RequestURI(), id, tr)
 	rt.tracer.Finish(tr)
 	rt.relay(w, res, id)
 }

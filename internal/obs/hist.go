@@ -4,7 +4,7 @@
 // request logging off the serving hot path, deterministic request trace
 // IDs, per-stage pipeline tracing, and the metric Registry on which the
 // daemon and the gateway declare each series once, rendered from there to
-// both the Prometheus text format and the JSON /v1/metrics fields.
+// the Prometheus text format their /metrics serves.
 //
 // Everything here is built for the daemon's zero-allocation contract: the
 // operations that run per request (Histogram.Record, AccessLog.Push, the
@@ -109,8 +109,8 @@ func (s *HistSnapshot) Merge(o HistSnapshot) {
 	s.SumMicros += o.SumMicros
 }
 
-// LatencySummary is a histogram's /v1/metrics form: exact count and sum
-// plus percentiles derived from the buckets (each reported value is the
+// LatencySummary is a histogram's summary form: exact count and sum plus
+// percentiles derived from the buckets (each reported value is the
 // upper bound of the bucket holding the nearest-rank sample).
 type LatencySummary struct {
 	Count     int64 `json:"count"`

@@ -11,11 +11,10 @@ import (
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // Registry is one process's metric declarations. Each series is declared
-// once — Prometheus name, type and help text, its /v1/metrics key (empty
-// for a Prometheus-only series) and its value source — and both
-// expositions render from that list in declaration order: Exposition
-// renders the Prometheus text, Values the JSON metric fields. Declare
-// every series before serving; rendering is then safe from any goroutine.
+// once — Prometheus name, type and help text and its value source — and
+// Exposition renders that list in declaration order as the /metrics text.
+// Declare every series before serving; rendering is then safe from any
+// goroutine.
 // Metric names must match [a-z_]+ by project convention (the smoke test
 // greps for exactly that), so keep names lowercase and digit-free.
 type Registry struct {
@@ -23,7 +22,7 @@ type Registry struct {
 }
 
 type series struct {
-	name, typ, help, key string
+	name, typ, help string
 
 	// Exactly one value source is set.
 	int     func() int64
@@ -34,24 +33,24 @@ type series struct {
 }
 
 // Counter declares a counter the caller increments.
-func (r *Registry) Counter(name, key, help string) *atomic.Int64 {
+func (r *Registry) Counter(name, help string) *atomic.Int64 {
 	c := new(atomic.Int64)
-	r.Func("counter", name, key, help, c.Load)
+	r.Func("counter", name, help, c.Load)
 	return c
 }
 
 // Func declares a counter or gauge (typ) whose value f reads at render
 // time.
-func (r *Registry) Func(typ, name, key, help string, f func() int64) {
-	r.series = append(r.series, series{name: name, typ: typ, help: help, key: key, int: f})
+func (r *Registry) Func(typ, name, help string, f func() int64) {
+	r.series = append(r.series, series{name: name, typ: typ, help: help, int: f})
 }
 
-// FloatFunc is Func for a Prometheus-only value with a fractional part.
+// FloatFunc is Func for a value with a fractional part.
 func (r *Registry) FloatFunc(typ, name, help string, f func() float64) {
 	r.series = append(r.series, series{name: name, typ: typ, help: help, float: f})
 }
 
-// Gauges declares a Prometheus-only gauge whose samples are only known at
+// Gauges declares a gauge whose samples are only known at
 // render time: f calls emit once per sample, with one value per label
 // name. Label values are escaped at render, so they may hold any string.
 func (r *Registry) Gauges(name, help string, labels []string, f func(emit func(v int64, values ...string))) {
@@ -59,11 +58,9 @@ func (r *Registry) Gauges(name, help string, labels []string, f func(emit func(v
 }
 
 // Histograms declares a latency histogram family over fixed label values:
-// slot i is values[i]'s histogram. Prometheus renders the slots in order —
-// every slot when all is set, otherwise only those with samples — and the
-// JSON field under key maps each label value with samples to its
-// LatencySummary.
-func (r *Registry) Histograms(name, key, help, label string, values []string, all bool) *Family {
+// slot i is values[i]'s histogram. Exposition renders the slots in order:
+// every slot when all is set, otherwise only those with samples.
+func (r *Registry) Histograms(name, help, label string, values []string, all bool) *Family {
 	f := &Family{
 		label:  label,
 		values: values,
@@ -71,7 +68,7 @@ func (r *Registry) Histograms(name, key, help, label string, values []string, al
 		hists:  make([]Histogram, len(values)),
 		ex:     make([]Exemplar, len(values)),
 	}
-	r.series = append(r.series, series{name: name, typ: "histogram", help: help, key: key, fam: f})
+	r.series = append(r.series, series{name: name, typ: "histogram", help: help, fam: f})
 	return f
 }
 
@@ -79,7 +76,7 @@ func (r *Registry) Histograms(name, key, help, label string, values []string, al
 // histogram and the exemplar cell for its most recent traced sample.
 type Family struct {
 	label  string
-	values []string // also the JSON keys
+	values []string
 	all    bool
 	hists  []Histogram
 	ex     []Exemplar
@@ -157,31 +154,6 @@ func (r *Registry) Exposition(buf []byte, exemplars bool) []byte {
 		}
 	}
 	return buf
-}
-
-// Values returns the /v1/metrics fields: every keyed series' current
-// value, a histogram family as a map from label value to LatencySummary
-// over the slots with samples. encoding/json sorts map keys, so the
-// encoded body is deterministic for a given state.
-func (r *Registry) Values() map[string]any {
-	out := make(map[string]any, len(r.series))
-	for i := range r.series {
-		s := &r.series[i]
-		switch {
-		case s.key == "":
-		case s.int != nil:
-			out[s.key] = s.int()
-		case s.fam != nil:
-			m := make(map[string]LatencySummary, len(s.fam.values))
-			for j := range s.fam.hists {
-				if hs := s.fam.hists[j].Snapshot(); hs.Count > 0 {
-					m[s.fam.values[j]] = hs.Summary()
-				}
-			}
-			out[s.key] = m
-		}
-	}
-	return out
 }
 
 func appendSampleName(buf []byte, name, labels string) []byte {

@@ -98,7 +98,7 @@ func TestInstrumentedPredictAllocs(t *testing.T) {
 	if w.read.IsZero() || !w.read.Equal(w.write) {
 		t.Fatalf("chain set read deadline %v and write deadline %v, want one non-zero deadline", w.read, w.write)
 	}
-	if got := snapshot(t, s).Latency["predict"]; got.Count == 0 {
+	if s.met.lat.Hist(routePredict).Snapshot().Count == 0 {
 		t.Fatal("predict histogram empty after instrumented runs")
 	}
 	// The gate must be measuring span recording, not a sampled-out no-op:

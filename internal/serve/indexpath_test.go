@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -44,7 +43,7 @@ func TestIndexedBatchDeterministicAcrossParallelism(t *testing.T) {
 }
 
 // TestIndexHitMetrics: every protein answered from the score index is
-// counted once, and /v1/metrics serves the same counters.
+// counted once, and /metrics serves the same counters.
 func TestIndexHitMetrics(t *testing.T) {
 	s, err := New(indexedModel(t), Config{})
 	if err != nil {
@@ -57,19 +56,17 @@ func TestIndexHitMetrics(t *testing.T) {
 			t.Fatalf("predict %d: %d: %s", i, status, body)
 		}
 	}
-	if m := snapshot(t, s); m.Predictions != 4 || m.Requests != 2 {
-		t.Fatalf("counters: %+v", m)
+	if p, r := s.met.predictions.Load(), s.met.requests.Load(); p != 4 || r != 2 {
+		t.Fatalf("counters: predictions=%d requests=%d", p, r)
 	}
-	status, body := get(t, ts.URL+"/v1/metrics")
+	status, body := get(t, ts.URL+"/metrics")
 	if status != http.StatusOK {
 		t.Fatalf("metrics: %d: %s", status, body)
 	}
-	var snap MetricsSnapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Predictions != 4 || snap.Requests < 2 {
-		t.Fatalf("metrics snapshot: %+v", snap)
+	for _, want := range []string{"\nlamod_predictions_total 4\n", "\nlamod_requests_total 2\n"} {
+		if !bytes.Contains(body, []byte(want)) {
+			t.Fatalf("/metrics lacks %q:\n%s", want, body)
+		}
 	}
 }
 

@@ -17,10 +17,9 @@ const (
 	routeQuery   // the /v1/query bulk plan endpoint
 	routeHealthz
 	routeMotifs
-	routeMetrics // the JSON /v1/metrics snapshot
-	routeProm    // the Prometheus /metrics exposition
-	routeReload  // the opt-in /v1/admin/reload artifact swap
-	routeTraces  // the /v1/traces span-trace store
+	routeProm   // the Prometheus /metrics exposition
+	routeReload // the opt-in /v1/admin/reload artifact swap
+	routeTraces // the /v1/traces span-trace store
 	routeOther
 	numRoutes
 )
@@ -28,7 +27,7 @@ const (
 // routeNames are the static route labels used in access logs and as the
 // request-latency family's label values. Static strings so recording
 // a request never allocates.
-var routeNames = [numRoutes]string{"predict", "query", "healthz", "motifs", "metrics", "prom", "reload", "traces", "other"}
+var routeNames = [numRoutes]string{"predict", "query", "healthz", "motifs", "prom", "reload", "traces", "other"}
 
 // routeOf classifies a request path.
 func routeOf(path string) int {
@@ -41,8 +40,6 @@ func routeOf(path string) int {
 		return routeHealthz
 	case "/v1/motifs":
 		return routeMotifs
-	case "/v1/metrics":
-		return routeMetrics
 	case "/metrics":
 		return routeProm
 	case "/v1/admin/reload":
@@ -71,7 +68,7 @@ func planKindIndex(kind string) int {
 }
 
 // metrics holds the daemon's series, each declared once on reg, which
-// renders both /metrics and the metric fields of /v1/metrics. Handlers
+// renders /metrics. Handlers
 // update the counters and histograms lock-free; a render is a
 // point-in-time read, not a consistent cut, which is all a metrics
 // endpoint needs.
@@ -90,24 +87,24 @@ type metrics struct {
 func newMetrics(access *obs.AccessLog) metrics {
 	var m metrics
 	r := &m.reg
-	m.requests = r.Counter("lamod_requests_total", "requests", "HTTP requests handled.")
-	m.errors = r.Counter("lamod_errors_total", "errors", "Responses with status >= 400.")
-	m.predictions = r.Counter("lamod_predictions_total", "predictions", "Proteins scored across all predict requests.")
-	m.queries = r.Counter("lamod_queries_total", "queries", "Bulk plans executed via /v1/query.")
-	m.queryRows = r.Counter("lamod_query_rows_total", "query_rows", "Result rows streamed by /v1/query.")
-	r.Func("counter", "lamod_access_log_dropped_total", "access_log_dropped", "Access-log records dropped because the ring was full.", access.Dropped)
-	m.lat = r.Histograms("lamod_request_duration_seconds", "latency", "Request wall time by route.", "route", routeNames[:], false)
-	m.planLat = r.Histograms("lamod_query_duration_seconds", "query_latency", "Bulk-plan execute+stream time by plan kind.", "plan", query.Kinds(), false)
-	r.Func("gauge", "lamod_goroutines", "", "Live goroutines in the daemon process.", func() int64 {
+	m.requests = r.Counter("lamod_requests_total", "HTTP requests handled.")
+	m.errors = r.Counter("lamod_errors_total", "Responses with status >= 400.")
+	m.predictions = r.Counter("lamod_predictions_total", "Proteins scored across all predict requests.")
+	m.queries = r.Counter("lamod_queries_total", "Bulk plans executed via /v1/query.")
+	m.queryRows = r.Counter("lamod_query_rows_total", "Result rows streamed by /v1/query.")
+	r.Func("counter", "lamod_access_log_dropped_total", "Access-log records dropped because the ring was full.", access.Dropped)
+	m.lat = r.Histograms("lamod_request_duration_seconds", "Request wall time by route.", "route", routeNames[:], false)
+	m.planLat = r.Histograms("lamod_query_duration_seconds", "Bulk-plan execute+stream time by plan kind.", "plan", query.Kinds(), false)
+	r.Func("gauge", "lamod_goroutines", "Live goroutines in the daemon process.", func() int64 {
 		return int64(runtime.NumGoroutine())
 	})
-	r.Func("gauge", "lamod_heap_alloc_bytes", "", "Bytes of allocated heap objects.", func() int64 {
+	r.Func("gauge", "lamod_heap_alloc_bytes", "Bytes of allocated heap objects.", func() int64 {
 		return int64(memStats().HeapAlloc)
 	})
 	r.FloatFunc("counter", "lamod_gc_pause_seconds_total", "Cumulative stop-the-world GC pause time.", func() float64 {
 		return float64(memStats().PauseTotalNs) / 1e9
 	})
-	r.Func("counter", "lamod_gc_cycles_total", "", "Completed GC cycles.", func() int64 {
+	r.Func("counter", "lamod_gc_cycles_total", "Completed GC cycles.", func() int64 {
 		return int64(memStats().NumGC)
 	})
 	return m
@@ -117,35 +114,6 @@ func memStats() *runtime.MemStats {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return &ms
-}
-
-// MetricsSnapshot decodes the JSON body of /v1/metrics for clients such
-// as lamoctl.
-type MetricsSnapshot struct {
-	Artifact         string                        `json:"artifact"`
-	Requests         int64                         `json:"requests"`
-	Predictions      int64                         `json:"predictions"`
-	Errors           int64                         `json:"errors"`
-	Queries          int64                         `json:"queries"`
-	QueryRows        int64                         `json:"query_rows"`
-	AccessLogDropped int64                         `json:"access_log_dropped"`
-	Latency          map[string]obs.LatencySummary `json:"latency"`
-	// QueryLatency breaks /v1/query down by plan kind (scan, topk,
-	// group_topk), measuring execute+stream time rather than whole-request
-	// wall time.
-	QueryLatency map[string]obs.LatencySummary `json:"query_latency"`
-}
-
-// handleMetrics serves /v1/metrics: the registry's keyed series plus the
-// served artifact's identity.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		WriteError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	v := s.met.reg.Values()
-	v["artifact"] = s.mdl.Load().digest
-	WriteJSON(w, http.StatusOK, v)
 }
 
 // handleProm serves /metrics, the Prometheus rendering of the registry.

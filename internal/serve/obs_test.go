@@ -141,7 +141,7 @@ func TestAccessLogLines(t *testing.T) {
 	if _, found := s.tracer.Store().Get("want-err-id"); !found {
 		t.Fatalf("error request missing its trace: %+v", s.tracer.Store().List(0))
 	}
-	if snapshot(t, s).AccessLogDropped != 0 {
+	if s.access.Dropped() != 0 {
 		t.Fatal("unloaded server dropped access records")
 	}
 }
@@ -255,108 +255,9 @@ func TestPromEndpoint(t *testing.T) {
 			t.Fatalf("exposition missing %s:\n%s", name, text)
 		}
 	}
-
-	snap := snapshot(t, s)
-	if lat, okRoute := snap.Latency["predict"]; !okRoute || lat.Count != 3 {
-		t.Fatalf("JSON latency snapshot disagrees: %+v", snap.Latency)
+	if n := s.met.lat.Hist(routePredict).Snapshot().Count; n != 3 {
+		t.Fatalf("predict histogram counts %d requests, want 3", n)
 	}
-}
-
-// TestMetricsJSONCompat: every pre-observability field of /v1/metrics is
-// still present under its original key, the new fields are additive, and
-// the two retired fields (index_hits, which always equalled predictions,
-// and latency_micros_total, the sum of the latency map's sum_micros) are
-// gone.
-func TestMetricsJSONCompat(t *testing.T) {
-	var buf lockedBuffer
-	_, ts := obsTestServer(t, &buf)
-	getWithHeader(t, ts.URL+"/v1/predict?protein=p1&k=3", "")
-	resp := getWithHeader(t, ts.URL+"/v1/metrics", "")
-	var raw map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{
-		"requests", "predictions", "errors", "access_log_dropped", "latency",
-	} {
-		if _, okKey := raw[key]; !okKey {
-			t.Fatalf("/v1/metrics lost field %q: %v", key, raw)
-		}
-	}
-	for _, key := range []string{"index_hits", "latency_micros_total"} {
-		if _, found := raw[key]; found {
-			t.Fatalf("/v1/metrics still reports retired field %q: %v", key, raw)
-		}
-	}
-	var lat map[string]obs.LatencySummary
-	if err := json.Unmarshal(raw["latency"], &lat); err != nil {
-		t.Fatal(err)
-	}
-	p, okLat := lat["predict"]
-	if !okLat || p.Count != 1 || p.P50Micros <= 0 || p.P99Micros < p.P50Micros {
-		t.Fatalf("predict route latency implausible: %+v", p)
-	}
-}
-
-// TestLatencyJSONMatchesPromHistogram: both expositions render every
-// latency family from the one registry declaration, so for each route and
-// plan kind the JSON count and sum_micros equal the Prometheus _count and
-// _sum, and both list the same label values.
-func TestLatencyJSONMatchesPromHistogram(t *testing.T) {
-	var buf lockedBuffer
-	s, ts := obsTestServer(t, &buf)
-	getWithHeader(t, ts.URL+"/v1/predict?protein=p1&k=3", "")
-	getWithHeader(t, ts.URL+"/v1/healthz", "")
-	if st, body := postQuery(t, ts.URL, `{"topk":2}`); st != http.StatusOK {
-		t.Fatalf("query: status %d: %s", st, body)
-	}
-	snap := snapshot(t, s)
-	if snap.Requests != 3 {
-		t.Fatalf("requests = %d, want 3", snap.Requests)
-	}
-	rec := httptest.NewRecorder()
-	s.handleProm(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	prom := rec.Body.String()
-	for _, fam := range []struct {
-		name, label string
-		json        map[string]obs.LatencySummary
-	}{
-		{"lamod_request_duration_seconds", "route", snap.Latency},
-		{"lamod_query_duration_seconds", "plan", snap.QueryLatency},
-	} {
-		if got := strings.Count(prom, fam.name+"_count{"); got != len(fam.json) {
-			t.Fatalf("%s: %d Prometheus series, %d JSON entries: %v", fam.name, got, len(fam.json), fam.json)
-		}
-		for value, l := range fam.json {
-			labels := "{" + fam.label + `="` + value + `"} `
-			sum := strconv.FormatFloat(float64(l.SumMicros)/1e6, 'g', -1, 64)
-			for _, want := range []string{
-				fam.name + "_count" + labels + strconv.FormatInt(l.Count, 10) + "\n",
-				fam.name + "_sum" + labels + sum + "\n",
-			} {
-				if !strings.Contains(prom, want) {
-					t.Fatalf("JSON %s[%s] = %+v, but /metrics lacks %q:\n%s", fam.name, value, l, want, prom)
-				}
-			}
-		}
-	}
-	if len(snap.Latency) != 3 || len(snap.QueryLatency) != 1 {
-		t.Fatalf("latency %v, query_latency %v: want 3 routes and 1 plan kind", snap.Latency, snap.QueryLatency)
-	}
-}
-
-// snapshot decodes the server's /v1/metrics body. It calls the handler
-// directly, outside the instrumented chain, so reading the counters does
-// not move them.
-func snapshot(t testing.TB, s *Server) MetricsSnapshot {
-	t.Helper()
-	rec := httptest.NewRecorder()
-	s.handleMetrics(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
-	var m MetricsSnapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
-		t.Fatalf("decode /v1/metrics: %v\n%s", err, rec.Body.Bytes())
-	}
-	return m
 }
 
 // lockedBuffer is a bytes.Buffer safe for the drain goroutine + test reads.

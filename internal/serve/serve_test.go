@@ -155,24 +155,28 @@ func TestPredictMatchesOfflineScorer(t *testing.T) {
 	}
 }
 
-func TestBatchPostEqualsGet(t *testing.T) {
+// TestPredictIsGetOnly: a POST to /v1/predict is refused with a 405 that
+// names GET, and /v1/metrics, the retired JSON exposition, is not found.
+func TestPredictIsGetOnly(t *testing.T) {
 	art, _, _ := exampleModel(t)
-	ts := newTestServer(t, reload(t, art), Config{Parallelism: 3})
-	_, getBody := get(t, ts.URL+"/v1/predict?protein=p1&protein=p2&k=3")
+	ts := newTestServer(t, reload(t, art), Config{})
 	resp, err := http.Post(ts.URL+"/v1/predict", "application/json",
 		strings.NewReader(`{"proteins":["p1","p2"],"k":3}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	postBody, err := io.ReadAll(resp.Body)
+	body, err := io.ReadAll(resp.Body)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := resp.Body.Close(); err != nil {
-		t.Fatal(err)
+	if resp.StatusCode != http.StatusMethodNotAllowed || string(body) != `{"error":"use GET"}`+"\n" {
+		t.Fatalf("POST /v1/predict: %d %s, want 405 naming GET", resp.StatusCode, body)
 	}
-	if !bytes.Equal(getBody, postBody) {
-		t.Fatalf("GET and POST disagree:\n%s\nvs\n%s", getBody, postBody)
+	if status, body := get(t, ts.URL+"/v1/metrics"); status != http.StatusNotFound {
+		t.Fatalf("GET /v1/metrics: %d %s, want 404", status, body)
 	}
 }
 
@@ -218,8 +222,8 @@ func TestHealthzAndMotifs(t *testing.T) {
 
 // TestCacheAndMetrics: the score index is the daemon's only cache. Repeated
 // requests for one protein are each answered from it with the same bytes,
-// counted once per request, and /v1/metrics carries none of the retired
-// LRU and singleflight counters.
+// counted once per request, and /metrics carries none of the retired LRU
+// and singleflight counters.
 func TestCacheAndMetrics(t *testing.T) {
 	art, _, _ := exampleModel(t)
 	s, err := New(reload(t, art), Config{})
@@ -241,28 +245,17 @@ func TestCacheAndMetrics(t *testing.T) {
 			t.Fatalf("repeat %d differs:\n%s\nvs\n%s", i, first, body)
 		}
 	}
-	if m := snapshot(t, s); m.Predictions != 3 || m.Requests != 3 {
-		t.Fatalf("counters: %+v", m)
+	if p, r := s.met.predictions.Load(), s.met.requests.Load(); p != 3 || r != 3 {
+		t.Fatalf("counters: predictions=%d requests=%d", p, r)
 	}
 
-	status, body := get(t, ts.URL+"/v1/metrics")
+	status, body := get(t, ts.URL+"/metrics")
 	if status != http.StatusOK {
 		t.Fatalf("metrics: %d: %s", status, body)
 	}
-	var snap MetricsSnapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Requests < 3 || snap.Predictions != 3 {
-		t.Fatalf("metrics snapshot: %+v", snap)
-	}
-	var keys map[string]json.RawMessage
-	if err := json.Unmarshal(body, &keys); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"cache_hits", "cache_misses", "cache_entries", "singleflight_shared"} {
-		if _, ok := keys[k]; ok {
-			t.Errorf("/v1/metrics still reports %q: %s", k, body)
+	for _, k := range []string{"cache", "singleflight"} {
+		if bytes.Contains(body, []byte(k)) {
+			t.Errorf("/metrics still reports a %s series:\n%s", k, body)
 		}
 	}
 }
@@ -309,8 +302,8 @@ func TestRequestErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("DELETE healthz: %d", resp.StatusCode)
 	}
-	if m := snapshot(t, s); m.Errors < int64(len(cases)) {
-		t.Fatalf("error counter: %+v", m)
+	if e := s.met.errors.Load(); e < int64(len(cases)) {
+		t.Fatalf("error counter %d, want at least %d", e, len(cases))
 	}
 }
 
@@ -384,7 +377,6 @@ func TestOversizedBodyRejected(t *testing.T) {
 		route     string
 		wantField string // "" for the plain {"error": ...} shape
 	}{
-		{"/v1/predict", ""},
 		{"/v1/query", "body"},
 		{"/v1/admin/reload", ""},
 	} {

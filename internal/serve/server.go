@@ -5,17 +5,17 @@
 // score index, so one process can serve many queries against one mined
 // model.
 //
-// Endpoints (all under /v1):
+// Endpoints:
 //
 //	GET  /v1/healthz — liveness plus readiness, artifact identity, model counts
-//	GET  /v1/predict?protein=NAME&k=N — rank functions for one or more proteins
-//	POST /v1/predict {"proteins": ["A", ...], "k": N} — batch form
+//	GET  /v1/predict?protein=NAME&k=N — rank functions for one or more
+//	                   proteins (repeat protein= for a batch of up to 64)
 //	POST /v1/query   — execute one bulk query plan (internal/query) against
 //	                   the request's model snapshot, streaming the result
 //	GET  /v1/motifs  — the labeled motifs backing the model
-//	GET  /v1/metrics — request/latency counters (JSON)
-//	GET  /metrics    — the same state in Prometheus text format, plus Go
-//	                   runtime gauges
+//	GET  /v1/traces  — the most recent sampled span traces, or one by ID
+//	GET  /metrics    — request, latency and Go runtime series in
+//	                   Prometheus text format
 //	POST /v1/admin/reload — swap the served artifact in place (opt-in via
 //	                   Config.AllowReload): load read-only, verify digest,
 //	                   atomic model flip, zero dropped requests
@@ -27,8 +27,8 @@
 // Responses are byte-deterministic: the same artifact and query produce
 // identical bytes at any Parallelism setting, across runs and across
 // processes, because scores and rankings are read from the artifact and
-// JSON field order is fixed. Request bodies (predict batches, query plans,
-// reloads) are capped at MaxBody.
+// JSON field order is fixed. Request bodies (query plans, reloads) are
+// capped at MaxBody.
 package serve
 
 import (
@@ -53,13 +53,13 @@ import (
 	"lamofinder/internal/query"
 )
 
-// MaxBody caps the request body a replica decodes — a predict batch, a
-// query plan or a reload request — at 1 MiB, far above any valid request.
-// A larger body is answered with 413. The gateway reads its POST bodies
-// (predict and rollout) under the same cap and answers them the same way.
+// MaxBody caps the request body a replica decodes — a query plan or a
+// reload request — at 1 MiB, far above any valid request. A larger body
+// is answered with 413. The gateway reads its one POST body, a rollout
+// request, under the same cap and answers it the same way.
 const MaxBody = 1 << 20
 
-// maxBatch caps the proteins accepted in one predict request.
+// maxBatch caps the protein= values accepted in one predict request.
 const maxBatch = 64
 
 // Config tunes the daemon. The zero value of any field falls back to the
@@ -254,7 +254,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/predict", s.handlePredict)
 	mux.HandleFunc("/v1/query", s.handleQuery)
 	mux.HandleFunc("/v1/motifs", s.handleMotifs)
-	mux.HandleFunc("/v1/metrics", s.handleMetrics)
 	mux.HandleFunc("/v1/traces", s.handleTraces)
 	mux.HandleFunc("/v1/traces/", s.handleTraces)
 	mux.HandleFunc("/metrics", s.handleProm)
@@ -411,11 +410,6 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 	})
 }
 
-type predictRequest struct {
-	Proteins []string `json:"proteins"`
-	K        int      `json:"k"`
-}
-
 // NextQueryPair splits the first key=value pair off a raw URL query and
 // decodes it the way url.ParseQuery does. ok is false for a pair
 // url.ParseQuery drops: an empty one, one holding a semicolon, or one
@@ -464,6 +458,10 @@ func parsePredictQuery(raw string, sc *scratch) (k string) {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		WriteError(w, http.StatusMethodNotAllowed, "use GET")
+		return
+	}
 	tr := s.startTrace(w, r, "predict")
 	defer s.endTrace(tr, routePredict)
 	// One pointer load pins the whole model for this request: a concurrent
@@ -473,27 +471,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	defer putScratch(sc)
 	parseSpan := tr.StartSpan(tr.Root(), "parse")
 	k := 0
-	switch r.Method {
-	case http.MethodGet:
-		if ks := parsePredictQuery(r.URL.RawQuery, sc); ks != "" {
-			v, err := strconv.Atoi(ks)
-			if err != nil {
-				writeFieldError(w, http.StatusBadRequest, query.Errorf("k", "must be an integer, got %q", ks))
-				return
-			}
-			k = v
-		}
-	case http.MethodPost:
-		var req predictRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBody)).Decode(&req); err != nil {
-			WriteError(w, BodyStatus(err), "bad request body: %v", err)
+	if ks := parsePredictQuery(r.URL.RawQuery, sc); ks != "" {
+		v, err := strconv.Atoi(ks)
+		if err != nil {
+			writeFieldError(w, http.StatusBadRequest, query.Errorf("k", "must be an integer, got %q", ks))
 			return
 		}
-		sc.proteins = append(sc.proteins, req.Proteins...)
-		k = req.K
-	default:
-		WriteError(w, http.StatusMethodNotAllowed, "use GET or POST")
-		return
+		k = v
 	}
 	// Bounds checks run through the shared plan-validation path in
 	// internal/query: /v1/predict's k and batch cap reject exactly the
@@ -622,7 +606,7 @@ func writeFieldError(w http.ResponseWriter, status int, fe *query.FieldError) {
 
 // BodyStatus is the status for a request body that failed to read or
 // decode through http.MaxBytesReader: 413 when it overran MaxBody, 400
-// otherwise. The gateway answers its own POST bodies through it too.
+// otherwise. The gateway answers its rollout body through it too.
 func BodyStatus(err error) int {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
