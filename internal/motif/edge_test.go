@@ -1,9 +1,12 @@
 package motif
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"lamofinder/internal/graph"
+	"lamofinder/internal/randnet"
 )
 
 func TestFindEmptyGraph(t *testing.T) {
@@ -196,6 +199,51 @@ func TestScoreZNoNetworks(t *testing.T) {
 	zs := ScoreZ(g, ms, UniquenessConfig{})
 	if len(zs) != len(ms) || zs[0].Z != 0 {
 		t.Errorf("zero-network z-scores: %v", zs)
+	}
+}
+
+// TestScoreZCountsUniquenessNetworks: ScoreZ's randomized mean is the
+// mean triangle count, counted here by brute force, over the networks
+// ScoreUniqueness draws (network r from seed Seed + r·0x9e3779b9), and
+// ScoreZ reads the same at Parallelism 1 and 4.
+func TestScoreZCountsUniquenessNetworks(t *testing.T) {
+	g := randnet.BarabasiAlbert(300, 3, 2, rand.New(rand.NewSource(1)))
+	var tri *Motif
+	for _, m := range Find(g, Config{MinSize: 3, MaxSize: 3, MinFreq: 1}) {
+		if m.Pattern.M() == 3 {
+			tri = m
+		}
+	}
+	if tri == nil {
+		t.Fatal("triangle class missing")
+	}
+	cfg := UniquenessConfig{Networks: 4, Seed: 1}
+	want := 0.0
+	for r := 0; r < cfg.Networks; r++ {
+		rg := randnet.Randomize(g, rand.New(rand.NewSource(cfg.Seed+int64(r)*0x9e3779b9)))
+		for u := 0; u < rg.N(); u++ {
+			for _, v := range rg.Neighbors(u) {
+				for _, w := range rg.Neighbors(int(v)) {
+					if int(v) > u && w > v && rg.HasEdge(u, int(w)) {
+						want++
+					}
+				}
+			}
+		}
+	}
+	want /= float64(cfg.Networks)
+	var first ZScore
+	for _, p := range []int{1, 4} {
+		cfg.Parallelism = p
+		z := ScoreZ(g, []*Motif{tri}, cfg)[0]
+		if math.Abs(z.RandMean-want) > 1e-9 || !z.Exact {
+			t.Fatalf("Parallelism %d: RandMean %v (exact %v), want %v over the uniqueness networks", p, z.RandMean, z.Exact, want)
+		}
+		if p == 1 {
+			first = z
+		} else if z != first {
+			t.Fatalf("Parallelism %d: %+v, Parallelism 1: %+v", p, z, first)
+		}
 	}
 }
 

@@ -82,8 +82,7 @@ func ScoreUniqueness(g *graph.Graph, motifs []*Motif, cfg UniquenessConfig) {
 	plans := matchPlans(motifs)
 	winsPerNet := make([][]int, cfg.Networks)
 	par.Do(cfg.Networks, par.Workers(cfg.Parallelism), func(r int) {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(r)*0x9e3779b9))
-		mt := graph.NewMatcher(randnet.Randomize(g, rng))
+		mt := cfg.nullMatcher(g, r)
 		wins := make([]int, len(motifs))
 		for i, m := range motifs {
 			cnt, exact := mt.CountInducedUpTo(plans[i], cfg.Limit(m.Frequency), cfg.MaxSteps)
@@ -100,6 +99,15 @@ func ScoreUniqueness(g *graph.Graph, motifs []*Motif, cfg UniquenessConfig) {
 		}
 		m.Uniqueness = float64(total) / float64(cfg.Networks)
 	}
+}
+
+// nullMatcher returns the matcher over randomized network r of the null
+// model: a degree-preserving randomization of g drawn from its own RNG
+// stream, seeded from Seed and r, so any worker builds the same network r
+// and ScoreUniqueness and ScoreZ count over the same networks.
+func (cfg UniquenessConfig) nullMatcher(g *graph.Graph, r int) *graph.Matcher {
+	rng := rand.New(rand.NewSource(cfg.Seed + int64(r)*0x9e3779b9))
+	return graph.NewMatcher(randnet.Randomize(g, rng))
 }
 
 // matchPlans compiles each motif's pattern once (search order and |Aut|)

@@ -2,10 +2,10 @@ package motif
 
 import (
 	"math"
-	"math/rand"
+	"slices"
 
 	"lamofinder/internal/graph"
-	"lamofinder/internal/randnet"
+	"lamofinder/internal/par"
 )
 
 // ZScore holds the Milo-style over-representation statistics of one motif:
@@ -22,36 +22,34 @@ type ZScore struct {
 	Exact bool
 }
 
-// ScoreZ computes z-scores for each motif against cfg.Networks randomized
-// networks. Counting uses the same caps as ScoreUniqueness; randomized
-// counts are capped at CountCap (so ultra-common patterns get truncated,
-// conservative z-scores).
+// ScoreZ computes z-scores for each motif against the cfg.Networks
+// randomized networks ScoreUniqueness counts over, fanned out over
+// cfg.Parallelism workers with the same result at any setting. Counting
+// uses the same step budget as ScoreUniqueness; randomized counts are
+// capped at CountCap (so ultra-common patterns get truncated, conservative
+// z-scores).
 func ScoreZ(g *graph.Graph, motifs []*Motif, cfg UniquenessConfig) []ZScore {
 	out := make([]ZScore, len(motifs))
 	if cfg.Networks <= 0 {
 		return out
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	counts := make([][]float64, len(motifs))
-	exact := make([]bool, len(motifs))
-	for i := range exact {
-		exact[i] = true
-	}
 	plans := matchPlans(motifs)
-	for r := 0; r < cfg.Networks; r++ {
-		mt := graph.NewMatcher(randnet.Randomize(g, rng))
-		for i := range motifs {
-			limit := 0
-			if cfg.CountCap > 0 {
-				limit = cfg.CountCap
-			}
-			cnt, ok := mt.CountInducedUpTo(plans[i], limit, cfg.MaxSteps)
-			if !ok {
-				exact[i] = false
-			}
-			counts[i] = append(counts[i], float64(cnt))
-		}
+	// counts[i][r] and exact[i][r] are motif i's count on network r; each
+	// network's worker writes only its own column.
+	counts := make([][]float64, len(motifs))
+	exact := make([][]bool, len(motifs))
+	for i := range motifs {
+		counts[i] = make([]float64, cfg.Networks)
+		exact[i] = make([]bool, cfg.Networks)
 	}
+	limit := max(cfg.CountCap, 0)
+	par.Do(cfg.Networks, par.Workers(cfg.Parallelism), func(r int) {
+		mt := cfg.nullMatcher(g, r)
+		for i := range motifs {
+			cnt, ok := mt.CountInducedUpTo(plans[i], limit, cfg.MaxSteps)
+			counts[i][r], exact[i][r] = float64(cnt), ok
+		}
+	})
 	for i, m := range motifs {
 		mean, std := meanStd(counts[i])
 		z := 0.0
@@ -68,7 +66,7 @@ func ScoreZ(g *graph.Graph, motifs []*Motif, cfg UniquenessConfig) []ZScore {
 			RandMean: mean,
 			RandStd:  std,
 			Z:        z,
-			Exact:    exact[i],
+			Exact:    !slices.Contains(exact[i], false),
 		}
 	}
 	return out
