@@ -73,9 +73,10 @@ func main() {
 		if ta < 0 || tb < 0 {
 			fatalf("unknown term in %q", *sim)
 		}
-		lca := o.LCA(w, ta, tb)
+		idx := ontology.NewLCAIndex(o, w)
+		lca := idx.LCA(ta, tb)
 		fmt.Printf("ST(%s,%s) = %.4f (lowest common parent %s, w=%.3f)\n",
-			a, b, o.Lin(w, ta, tb), o.ID(lca), w[lca])
+			a, b, idx.Lin(ta, tb), o.ID(lca), w[lca])
 		return
 	}
 

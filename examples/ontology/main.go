@@ -87,15 +87,16 @@ func main() {
 	fmt.Printf("border informative FC: %s\n", ids(o, border))
 
 	fmt.Println("\nLin similarities:")
+	idx := ontology.NewLCAIndex(o, w)
 	pairs := [][2]int{{gly, tca}, {gly, tra}, {tca, tra}}
 	for _, pr := range pairs {
-		lca := o.LCA(w, pr[0], pr[1])
+		lca := idx.LCA(pr[0], pr[1])
 		fmt.Printf("  ST(%s, %s) = %.3f via %s\n",
-			o.Name(pr[0]), o.Name(pr[1]), o.Lin(w, pr[0], pr[1]), o.Name(lca))
+			o.Name(pr[0]), o.Name(pr[1]), idx.Lin(pr[0], pr[1]), o.Name(lca))
 	}
 
 	fmt.Println("\nleast general common scheme of {glycolysis} and {TCA cycle}:")
-	merged := label.LeastGeneral(o, w, []int32{int32(gly)}, []int32{int32(tca)}, 0)
+	merged := label.LeastGeneral(idx, []int32{int32(gly)}, []int32{int32(tca)}, 0)
 	for _, t := range merged {
 		fmt.Printf("  %s (%s)\n", o.ID(int(t)), o.Name(int(t)))
 	}

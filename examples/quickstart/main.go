@@ -9,6 +9,7 @@ import (
 
 	"lamofinder/internal/dataset"
 	"lamofinder/internal/label"
+	"lamofinder/internal/ontology"
 )
 
 func main() {
@@ -25,8 +26,9 @@ func main() {
 
 	fmt.Println("\n== Term similarity (Eq. 1) ==")
 	g08, g09 := pe.Term("G08"), pe.Term("G09")
+	lca := ontology.NewLCAIndex(o, w)
 	fmt.Printf("  ST(G08,G09) = %.3f (lowest common parent %s)\n",
-		o.Lin(w, g08, g09), o.ID(o.LCA(w, g08, g09)))
+		lca.Lin(g08, g09), o.ID(lca.LCA(g08, g09)))
 
 	fmt.Println("\n== Occurrence similarity (Eq. 3, Table 3) ==")
 	sim := label.NewSim(o, w)

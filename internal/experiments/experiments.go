@@ -15,6 +15,7 @@ import (
 
 	"lamofinder/internal/dataset"
 	"lamofinder/internal/label"
+	"lamofinder/internal/ontology"
 )
 
 // Table1Row is one row of the reproduced Table 1.
@@ -165,7 +166,8 @@ type Table4Result struct{ Rows []Table4Row }
 // Table4 recomputes the least-general labels for the o1/o2 vertex pairs.
 func Table4() *Table4Result {
 	pe := dataset.NewPaperExample()
-	o, w := pe.Ontology, pe.Weights()
+	o := pe.Ontology
+	idx := ontology.NewLCAIndex(o, pe.Weights())
 	mk := func(ids ...string) []int32 {
 		out := make([]int32, len(ids))
 		for i, id := range ids {
@@ -183,7 +185,7 @@ func Table4() *Table4Result {
 	}
 	res := &Table4Result{}
 	for _, r := range rows {
-		got := label.LeastGeneral(o, w, mk(r.a...), mk(r.b...), 0)
+		got := label.LeastGeneral(idx, mk(r.a...), mk(r.b...), 0)
 		ids := make([]string, len(got))
 		for i, t := range got {
 			ids[i] = o.ID(int(t))

@@ -132,7 +132,7 @@ func TestLeastGeneralTable4(t *testing.T) {
 	// Table 4: minimum common father labels per vertex of o1 and o2.
 	pe := dataset.NewPaperExample()
 	o := pe.Ontology
-	w := pe.Weights()
+	idx := ontology.NewLCAIndex(o, pe.Weights())
 	tix := func(s string) int32 { return int32(pe.Term(s)) }
 	set := func(ss ...string) []int32 {
 		out := make([]int32, len(ss))
@@ -151,7 +151,7 @@ func TestLeastGeneralTable4(t *testing.T) {
 		{set("G07", "G09"), set("G05"), []string{"G02", "G05"}},
 	}
 	for i, c := range cases {
-		got := LeastGeneral(o, w, c.a, c.b, 0)
+		got := LeastGeneral(idx, c.a, c.b, 0)
 		gotIDs := ids(o, got)
 		if len(gotIDs) != len(c.want) {
 			t.Errorf("row %d: got %v, want %v", i+1, gotIDs, c.want)
@@ -167,25 +167,24 @@ func TestLeastGeneralTable4(t *testing.T) {
 
 func TestLeastGeneralEmptySides(t *testing.T) {
 	pe := dataset.NewPaperExample()
-	o, w := pe.Ontology, pe.Weights()
+	idx := ontology.NewLCAIndex(pe.Ontology, pe.Weights())
 	g04 := []int32{int32(pe.Term("G04"))}
-	if got := LeastGeneral(o, w, nil, g04, 0); len(got) != 1 || got[0] != g04[0] {
+	if got := LeastGeneral(idx, nil, g04, 0); len(got) != 1 || got[0] != g04[0] {
 		t.Errorf("empty-left merge = %v", got)
 	}
-	if got := LeastGeneral(o, w, g04, nil, 0); len(got) != 1 || got[0] != g04[0] {
+	if got := LeastGeneral(idx, g04, nil, 0); len(got) != 1 || got[0] != g04[0] {
 		t.Errorf("empty-right merge = %v", got)
 	}
-	if got := LeastGeneral(o, w, nil, nil, 0); len(got) != 0 {
+	if got := LeastGeneral(idx, nil, nil, 0); len(got) != 0 {
 		t.Errorf("empty-empty merge = %v", got)
 	}
 }
 
 func TestLeastGeneralCap(t *testing.T) {
 	pe := dataset.NewPaperExample()
-	o, w := pe.Ontology, pe.Weights()
 	a := []int32{int32(pe.Term("G04")), int32(pe.Term("G09")), int32(pe.Term("G10"))}
 	b := []int32{int32(pe.Term("G09")), int32(pe.Term("G11"))}
-	got := LeastGeneral(o, w, a, b, 1)
+	got := LeastGeneral(ontology.NewLCAIndex(pe.Ontology, pe.Weights()), a, b, 1)
 	if len(got) != 1 {
 		t.Fatalf("cap ignored: %v", got)
 	}

@@ -291,7 +291,7 @@ func (l *Labeler) merge(a, b *clusterState, sym *Symmetry) *clusterState {
 	l.sim.occurrence(a.scheme, b.scheme, sym, pairing, sc)
 	m := &clusterState{scheme: make([][]int32, nv)}
 	for v := 0; v < nv; v++ {
-		m.scheme[v] = LeastGeneralIndexed(l.sim.lca, a.scheme[v], b.scheme[pairing[v]], l.cfg.MaxLabelsPerVertex)
+		m.scheme[v] = LeastGeneral(l.sim.lca, a.scheme[v], b.scheme[pairing[v]], l.cfg.MaxLabelsPerVertex)
 	}
 	m.occs = append(m.occs, a.occs...)
 	for _, occ := range b.occs {

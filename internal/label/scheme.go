@@ -10,34 +10,23 @@ import (
 // LeastGeneral merges two per-vertex label sets into their least general
 // common scheme, exactly as the paper's Table 4 ("minimum common father
 // labels"): for every cross pair of terms the minimum-weight lowest common
-// ancestor is taken, and the results are unioned. An empty side yields the
-// other side unchanged (unannotated proteins inherit labels, per the paper).
-// The result is capped to maxTerms lowest-weight (most specific) terms when
-// maxTerms > 0.
-func LeastGeneral(o *ontology.Ontology, w ontology.Weights, a, b []int32, maxTerms int) []int32 {
-	return leastGeneral(func(ta, tb int) int { return o.LCA(w, ta, tb) }, o, w, a, b, maxTerms)
-}
-
-// LeastGeneralIndexed is LeastGeneral against a prebuilt LCA index (built
-// over the same ontology and weights); the merge loop in the labeler's
-// clustering pass calls this per cross pair, so the O(1)/short-scan index
-// lookup replaces a full ancestor-bitset intersection each time.
-func LeastGeneralIndexed(idx *ontology.LCAIndex, a, b []int32, maxTerms int) []int32 {
-	return leastGeneral(idx.LCA, idx.Ontology(), idx.Weights(), a, b, maxTerms)
-}
-
-func leastGeneral(lca func(ta, tb int) int, o *ontology.Ontology, w ontology.Weights, a, b []int32, maxTerms int) []int32 {
+// ancestor is taken from idx, and the results are unioned. An empty side
+// yields the other side unchanged (unannotated proteins inherit labels,
+// per the paper). The result is capped to maxTerms lowest-weight (most
+// specific) terms when maxTerms > 0.
+func LeastGeneral(idx *ontology.LCAIndex, a, b []int32, maxTerms int) []int32 {
+	w := idx.Weights()
 	if len(a) == 0 {
-		return capTerms(o, w, dedup(b), maxTerms)
+		return capTerms(w, dedup(b), maxTerms)
 	}
 	if len(b) == 0 {
-		return capTerms(o, w, dedup(a), maxTerms)
+		return capTerms(w, dedup(a), maxTerms)
 	}
 	seen := map[int32]bool{}
 	var cand []int32
 	for _, ta := range a {
 		for _, tb := range b {
-			m := lca(int(ta), int(tb))
+			m := idx.LCA(int(ta), int(tb))
 			if m < 0 || seen[int32(m)] {
 				continue
 			}
@@ -49,12 +38,12 @@ func leastGeneral(lca func(ta, tb int) int, o *ontology.Ontology, w ontology.Wei
 		}
 	}
 	sort.Slice(cand, func(i, j int) bool { return cand[i] < cand[j] })
-	return capTerms(o, w, cand, maxTerms)
+	return capTerms(w, cand, maxTerms)
 }
 
 // capTerms keeps at most maxTerms terms, preferring the most specific
 // (lowest weight); ties break on term index for determinism.
-func capTerms(o *ontology.Ontology, w ontology.Weights, ts []int32, maxTerms int) []int32 {
+func capTerms(w ontology.Weights, ts []int32, maxTerms int) []int32 {
 	if maxTerms <= 0 || len(ts) <= maxTerms {
 		return ts
 	}

@@ -32,26 +32,6 @@ func (b bitset) each(f func(i int)) {
 	}
 }
 
-// eachAnd calls f for every bit set in both b and o, in ascending order,
-// without materializing the intersection. This is the allocation-free
-// core of the LCA lookups on the precomputed ancestor bitsets: the hot
-// label-similarity path intersects ancestor sets millions of times, and
-// materializing each intersection would allocate a word slice per call.
-func (b bitset) eachAnd(o bitset, f func(i int)) {
-	words := b.words
-	if len(o.words) < len(words) {
-		words = words[:len(o.words)]
-	}
-	for wi := range words {
-		w := words[wi] & o.words[wi]
-		for w != 0 {
-			i := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			f(i)
-		}
-	}
-}
-
 func (b bitset) count() int {
 	c := 0
 	for _, w := range b.words {

@@ -3,10 +3,11 @@ package ontology
 import "math"
 
 // LCAIndex answers min-weight lowest-common-ancestor queries for a fixed
-// (ontology, weights) pair without walking ancestor sets per query. It
-// returns exactly what Ontology.LCA returns — the common ancestor
-// minimizing (weight, term index) lexicographically, or -1 when the terms
-// share no ancestor. Each term's ancestors-including-self are packed flat,
+// (ontology, weights) pair without walking ancestor sets per query. The
+// lowest common ancestor of two terms is their common ancestor (terms
+// count as their own ancestors) minimizing (weight, term index)
+// lexicographically: the most specific shared term, ties broken toward
+// the smaller index. Each term's ancestors-including-self are packed flat,
 // sorted by (weight, index); a query scans the shorter list and probes the
 // other term's ancestor bitset, so the first hit is the answer. Because
 // weights grow toward the roots, the minimum is typically found within the
@@ -51,15 +52,11 @@ func NewLCAIndex(o *Ontology, w Weights) *LCAIndex {
 	return x
 }
 
-// Ontology returns the ontology the index was built over.
-func (x *LCAIndex) Ontology() *Ontology { return x.o }
-
 // Weights returns the weights the index was built with.
 func (x *LCAIndex) Weights() Weights { return x.w }
 
 // better returns whichever of u, v has the lexicographically smaller
-// (weight, index) — the same tie-break Ontology.LCA's ascending scan with
-// strict improvement produces.
+// (weight, index).
 //
 // alloc-budget: 0
 func (x *LCAIndex) better(u, v int32) int32 {
@@ -71,8 +68,8 @@ func (x *LCAIndex) better(u, v int32) int32 {
 }
 
 // LCA returns the common ancestor of ta and tb with the minimum
-// (weight, index), or -1 when the terms share no ancestor. It agrees with
-// Ontology.LCA under the index's weights on every input.
+// (weight, index), or -1 when the terms share no ancestor (distinct
+// ontology roots).
 //
 // alloc-budget: 0
 func (x *LCAIndex) LCA(ta, tb int) int {
@@ -90,9 +87,10 @@ func (x *LCAIndex) LCA(ta, tb int) int {
 	return -1
 }
 
-// Lin returns the Lin similarity of ta and tb under the index's weights,
-// identical to Ontology.Lin (same LCA, same guards, same arithmetic) but
-// without the per-query ancestor-set walk.
+// Lin returns the Lin (1998) similarity between ta and tb under the
+// index's weights: ST(ta,tb) = 2 ln w(lca) / (ln w(ta) + ln w(tb)), in
+// [0,1]. Identical terms score 1; terms whose only shared ancestor is the
+// root (weight 1) score 0; unrelated roots score 0.
 //
 // alloc-budget: 0
 func (x *LCAIndex) Lin(ta, tb int) float64 {

@@ -5,10 +5,7 @@
 // common ancestors, and Lin (1998) information-theoretic term similarity.
 package ontology
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // RelType is the kind of child-to-parent relation in the GO DAG.
 type RelType uint8
@@ -319,51 +316,6 @@ func (o *Ontology) BorderInformativeFC(direct []int, minDirect int) []int {
 		}
 	}
 	return out
-}
-
-// LCA returns the lowest common ancestor of ta and tb: the common ancestor
-// (terms count as their own ancestors) with the minimum weight, i.e. the
-// most specific shared term. Ties break toward the smaller index. It
-// returns -1 when the terms share no ancestor (distinct ontology roots).
-func (o *Ontology) LCA(w Weights, ta, tb int) int {
-	best := -1
-	bw := math.Inf(1)
-	o.anc[ta].eachAnd(o.anc[tb], func(t int) {
-		if w[t] < bw {
-			best, bw = t, w[t]
-		}
-	})
-	return best
-}
-
-// Lin returns the Lin (1998) similarity between ta and tb under weights w:
-// ST(ta,tb) = 2 ln w(lca) / (ln w(ta) + ln w(tb)), in [0,1].
-// Identical terms score 1; terms whose only shared ancestor is the root
-// (weight 1) score 0; unrelated roots score 0.
-func (o *Ontology) Lin(w Weights, ta, tb int) float64 {
-	if ta == tb {
-		return 1
-	}
-	lca := o.LCA(w, ta, tb)
-	if lca < 0 {
-		return 0
-	}
-	wl, wa, wb := w[lca], w[ta], w[tb]
-	if wa <= 0 || wb <= 0 || wl <= 0 {
-		return 0
-	}
-	den := math.Log(wa) + math.Log(wb)
-	if den == 0 { // both terms carry the full corpus; indistinguishable
-		return 1
-	}
-	st := 2 * math.Log(wl) / den
-	if st <= 0 {
-		return 0 // also normalizes the -0 arising when the LCA is a root
-	}
-	if st > 1 {
-		return 1
-	}
-	return st
 }
 
 // addAlias makes Index resolve the alternative id to the primary term

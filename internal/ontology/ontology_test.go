@@ -196,9 +196,9 @@ func TestInformativeAndBorderFC(t *testing.T) {
 func TestLCATable4Rows(t *testing.T) {
 	// Table 4 of the paper: minimum common father labels per vertex.
 	o := figure1(t)
-	w := o.ComputeWeights(figure1Direct(o))
+	x := NewLCAIndex(o, o.ComputeWeights(figure1Direct(o)))
 	lca := func(a, b string) string {
-		r := o.LCA(w, o.Index(a), o.Index(b))
+		r := x.LCA(o.Index(a), o.Index(b))
 		return o.ID(r)
 	}
 	cases := []struct{ a, b, want string }{
@@ -224,24 +224,24 @@ func TestLCATable4Rows(t *testing.T) {
 
 func TestLinSimilarityProperties(t *testing.T) {
 	o := figure1(t)
-	w := o.ComputeWeights(figure1Direct(o))
+	x := NewLCAIndex(o, o.ComputeWeights(figure1Direct(o)))
 	g9, g8, g10 := o.Index("G09"), o.Index("G08"), o.Index("G10")
-	if got := o.Lin(w, g9, g9); got != 1 {
+	if got := x.Lin(g9, g9); got != 1 {
 		t.Errorf("Lin(t,t) = %v, want 1", got)
 	}
-	if got := o.Lin(w, g9, g8); got != o.Lin(w, g8, g9) {
+	if got := x.Lin(g9, g8); got != x.Lin(g8, g9) {
 		t.Error("Lin not symmetric")
 	}
 	// G10 and G07: G07 is an ancestor of G10 with low weight -> high sim.
 	g7 := o.Index("G07")
-	hi := o.Lin(w, g10, g7)
+	hi := x.Lin(g10, g7)
 	// G09 and G07 share only G02 -> low sim.
-	lo := o.Lin(w, g9, g7)
+	lo := x.Lin(g9, g7)
 	if hi <= lo {
 		t.Errorf("Lin ordering wrong: parent-child %.3f <= remote %.3f", hi, lo)
 	}
 	for _, pair := range [][2]int{{g9, g8}, {g10, g7}, {g9, g7}} {
-		v := o.Lin(w, pair[0], pair[1])
+		v := x.Lin(pair[0], pair[1])
 		if v < 0 || v > 1 {
 			t.Errorf("Lin out of range: %v", v)
 		}
@@ -251,11 +251,11 @@ func TestLinSimilarityProperties(t *testing.T) {
 func TestLinValueSpotCheck(t *testing.T) {
 	// Hand-computed: ST(G10,G07): lca=G07 (w=100/585).
 	o := figure1(t)
-	w := o.ComputeWeights(figure1Direct(o))
+	x := NewLCAIndex(o, o.ComputeWeights(figure1Direct(o)))
 	wa := 90.0 / 585
 	wb := 100.0 / 585
 	want := 2 * math.Log(wb) / (math.Log(wa) + math.Log(wb))
-	got := o.Lin(w, o.Index("G10"), o.Index("G07"))
+	got := x.Lin(o.Index("G10"), o.Index("G07"))
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("Lin(G10,G07) = %v, want %v", got, want)
 	}
@@ -263,10 +263,10 @@ func TestLinValueSpotCheck(t *testing.T) {
 
 func TestLinRootIsZero(t *testing.T) {
 	o := figure1(t)
-	w := o.ComputeWeights(figure1Direct(o))
+	x := NewLCAIndex(o, o.ComputeWeights(figure1Direct(o)))
 	// G04 and G06 share only G01/G03? G04 anc: G02,G01; G06 anc: G03,G01.
 	// Common: G01 (weight 1) -> ST = 0.
-	if got := o.Lin(w, o.Index("G04"), o.Index("G06")); got != 0 {
+	if got := x.Lin(o.Index("G04"), o.Index("G06")); got != 0 {
 		t.Errorf("Lin through root = %v, want 0", got)
 	}
 }
@@ -511,9 +511,10 @@ func TestLCAWithLowestWeight(t *testing.T) {
 		c := NewCorpus(o, 300)
 		AnnotateRandom(c, 0.9, 2, rng)
 		w := o.ComputeWeights(c.DirectCounts())
+		x := NewLCAIndex(o, w)
 		for trial := 0; trial < 30; trial++ {
 			a, b := rng.Intn(80), rng.Intn(80)
-			l := o.LCA(w, a, b)
+			l := x.LCA(a, b)
 			if l < 0 {
 				return false // single-rooted: must share the root
 			}
