@@ -131,8 +131,7 @@ func runBuild(args []string) int {
 	}
 
 	start := time.Now()
-	rec := &obs.StageRecorder{}
-	mined := experiments.MineLabeledTraced(cfg, rec)
+	mined := experiments.MineLabeled(cfg)
 	m := mined.MIPS
 	art, err := artifact.Build("synthetic-mips", *note, m.Task, m.CategoryNames(),
 		m.Corpus, m.Corpus.DirectCounts(), cfg.Label.MinDirect, mined.Labeled)
@@ -140,13 +139,13 @@ func runBuild(args []string) int {
 		fmt.Fprintf(os.Stderr, "lamod build: %v\n", err)
 		return 1
 	}
-	st := rec.Start("ranking")
+	indexStart := time.Now()
 	art.BuildIndex(0)
-	st.End(int64(art.Graph.N()), par.Workers(0))
 	// The stage trace rides inside the artifact so `lamoctl inspect` can
 	// show where build time went; it is excluded from the identity digest,
 	// so rebuilds of the same model keep one digest.
-	art.Stats = rec.Stages()
+	art.Stats = append(mined.Stages, obs.StageStat{Name: "ranking", Wall: time.Since(indexStart),
+		Items: int64(art.Graph.N()), Workers: par.Workers(0)})
 	if err := art.SaveFile(*out); err != nil {
 		fmt.Fprintf(os.Stderr, "lamod build: %v\n", err)
 		return 1
@@ -164,7 +163,7 @@ func runBuild(args []string) int {
 		mined.MinedClasses, mined.UniqueMotifs, len(mined.Labeled))
 	fmt.Printf("  [%v]\n", time.Since(start).Round(time.Millisecond))
 	if *stats {
-		if err := rec.WriteText(os.Stdout); err != nil {
+		if err := obs.WriteStageTable(os.Stdout, art.Stats); err != nil {
 			fmt.Fprintf(os.Stderr, "lamod build: %v\n", err)
 			return 1
 		}

@@ -94,55 +94,48 @@ type Mined struct {
 	// MinedClasses and UniqueMotifs are pipeline statistics: isomorphism
 	// classes found by the miner and classes surviving the uniqueness filter.
 	MinedClasses, UniqueMotifs int
+	// Stages times the front half in order: census (motif mining),
+	// uniqueness (null-model scoring and filtering), labeling (LaMoFinder
+	// over the unique motifs) and clustering (the cumulative worker-busy
+	// agglomeration time inside labeling, so its wall column is summed
+	// across workers and can exceed the labeling stage's).
+	Stages []obs.StageStat
 }
 
 // MineLabeled builds the synthetic MIPS benchmark, mines its motifs, keeps
 // the over-represented ones, and labels them with LaMoFinder against the
 // functional-catalogue GO corpus — everything Figure 9 does before scoring,
-// and everything `lamod build` packages into a serving artifact.
+// and everything `lamod build` packages into a serving artifact — timing
+// each stage into Mined.Stages.
 func MineLabeled(cfg Figure9Config) *Mined {
-	return MineLabeledTraced(cfg, nil)
-}
-
-// MineLabeledTraced is MineLabeled with per-stage telemetry: census
-// (motif mining), uniqueness (null-model scoring and filtering), labeling
-// (LaMoFinder over the unique motifs) and clustering (the cumulative
-// worker-busy agglomeration time inside labeling, so its wall column is
-// summed across workers and can exceed the labeling stage's). A nil
-// recorder disables all timing, including the clustering clock injected
-// into the labeler.
-func MineLabeledTraced(cfg Figure9Config, rec *obs.StageRecorder) *Mined {
 	m := dataset.NewMIPS(cfg.MIPS)
 	net := m.Task.Network
 
-	st := rec.Start("census")
+	start := time.Now()
 	mined := motif.Find(net, cfg.Mine)
-	st.End(int64(len(mined)), par.Workers(0))
+	census := obs.StageStat{Name: "census", Wall: time.Since(start), Items: int64(len(mined)), Workers: par.Workers(0)}
 
-	st = rec.Start("uniqueness")
+	start = time.Now()
 	motif.ScoreUniqueness(net, mined, cfg.Null)
 	unique := motif.FilterUnique(mined, cfg.MinUniqueness)
-	st.End(int64(len(unique)), par.Workers(cfg.Null.Parallelism))
+	uniqueness := obs.StageStat{Name: "uniqueness", Wall: time.Since(start), Items: int64(len(unique)), Workers: par.Workers(cfg.Null.Parallelism)}
 
-	if rec != nil {
-		// The labeling core sits in the determinism scope where wall-clock
-		// reads are forbidden, so tracing injects the clock from here.
-		cfg.Label.Now = time.Now
-	}
+	// The labeling core sits in the determinism scope where wall-clock
+	// reads are forbidden, so the clustering clock is injected from here.
+	cfg.Label.Now = time.Now
 	labeler := label.NewLabeler(m.Corpus, cfg.Label)
-	st = rec.Start("labeling")
+	start = time.Now()
 	labeled := labeler.LabelAll(unique)
 	workers := par.Workers(cfg.Label.Parallelism)
 	busy, occs := labeler.ClusterStats()
-	st.EndWithBusy(int64(len(labeled)), workers, busy)
-	if rec != nil {
-		rec.Record(obs.StageStat{Name: "clustering", Wall: busy, Items: occs, Workers: workers})
-	}
+	labeling := obs.StageStat{Name: "labeling", Wall: time.Since(start), Items: int64(len(labeled)), Workers: workers, Busy: busy}
 	return &Mined{
 		MIPS:         m,
 		Labeled:      labeled,
 		MinedClasses: len(mined),
 		UniqueMotifs: len(unique),
+		Stages: []obs.StageStat{census, uniqueness, labeling,
+			{Name: "clustering", Wall: busy, Items: occs, Workers: workers}},
 	}
 }
 

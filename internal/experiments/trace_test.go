@@ -5,13 +5,18 @@ import (
 	"strings"
 	"testing"
 
+	"lamofinder/internal/dataset"
+	"lamofinder/internal/label"
+	"lamofinder/internal/motif"
 	"lamofinder/internal/obs"
 	"lamofinder/internal/par"
 )
 
-// TestMineLabeledTraced pins two properties of stage tracing: the recorder
-// sees the pipeline's stages in order with plausible contents, and tracing
-// never changes the mined output (the injected clock is telemetry only).
+// TestMineLabeledTraced pins two properties of MineLabeled's stage
+// timing: Mined.Stages holds the pipeline's stages in order with plausible
+// contents, and timing never changes the mined output (the injected
+// clustering clock is telemetry only): the same pipeline run without a
+// clock labels the same motifs.
 func TestMineLabeledTraced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline test skipped in -short mode")
@@ -22,11 +27,14 @@ func TestMineLabeledTraced(t *testing.T) {
 	cfg.Null.Networks = 2
 	cfg.Label.MinDirect = 6
 
-	var rec obs.StageRecorder
-	traced := MineLabeledTraced(cfg, &rec)
-	plain := MineLabeled(cfg)
+	traced := MineLabeled(cfg)
+	m := dataset.NewMIPS(cfg.MIPS)
+	mined := motif.Find(m.Task.Network, cfg.Mine)
+	motif.ScoreUniqueness(m.Task.Network, mined, cfg.Null)
+	unique := motif.FilterUnique(mined, cfg.MinUniqueness)
+	plain := label.NewLabeler(m.Corpus, cfg.Label).LabelAll(unique)
 
-	stages := rec.Stages()
+	stages := traced.Stages
 	wantOrder := []string{"census", "uniqueness", "labeling", "clustering"}
 	if len(stages) != len(wantOrder) {
 		t.Fatalf("recorded %d stages, want %d: %+v", len(stages), len(wantOrder), stages)
@@ -62,15 +70,16 @@ func TestMineLabeledTraced(t *testing.T) {
 		t.Error("clustering recorded zero busy time despite unique motifs")
 	}
 
-	if traced.MinedClasses != plain.MinedClasses || traced.UniqueMotifs != plain.UniqueMotifs {
-		t.Fatalf("tracing changed pipeline statistics: %+v vs %+v", traced, plain)
+	if traced.MinedClasses != len(mined) || traced.UniqueMotifs != len(unique) {
+		t.Fatalf("timing changed pipeline statistics: %d/%d vs %d/%d",
+			traced.MinedClasses, traced.UniqueMotifs, len(mined), len(unique))
 	}
-	if !reflect.DeepEqual(traced.Labeled, plain.Labeled) {
-		t.Fatal("tracing changed the labeled motifs")
+	if !reflect.DeepEqual(traced.Labeled, plain) {
+		t.Fatal("timing changed the labeled motifs")
 	}
 
 	var sb strings.Builder
-	if err := rec.WriteText(&sb); err != nil {
+	if err := obs.WriteStageTable(&sb, stages); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range wantOrder {

@@ -11,8 +11,8 @@
 // drain goroutine's line encoding) never allocate after warm-up, so
 // instrumentation can stay on in production and in the allocation-budget
 // gates. The expensive, allocating conveniences (Logger.Info with variadic
-// fields, StageRecorder tables) are for startup, shutdown, and offline
-// pipelines, where an allocation is free.
+// fields, stage tables) are for startup, shutdown, and offline pipelines,
+// where an allocation is free.
 package obs
 
 import (

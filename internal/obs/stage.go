@@ -11,8 +11,8 @@ import (
 // StageStat describes one pipeline stage of an offline build: wall time,
 // items processed, and the worker count the stage ran with. Busy, when
 // non-zero, is the summed worker-busy time inside the stage (its
-// cumulative CPU-side cost), from which WriteText derives utilization as
-// Busy / (Wall × Workers).
+// cumulative CPU-side cost), from which WriteStageTable derives
+// utilization as Busy / (Wall × Workers).
 type StageStat struct {
 	Name    string
 	Wall    time.Duration
@@ -21,9 +21,8 @@ type StageStat struct {
 	Busy    time.Duration
 }
 
-// StageRecorder collects StageStats in recording order. A nil recorder is
-// valid and records nothing, so pipelines thread one through
-// unconditionally and callers opt in by passing a non-nil recorder.
+// StageRecorder collects StageStats in recording order, safe for
+// concurrent use.
 type StageRecorder struct {
 	mu     sync.Mutex
 	stages []StageStat
@@ -31,55 +30,13 @@ type StageRecorder struct {
 
 // Record appends one finished stage.
 func (r *StageRecorder) Record(s StageStat) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	r.stages = append(r.stages, s)
 	r.mu.Unlock()
 }
 
-// Stage is an in-flight stage opened by Start.
-type Stage struct {
-	rec   *StageRecorder
-	name  string
-	start time.Time
-}
-
-// Start opens a named stage; End closes it. On a nil recorder Start
-// returns nil and End no-ops.
-func (r *StageRecorder) Start(name string) *Stage {
-	if r == nil {
-		return nil
-	}
-	return &Stage{rec: r, name: name, start: time.Now()}
-}
-
-// End records the stage with its measured wall time.
-func (s *Stage) End(items int64, workers int) {
-	s.EndWithBusy(items, workers, 0)
-}
-
-// EndWithBusy is End plus a cumulative worker-busy duration, from which
-// the stage table derives utilization.
-func (s *Stage) EndWithBusy(items int64, workers int, busy time.Duration) {
-	if s == nil {
-		return
-	}
-	s.rec.Record(StageStat{
-		Name:    s.name,
-		Wall:    time.Since(s.start),
-		Items:   items,
-		Workers: workers,
-		Busy:    busy,
-	})
-}
-
 // Stages returns a copy of the recorded stages.
 func (r *StageRecorder) Stages() []StageStat {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]StageStat, len(r.stages))
@@ -87,14 +44,8 @@ func (r *StageRecorder) Stages() []StageStat {
 	return out
 }
 
-// WriteText renders the recorded stages as the table `lamod build -stats`
-// prints.
-func (r *StageRecorder) WriteText(w io.Writer) error {
-	return WriteStageTable(w, r.Stages())
-}
-
-// WriteStageTable renders stage stats (from a live recorder or an artifact
-// snapshot) as an aligned table.
+// WriteStageTable renders stage stats (from a build or an artifact
+// snapshot) as the aligned table `lamod build -stats` prints.
 func WriteStageTable(w io.Writer, stages []StageStat) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "%-12s %12s %10s %8s %6s\n", "stage", "wall", "items", "workers", "util")
