@@ -153,10 +153,11 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # e2e builds lamod, lamoctl and the examples once and drives them as
-# child processes: one daemon (health, predict, metrics, exposition,
-# SIGTERM drain), load in closed and open loop counted by /v1/metrics,
-# bulk queries served and offline, a rolling rollout through a gateway
-# under load, span traces across the gateway and a replica, and each of
+# child processes: one daemon (health, predict, the /metrics exposition
+# and the ratios lamoctl derives from it, SIGTERM drain), load in closed
+# and open loop counted by /metrics, bulk queries served and offline, a
+# rolling rollout through a gateway under load with its lamod_fleet_*
+# ratios, span traces across the gateway and a replica, and each of
 # the five examples' stdout against its golden under
 # e2e/testdata/examples/. -count=1 because the test binary does not import
 # the programs it builds, so a cached pass would survive a change to them.

@@ -247,7 +247,8 @@ func TestExpositionGoldens(t *testing.T) {
 	exposeSequence(t, gw.URL, http.StatusNotFound)
 	_, prom := get(t, gw.URL+"/metrics")
 	checkGolden(t, "gateway_metrics.prom", normalizeProm(prom, addrs))
-	// A second scrape, so Router.Metrics also counts the first one.
+	// Scrape once more: the golden pins Router.Metrics after two requests
+	// on the metrics route, the first scrape's latency included.
 	get(t, gw.URL+"/metrics")
 	snap, err := json.Marshal(rt.Metrics())
 	if err != nil {

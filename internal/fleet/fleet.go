@@ -67,7 +67,7 @@ const (
 // replicas' own cap, and answers an oversized one with 413 as they do.
 const (
 	failThreshold   = 2                // consecutive probe or transport failures that eject a replica
-	maxAttempts     = 3                // distinct replicas tried per request; a hedge is not one
+	maxAttempts     = 3                // retries stop once a request has tried this many replicas
 	backoffMax      = 30 * time.Second // ceiling of an ejected replica's reprobe backoff
 	drainTimeout    = 10 * time.Second // rollout: wait for a replica's in-flight requests
 	rolloutWait     = 60 * time.Second // rollout: wait for a reloaded replica to be ready

@@ -275,7 +275,7 @@ func (rt *Router) route(ctx context.Context, candidates []*member, uri, requestI
 			}
 			lastFail = res
 			// Sequential retry on the next candidate, bounded by
-			// maxAttempts non-hedged launches in total.
+			// maxAttempts launches in total, a hedge included.
 			if next < limit {
 				rt.met.retries.Add(1)
 				launch(false)
