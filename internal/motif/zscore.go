@@ -42,11 +42,10 @@ func ScoreZ(g *graph.Graph, motifs []*Motif, cfg UniquenessConfig) []ZScore {
 		counts[i] = make([]float64, cfg.Networks)
 		exact[i] = make([]bool, cfg.Networks)
 	}
-	limit := max(cfg.CountCap, 0)
 	par.Do(cfg.Networks, par.Workers(cfg.Parallelism), func(r int) {
 		mt := cfg.nullMatcher(g, r)
 		for i := range motifs {
-			cnt, ok := mt.CountInducedUpTo(plans[i], limit, cfg.MaxSteps)
+			cnt, ok := mt.CountInducedUpTo(plans[i], cfg.CountCap, cfg.MaxSteps)
 			counts[i][r], exact[i][r] = float64(cnt), ok
 		}
 	})

@@ -68,10 +68,9 @@ func planKindIndex(kind string) int {
 }
 
 // metrics holds the daemon's series, each declared once on reg, which
-// renders /metrics. Handlers
-// update the counters and histograms lock-free; a render is a
-// point-in-time read, not a consistent cut, which is all a metrics
-// endpoint needs.
+// renders /metrics. Handlers update the counters and histograms
+// lock-free; a render is a point-in-time read, not a consistent cut,
+// which is all a metrics endpoint needs.
 type metrics struct {
 	reg         obs.Registry
 	requests    *atomic.Int64 // all HTTP requests
