@@ -3,7 +3,8 @@
 // Package e2e drives the lamod and lamoctl binaries end to end: it builds
 // an artifact, serves it from a daemon or a gateway over replicas, and
 // checks what the daemons answer and what lamoctl prints. It also runs the
-// programs under examples/ and compares what they print with goldens.
+// programs under examples/, and motiffind and gostats over a file fixture,
+// and compares what they print with goldens.
 // Every file is a test file behind the e2e build tag, so plain `go
 // build/vet/test ./...` skip it. Run it with `make e2e`.
 package e2e
@@ -39,8 +40,8 @@ var buildArgs = []string{"build", "-quick", "-note", "e2e", "-stats"}
 // send.
 var client = &http.Client{Timeout: 10 * time.Second}
 
-// TestMain builds lamod, lamoctl and the examples once, and the quick
-// artifact every test serves.
+// TestMain builds lamod, lamoctl, motiffind, gostats and the examples
+// once, and the quick artifact every test serves.
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "lamofinder-e2e-")
 	if err != nil {
@@ -58,7 +59,8 @@ func TestMain(m *testing.M) {
 func setup(dir string) int {
 	lamod, lamoctl = filepath.Join(dir, "lamod"), filepath.Join(dir, "lamoctl")
 	artPath = filepath.Join(dir, "model.lamoart")
-	out, err := exec.Command("go", "build", "-o", dir+"/", "lamofinder/cmd/lamod", "lamofinder/cmd/lamoctl", "lamofinder/examples/...").CombinedOutput()
+	out, err := exec.Command("go", "build", "-o", dir+"/", "lamofinder/cmd/lamod", "lamofinder/cmd/lamoctl",
+		"lamofinder/cmd/motiffind", "lamofinder/cmd/gostats", "lamofinder/examples/...").CombinedOutput()
 	if err == nil {
 		out, err = exec.Command(lamod, append(buildArgs, "-out", artPath)...).CombinedOutput()
 		buildOut = string(out)

@@ -11,22 +11,44 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite the example goldens under testdata/examples/")
+var update = flag.Bool("update", false, "rewrite the goldens under testdata/examples/")
 
-// examples names the programs under examples/; setup builds each one
-// beside lamod, under its directory's name.
-var examples = []string{"directedmotifs", "functionprediction", "motiflabeling", "ontology", "quickstart"}
+// mips is the file fixture: the quick preset's MIPS network (edges.tsv),
+// its GO terms (go.obo), their annotations (annotations.tsv) and the
+// 600 protein names (proteins.txt), written once from the generator.
+const mips = "testdata/mips/"
 
-// TestExamples runs each example and compares its stdout with
+// goldens lists the programs TestExamples pins, each under the name of its
+// golden: every program under examples/, which setup builds beside lamod
+// under its directory's name and which runs with no flags, then motiffind
+// and gostats over the fixture.
+var goldens = []struct {
+	name, prog string
+	args       []string
+}{
+	{"directedmotifs", "directedmotifs", nil},
+	{"functionprediction", "functionprediction", nil},
+	{"motiflabeling", "motiflabeling", nil},
+	{"ontology", "ontology", nil},
+	{"quickstart", "quickstart", nil},
+	{"motiffind_beam", "motiffind", []string{"-edges", mips + "edges.tsv", "-maxsize", "5", "-minfreq", "10", "-z"}},
+	{"motiffind_esu", "motiffind", []string{"-edges", mips + "edges.tsv", "-esu", "4", "-z", "-uniq", "0"}},
+	{"gostats", "gostats", []string{"-obo", mips + "go.obo", "-ann", mips + "annotations.tsv", "-names", mips + "proteins.txt"}},
+	{"gostats_sim", "gostats", []string{"-obo", mips + "go.obo", "-ann", mips + "annotations.tsv", "-names", mips + "proteins.txt",
+		"-sim", "FC:00.1,FC:00.2"}},
+}
+
+// TestExamples runs each program of goldens and compares its stdout with
 // testdata/examples/<name>.golden, or rewrites the file under -update.
-// Every example seeds its own data, so what it prints is fixed: a change
-// that moves one mined class, label or score moves it.
+// Every program seeds its own data or reads the fixture, so what it
+// prints is fixed: a change that moves one mined class, label or score
+// moves it.
 func TestExamples(t *testing.T) {
-	for _, name := range examples {
-		t.Run(name, func(t *testing.T) {
+	for _, g := range goldens {
+		t.Run(g.name, func(t *testing.T) {
 			t.Parallel()
-			got := run(t, filepath.Join(filepath.Dir(lamod), name))
-			path := filepath.Join("testdata", "examples", name+".golden")
+			got := run(t, filepath.Join(filepath.Dir(lamod), g.prog), g.args...)
+			path := filepath.Join("testdata", "examples", g.name+".golden")
 			if *update {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
