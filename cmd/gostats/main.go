@@ -4,9 +4,8 @@
 //
 // Usage:
 //
-//	gostats -obo go.obo -ann annotations.tsv -names proteins.txt [-mindirect 30]
-//	gostats -example            # the paper's Figure-1/Table-1 worked example
-//	gostats -example -sim G08,G09
+//	gostats -obo go.obo -ann annotations.tsv -names proteins.txt [-mindirect 30] [-top N]
+//	gostats -obo go.obo -ann annotations.tsv -names proteins.txt -sim A,B
 package main
 
 import (
@@ -25,41 +24,28 @@ func main() {
 	obo := flag.String("obo", "", "GO ontology in OBO format")
 	ann := flag.String("ann", "", "protein annotations (protein<TAB>term)")
 	namesFile := flag.String("names", "", "protein name list (one per line)")
-	example := flag.Bool("example", false, "use the paper's Figure-1 worked example")
 	minDirect := flag.Int("mindirect", 30, "informative-FC direct annotation threshold")
 	sim := flag.String("sim", "", "term pair \"A,B\" to score with Lin similarity")
 	top := flag.Int("top", 25, "terms to print")
 	flag.Parse()
 
-	var (
-		o      *ontology.Ontology
-		direct []int
-	)
-	switch {
-	case *example:
-		pe := dataset.NewPaperExample()
-		o, direct = pe.Ontology, pe.Direct
-	case *obo != "":
-		f, err := os.Open(*obo)
-		check(err)
-		defer func() { _ = f.Close() }() // read-only open; close error is unactionable
-		o, err = ontology.ParseOBO(f)
-		check(err)
-		if *ann == "" || *namesFile == "" {
-			fatalf("-obo requires -ann and -names for weight computation")
-		}
-		names, err := readLines(*namesFile)
-		check(err)
-		af, err := os.Open(*ann)
-		check(err)
-		defer func() { _ = af.Close() }() // read-only open; close error is unactionable
-		corpus, skipped, err := dataset.LoadAnnotations(af, o, names)
-		check(err)
-		fmt.Printf("%d annotations skipped\n", skipped)
-		direct = corpus.DirectCounts()
-	default:
-		fatalf("need -obo or -example")
+	if *obo == "" || *ann == "" || *namesFile == "" {
+		fatalf("need -obo, -ann and -names")
 	}
+	f, err := os.Open(*obo)
+	check(err)
+	defer func() { _ = f.Close() }() // read-only open; close error is unactionable
+	o, err := ontology.ParseOBO(f)
+	check(err)
+	names, err := readLines(*namesFile)
+	check(err)
+	af, err := os.Open(*ann)
+	check(err)
+	defer func() { _ = af.Close() }() // read-only open; close error is unactionable
+	corpus, skipped, err := dataset.LoadAnnotations(af, o, names)
+	check(err)
+	fmt.Printf("%d annotations skipped\n", skipped)
+	direct := corpus.DirectCounts()
 
 	w := o.ComputeWeights(direct)
 	incl := o.InclusiveCounts(direct)

@@ -1,7 +1,7 @@
 // Command lamod is the labeled-motif model daemon. `lamod build` runs the
-// expensive offline pipeline (synthetic MIPS benchmark -> motif mining ->
-// uniqueness filter -> LaMoFinder labeling) once and packages the result
-// into a checksummed artifact file; `lamod serve` loads such an artifact
+// expensive offline pipeline (interactome -> motif mining -> uniqueness
+// filter -> LaMoFinder labeling) once and packages the result into a
+// checksummed artifact file; `lamod serve` loads such an artifact
 // and answers prediction queries over HTTP until SIGTERM/SIGINT; `lamod
 // gateway` (the lamogate router) fronts several serve daemons as one
 // health-gated, consistently-hashed fleet with rolling artifact rollout.
@@ -12,8 +12,8 @@
 //
 // Usage:
 //
-//	lamod build -out FILE [-quick] [-proteins N] [-edges M] [-seed S] [-note TEXT]
-//	            [-stats]
+//	lamod build -out FILE [-quick] [-edges FILE -obo FILE -ann FILE]
+//	            [-note TEXT] [-stats]
 //	lamod query -artifact FILE [-plan FILE] [-topk N] [-group-by category]
 //	            [-min-degree N] [-max-degree N] [-min-score X]
 //	            [-annotated BOOL] [-proteins A,B] [-project COLS]
@@ -24,6 +24,17 @@
 //	            [-log-level LEVEL] [-trace-sample N] [-exemplars]
 //	lamod gateway -replicas HOST:PORT,HOST:PORT,... [-addr HOST:PORT]
 //	            [-drain D] [-log-level LEVEL] [-trace-sample N]
+//
+// build reads its interactome from files when given -edges (a protein
+// pair a line), -obo (the GO ontology) and -ann (protein<TAB>GO id a
+// line); otherwise it generates the synthetic MIPS benchmark. -quick
+// selects the reduced-scale preset of the mining, uniqueness and labeling
+// settings for either input, and of the generator. A file build's function
+// categories are the corpus's border informative FC at the preset's
+// informative-FC threshold (30 direct annotations, 10 at -quick), the
+// paper's label space: a protein carries a category when one of its
+// annotations is that term or a descendant of it. An input with no such
+// term exits 2 before mining.
 //
 // build always traces its pipeline stages (census, uniqueness, labeling,
 // clustering, ranking) into the artifact's build metadata; -stats prints
@@ -51,10 +62,14 @@ import (
 	"time"
 
 	"lamofinder/internal/artifact"
+	"lamofinder/internal/dataset"
 	"lamofinder/internal/experiments"
 	"lamofinder/internal/fleet"
+	"lamofinder/internal/graph"
 	"lamofinder/internal/obs"
+	"lamofinder/internal/ontology"
 	"lamofinder/internal/par"
+	"lamofinder/internal/predict"
 	"lamofinder/internal/query"
 	"lamofinder/internal/serve"
 )
@@ -87,9 +102,9 @@ func runBuild(args []string) int {
 	fs := flag.NewFlagSet("lamod build", flag.ContinueOnError)
 	out := fs.String("out", "", "artifact output path (required)")
 	quick := fs.Bool("quick", false, "reduced-scale preset")
-	proteins := fs.Int("proteins", 0, "override protein count (0 = preset)")
-	edges := fs.Int("edges", 0, "override interaction count (0 = preset)")
-	seed := fs.Int64("seed", 0, "override dataset seed (0 = preset)")
+	edges := fs.String("edges", "", "interaction edge list, one protein pair a line (empty = the synthetic MIPS benchmark)")
+	obo := fs.String("obo", "", "GO ontology in OBO format (required with -edges)")
+	ann := fs.String("ann", "", "protein annotations, protein<TAB>GO id a line (required with -edges)")
 	note := fs.String("note", "", "free-form note stored in the artifact")
 	stats := fs.Bool("stats", false, "print the per-stage build trace after the build")
 	if err := fs.Parse(args); err != nil {
@@ -104,37 +119,46 @@ func runBuild(args []string) int {
 		fs.Usage()
 		return 2
 	}
+	files := *edges != ""
+	if files != (*obo != "") || files != (*ann != "") {
+		fmt.Fprintln(os.Stderr, "lamod build: -edges, -obo and -ann go together")
+		return 2
+	}
 	cfg := experiments.DefaultFigure9Config()
 	if *quick {
 		cfg = experiments.QuickFigure9Config()
 	}
-	if *proteins < 0 || *edges < 0 {
-		fmt.Fprintln(os.Stderr, "lamod build: -proteins and -edges must be non-negative")
-		return 2
-	}
-	if *proteins > 0 {
-		cfg.MIPS.Proteins = *proteins
-	}
-	if *edges > 0 {
-		cfg.MIPS.Edges = *edges
-	}
-	if *seed != 0 {
-		cfg.MIPS.Seed = *seed
-	}
-	// The generator adds background edges until it reaches the count, so a
-	// count above the simple graph's n(n-1)/2 would never finish.
-	n := cfg.MIPS.Proteins
-	if maxEdges := n * (n - 1) / 2; cfg.MIPS.Edges > maxEdges {
-		fmt.Fprintf(os.Stderr, "lamod build: %d interactions cannot fit %d proteins; set -edges to at most %d\n",
-			cfg.MIPS.Edges, n, maxEdges)
-		return 2
-	}
 
 	start := time.Now()
-	mined := experiments.MineLabeled(cfg)
-	m := mined.MIPS
-	art, err := artifact.Build("synthetic-mips", *note, m.Task, m.CategoryNames(),
-		m.Corpus, m.Corpus.DirectCounts(), cfg.Label.MinDirect, mined.Labeled)
+	var (
+		name   = "synthetic-mips"
+		task   *predict.Task
+		names  []string
+		corpus *ontology.Corpus
+	)
+	if files {
+		net, c, skipped, err := loadFiles(*edges, *obo, *ann)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "lamod build: %v\n", err)
+			return 1
+		}
+		if skipped > 0 {
+			fmt.Fprintf(os.Stderr, "lamod build: skipped %d annotations naming no protein of %s or no term of %s\n", skipped, *edges, *obo)
+		}
+		name, corpus = filepath.Base(*edges), c
+		task, names = categoryTask(net, c, cfg.Label.MinDirect)
+		if len(names) == 0 {
+			fmt.Fprintf(os.Stderr, "lamod build: no GO term has %d or more direct annotations (the preset's informative-FC threshold), so there is no function category to predict\n",
+				cfg.Label.MinDirect)
+			return 2
+		}
+	} else {
+		m := dataset.NewMIPS(cfg.MIPS)
+		task, names, corpus = m.Task, m.CategoryNames(), m.Corpus
+	}
+	mined := experiments.MineLabeled(cfg, task.Network, corpus)
+	art, err := artifact.Build(name, *note, task, names,
+		corpus, corpus.DirectCounts(), cfg.Label.MinDirect, mined.Labeled)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lamod build: %v\n", err)
 		return 1
@@ -169,6 +193,62 @@ func runBuild(args []string) int {
 		}
 	}
 	return 0
+}
+
+// loadFiles reads an interactome: the edge list names the proteins (a
+// protein with no interaction is not in it), and each annotation of a
+// listed protein with a term of the ontology joins the corpus. It returns
+// how many annotation rows it skipped.
+func loadFiles(edges, obo, ann string) (*graph.Graph, *ontology.Corpus, int, error) {
+	ef, err := os.Open(edges)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	defer func() { _ = ef.Close() }() // read-only open; close error is unactionable
+	net, proteins, err := dataset.LoadEdgeList(ef)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	of, err := os.Open(obo)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	defer func() { _ = of.Close() }() // read-only open; close error is unactionable
+	o, err := ontology.ParseOBO(of)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	af, err := os.Open(ann)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	defer func() { _ = af.Close() }() // read-only open; close error is unactionable
+	corpus, skipped, err := dataset.LoadAnnotations(af, o, proteins)
+	return net, corpus, skipped, err
+}
+
+// categoryTask is the prediction task over the corpus's border informative
+// FC at minDirect, the paper's label space and the set an artifact stores
+// as Border: category f is the f-th such term, and a protein carries f
+// when one of its annotations is that term or a descendant of it. It also
+// returns the categories' GO ids.
+func categoryTask(net *graph.Graph, corpus *ontology.Corpus, minDirect int) (*predict.Task, []string) {
+	o := corpus.Ontology()
+	border := o.BorderInformativeFC(corpus.DirectCounts(), minDirect)
+	task := predict.NewTask(net, len(border))
+	names := make([]string, len(border))
+	for f, t := range border {
+		names[f] = o.ID(t)
+		for p := range task.Functions {
+			for _, a := range corpus.Terms(p) {
+				if o.IsAncestorOrSelf(t, int(a)) {
+					task.Functions[p] = append(task.Functions[p], f)
+					break
+				}
+			}
+		}
+	}
+	return task, names
 }
 
 // runQuery executes one bulk plan against an artifact file and streams

@@ -9,6 +9,7 @@ import (
 	"lamofinder/internal/dataset"
 	"lamofinder/internal/label"
 	"lamofinder/internal/motif"
+	"lamofinder/internal/ontology"
 	"lamofinder/internal/predict"
 )
 
@@ -16,7 +17,7 @@ import (
 // dataset — mine motifs, score uniqueness against randomized networks
 // (the parallel code path), label with LaMoFinder, predict functions —
 // and serializes every stage into one byte stream.
-func runPaperPipeline() ([]byte, error) {
+func runPaperPipeline() []byte {
 	pe := dataset.NewPaperExample()
 
 	mineCfg := motif.DefaultConfig()
@@ -36,9 +37,7 @@ func runPaperPipeline() ([]byte, error) {
 	}
 
 	var buf bytes.Buffer
-	if err := label.WriteMotifs(&buf, pe.Ontology, labeled); err != nil {
-		return nil, err
-	}
+	writeMotifs(&buf, pe.Ontology, labeled)
 
 	task := predict.NewTask(pe.Network, pe.Ontology.NumTerms())
 	for p := 0; p < pe.Network.N(); p++ {
@@ -54,7 +53,7 @@ func runPaperPipeline() ([]byte, error) {
 		}
 		fmt.Fprintln(&buf)
 	}
-	return buf.Bytes(), nil
+	return buf.Bytes()
 }
 
 // TestPipelineDeterminism is the regression gate behind the lamovet rules:
@@ -63,10 +62,7 @@ func runPaperPipeline() ([]byte, error) {
 // output, including the uniqueness stage that fans out one goroutine per
 // randomized network.
 func TestPipelineDeterminism(t *testing.T) {
-	first, err := runPaperPipeline()
-	if err != nil {
-		t.Fatalf("pipeline run 1: %v", err)
-	}
+	first := runPaperPipeline()
 	if len(first) == 0 {
 		t.Fatal("pipeline produced no output")
 	}
@@ -74,10 +70,7 @@ func TestPipelineDeterminism(t *testing.T) {
 		t.Fatal("pipeline output not line-structured")
 	}
 	for run := 2; run <= 3; run++ {
-		again, err := runPaperPipeline()
-		if err != nil {
-			t.Fatalf("pipeline run %d: %v", run, err)
-		}
+		again := runPaperPipeline()
 		if !bytes.Equal(first, again) {
 			t.Fatalf("pipeline output differs between run 1 and run %d:\nrun1 (%d bytes):\n%s\nrun%d (%d bytes):\n%s",
 				run, len(first), truncate(first), run, len(again), truncate(again))
@@ -93,18 +86,12 @@ func TestPipelineDeterminism(t *testing.T) {
 // is worker-independent and every merge is index-ordered.
 func TestPipelineDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
-	serial, err := runPaperPipeline()
+	serial := runPaperPipeline()
 	runtime.GOMAXPROCS(prev)
-	if err != nil {
-		t.Fatalf("pipeline at GOMAXPROCS=1: %v", err)
-	}
 
 	prev = runtime.GOMAXPROCS(4)
-	wide, err := runPaperPipeline()
+	wide := runPaperPipeline()
 	runtime.GOMAXPROCS(prev)
-	if err != nil {
-		t.Fatalf("pipeline at GOMAXPROCS=4: %v", err)
-	}
 
 	if !bytes.Equal(serial, wide) {
 		t.Fatalf("pipeline output depends on GOMAXPROCS:\nGOMAXPROCS=1 (%d bytes):\n%s\nGOMAXPROCS=4 (%d bytes):\n%s",
@@ -130,9 +117,7 @@ func TestLabelParallelismKnobDeterminism(t *testing.T) {
 		labeler := label.NewLabeler(pe.Corpus, lcfg)
 		labeled := labeler.LabelAll(motifs)
 		var buf bytes.Buffer
-		if err := label.WriteMotifs(&buf, pe.Ontology, labeled); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		writeMotifs(&buf, pe.Ontology, labeled)
 		if want == nil {
 			want = buf.Bytes()
 			if len(want) == 0 {
@@ -143,6 +128,25 @@ func TestLabelParallelismKnobDeterminism(t *testing.T) {
 		if !bytes.Equal(want, buf.Bytes()) {
 			t.Fatalf("labeled output differs between Parallelism=1 and Parallelism=%d", workers)
 		}
+	}
+}
+
+// writeMotifs writes each labeled motif as one line: its pattern, its
+// frequency and uniqueness (the shortest text that reads back as the same
+// float64), each vertex's labels as GO ids, and its occurrences.
+func writeMotifs(buf *bytes.Buffer, o *ontology.Ontology, motifs []*label.LabeledMotif) {
+	for _, lm := range motifs {
+		fmt.Fprintf(buf, "%s freq=%d uniq=%v", lm.Pattern, lm.Frequency, lm.Uniqueness)
+		for v, ts := range lm.Labels {
+			fmt.Fprintf(buf, " v%d=", v)
+			for i, t := range ts {
+				if i > 0 {
+					buf.WriteByte(',')
+				}
+				buf.WriteString(o.ID(int(t)))
+			}
+		}
+		fmt.Fprintf(buf, " occ=%v\n", lm.Occurrences)
 	}
 }
 

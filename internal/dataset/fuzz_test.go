@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// FuzzLoadEdgeList checks the edge-list reader that lamofinder -edges and
+// FuzzLoadEdgeList checks the edge-list reader that lamod build -edges and
 // motiffind -edges run, on arbitrary input: no input panics, and an
 // accepted list gives each vertex one distinct name, has no self loop, and
 // keeps its edge set through a WriteEdgeList round trip. The committed
@@ -60,8 +60,8 @@ func FuzzLoadEdgeList(f *testing.F) {
 	})
 }
 
-// FuzzLoadAnnotations checks the annotation reader that lamofinder -ann
-// runs, on arbitrary input: no input panics, and an accepted file yields a
+// FuzzLoadAnnotations checks the annotation reader that lamod build -ann
+// and gostats -ann run, on arbitrary input: no input panics, and an accepted file yields a
 // corpus over every given protein whose annotations are known terms,
 // sorted and distinct, with no more annotations plus skipped rows than
 // the input has lines. The committed corpus

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lamofinder/internal/artifact"
+	"lamofinder/internal/dataset"
 )
 
 // quickBuildDigest is the identity digest of the `lamod build -quick`
@@ -25,13 +26,9 @@ func TestQuickBuildGolden(t *testing.T) {
 		t.Skip("pipeline test skipped in -short mode")
 	}
 	cfg := QuickFigure9Config()
-	mined := MineLabeled(cfg)
-	m := mined.MIPS
-	names := make([]string, len(m.CategoryTerm))
-	for c, ct := range m.CategoryTerm {
-		names[c] = m.Ontology.ID(ct)
-	}
-	art, err := artifact.Build("synthetic-mips", "", m.Task, names,
+	m := dataset.NewMIPS(cfg.MIPS)
+	mined := MineLabeled(cfg, m.Task.Network, m.Corpus)
+	art, err := artifact.Build("synthetic-mips", "", m.Task, m.CategoryNames(),
 		m.Corpus, m.Corpus.DirectCounts(), cfg.Label.MinDirect, mined.Labeled)
 	if err != nil {
 		t.Fatal(err)

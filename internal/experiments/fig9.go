@@ -8,9 +8,11 @@ import (
 
 	"lamofinder/internal/dataset"
 	"lamofinder/internal/eval"
+	"lamofinder/internal/graph"
 	"lamofinder/internal/label"
 	"lamofinder/internal/motif"
 	"lamofinder/internal/obs"
+	"lamofinder/internal/ontology"
 	"lamofinder/internal/par"
 	"lamofinder/internal/predict"
 )
@@ -85,32 +87,29 @@ type Figure9Result struct {
 	Proteins, Interactions, Annotated         int
 }
 
-// Mined bundles the output of the dataset→mine→uniqueness→label front half
-// of the Figure-9 pipeline, shared by the offline experiment and the lamod
+// Mined bundles the output of the mine→uniqueness→label half of the
+// Figure-9 pipeline, shared by the offline experiment and the lamod
 // artifact builder.
 type Mined struct {
-	MIPS    *dataset.MIPS
 	Labeled []*label.LabeledMotif
 	// MinedClasses and UniqueMotifs are pipeline statistics: isomorphism
 	// classes found by the miner and classes surviving the uniqueness filter.
 	MinedClasses, UniqueMotifs int
-	// Stages times the front half in order: census (motif mining),
-	// uniqueness (null-model scoring and filtering), labeling (LaMoFinder
-	// over the unique motifs) and clustering (the cumulative worker-busy
+	// Stages times the half in order: census (motif mining), uniqueness
+	// (null-model scoring and filtering), labeling (LaMoFinder over the
+	// unique motifs) and clustering (the cumulative worker-busy
 	// agglomeration time inside labeling, so its wall column is summed
 	// across workers and can exceed the labeling stage's).
 	Stages []obs.StageStat
 }
 
-// MineLabeled builds the synthetic MIPS benchmark, mines its motifs, keeps
-// the over-represented ones, and labels them with LaMoFinder against the
-// functional-catalogue GO corpus — everything Figure 9 does before scoring,
-// and everything `lamod build` packages into a serving artifact — timing
-// each stage into Mined.Stages.
-func MineLabeled(cfg Figure9Config) *Mined {
-	m := dataset.NewMIPS(cfg.MIPS)
-	net := m.Task.Network
-
+// MineLabeled mines net's motifs, keeps the over-represented ones, and
+// labels them with LaMoFinder against corpus, which annotates net's
+// vertices — everything Figure 9 does to the synthetic MIPS benchmark
+// before scoring, and everything `lamod build` packages into a serving
+// artifact, whether its network comes from the generator or from files —
+// timing each stage into Mined.Stages. cfg.MIPS is not read.
+func MineLabeled(cfg Figure9Config, net *graph.Graph, corpus *ontology.Corpus) *Mined {
 	start := time.Now()
 	mined := motif.Find(net, cfg.Mine)
 	census := obs.StageStat{Name: "census", Wall: time.Since(start), Items: int64(len(mined)), Workers: par.Workers(0)}
@@ -123,14 +122,13 @@ func MineLabeled(cfg Figure9Config) *Mined {
 	// The labeling core sits in the determinism scope where wall-clock
 	// reads are forbidden, so the clustering clock is injected from here.
 	cfg.Label.Now = time.Now
-	labeler := label.NewLabeler(m.Corpus, cfg.Label)
+	labeler := label.NewLabeler(corpus, cfg.Label)
 	start = time.Now()
 	labeled := labeler.LabelAll(unique)
 	workers := par.Workers(cfg.Label.Parallelism)
 	busy, occs := labeler.ClusterStats()
 	labeling := obs.StageStat{Name: "labeling", Wall: time.Since(start), Items: int64(len(labeled)), Workers: workers, Busy: busy}
 	return &Mined{
-		MIPS:         m,
 		Labeled:      labeled,
 		MinedClasses: len(mined),
 		UniqueMotifs: len(unique),
@@ -145,9 +143,9 @@ func MineLabeled(cfg Figure9Config) *Mined {
 // the labeled-motif predictor against NC, Chi2, PRODISTIN and MRF under
 // leave-one-out.
 func Figure9(cfg Figure9Config) *Figure9Result {
-	mined := MineLabeled(cfg)
-	m := mined.MIPS
+	m := dataset.NewMIPS(cfg.MIPS)
 	net := m.Task.Network
+	mined := MineLabeled(cfg, net, m.Corpus)
 	lmp := label.NewScorer(m.Task, mined.Labeled)
 	scorers := []predict.Scorer{
 		lmp,

@@ -27,8 +27,8 @@ func TestMineLabeledTraced(t *testing.T) {
 	cfg.Null.Networks = 2
 	cfg.Label.MinDirect = 6
 
-	traced := MineLabeled(cfg)
 	m := dataset.NewMIPS(cfg.MIPS)
+	traced := MineLabeled(cfg, m.Task.Network, m.Corpus)
 	mined := motif.Find(m.Task.Network, cfg.Mine)
 	motif.ScoreUniqueness(m.Task.Network, mined, cfg.Null)
 	unique := motif.FilterUnique(mined, cfg.MinUniqueness)
