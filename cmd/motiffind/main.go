@@ -82,9 +82,14 @@ func main() {
 			fmt.Println("  ...")
 			break
 		}
-		if zs != nil {
+		switch {
+		case zs != nil && !zs[i].Exact:
+			// Some randomized count stopped at the cap or the step
+			// budget: the mean is a lower bound and gives no z.
+			fmt.Printf("  %s z=? (rand ≥%.1f)\n", m, zs[i].RandMean)
+		case zs != nil:
 			fmt.Printf("  %s z=%.1f (rand %.1f±%.1f)\n", m, zs[i].Z, zs[i].RandMean, zs[i].RandStd)
-		} else {
+		default:
 			fmt.Printf("  %s\n", m)
 		}
 		printed++

@@ -247,6 +247,33 @@ func TestScoreZCountsUniquenessNetworks(t *testing.T) {
 	}
 }
 
+// TestScoreZMarksCappedCountsInexact: a randomized count stopped at
+// CountCap is a lower bound. The 300-vertex Barabási–Albert graph's
+// randomizations hold far more than 5 triangles, so at a cap of 5 every
+// count stops there: the row is inexact, its mean is the cap and its z is
+// 0, not the ±Inf a zero spread would give. Far above the counts, the cap
+// leaves the row exact.
+func TestScoreZMarksCappedCountsInexact(t *testing.T) {
+	g := randnet.BarabasiAlbert(300, 3, 2, rand.New(rand.NewSource(1)))
+	var tri *Motif
+	for _, m := range Find(g, Config{MinSize: 3, MaxSize: 3, MinFreq: 1}) {
+		if m.Pattern.M() == 3 {
+			tri = m
+		}
+	}
+	if tri == nil {
+		t.Fatal("triangle class missing")
+	}
+	cfg := UniquenessConfig{Networks: 4, Seed: 1, CountCap: 5}
+	if z := ScoreZ(g, []*Motif{tri}, cfg)[0]; z.Exact || z.Z != 0 || z.RandMean != 5 || z.RandStd != 0 {
+		t.Fatalf("cap 5: %+v, want inexact, Z 0 and RandMean 5", z)
+	}
+	cfg.CountCap = 1_000_000
+	if z := ScoreZ(g, []*Motif{tri}, cfg)[0]; !z.Exact || z.RandMean <= 5 || math.IsInf(z.Z, 0) {
+		t.Fatalf("cap 1e6: %+v, want an exact, finite row", z)
+	}
+}
+
 func TestBeamKeepsDenseClasses(t *testing.T) {
 	// A network with abundant generic paths plus planted 4-cliques: with a
 	// tiny beam, the density half must keep the clique class alive even

@@ -17,17 +17,18 @@ type ZScore struct {
 	RandMean float64
 	RandStd  float64
 	Z        float64
-	// Exact reports whether every randomized count resolved within the
-	// step/count budget; inexact rows should be read as bounds.
+	// Exact reports whether every randomized count resolved below CountCap
+	// within the step budget. A count stopped at the cap or by the budget
+	// is a lower bound, so an inexact row's RandMean is a lower bound and
+	// its Z is 0: no z follows from bounds.
 	Exact bool
 }
 
 // ScoreZ computes z-scores for each motif against the cfg.Networks
 // randomized networks ScoreUniqueness counts over, fanned out over
 // cfg.Parallelism workers with the same result at any setting. Counting
-// uses the same step budget as ScoreUniqueness; randomized counts are
-// capped at CountCap (so ultra-common patterns get truncated, conservative
-// z-scores).
+// uses the same step budget as ScoreUniqueness and stops at CountCap, so
+// ultra-common patterns get inexact rows.
 func ScoreZ(g *graph.Graph, motifs []*Motif, cfg UniquenessConfig) []ZScore {
 	out := make([]ZScore, len(motifs))
 	if cfg.Networks <= 0 {
@@ -46,27 +47,24 @@ func ScoreZ(g *graph.Graph, motifs []*Motif, cfg UniquenessConfig) []ZScore {
 		mt := cfg.nullMatcher(g, r)
 		for i := range motifs {
 			cnt, ok := mt.CountInducedUpTo(plans[i], cfg.CountCap, cfg.MaxSteps)
-			counts[i][r], exact[i][r] = float64(cnt), ok
+			// The matcher calls a count that stopped at its limit exact;
+			// here the limit is the cap, so that count is only a bound.
+			counts[i][r], exact[i][r] = float64(cnt), ok && (cfg.CountCap <= 0 || cnt < cfg.CountCap)
 		}
 	})
 	for i, m := range motifs {
 		mean, std := meanStd(counts[i])
-		z := 0.0
+		z := ZScore{Real: m.Frequency, RandMean: mean, RandStd: std, Exact: !slices.Contains(exact[i], false)}
 		switch {
+		case !z.Exact:
 		case std > 0:
-			z = (float64(m.Frequency) - mean) / std
+			z.Z = (float64(m.Frequency) - mean) / std
 		case float64(m.Frequency) > mean:
-			z = math.Inf(1)
+			z.Z = math.Inf(1)
 		case float64(m.Frequency) < mean:
-			z = math.Inf(-1)
+			z.Z = math.Inf(-1)
 		}
-		out[i] = ZScore{
-			Real:     m.Frequency,
-			RandMean: mean,
-			RandStd:  std,
-			Z:        z,
-			Exact:    !slices.Contains(exact[i], false),
-		}
+		out[i] = z
 	}
 	return out
 }
