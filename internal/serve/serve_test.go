@@ -218,6 +218,12 @@ func TestHealthzAndMotifs(t *testing.T) {
 	if mr.Motifs[0].Size != 4 || mr.Motifs[0].Occurrences == 0 {
 		t.Fatalf("motif summary: %+v", mr.Motifs[0])
 	}
+	// Each summary carries its motif's edges, the paper example's 4-cycle.
+	for i, ms := range mr.Motifs {
+		if ms.Pattern != motifs[i].Pattern.String() || ms.Pattern != "4:[0-1 0-3 1-2 2-3]" {
+			t.Fatalf("motif %d pattern %q, want %q", i, ms.Pattern, motifs[i].Pattern.String())
+		}
+	}
 }
 
 // TestCacheAndMetrics: the score index is the daemon's only cache. Repeated

@@ -12,7 +12,8 @@
 //	                   proteins (repeat protein= for a batch of up to 64)
 //	POST /v1/query   — execute one bulk query plan (internal/query) against
 //	                   the request's model snapshot, streaming the result
-//	GET  /v1/motifs  — the labeled motifs backing the model
+//	GET  /v1/motifs  — the labeled motifs backing the model: each one's
+//	                   pattern, labels, frequency and uniqueness
 //	GET  /v1/traces  — the most recent sampled span traces, or one by ID
 //	GET  /metrics    — request, latency and Go runtime series in
 //	                   Prometheus text format
@@ -707,9 +708,12 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 }
 
 // MotifSummary describes one labeled motif without its occurrence list.
+// Pattern is its shape as graph.Dense.String prints it, "size:[i-j ...]"
+// over the vertex indices Labels uses.
 type MotifSummary struct {
 	Index       int        `json:"index"`
 	Size        int        `json:"size"`
+	Pattern     string     `json:"pattern"`
 	Frequency   int        `json:"frequency"`
 	Uniqueness  float64    `json:"uniqueness"`
 	Occurrences int        `json:"occurrences"`
@@ -733,6 +737,7 @@ func (s *Server) handleMotifs(w http.ResponseWriter, r *http.Request) {
 		ms := MotifSummary{
 			Index:       i,
 			Size:        lm.Size(),
+			Pattern:     lm.Pattern.String(),
 			Frequency:   lm.Frequency,
 			Uniqueness:  lm.Uniqueness,
 			Occurrences: len(lm.Occurrences),
