@@ -2,9 +2,10 @@
 
 // Package e2e drives the lamod and lamoctl binaries end to end: it builds
 // an artifact, serves it from a daemon or a gateway over replicas, and
-// checks what the daemons answer and what lamoctl prints. It also runs the
-// programs under examples/, and motiffind and gostats over a file fixture,
-// and compares what they print with goldens.
+// checks what the daemons answer and what lamoctl prints. It also builds
+// and serves an artifact from the interactome files under testdata/mips/,
+// runs the programs under examples/, and motiffind and gostats over those
+// files, and compares what they print with goldens.
 // Every file is a test file behind the e2e build tag, so plain `go
 // build/vet/test ./...` skip it. Run it with `make e2e`.
 package e2e

@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite the goldens under testdata/examples/")
+var update = flag.Bool("update", false, "rewrite the goldens under testdata/examples/ and testdata/files/")
 
 // mips is the file fixture: the quick preset's MIPS network (edges.tsv),
 // its GO terms (go.obo), their annotations (annotations.tsv) and the
@@ -48,29 +48,35 @@ func TestExamples(t *testing.T) {
 		t.Run(g.name, func(t *testing.T) {
 			t.Parallel()
 			got := run(t, filepath.Join(filepath.Dir(lamod), g.prog), g.args...)
-			path := filepath.Join("testdata", "examples", g.name+".golden")
-			if *update {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (regenerate with go test -tags e2e -run TestExamples ./e2e/ -update)", err)
-			}
-			if !bytes.Equal([]byte(got), want) {
-				gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-				for i := 0; i < len(gl) && i < len(wl); i++ {
-					if gl[i] != wl[i] {
-						t.Fatalf("%s differs at line %d:\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
-					}
-				}
-				t.Fatalf("%s differs in length: %d lines, want %d", path, len(gl), len(wl))
-			}
+			checkGolden(t, filepath.Join("testdata", "examples", g.name+".golden"), got)
 		})
+	}
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with go test -tags e2e -run %s ./e2e/ -update)", err, t.Name())
+	}
+	if !bytes.Equal([]byte(got), want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("%s differs at line %d:\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("%s differs in length: %d lines, want %d", path, len(gl), len(wl))
 	}
 }
