@@ -152,15 +152,19 @@ bench-module:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
-# e2e builds lamod, lamoctl and the examples once and drives them as
-# child processes: one daemon (health, predict, the /metrics exposition
-# and the ratios lamoctl derives from it, SIGTERM drain), load in closed
-# and open loop counted by /metrics, bulk queries served and offline, a
-# rolling rollout through a gateway under load with its lamod_fleet_*
-# ratios, span traces across the gateway and a replica, and each of
-# the five examples' stdout against its golden under
-# e2e/testdata/examples/. -count=1 because the test binary does not import
-# the programs it builds, so a cached pass would survive a change to them.
+# e2e builds lamod, lamoctl, motiffind, gostats and the examples once and
+# drives them as child processes: one daemon (health, predict, the
+# /metrics exposition and the ratios lamoctl derives from it, SIGTERM
+# drain), load in closed and open loop counted by /metrics, bulk queries
+# served and offline, a rolling rollout through a gateway under load with
+# its lamod_fleet_* ratios, span traces across the gateway and a replica,
+# a build from the interactome files under e2e/testdata/mips/ (output and
+# digest at two GOMAXPROCS, then lamoctl motifs and predict against it)
+# against goldens under e2e/testdata/files/, and the stdout of the five
+# examples and of motiffind and gostats over those files against goldens
+# under e2e/testdata/examples/. -count=1 because the test binary does not
+# import the programs it builds, so a cached pass would survive a change
+# to them.
 e2e:
 	$(GO) vet -tags e2e ./e2e/
 	$(GO) test -tags e2e -count=1 ./e2e/

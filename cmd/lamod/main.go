@@ -28,13 +28,13 @@
 // build reads its interactome from files when given -edges (a protein
 // pair a line), -obo (the GO ontology) and -ann (protein<TAB>GO id a
 // line); otherwise it generates the synthetic MIPS benchmark. -quick
-// selects the reduced-scale preset of the mining, uniqueness and labeling
-// settings for either input, and of the generator. A file build's function
-// categories are the corpus's border informative FC at the preset's
-// informative-FC threshold (30 direct annotations, 10 at -quick), the
-// paper's label space: a protein carries a category when one of its
-// annotations is that term or a descendant of it. An input with no such
-// term exits 2 before mining.
+// selects the reduced-scale preset for either input: its mining,
+// uniqueness and labeling settings, and its smaller generated network.
+// A file build's function categories are the corpus's border informative
+// FC at the preset's informative-FC threshold (30 direct annotations, 10
+// at -quick), the paper's label space: a protein carries a category when
+// one of its annotations is that term or a descendant of it. An input
+// with no such term exits 2 before mining.
 //
 // build always traces its pipeline stages (census, uniqueness, labeling,
 // clustering, ranking) into the artifact's build metadata; -stats prints
