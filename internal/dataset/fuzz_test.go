@@ -61,12 +61,13 @@ func FuzzLoadEdgeList(f *testing.F) {
 }
 
 // FuzzLoadAnnotations checks the annotation reader that lamod build -ann
-// and gostats -ann run, on arbitrary input: no input panics, and an accepted file yields a
-// corpus over every given protein whose annotations are known terms,
-// sorted and distinct, with no more annotations plus skipped rows than
-// the input has lines. The committed corpus
-// (testdata/fuzz/FuzzLoadAnnotations) holds valid rows, an unknown protein
-// and term, a short row, comment-only input and rows past '!' comments.
+// and gostats -ann run, on arbitrary input: no input panics, and an
+// accepted file yields a corpus over every given protein whose
+// annotations are known terms, sorted and distinct, with no more
+// annotations plus skipped rows than the input has lines. The committed
+// corpus (testdata/fuzz/FuzzLoadAnnotations) holds valid rows, an unknown
+// protein and term, a short row, comment-only input and rows past '!'
+// comments.
 func FuzzLoadAnnotations(f *testing.F) {
 	pe := NewPaperExample()
 	names := make([]string, pe.Network.N())

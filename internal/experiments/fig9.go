@@ -95,7 +95,7 @@ type Mined struct {
 	// MinedClasses and UniqueMotifs are pipeline statistics: isomorphism
 	// classes found by the miner and classes surviving the uniqueness filter.
 	MinedClasses, UniqueMotifs int
-	// Stages times the half in order: census (motif mining), uniqueness
+	// Stages times MineLabeled in order: census (motif mining), uniqueness
 	// (null-model scoring and filtering), labeling (LaMoFinder over the
 	// unique motifs) and clustering (the cumulative worker-busy
 	// agglomeration time inside labeling, so its wall column is summed
