@@ -88,19 +88,24 @@ alloc-build:
 # paper-golden runs `lamod build` at the paper preset (1877 proteins) and
 # fails unless it prints the pinned artifact digest and stage counts: the
 # paper-scale twin of the quick-preset golden in tier-1
-# (TestQuickBuildGolden). It then runs `experiments -run fig9` and fails
+# (TestQuickBuildGolden). It builds twice, at the default GOMAXPROCS and at
+# GOMAXPROCS=3, so the worker count of the uniqueness passes and the miner
+# cannot move the artifact. It then runs `experiments -run fig9` and fails
 # unless every line but the timing line matches results_fig9.txt, so a
 # change that moves one labeled motif or one Figure 9 cell fails here.
-# About 35 s on 2 vCPUs.
+# About 40 s on 2 vCPUs.
 PAPER_DIGEST = b15b70d42ebf328107dd41a2349372463fb7bbf667e11c968a9dd7b0dc4b2b60
 PAPER_COUNTS = mined=254 unique=140 labeled=279
 paper-golden:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/lamod" ./cmd/lamod; \
 	$(GO) build -o "$$tmp/experiments" ./cmd/experiments; \
-	"$$tmp/lamod" build -out "$$tmp/paper.lamoart" | tee "$$tmp/build.txt"; \
-	grep -q "artifact $(PAPER_DIGEST) " "$$tmp/build.txt" && grep -q "$(PAPER_COUNTS)" "$$tmp/build.txt" || \
-		{ echo "paper-golden: want artifact $(PAPER_DIGEST) and $(PAPER_COUNTS)"; exit 1; }; \
+	for procs in default 3; do \
+		if [ $$procs = default ]; then "$$tmp/lamod" build -out "$$tmp/paper.lamoart"; \
+		else GOMAXPROCS=$$procs "$$tmp/lamod" build -out "$$tmp/paper.lamoart"; fi | tee "$$tmp/build.txt"; \
+		grep -q "artifact $(PAPER_DIGEST) " "$$tmp/build.txt" && grep -q "$(PAPER_COUNTS)" "$$tmp/build.txt" || \
+			{ echo "paper-golden: GOMAXPROCS $$procs: want artifact $(PAPER_DIGEST) and $(PAPER_COUNTS)"; exit 1; }; \
+	done; \
 	"$$tmp/experiments" -run fig9 > "$$tmp/fig9.txt"; \
 	diff -I '^\[fig9 completed in ' results_fig9.txt "$$tmp/fig9.txt" || \
 		{ echo "paper-golden: experiments -run fig9 differs from results_fig9.txt"; exit 1; }

@@ -6,6 +6,7 @@ import (
 
 	"lamofinder/internal/dataset"
 	"lamofinder/internal/dimotif"
+	"lamofinder/internal/experiments"
 	"lamofinder/internal/graph"
 	"lamofinder/internal/label"
 	"lamofinder/internal/motif"
@@ -13,8 +14,9 @@ import (
 )
 
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
-// symmetry-pairing strategy in Eq. 3, the miner's beam width, and the
-// null-model count cap.
+// symmetry-pairing strategy in Eq. 3, the miner's beam width, the
+// null-model count cap, and dropping motifs that cannot pass the
+// uniqueness threshold.
 
 // BenchmarkPairingOrbitExact measures Eq.-3 pairing on a star pattern,
 // where per-orbit Hungarian assignment spans the automorphism group.
@@ -99,6 +101,37 @@ func benchUniqueness(b *testing.B, cap int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		motif.ScoreUniqueness(g, ms, cfg)
+	}
+}
+
+// BenchmarkUniquenessEveryRound and BenchmarkUniquenessPaperThreshold
+// ablate dropping hopeless motifs at the quick Figure 9 preset: the first
+// counts every mined motif on every null network and then filters at the
+// preset's 0.6 threshold, the second stops counting a motif once it can no
+// longer reach 0.6. Both keep the same motifs with the same uniqueness.
+func BenchmarkUniquenessEveryRound(b *testing.B) {
+	benchUniquenessThreshold(b, func(net *graph.Graph, ms []*motif.Motif, cfg experiments.Figure9Config) []*motif.Motif {
+		motif.ScoreUniqueness(net, ms, cfg.Null)
+		return motif.FilterUnique(ms, cfg.MinUniqueness)
+	})
+}
+
+func BenchmarkUniquenessPaperThreshold(b *testing.B) {
+	benchUniquenessThreshold(b, func(net *graph.Graph, ms []*motif.Motif, cfg experiments.Figure9Config) []*motif.Motif {
+		return motif.ScoreUnique(net, ms, cfg.Null, cfg.MinUniqueness)
+	})
+}
+
+func benchUniquenessThreshold(b *testing.B, score func(*graph.Graph, []*motif.Motif, experiments.Figure9Config) []*motif.Motif) {
+	cfg := experiments.QuickFigure9Config()
+	net := dataset.NewMIPS(cfg.MIPS).Task.Network
+	ms := motif.Find(net, cfg.Mine)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(score(net, ms, cfg)) == 0 {
+			b.Fatal("no unique motifs")
+		}
 	}
 }
 

@@ -67,17 +67,14 @@ func main() {
 	nullCfg := motif.DefaultUniquenessConfig()
 	nullCfg.Networks = *nullNets
 	nullCfg.Seed = *seed
-	motif.ScoreUniqueness(net, motifs, nullCfg)
+	unique := motif.ScoreUnique(net, motifs, nullCfg, *uniq)
 	var zs []motif.ZScore
 	if *zscores {
-		zs = motif.ScoreZ(net, motifs, nullCfg)
+		zs = motif.ScoreZ(net, unique, nullCfg)
 	}
 
 	printed := 0
-	for i, m := range motifs {
-		if m.Uniqueness < *uniq {
-			continue
-		}
+	for i, m := range unique {
 		if printed >= *top {
 			fmt.Println("  ...")
 			break

@@ -81,8 +81,7 @@ func main() {
 	motifs := dimotif.Find(g, mine)
 	null := motif.DefaultUniquenessConfig()
 	null.Networks = 6
-	dimotif.ScoreUniqueness(g, motifs, null)
-	unique := dimotif.FilterUnique(motifs, 0.8)
+	unique := dimotif.ScoreUnique(g, motifs, null, 0.8)
 	fmt.Printf("mined %d directed classes, %d over-represented:\n", len(motifs), len(unique))
 	for _, m := range unique {
 		fmt.Printf("  %s\n", m)

@@ -32,8 +32,7 @@ func main() {
 
 	null := motif.DefaultUniquenessConfig()
 	null.Networks = 4
-	motif.ScoreUniqueness(task.Network, motifs, null)
-	unique := motif.FilterUnique(motifs, 0.75)
+	unique := motif.ScoreUnique(task.Network, motifs, null, 0.75)
 	fmt.Printf("mined %d classes, %d over-represented\n", len(motifs), len(unique))
 
 	lcfg := label.DefaultConfig()

@@ -38,8 +38,7 @@ func main() {
 
 	null := motif.DefaultUniquenessConfig()
 	null.Networks = 5
-	motif.ScoreUniqueness(net, motifs, null)
-	unique := motif.FilterUnique(motifs, 0.9)
+	unique := motif.ScoreUnique(net, motifs, null, 0.9)
 	fmt.Printf("%d network motifs with uniqueness >= 0.90\n", len(unique))
 
 	corpus := y.Corpora[0] // biological process branch

@@ -1,6 +1,7 @@
 package dimotif
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -253,7 +254,7 @@ func TestDirectedUniqueness(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := plantFFLNetwork(300, 60, rng)
 	ms := Find(g, motif.Config{MinSize: 3, MaxSize: 3, MinFreq: 20, Seed: 1})
-	ScoreUniqueness(g, ms, motif.UniquenessConfig{Networks: 6, CountCap: 20000, Seed: 2})
+	ScoreUnique(g, ms, motif.UniquenessConfig{Networks: 6, CountCap: 20000, Seed: 2}, 0)
 	var ffl *Motif
 	for _, m := range ms {
 		if Isomorphic(m.Pattern, feedForwardLoop()) {
@@ -268,6 +269,66 @@ func TestDirectedUniqueness(t *testing.T) {
 	}
 	if got := FilterUnique(ms, 2.0); len(got) != 0 {
 		t.Error("impossible filter returned motifs")
+	}
+	if got := ScoreUnique(g, ms, motif.UniquenessConfig{Networks: 6, CountCap: 20000, Seed: 2}, 2.0); len(got) != 0 {
+		t.Error("impossible threshold kept motifs")
+	}
+}
+
+// TestDirectedScoreUniqueMatchesScoreThenFilter: the directed scorer
+// shares the undirected drop rule. At each threshold it keeps what scoring
+// every round (threshold 0) and filtering keeps, in order and with the same
+// Uniqueness bits, and a motif it drops reads below the threshold and at
+// least its every-round score. The random digraph is mined without
+// occurrence caps, so its motifs win some networks and lose others, and
+// some sit on 3/5 at threshold 0.6.
+func TestDirectedScoreUniqueMatchesScoreThenFilter(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	g := NewDiGraph(120)
+	for a := 0; a < 300; a++ {
+		g.AddArc(rng.Intn(g.N()), rng.Intn(g.N()))
+	}
+	mined := Find(g, motif.Config{MinSize: 3, MaxSize: 3, MinFreq: 5, Seed: 1})
+	clone := func() []*Motif {
+		out := make([]*Motif, len(mined))
+		for i, m := range mined {
+			c := *m
+			out[i] = &c
+		}
+		return out
+	}
+	boundary := 0
+	for _, networks := range []int{5, 8} {
+		cfg := motif.UniquenessConfig{Networks: networks, MaxSteps: 100_000, Seed: 2}
+		every := clone()
+		ScoreUnique(g, every, cfg, 0)
+		for _, th := range []float64{0.5, 0.6, 0.95, 1} {
+			want := FilterUnique(every, th)
+			got := clone()
+			kept := ScoreUnique(g, got, cfg, th)
+			if len(kept) != len(want) {
+				t.Fatalf("networks=%d threshold=%v: kept %d, score-then-filter keeps %d", networks, th, len(kept), len(want))
+			}
+			k := 0
+			for i, m := range got {
+				if k < len(kept) && kept[k] == m {
+					if want[k] != every[i] || math.Float64bits(m.Uniqueness) != math.Float64bits(every[i].Uniqueness) {
+						t.Errorf("networks=%d threshold=%v: kept motif %d reads %v, every round %v", networks, th, i, m.Uniqueness, every[i].Uniqueness)
+					}
+					if networks == 5 && th == 0.6 && m.Uniqueness == th {
+						boundary++
+					}
+					k++
+					continue
+				}
+				if m.Uniqueness >= th || m.Uniqueness < every[i].Uniqueness {
+					t.Errorf("networks=%d threshold=%v: dropped motif %d reads %v, every round %v", networks, th, i, m.Uniqueness, every[i].Uniqueness)
+				}
+			}
+		}
+	}
+	if boundary == 0 {
+		t.Fatal("no motif reads 3/5 at 5 networks; the boundary goes untested")
 	}
 }
 
@@ -440,5 +501,7 @@ func TestDirectedFindDegenerate(t *testing.T) {
 	if ms := Find(g, motif.Config{MinSize: 2, MaxSize: 3, MinFreq: 1}); len(ms) != 0 {
 		t.Error("arc-less graph produced motifs")
 	}
-	ScoreUniqueness(g, nil, motif.UniquenessConfig{Networks: 0})
+	if got := ScoreUnique(g, nil, motif.UniquenessConfig{Networks: 0}, 0); len(got) != 0 {
+		t.Error("no motifs scored into kept motifs")
+	}
 }

@@ -208,32 +208,50 @@ func contains32(s []int32, x int32) bool {
 	return false
 }
 
-// ScoreUniqueness fills each motif's Uniqueness against in/out-degree-
-// preserving randomizations, with the undirected version's round limit and
-// verdict (motif.UniquenessConfig.Limit and Won). Each motif's
-// automorphism group is listed once, not once per network.
-func ScoreUniqueness(g *DiGraph, motifs []*Motif, cfg motif.UniquenessConfig) {
-	if cfg.Networks <= 0 {
-		return
-	}
-	auts := make([]int, len(motifs))
-	for i, m := range motifs {
-		auts[i] = len(Automorphisms(m.Pattern, 0))
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	wins := make([]int, len(motifs))
-	for r := 0; r < cfg.Networks; r++ {
-		rnet := g.Randomize(0, rng)
+// ScoreUnique scores motifs against in/out-degree-preserving
+// randomizations and returns, in order, those whose Uniqueness reaches
+// minUniq, under the undirected scorer's round limit, verdict and drop
+// rule (motif.UniquenessConfig.Limit, Won and Reach): after each network,
+// a motif that can no longer reach minUniq is counted on no later one and
+// reads the bound it was dropped at, below minUniq. At threshold 0 every
+// motif is counted on every network. The networks come one after another
+// from a single RNG stream, so the passes run serially, network by
+// network. Each motif's automorphism group is listed once, not once per
+// network.
+func ScoreUnique(g *DiGraph, motifs []*Motif, cfg motif.UniquenessConfig, minUniq float64) []*Motif {
+	if cfg.Networks > 0 {
+		auts := make([]int, len(motifs))
+		live := make([]int, len(motifs))
 		for i, m := range motifs {
-			cnt, exact := countDirUpTo(rnet, m.Pattern, auts[i], cfg.Limit(m.Frequency), cfg.MaxSteps)
-			if cfg.Won(m.Frequency, cnt, exact) {
-				wins[i]++
+			auts[i] = len(Automorphisms(m.Pattern, 0))
+			live[i] = i
+		}
+		rng := rand.New(rand.NewSource(cfg.Seed))
+		wins := make([]int, len(motifs))
+		for r := 0; ; r++ {
+			kept := live[:0]
+			for _, i := range live {
+				best, pass := cfg.Reach(wins[i], r, minUniq)
+				motifs[i].Uniqueness = best
+				if pass {
+					kept = append(kept, i)
+				}
+			}
+			live = kept
+			if r == cfg.Networks || len(live) == 0 {
+				break
+			}
+			rnet := g.Randomize(0, rng)
+			for _, i := range live {
+				m := motifs[i]
+				cnt, exact := countDirUpTo(rnet, m.Pattern, auts[i], cfg.Limit(m.Frequency), cfg.MaxSteps)
+				if cfg.Won(m.Frequency, cnt, exact) {
+					wins[i]++
+				}
 			}
 		}
 	}
-	for i, m := range motifs {
-		m.Uniqueness = float64(wins[i]) / float64(cfg.Networks)
-	}
+	return FilterUnique(motifs, minUniq)
 }
 
 // FilterUnique keeps motifs with uniqueness >= minUniq.

@@ -47,7 +47,8 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 // TestDirectedPipelineGolden pins the directed pipeline end to end: Find,
-// ScoreUniqueness, Orbits and Label on the planted-FFL network, on one
+// ScoreUnique at threshold 0 (every motif counted on every network),
+// Orbits and Label on the planted-FFL network, on one
 // degree-preserving randomization of it (stars), and on a seeded random
 // digraph dense enough for mutual arcs and directed cycles, whose
 // automorphism groups are smaller than their orbits suggest. Every
@@ -87,7 +88,7 @@ func TestDirectedPipelineGolden(t *testing.T) {
 	var out bytes.Buffer
 	for i, g := range nets {
 		ms := Find(g, motif.Config{MinSize: 2, MaxSize: 4, MinFreq: 4, BeamWidth: 12, MaxOccPerClass: 30, Seed: 1})
-		ScoreUniqueness(g, ms, motif.UniquenessConfig{Networks: 4, MaxSteps: 20_000, CountCap: 200, Seed: 2})
+		ScoreUnique(g, ms, motif.UniquenessConfig{Networks: 4, MaxSteps: 20_000, CountCap: 200, Seed: 2}, 0)
 		fmt.Fprintf(&out, "network %d: %d motifs\n", i, len(ms))
 		for _, m := range ms {
 			fmt.Fprintf(&out, "%s orbits=%v\n  occurrences %v\n", m, Orbits(m.Pattern), m.Occurrences)

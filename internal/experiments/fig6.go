@@ -97,8 +97,7 @@ type Figure6Result struct {
 func Figure6(cfg Figure6Config) *Figure6Result {
 	y := dataset.NewYeast(cfg.Yeast)
 	mined := motif.Find(y.Network, cfg.Mine)
-	motif.ScoreUniqueness(y.Network, mined, cfg.Null)
-	unique := motif.FilterUnique(mined, cfg.MinUniqueness)
+	unique := motif.ScoreUnique(y.Network, mined, cfg.Null, cfg.MinUniqueness)
 
 	res := &Figure6Result{
 		CountBySize:       map[int]int{},

@@ -115,8 +115,7 @@ func MineLabeled(cfg Figure9Config, net *graph.Graph, corpus *ontology.Corpus) *
 	census := obs.StageStat{Name: "census", Wall: time.Since(start), Items: int64(len(mined)), Workers: par.Workers(0)}
 
 	start = time.Now()
-	motif.ScoreUniqueness(net, mined, cfg.Null)
-	unique := motif.FilterUnique(mined, cfg.MinUniqueness)
+	unique := motif.ScoreUnique(net, mined, cfg.Null, cfg.MinUniqueness)
 	uniqueness := obs.StageStat{Name: "uniqueness", Wall: time.Since(start), Items: int64(len(unique)), Workers: par.Workers(cfg.Null.Parallelism)}
 
 	// The labeling core sits in the determinism scope where wall-clock

@@ -199,8 +199,8 @@ func satMul(a, b int64) int64 {
 // layout that loop reads — CSR neighbor rows, a degree array that doubles
 // as the used-vertex marks, and the adjacency bit rows — so one Matcher
 // serves every pattern counted against its network and a count allocates
-// nothing. A Matcher is not safe for concurrent use: build one per network
-// and goroutine.
+// nothing. A Matcher is not safe for concurrent use: give each goroutine
+// its own, built by NewMatcher or attached to a shared one by Attach.
 type Matcher struct {
 	// offsets/targets are the CSR neighbor rows, sorted ascending, with
 	// the vertex ids 0..n-1 appended to targets as the candidate row of
@@ -225,6 +225,16 @@ func NewMatcher(g *Graph) *Matcher {
 		m.avail[v] = int32(g.Degree(v))
 	}
 	return m
+}
+
+// Attach points m at src's network: m reads src's CSR and bit rows, which
+// no count writes, and copies src's marks into its own buffer, so several
+// goroutines can count over one network built once, each through its own
+// attached Matcher. src must have no count running. The zero Matcher may
+// be attached; a later Attach reuses the marks buffer.
+func (m *Matcher) Attach(src *Matcher) {
+	m.offsets, m.targets, m.words, m.stride = src.offsets, src.targets, src.words, src.stride
+	m.avail = append(m.avail[:0], src.avail...)
 }
 
 // MatchPlan is a pattern compiled for Matcher: the search order fixed by

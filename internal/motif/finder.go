@@ -81,7 +81,7 @@ const parentChunk = 256
 // occurrences are extended by one adjacent vertex, regrouped by isomorphism
 // class, pruned by MinFreq, and capped by BeamWidth. It returns all classes
 // in [MinSize, MaxSize] meeting MinFreq, smallest size first, most frequent
-// first within a size. Uniqueness is left at -1; see ScoreUniqueness.
+// first within a size. Uniqueness is left at -1; see ScoreUnique.
 //
 // A level runs in three phases on GOMAXPROCS workers:
 //

@@ -25,8 +25,9 @@ type Motif struct {
 	// pattern (may exceed len(Occurrences) when lists are capped).
 	Frequency int
 	// Uniqueness is the fraction of randomized networks in which the real
-	// frequency is >= the randomized frequency (set by ScoreUniqueness;
-	// -1 until then).
+	// frequency is >= the randomized frequency (set by ScoreUnique; -1
+	// until then). A motif ScoreUnique dropped reads an upper bound on that
+	// fraction, below the threshold it missed.
 	Uniqueness float64
 }
 

@@ -2,6 +2,7 @@ package motif
 
 import (
 	"math/rand"
+	"sort"
 
 	"lamofinder/internal/graph"
 	"lamofinder/internal/par"
@@ -30,10 +31,11 @@ type UniquenessConfig struct {
 	CountCap int
 	// Seed drives the randomizations.
 	Seed int64
-	// Parallelism caps the concurrent per-network workers
-	// (0 = runtime.GOMAXPROCS(0)). Results are identical at any setting:
-	// each network derives its own RNG stream from Seed and writes to its
-	// own slot.
+	// Parallelism caps the workers that count motifs on one randomized
+	// network at a time (0 = runtime.GOMAXPROCS(0)); ScoreZ runs one
+	// network per worker instead. Results are identical at any setting:
+	// network r derives its own RNG stream from Seed and r, and each
+	// motif's round verdict lands in its own slot.
 	Parallelism int
 }
 
@@ -68,43 +70,106 @@ func (cfg UniquenessConfig) Won(freq, count int, exact bool) bool {
 	return count < cfg.Limit(freq)
 }
 
+// Reach returns the highest Uniqueness a motif can still score after
+// winning wins of its first played rounds, the fraction it reads if it wins
+// every remaining one, and whether that passes minUniq by FilterUnique's
+// test. After the last round the bound is the motif's Uniqueness. A motif
+// that cannot pass gains nothing from its remaining rounds, so the
+// scorers (ScoreUnique, and the directed one in internal/dimotif) stop
+// counting it and leave the bound as its Uniqueness, below minUniq.
+func (cfg UniquenessConfig) Reach(wins, played int, minUniq float64) (best float64, pass bool) {
+	best = float64(wins+cfg.Networks-played) / float64(cfg.Networks)
+	return best, best >= minUniq
+}
+
 // ScoreUniqueness fills in Uniqueness for each motif: the fraction of
 // randomized networks whose pattern frequency does not exceed the real
-// frequency. The matcher counts distinct vertex sets and stops as soon as
-// the randomized count exceeds the real one, so typical cost per network is
-// small. Networks are processed in parallel (one goroutine per GOMAXPROCS
-// worker); each randomization derives its own seed from cfg.Seed, so
-// results are deterministic regardless of worker count.
+// frequency. It is ScoreUnique at threshold 0, which every motif passes,
+// so every motif is counted on every network.
+//
+// lamovet:keep bench/traced.go (the bench module, which lamovet does not load) scores every round through it
 func ScoreUniqueness(g *graph.Graph, motifs []*Motif, cfg UniquenessConfig) {
+	ScoreUnique(g, motifs, cfg, 0)
+}
+
+// ScoreUnique scores motifs against the null model and returns, in order,
+// those whose Uniqueness reaches minUniq: the motifs FilterUnique(motifs,
+// minUniq) keeps after ScoreUniqueness, with the same Uniqueness bits. A
+// motif it drops reads the bound Reach dropped it at, below minUniq.
+//
+// The passes run network by network. Pass r builds randomized network r
+// (its own RNG stream from Seed and r, as ScoreZ draws it) and counts on
+// it every motif that can still pass, larger patterns first, spread over
+// the workers. Each worker counts through its own Matcher attached to the
+// network, taken from a fixed free list, so one network's rows serve all
+// workers from cache. After the pass, a motif that can no longer reach
+// minUniq leaves the passes. No round's search changes, and a kept motif
+// is counted on every network, so the result is the same at any worker
+// count and any threshold.
+func ScoreUnique(g *graph.Graph, motifs []*Motif, cfg UniquenessConfig, minUniq float64) []*Motif {
+	scoreRounds(g, motifs, cfg, minUniq)
+	return FilterUnique(motifs, minUniq)
+}
+
+// scoreRounds runs ScoreUnique's passes and returns how many networks each
+// motif was counted on.
+func scoreRounds(g *graph.Graph, motifs []*Motif, cfg UniquenessConfig, minUniq float64) []int {
+	played := make([]int, len(motifs))
 	if cfg.Networks <= 0 {
-		return
+		return played
 	}
 	plans := matchPlans(motifs)
-	winsPerNet := make([][]int, cfg.Networks)
-	par.Do(cfg.Networks, par.Workers(cfg.Parallelism), func(r int) {
-		mt := cfg.nullMatcher(g, r)
-		wins := make([]int, len(motifs))
-		for i, m := range motifs {
-			cnt, exact := mt.CountInducedUpTo(plans[i], cfg.Limit(m.Frequency), cfg.MaxSteps)
-			if cfg.Won(m.Frequency, cnt, exact) {
-				wins[i]++
+	// live holds the motifs still counted, larger patterns first: they
+	// cost the most, so the short counts fill the end of each pass.
+	live := make([]int, len(motifs))
+	for i := range live {
+		live[i] = i
+	}
+	sort.SliceStable(live, func(a, b int) bool { return motifs[live[a]].Size() > motifs[live[b]].Size() })
+	wins := make([]int, len(motifs))
+	won := make([]bool, len(motifs))
+	views := make([]graph.Matcher, par.Workers(cfg.Parallelism))
+	free := make(chan *graph.Matcher, len(views))
+	for w := range views {
+		free <- &views[w]
+	}
+	for r := 0; ; r++ {
+		kept := live[:0]
+		for _, i := range live {
+			best, pass := cfg.Reach(wins[i], r, minUniq)
+			motifs[i].Uniqueness = best
+			if pass {
+				kept = append(kept, i)
 			}
 		}
-		winsPerNet[r] = wins
-	})
-	for i, m := range motifs {
-		total := 0
-		for r := range winsPerNet {
-			total += winsPerNet[r][i]
+		live = kept
+		if r == cfg.Networks || len(live) == 0 {
+			return played
 		}
-		m.Uniqueness = float64(total) / float64(cfg.Networks)
+		// Between passes every view sits idle in free.
+		net := cfg.nullMatcher(g, r)
+		for w := range views {
+			views[w].Attach(net)
+		}
+		par.Do(len(live), len(views), func(j int) {
+			i, mt := live[j], <-free
+			cnt, exact := mt.CountInducedUpTo(plans[i], cfg.Limit(motifs[i].Frequency), cfg.MaxSteps)
+			free <- mt
+			won[i] = cfg.Won(motifs[i].Frequency, cnt, exact)
+		})
+		for _, i := range live {
+			if won[i] {
+				wins[i]++
+			}
+			played[i]++
+		}
 	}
 }
 
 // nullMatcher returns the matcher over randomized network r of the null
 // model: a degree-preserving randomization of g drawn from its own RNG
 // stream, seeded from Seed and r, so any worker builds the same network r
-// and ScoreUniqueness and ScoreZ count over the same networks.
+// and ScoreUnique and ScoreZ count over the same networks.
 func (cfg UniquenessConfig) nullMatcher(g *graph.Graph, r int) *graph.Matcher {
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(r)*0x9e3779b9))
 	return graph.NewMatcher(randnet.Randomize(g, rng))

@@ -25,9 +25,9 @@ type ZScore struct {
 }
 
 // ScoreZ computes z-scores for each motif against the cfg.Networks
-// randomized networks ScoreUniqueness counts over, fanned out over
+// randomized networks ScoreUnique counts over, fanned out over
 // cfg.Parallelism workers with the same result at any setting. Counting
-// uses the same step budget as ScoreUniqueness and stops at CountCap, so
+// uses the same step budget as ScoreUnique and stops at CountCap, so
 // ultra-common patterns get inexact rows.
 func ScoreZ(g *graph.Graph, motifs []*Motif, cfg UniquenessConfig) []ZScore {
 	out := make([]ZScore, len(motifs))

@@ -182,6 +182,8 @@ func TestPredictIsGetOnly(t *testing.T) {
 
 func TestHealthzAndMotifs(t *testing.T) {
 	art, _, motifs := exampleModel(t)
+	// A vertex that carries no label must read [] in /v1/motifs.
+	art.Motifs[0].Labels[1] = nil
 	loaded := reload(t, art)
 	ts := newTestServer(t, loaded, Config{})
 
@@ -223,6 +225,10 @@ func TestHealthzAndMotifs(t *testing.T) {
 		if ms.Pattern != motifs[i].Pattern.String() || ms.Pattern != "4:[0-1 0-3 1-2 2-3]" {
 			t.Fatalf("motif %d pattern %q, want %q", i, ms.Pattern, motifs[i].Pattern.String())
 		}
+	}
+	// Every vertex's labels are a JSON array, empty when it has none.
+	if bytes.Contains(body, []byte("null")) || !bytes.Contains(body, []byte(`"labels":[["G02"],[],`)) {
+		t.Fatalf("motifs labels: %s", body)
 	}
 }
 

@@ -743,9 +743,11 @@ func (s *Server) handleMotifs(w http.ResponseWriter, r *http.Request) {
 			Occurrences: len(lm.Occurrences),
 			Labels:      make([][]string, lm.Size()),
 		}
+		// A vertex without labels reads [], not null.
 		for v, ts := range lm.Labels {
-			for _, t := range ts {
-				ms.Labels[v] = append(ms.Labels[v], m.art.Ontology.ID(int(t)))
+			ms.Labels[v] = make([]string, len(ts))
+			for j, t := range ts {
+				ms.Labels[v][j] = m.art.Ontology.ID(int(t))
 			}
 		}
 		out.Motifs[i] = ms
