@@ -219,39 +219,39 @@ func contains32(s []int32, x int32) bool {
 // network. Each motif's automorphism group is listed once, not once per
 // network.
 func ScoreUnique(g *DiGraph, motifs []*Motif, cfg motif.UniquenessConfig, minUniq float64) []*Motif {
-	if cfg.Networks > 0 {
-		auts := make([]int, len(motifs))
-		live := make([]int, len(motifs))
-		for i, m := range motifs {
-			auts[i] = len(Automorphisms(m.Pattern, 0))
-			live[i] = i
+	if cfg.Networks <= 0 {
+		return FilterUnique(motifs, minUniq)
+	}
+	auts := make([]int, len(motifs))
+	live := make([]int, len(motifs))
+	for i, m := range motifs {
+		auts[i] = len(Automorphisms(m.Pattern, 0))
+		live[i] = i
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	wins := make([]int, len(motifs))
+	for r := 0; ; r++ {
+		kept := live[:0]
+		for _, i := range live {
+			best, pass := cfg.Reach(wins[i], r, minUniq)
+			motifs[i].Uniqueness = best
+			if pass {
+				kept = append(kept, i)
+			}
 		}
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		wins := make([]int, len(motifs))
-		for r := 0; ; r++ {
-			kept := live[:0]
-			for _, i := range live {
-				best, pass := cfg.Reach(wins[i], r, minUniq)
-				motifs[i].Uniqueness = best
-				if pass {
-					kept = append(kept, i)
-				}
-			}
-			live = kept
-			if r == cfg.Networks || len(live) == 0 {
-				break
-			}
-			rnet := g.Randomize(0, rng)
-			for _, i := range live {
-				m := motifs[i]
-				cnt, exact := countDirUpTo(rnet, m.Pattern, auts[i], cfg.Limit(m.Frequency), cfg.MaxSteps)
-				if cfg.Won(m.Frequency, cnt, exact) {
-					wins[i]++
-				}
+		live = kept
+		if r == cfg.Networks || len(live) == 0 {
+			return FilterUnique(motifs, minUniq)
+		}
+		rnet := g.Randomize(0, rng)
+		for _, i := range live {
+			m := motifs[i]
+			cnt, exact := countDirUpTo(rnet, m.Pattern, auts[i], cfg.Limit(m.Frequency), cfg.MaxSteps)
+			if cfg.Won(m.Frequency, cnt, exact) {
+				wins[i]++
 			}
 		}
 	}
-	return FilterUnique(motifs, minUniq)
 }
 
 // FilterUnique keeps motifs with uniqueness >= minUniq.

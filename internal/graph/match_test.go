@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -152,6 +153,46 @@ func TestMatcherCountAllocs(t *testing.T) {
 				t.Errorf("pattern %v steps %d: %v allocs per count, want 0", p, steps, a)
 			}
 		}
+	}
+}
+
+// TestMatcherAttach: matchers attached to one network count concurrently,
+// each with its own marks over the shared rows, and read what the network's
+// own matcher reads; attached again to another network, a matcher counts
+// that network.
+func TestMatcherAttach(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	nets := []*Matcher{NewMatcher(baGraph(120, 2, rng)), NewMatcher(erGraph(120, 260, rng))}
+	patterns := matcherTestPatterns(rng)
+	plans := make([]*MatchPlan, len(patterns))
+	for i, p := range patterns {
+		plans[i] = NewMatchPlan(p)
+	}
+	views := make([]Matcher, 3)
+	for ni, src := range nets {
+		type result struct {
+			count int
+			exact bool
+		}
+		want := make([]result, len(plans))
+		for i, plan := range plans {
+			want[i].count, want[i].exact = src.CountInducedUpTo(plan, 200, 50_000)
+		}
+		var wg sync.WaitGroup
+		for w := range views {
+			views[w].Attach(src)
+			wg.Add(1)
+			go func(mt *Matcher) {
+				defer wg.Done()
+				for i, plan := range plans {
+					var got result
+					if got.count, got.exact = mt.CountInducedUpTo(plan, 200, 50_000); got != want[i] {
+						t.Errorf("network %d pattern %d: attached count %+v, want %+v", ni, i, got, want[i])
+					}
+				}
+			}(&views[w])
+		}
+		wg.Wait()
 	}
 }
 

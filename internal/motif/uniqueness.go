@@ -94,8 +94,9 @@ func ScoreUniqueness(g *graph.Graph, motifs []*Motif, cfg UniquenessConfig) {
 
 // ScoreUnique scores motifs against the null model and returns, in order,
 // those whose Uniqueness reaches minUniq: the motifs FilterUnique(motifs,
-// minUniq) keeps after ScoreUniqueness, with the same Uniqueness bits. A
-// motif it drops reads the bound Reach dropped it at, below minUniq.
+// minUniq) keeps after every motif is counted on every network, with the
+// same Uniqueness bits. A motif it drops reads the bound Reach dropped it
+// at, below minUniq.
 //
 // The passes run network by network. Pass r builds randomized network r
 // (its own RNG stream from Seed and r, as ScoreZ draws it) and counts on

@@ -709,7 +709,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 
 // MotifSummary describes one labeled motif without its occurrence list.
 // Pattern is its shape as graph.Dense.String prints it, "size:[i-j ...]"
-// over the vertex indices Labels uses.
+// over the vertex indices Labels uses. Labels holds one GO term ID array
+// per vertex, [] for a vertex without labels.
 type MotifSummary struct {
 	Index       int        `json:"index"`
 	Size        int        `json:"size"`
