@@ -286,6 +286,16 @@ func NewMatchPlan(pattern *Dense) *MatchPlan {
 // candidate. The step budget runs out inside real uniqueness rounds, so a
 // different order or step definition would change which motifs pass.
 //
+// A position whose plan has a need bit closes a cycle. There the scan runs
+// ahead over the anchor's row, with no branch per candidate, to the first
+// step adjacent to the vertex at the first need position, and charges the
+// steps it passes to the budget at once. Each of them is a step the frozen
+// scan would take and reject, and none can complete a mapping, so the
+// budget runs out among them exactly when they outnumber the steps left.
+// The candidate the scan stops at takes the step, need and avoid tests as
+// before. Order, steps, limit checks and results are those of the frozen
+// search.
+//
 // alloc-budget: 0
 func (m *Matcher) CountInducedUpTo(p *MatchPlan, limit int, maxSteps int64) (count int, exact bool) {
 	k := p.k
@@ -314,6 +324,29 @@ func (m *Matcher) CountInducedUpTo(p *MatchPlan, limit int, maxSteps int64) (cou
 	exact = true
 	d := 0
 	for {
+		if b := p.need[d]; b != 0 {
+			// Skip to the first candidate that is a step and is adjacent
+			// to the vertex at the first need position. Every step passed
+			// over fails that need test, so charge them all at once: the
+			// frozen scan would have run out among them exactly when they
+			// outnumber the budget left.
+			row, deg, i, e := rows[bits.TrailingZeros32(b)], p.deg[d], cur[d], end[d]
+			var skipped int64
+			for ; i < e; i++ {
+				gv := targets[i]
+				step := uint64(int64(avail[gv])-int64(deg))>>63 ^ 1
+				if step&(words[row+int(gv>>6)]>>uint(gv&63)) != 0 {
+					break
+				}
+				skipped += int64(step)
+			}
+			if stepsLeft < skipped {
+				exact = false
+				break
+			}
+			stepsLeft -= skipped
+			cur[d] = i
+		}
 		if cur[d] == end[d] {
 			if d == 0 {
 				break
