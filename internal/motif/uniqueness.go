@@ -98,15 +98,16 @@ func ScoreUniqueness(g *graph.Graph, motifs []*Motif, cfg UniquenessConfig) {
 // same Uniqueness bits. A motif it drops reads the bound Reach dropped it
 // at, below minUniq.
 //
-// The passes run network by network. Pass r builds randomized network r
-// (its own RNG stream from Seed and r, as ScoreZ draws it) and counts on
-// it every motif that can still pass, larger patterns first, spread over
-// the workers. Each worker counts through its own Matcher attached to the
-// network, taken from a fixed free list, so one network's rows serve all
-// workers from cache. After the pass, a motif that can no longer reach
-// minUniq leaves the passes. No round's search changes, and a kept motif
-// is counted on every network, so the result is the same at any worker
-// count and any threshold.
+// The passes run network by network. Pass r counts on randomized network
+// r (its own RNG stream from Seed and r, as ScoreZ draws it) every motif
+// that can still pass, larger patterns first, spread over the workers,
+// and builds network r+1 as its first task, so no worker waits for it.
+// Each worker counts through its own Matcher attached to the network,
+// taken from a fixed free list, so one network's rows serve all workers
+// from cache. After the pass, a motif that can no longer reach minUniq
+// leaves the passes. No round's search changes, and a kept motif is
+// counted on every network, so the result is the same at any worker count
+// and any threshold.
 func ScoreUnique(g *graph.Graph, motifs []*Motif, cfg UniquenessConfig, minUniq float64) []*Motif {
 	scoreRounds(g, motifs, cfg, minUniq)
 	return FilterUnique(motifs, minUniq)
@@ -134,6 +135,7 @@ func scoreRounds(g *graph.Graph, motifs []*Motif, cfg UniquenessConfig, minUniq 
 	for w := range views {
 		free <- &views[w]
 	}
+	var next *graph.Matcher // network r+1, built during pass r
 	for r := 0; ; r++ {
 		kept := live[:0]
 		for _, i := range live {
@@ -147,13 +149,26 @@ func scoreRounds(g *graph.Graph, motifs []*Motif, cfg UniquenessConfig, minUniq 
 		if r == cfg.Networks || len(live) == 0 {
 			return played
 		}
+		net := next
+		if r == 0 {
+			net = cfg.nullMatcher(g, 0)
+		}
 		// Between passes every view sits idle in free.
-		net := cfg.nullMatcher(g, r)
 		for w := range views {
 			views[w].Attach(net)
 		}
-		par.Do(len(live), len(views), func(j int) {
-			i, mt := live[j], <-free
+		// Task 0 builds network r+1 while the others count on network r.
+		// Taken first, it ends before the short counts at the pass's tail.
+		build := 0
+		if r+1 < cfg.Networks {
+			build = 1
+		}
+		par.Do(build+len(live), len(views), func(j int) {
+			if j < build {
+				next = cfg.nullMatcher(g, r+1)
+				return
+			}
+			i, mt := live[j-build], <-free
 			cnt, exact := mt.CountInducedUpTo(plans[i], cfg.Limit(motifs[i].Frequency), cfg.MaxSteps)
 			free <- mt
 			won[i] = cfg.Won(motifs[i].Frequency, cnt, exact)
