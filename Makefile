@@ -132,10 +132,16 @@ results:
 # accepted ontology indexes every term by its own ID and has no term among
 # its own ancestors. Then FuzzLoadEdgeList for 10 s: no edge list may
 # panic, and an accepted one gives each vertex one distinct name, has no
-# self loop and keeps its edge set through a write/read round trip. Last,
+# self loop and keeps its edge set through a write/read round trip. Then
 # FuzzLoadAnnotations for 10 s: no annotation file may panic, and an
 # accepted one covers every protein with no more annotations plus skipped
-# rows than it has lines.
+# rows than it has lines. Then FuzzLCAIndex for 10 s: the LCA index must
+# answer every LCA and Lin query of a random weighted ontology DAG as a
+# brute-force walk over its ancestors does. Last,
+# FuzzMatcherMatchesReference for 10 s: the uniqueness matcher must return
+# the (count, exact) of the recursive reference matcher for a random graph
+# of up to 32 vertices, connected pattern of up to 8, count limit and step
+# budget.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s ./internal/artifact
 	$(GO) test -run '^$$' -fuzz '^FuzzPredictQuery$$' -fuzztime 10s ./internal/serve
@@ -144,6 +150,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseOBO$$' -fuzztime 10s ./internal/ontology
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadEdgeList$$' -fuzztime 10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadAnnotations$$' -fuzztime 10s ./internal/dataset
+	$(GO) test -run '^$$' -fuzz '^FuzzLCAIndex$$' -fuzztime 10s ./internal/ontology
+	$(GO) test -run '^$$' -fuzz '^FuzzMatcherMatchesReference$$' -fuzztime 10s ./internal/graph
 
 # bench-module vets and tests the benchmark's own Go module (bench/), which
 # the root ./... patterns never reach although it calls the pipeline's

@@ -141,6 +141,71 @@ func TestMatcherMatchesReference(t *testing.T) {
 	}
 }
 
+// TestMatcherBudgetEdges checks the matcher against the reference at the
+// budgets where a count turns exact: T-1, T and T+1, where T is the full
+// search's step count, and at a dense sweep of budgets below T. The
+// graphs are sparse with hubs, so a cycle-closing position passes over
+// long runs of candidates that fail its first need test, and the sweep
+// lands budgets on the last step of such runs.
+func TestMatcherBudgetEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var graphs []*Graph
+	for i := 0; i < 3; i++ {
+		n := 40 + rng.Intn(41)
+		graphs = append(graphs, erGraph(n, n+n/2, rng), baGraph(n, 1+i%2, rng))
+	}
+	var patterns []*Dense
+	for k := 3; k <= 8; k++ {
+		patterns = append(patterns, cyclePattern(k), cliquePattern(k))
+	}
+	for gi, g := range graphs {
+		mt, adj := NewMatcher(g), NewAdjBits(g)
+		for _, p := range patterns {
+			plan, aut := NewMatchPlan(p), len(Automorphisms(p, 0))
+			for _, limit := range []int{0, 2} {
+				total := searchSteps(mt, plan, limit)
+				budgets := []int64{total - 1, total, total + 1}
+				stride := total/100 + 1
+				for steps := int64(1); steps < total-1; steps += stride {
+					budgets = append(budgets, steps)
+				}
+				for _, steps := range budgets {
+					if steps < 1 {
+						continue // 0 is no budget at all
+					}
+					wantN, wantExact := refCountInducedUpTo(g, adj, p, aut, limit, steps)
+					gotN, gotExact := mt.CountInducedUpTo(plan, limit, steps)
+					if gotN != wantN || gotExact != wantExact {
+						t.Fatalf("graph %d pattern %v limit %d steps %d of %d: got (%d, %v), want (%d, %v)",
+							gi, p, limit, steps, total, gotN, gotExact, wantN, wantExact)
+					}
+				}
+			}
+		}
+	}
+}
+
+// searchSteps returns the steps plan's search takes at limit: the least
+// budget at which its count comes back exact.
+func searchSteps(mt *Matcher, plan *MatchPlan, limit int) int64 {
+	lo, hi := int64(0), int64(1) // inexact at lo (or lo = 0), exact at hi
+	for {
+		if _, exact := mt.CountInducedUpTo(plan, limit, hi); exact {
+			break
+		}
+		lo, hi = hi, 2*hi
+	}
+	for hi-lo > 1 {
+		mid := (lo + hi) / 2
+		if _, exact := mt.CountInducedUpTo(plan, limit, mid); exact {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
+}
+
 // TestMatcherCountAllocs gates the matcher's inner loop at zero allocations
 // once the per-network view and the plan exist.
 func TestMatcherCountAllocs(t *testing.T) {
