@@ -93,7 +93,7 @@ alloc-build:
 # cannot move the artifact. It then runs `experiments -run fig9` and fails
 # unless every line but the timing line matches results_fig9.txt, so a
 # change that moves one labeled motif or one Figure 9 cell fails here.
-# About 40 s on 2 vCPUs.
+# About 35 s on 2 vCPUs.
 PAPER_DIGEST = b15b70d42ebf328107dd41a2349372463fb7bbf667e11c968a9dd7b0dc4b2b60
 PAPER_COUNTS = mined=254 unique=140 labeled=279
 paper-golden:
@@ -111,7 +111,7 @@ paper-golden:
 		{ echo "paper-golden: experiments -run fig9 differs from results_fig9.txt"; exit 1; }
 
 # results regenerates the committed paper-scale outputs. Figure 6 takes
-# about 4 min on 2 vCPUs, Figures 7 and 9 seconds each.
+# about 2.5 min on 2 vCPUs, Figures 7 and 9 seconds each.
 results:
 	$(GO) run ./cmd/experiments -run fig6 > results_fig6.txt
 	$(GO) run ./cmd/experiments -run fig7 > results_fig7.txt

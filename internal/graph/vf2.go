@@ -325,11 +325,9 @@ func (m *Matcher) CountInducedUpTo(p *MatchPlan, limit int, maxSteps int64) (cou
 	d := 0
 	for {
 		if b := p.need[d]; b != 0 {
-			// Skip to the first candidate that is a step and is adjacent
-			// to the vertex at the first need position. Every step passed
-			// over fails that need test, so charge them all at once: the
-			// frozen scan would have run out among them exactly when they
-			// outnumber the budget left.
+			// Run ahead to the first step adjacent to the vertex at the
+			// first need position; step is 1 for an unused candidate that
+			// meets the pattern degree, 0 otherwise.
 			row, deg, i, e := rows[bits.TrailingZeros32(b)], p.deg[d], cur[d], end[d]
 			var skipped int64
 			for ; i < e; i++ {
