@@ -252,7 +252,10 @@ func decodePayload(d *dec) (*Artifact, error) {
 	a.Dataset = d.str()
 	a.Note = d.str()
 
-	n := d.count(4) // every protein has a name, at least its length prefix
+	// Every protein has a name, a function count and an annotation count,
+	// each at least a 4-byte prefix, so a count the payload cannot hold
+	// fails before the per-protein tables are allocated.
+	n := d.count(12)
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -324,6 +327,11 @@ func decodePayload(d *dec) (*Artifact, error) {
 		a.Weights[t] = d.f64()
 	}
 
+	// The corpus table costs as much per protein as the graph's; allocate
+	// it only when the payload still holds every annotation count.
+	if !d.room(n, 4) {
+		return nil, d.err
+	}
 	a.Corpus = ontology.NewCorpus(o, n)
 	for p := 0; p < n && d.err == nil; p++ {
 		c := d.count(4)
@@ -516,11 +524,19 @@ func (d *dec) count(minWidth int) int {
 		d.fail("count %d exceeds limit", v)
 		return 0
 	}
-	if minWidth > 0 && int(v)*minWidth > len(d.b)-d.off {
-		d.fail("count %d at offset %d overruns payload", v, d.off)
+	if minWidth > 0 && !d.room(int(v), minWidth) {
 		return 0
 	}
 	return int(v)
+}
+
+// room reports whether the rest of the payload can hold n elements of at
+// least width bytes each, failing the decode if not.
+func (d *dec) room(n, width int) bool {
+	if d.err == nil && n*width > len(d.b)-d.off {
+		d.fail("count %d at offset %d overruns payload", n, d.off)
+	}
+	return d.err == nil
 }
 
 // index reads one index and validates it against an exclusive bound.

@@ -135,3 +135,33 @@ func TestFuzzDecodeSeeds(t *testing.T) {
 		t.Fatalf("the full seed does not decode: %v", err)
 	}
 }
+
+// TestDecodeBoundsProteinAllocation declares as many proteins as the
+// payload can hold, each with an empty name and nothing else: the decode
+// must fail, and allocate at most 6 times the payload's length before it
+// does, whatever the declared count.
+func TestDecodeBoundsProteinAllocation(t *testing.T) {
+	const n = 100_000
+	payload := make([]byte, 0, 12+12*n)
+	payload = binary.LittleEndian.AppendUint32(payload, 0) // dataset ""
+	payload = binary.LittleEndian.AppendUint32(payload, 0) // note ""
+	payload = binary.LittleEndian.AppendUint32(payload, n)
+	payload = append(payload, make([]byte, 12*n)...) // names "", then zeros
+	file := sealPayload(payload)
+	if _, err := Decode(file); err == nil {
+		t.Fatal("Decode accepted a payload too short for its proteins")
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Decode(file); err == nil {
+				b.Fatal("Decode accepted the payload")
+			}
+		}
+	})
+	got, limit := res.AllocedBytesPerOp(), int64(6*len(payload))
+	t.Logf("decoding a %d-byte payload declaring %d proteins allocated %d bytes", len(payload), n, got)
+	if got > limit {
+		t.Fatalf("decoding a %d-byte payload allocated %d bytes, want at most %d", len(payload), got, limit)
+	}
+}

@@ -28,10 +28,27 @@ func NewAssignScratch(n int) *AssignScratch {
 // into assign[:n] and returns the total, working in sc, which must have
 // been made for at least n; it allocates nothing.
 //
+// At n = 2 it returns the choice the potentials make, in closed form. Each
+// row takes its first best column. When both want the same column c (the
+// other being o), the second row's search offers row 0 the move to o at
+// reduced cost s0[c]-s0[o] against its own s1[c]-s1[o], and row 0 moves
+// only when its cost is strictly lower.
+//
 // alloc-budget: 0
 func MaxAssignmentInto(s []float64, n int, assign []int, sc *AssignScratch) (total float64) {
 	if n == 0 {
 		return 0
+	}
+	if n == 2 {
+		c0, c1 := firstBest2(s[0], s[1]), firstBest2(s[2], s[3])
+		if c0 != c1 {
+			assign[0], assign[1] = c0, c1
+		} else if c, o := c0, 1-c0; s[c]-s[o] < s[2+c]-s[2+o] {
+			assign[0], assign[1] = o, c
+		} else {
+			assign[0], assign[1] = c, o
+		}
+		return total + s[assign[0]] + s[2+assign[1]]
 	}
 	// Min-cost on negated scores, classic potentials formulation; row i0
 	// of the cost matrix is -s[(i0-1)*n:], 1-based like the potentials.
@@ -94,4 +111,16 @@ func MaxAssignmentInto(s []float64, n int, assign []int, sc *AssignScratch) (tot
 		total += s[i*n+assign[i]]
 	}
 	return total
+}
+
+// firstBest2 returns the column of the larger of a row's two scores, the
+// first on a tie, as the potentials' strict minimum over negated costs
+// picks it.
+//
+// alloc-budget: 0
+func firstBest2(a, b float64) int {
+	if -b < -a {
+		return 1
+	}
+	return 0
 }

@@ -155,9 +155,11 @@ func (l *Labeler) vertexAtBorder(ts []int32) bool {
 	return true
 }
 
-// clusterState is one cluster of occurrences plus its least-general scheme.
+// clusterState is one cluster of occurrences plus its least-general scheme
+// and, for each vertex, the number of its label set in the call's table.
 type clusterState struct {
 	scheme [][]int32
+	ids    []int32
 	occs   [][]int32
 	frozen bool
 }
@@ -200,12 +202,18 @@ func (l *Labeler) LabelOccurrences(nv int, occurrences [][]int32, sym *Symmetry)
 		return nil
 	}
 
-	// Each occurrence starts as its own cluster (Algorithm 1 line 4).
+	// Each occurrence starts as its own cluster (Algorithm 1 line 4). Its
+	// label sets join the call's table, which then holds SV (Eq. 2) for
+	// every ordered pair of sets, so scoring a pair reads SV instead of
+	// recomputing it: the few hundred distinct sets of a motif recur across
+	// millions of SO evaluations.
+	st := newSetTable(l.sim)
 	clusters := make([]*clusterState, 0, len(occs))
 	for _, occ := range occs {
-		cs := &clusterState{occs: [][]int32{occ}, scheme: make([][]int32, nv)}
+		cs := &clusterState{occs: [][]int32{occ}, scheme: make([][]int32, nv), ids: make([]int32, nv)}
 		for v := 0; v < nv; v++ {
 			cs.scheme[v] = append([]int32(nil), l.corpus.Terms(int(occ[v]))...)
+			cs.ids[v] = st.intern(cs.scheme[v])
 		}
 		cs.frozen = l.isFrozen(cs)
 		clusters = append(clusters, cs)
@@ -218,7 +226,8 @@ func (l *Labeler) LabelOccurrences(nv int, occurrences [][]int32, sym *Symmetry)
 	// similarity values are pure functions of the schemes and the driver
 	// breaks ties by cluster id, not by evaluation order.
 	// Rows discard the pairing: each chunk of a row scores through one
-	// pooled scratch, so scoring allocates nothing per pair.
+	// pooled scratch, so scoring allocates nothing per pair. Rows only read
+	// the set table; merges, which add to it, run between rows.
 	ag := &cluster.Agglomerative{
 		BatchSim: func(a int, bs []int, out []float64) {
 			// Short rows are cheaper serial than the goroutine handoff; the
@@ -230,13 +239,13 @@ func (l *Labeler) LabelOccurrences(nv int, occurrences [][]int32, sym *Symmetry)
 			par.Chunks(len(bs), soChunk, workers, func(_, lo, hi int) {
 				sc := soPool.Get().(*soScratch)
 				for i := lo; i < hi; i++ {
-					out[i] = l.sim.occurrence(clusters[a].scheme, clusters[bs[i]].scheme, sym, sc.pairing[:nv], sc)
+					out[i] = st.occurrence(clusters[a].ids, clusters[bs[i]].ids, sym, sc.pairing[:nv], sc)
 				}
 				soPool.Put(sc)
 			})
 		},
 		Merge: func(a, b int) int {
-			clusters = append(clusters, l.merge(clusters[a], clusters[b], sym))
+			clusters = append(clusters, l.merge(st, clusters[a], clusters[b], sym))
 			return len(clusters) - 1
 		},
 		CanMerge: func(a, b int) bool {
@@ -281,17 +290,18 @@ func (l *Labeler) LabelOccurrences(nv int, occurrences [][]int32, sym *Symmetry)
 }
 
 // merge fuses cluster b into a using the orbit-wise optimal vertex pairing,
-// deriving the least general scheme and re-ordering b's occurrences to a's
-// vertex correspondence.
-func (l *Labeler) merge(a, b *clusterState, sym *Symmetry) *clusterState {
+// deriving the least general scheme, adding its new sets to st, and
+// re-ordering b's occurrences to a's vertex correspondence.
+func (l *Labeler) merge(st *setTable, a, b *clusterState, sym *Symmetry) *clusterState {
 	nv := len(a.scheme)
 	sc := soPool.Get().(*soScratch)
 	defer soPool.Put(sc)
 	pairing := sc.pairing[:nv]
-	l.sim.occurrence(a.scheme, b.scheme, sym, pairing, sc)
-	m := &clusterState{scheme: make([][]int32, nv)}
+	st.occurrence(a.ids, b.ids, sym, pairing, sc)
+	m := &clusterState{scheme: make([][]int32, nv), ids: make([]int32, nv)}
 	for v := 0; v < nv; v++ {
 		m.scheme[v] = LeastGeneral(l.sim.lca, a.scheme[v], b.scheme[pairing[v]], l.cfg.MaxLabelsPerVertex)
+		m.ids[v] = st.intern(m.scheme[v])
 	}
 	m.occs = append(m.occs, a.occs...)
 	for _, occ := range b.occs {

@@ -8,6 +8,7 @@
 package label
 
 import (
+	"encoding/binary"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -155,18 +156,43 @@ func (s *Sim) Vertex(ta, tb []int32) float64 {
 // assignment (the paper's max over pair(Ia, Ib)); otherwise the pairing
 // ranges over explicit automorphisms so that occurrence correspondence
 // remains a valid embedding.
+//
+// It scores the two lists through the core the labeler runs, over a table
+// whose row i is labelsA[i] and whose column j is labelsB[j].
 func (s *Sim) Occurrence(labelsA, labelsB [][]int32, sym *Symmetry) (so float64, pairing []int) {
-	pairing = make([]int, len(labelsA))
+	nv := len(labelsA)
+	t := svTable{v: make([]float64, nv*nv), stride: nv}
+	pos := make([]int32, nv)
+	for i := range labelsA {
+		pos[i] = int32(i)
+		for j := range labelsB {
+			t.v[i*nv+j] = s.Vertex(labelsA[i], labelsB[j])
+		}
+	}
+	pairing = make([]int, nv)
 	sc := soPool.Get().(*soScratch)
-	so = s.occurrence(labelsA, labelsB, sym, pairing, sc)
+	so = t.occurrence(pos, pos, sym, pairing, sc)
 	soPool.Put(sc)
 	return so, pairing
 }
 
+// svTable holds SV (Eq. 2) between numbered label sets, in both orders:
+// entry a*stride+b is Vertex(set a, set b). Vertex multiplies its factors
+// in the order of its arguments, so the two orders can differ in the last
+// bit, and the table keeps both.
+type svTable struct {
+	v      []float64
+	stride int
+}
+
+// at returns Vertex(set a, set b).
+//
+// alloc-budget: 0
+func (t *svTable) at(a, b int32) float64 { return t.v[int(a)*t.stride+int(b)] }
+
 // soScratch is the fixed working set of one SO evaluation. Patterns are
 // Dense or DiDense graphs, so graph.MaxDense bounds every orbit and every
-// pairing: the block holds one orbit's vertex similarities (orbit path) or
-// the memoized SV matrix (automorphism path).
+// pairing: the block holds one orbit's vertex similarities.
 type soScratch struct {
 	sv      [graph.MaxDense * graph.MaxDense]float64
 	assign  [graph.MaxDense]int
@@ -179,13 +205,14 @@ var soPool = sync.Pool{New: func() any {
 	return &soScratch{hung: cluster.NewAssignScratch(graph.MaxDense)}
 }}
 
-// occurrence is the allocation-free core of Occurrence: it returns SO,
-// writes the pairing into pairing[:len(labelsA)] and works in sc. It
-// carries no alloc-budget annotation because Term hands the term cache a
-// closure, which the analyzer counts as an allocation although it stays on
-// the stack; TestOccurrenceAllocs gates it at zero instead.
-func (s *Sim) occurrence(labelsA, labelsB [][]int32, sym *Symmetry, pairing []int, sc *soScratch) float64 {
-	nv := len(labelsA)
+// occurrence is the one SO core: it returns SO between the occurrences
+// whose vertex v carries the sets numbered ia[v] and ib[v] in t, writes
+// the pairing into pairing[:len(ia)] and works in sc. It only reads t, so
+// any number of evaluations may share a table.
+//
+// alloc-budget: 0
+func (t *svTable) occurrence(ia, ib []int32, sym *Symmetry, pairing []int, sc *soScratch) float64 {
+	nv := len(ia)
 	if sym.ExactOrbitPairing() {
 		total := 0.0
 		for _, orb := range sym.Orbits {
@@ -193,13 +220,13 @@ func (s *Sim) occurrence(labelsA, labelsB [][]int32, sym *Symmetry, pairing []in
 			if k == 1 {
 				v := orb[0]
 				pairing[v] = v
-				total += s.Vertex(labelsA[v], labelsB[v])
+				total += t.at(ia[v], ib[v])
 				continue
 			}
 			score := sc.sv[:k*k]
 			for i, va := range orb {
 				for j, vb := range orb {
-					score[i*k+j] = s.Vertex(labelsA[va], labelsB[vb])
+					score[i*k+j] = t.at(ia[va], ib[vb])
 				}
 			}
 			assign := sc.assign[:k]
@@ -211,22 +238,13 @@ func (s *Sim) occurrence(labelsA, labelsB [][]int32, sym *Symmetry, pairing []in
 		}
 		return total / float64(nv)
 	}
-	// Automorphism search: memoize SV values (-1 = not yet computed), then
-	// score each permutation.
-	sv := sc.sv[:nv*nv]
-	for i := range sv {
-		sv[i] = -1
-	}
+	// Automorphism search: score each permutation.
 	best := -1.0
 	var bestPerm []int
 	for _, perm := range sym.Auts {
 		total := 0.0
 		for v, w := range perm[:nv] {
-			x := &sv[v*nv+w]
-			if *x < 0 {
-				*x = s.Vertex(labelsA[v], labelsB[w])
-			}
-			total += *x
+			total += t.at(ia[v], ib[w])
 		}
 		if total > best {
 			best = total
@@ -235,4 +253,53 @@ func (s *Sim) occurrence(labelsA, labelsB [][]int32, sym *Symmetry, pairing []in
 	}
 	copy(pairing, bestPerm)
 	return best / float64(nv)
+}
+
+// setTable numbers the label sets of one LabelOccurrences call by their
+// exact term sequence and keeps SV between every ordered pair of them.
+// Only intern writes it, and the labeler calls intern outside similarity
+// rows, so the rows read it without locks.
+type setTable struct {
+	svTable
+	sim  *Sim
+	ids  map[string]int32
+	sets [][]int32
+	key  []byte
+}
+
+func newSetTable(sim *Sim) *setTable {
+	return &setTable{sim: sim, ids: map[string]int32{}}
+}
+
+// intern returns the number of the set ts. A new set is scored against
+// every set held and itself, in both orders; ts must not change after.
+func (st *setTable) intern(ts []int32) int32 {
+	st.key = st.key[:0]
+	for _, t := range ts {
+		st.key = binary.LittleEndian.AppendUint32(st.key, uint32(t))
+	}
+	if id, ok := st.ids[string(st.key)]; ok {
+		return id
+	}
+	id := int32(len(st.sets))
+	st.ids[string(st.key)] = id
+	st.sets = append(st.sets, ts)
+	n := len(st.sets)
+	if n > st.stride {
+		st.grow(max(2*st.stride, 16))
+	}
+	for a, other := range st.sets {
+		st.v[a*st.stride+int(id)] = st.sim.Vertex(other, ts)
+		st.v[int(id)*st.stride+a] = st.sim.Vertex(ts, other)
+	}
+	return id
+}
+
+// grow moves the table to a stride of n, keeping every entry.
+func (st *setTable) grow(n int) {
+	v := make([]float64, n*n)
+	for a := 0; a < st.stride; a++ {
+		copy(v[a*n:a*n+st.stride], st.v[a*st.stride:(a+1)*st.stride])
+	}
+	st.v, st.stride = v, n
 }

@@ -72,14 +72,25 @@ func newSOScratch() *soScratch {
 	return &soScratch{hung: cluster.NewAssignScratch(graph.MaxDense)}
 }
 
+// internAll interns each set of ls into st and returns their numbers.
+func internAll(st *setTable, ls [][]int32) []int32 {
+	ids := make([]int32, len(ls))
+	for i, ts := range ls {
+		ids[i] = st.intern(ts)
+	}
+	return ids
+}
+
 // TestOccurrenceMatchesReference checks SO against the implementation it
 // replaced on both symmetry paths: bit-identical SO and the same pairing,
-// through the exported Occurrence and through the core reusing one dirty
-// scratch and pairing buffer across calls.
+// through the exported Occurrence and through the core over one label-set
+// table that grows across trials, reusing one dirty scratch and pairing
+// buffer across calls.
 func TestOccurrenceMatchesReference(t *testing.T) {
 	for _, c := range soCases(t) {
 		rng := rand.New(rand.NewSource(41))
 		sc := newSOScratch()
+		st := newSetTable(c.sim)
 		var orbitPath, autPath int
 		for trial := 0; trial < 400; trial++ {
 			n := 2 + rng.Intn(8)
@@ -101,7 +112,7 @@ func TestOccurrenceMatchesReference(t *testing.T) {
 			for i := range pairing {
 				pairing[i] = -7
 			}
-			coreSO := c.sim.occurrence(la, lb, sym, pairing, sc)
+			coreSO := st.occurrence(internAll(st, la), internAll(st, lb), sym, pairing, sc)
 			for _, got := range []struct {
 				so      float64
 				pairing []int
@@ -148,9 +159,9 @@ func TestMaxAssignmentIntoMatchesReference(t *testing.T) {
 	}
 }
 
-// TestOccurrenceAllocs gates one SO evaluation on a warmed Sim at zero
-// allocations, on both symmetry paths: the agglomeration scores millions
-// of pairs and discards their pairings.
+// TestOccurrenceAllocs gates one evaluation of the SO core over a filled
+// label-set table at zero allocations, on both symmetry paths: the
+// agglomeration scores millions of pairs and discards their pairings.
 func TestOccurrenceAllocs(t *testing.T) {
 	star, cycle := graph.NewDense(6), graph.NewDense(6)
 	for v := 1; v < 6; v++ {
@@ -163,11 +174,11 @@ func TestOccurrenceAllocs(t *testing.T) {
 		sc := newSOScratch()
 		for _, d := range []*graph.Dense{star, cycle} {
 			sym := NewSymmetry(d)
-			la := randomLabels(6, c.terms, rng)
-			lb := randomLabels(6, c.terms, rng)
+			st := newSetTable(c.sim)
+			ia := internAll(st, randomLabels(6, c.terms, rng))
+			ib := internAll(st, randomLabels(6, c.terms, rng))
 			pairing := make([]int, 6)
-			c.sim.occurrence(la, lb, sym, pairing, sc) // warm the term cache
-			if a := testing.AllocsPerRun(100, func() { c.sim.occurrence(la, lb, sym, pairing, sc) }); a != 0 {
+			if a := testing.AllocsPerRun(100, func() { st.occurrence(ia, ib, sym, pairing, sc) }); a != 0 {
 				t.Errorf("%s %v (exact orbit pairing %v): %v allocs per SO, want 0", c.name, d, sym.ExactOrbitPairing(), a)
 			}
 		}

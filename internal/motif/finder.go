@@ -90,7 +90,8 @@ const parentChunk = 256
 //     Each candidate vertex set is decided new or not from the parent
 //     index alone (see parentIndex.reachedBefore), so no set of seen
 //     candidates is shared, and each new one is classified by the chunk
-//     worker's own classifier.
+//     worker's own classifier, keyed by the parent's class and the new
+//     vertex's attachment (see minerScratch.extend).
 //   - Merge: one serial pass over the chunks in order visits the new
 //     candidates in discovery order. It assigns global class ids and
 //     representatives in first-seen order, counts frequencies, and replays
@@ -189,6 +190,10 @@ func (m *miner) grow(level []*classState, size int) []*classState {
 	for _, sc := range m.scratch {
 		sc.cl = graph.NewClassifier()
 		sc.cands = sc.cands[:0]
+		if sc.byKey == nil {
+			sc.byKey = map[uint64]int32{}
+		}
+		clear(sc.byKey)
 	}
 	spans := make([]chunkSpan, par.NumChunks(m.px.n(), parentChunk))
 	par.Chunks(m.px.n(), parentChunk, m.workers, func(c, lo, hi int) {
@@ -320,12 +325,14 @@ type chunkSpan struct {
 }
 
 // minerScratch is one worker's state for a level: its classifier (a class
-// there is an isomorphism class, whatever its id), the new candidates of
+// there is an isomorphism class, whatever its id), the classifier's id of
+// each (parent class, attachment mask) key seen, the new candidates of
 // every chunk it ran, in run order, and, during the merge, each of its
 // classes' global id (-1 until seen). The induced-subgraph and vertex-set
 // buffers and the occurrence arena are reused for the whole run.
 type minerScratch struct {
 	cl    *graph.Classifier
+	byKey map[uint64]int32
 	cands []newCand
 	gid   []int32
 	d     graph.Dense
@@ -336,6 +343,16 @@ type minerScratch struct {
 // extend grows the parents [lo, hi) by one adjacent vertex each, in the
 // serial miner's order (parent, then vertex in pattern order, then
 // neighbour), and records every new candidate.
+//
+// A parent occurrence is pattern-ordered and induced: its vertex at
+// position j is its class representative's vertex j, edges included. So a
+// candidate P ∪ {w} is that representative plus one vertex attached to the
+// positions of P adjacent to w, and its class is a function of the
+// parent's class and that attachment mask. Only the first candidate of
+// each key builds its induced subgraph and runs the classifier. The first
+// candidate of an isomorphism class always misses (no key maps to the
+// class yet), so the classifier meets its classes in the same order as
+// when every candidate ran it, and hands out the same ids.
 func (sc *minerScratch) extend(g *graph.Graph, bits *graph.AdjBits, px *parentIndex, lo, hi int) {
 	for p := lo; p < hi; p++ {
 		occ := px.occs[p]
@@ -351,12 +368,32 @@ func (sc *minerScratch) extend(g *graph.Graph, bits *graph.AdjBits, px *parentIn
 				if px.reachedBefore(p, vs, wpos, px.hash[p]+vmix(w)) {
 					continue
 				}
-				fillInduced(&sc.d, bits, vs)
-				id := sc.cl.Classify(&sc.d)
-				sc.cands = append(sc.cands, newCand{occRef: occRef{parent: int32(p), w: w}, class: int32(id)})
+				key := uint64(px.cls[p])<<32 | uint64(attachMask(bits, occ, i, w))
+				id, ok := sc.byKey[key]
+				if !ok {
+					fillInduced(&sc.d, bits, vs)
+					id = int32(sc.cl.Classify(&sc.d))
+					sc.byKey[key] = id
+				}
+				sc.cands = append(sc.cands, newCand{occRef: occRef{parent: int32(p), w: w}, class: id})
 			}
 		}
 	}
+}
+
+// attachMask returns the bit mask of the positions of occ adjacent to w,
+// given that position i is the first of them. Parents have at most
+// graph.MaxDense-1 positions, so the mask fits.
+//
+// alloc-budget: 0
+func attachMask(bits *graph.AdjBits, occ []int32, i int, w int32) uint32 {
+	m := uint32(1) << i
+	for j := i + 1; j < len(occ); j++ {
+		if bits.Has(int(occ[j]), int(w)) {
+			m |= 1 << j
+		}
+	}
+	return m
 }
 
 // materialize turns ns's slots into occurrences in the representative's
@@ -391,13 +428,14 @@ func adjacentToAny(bits *graph.AdjBits, vs []int32, w int32) bool {
 
 // parentIndex holds one level's parents — the stored occurrences of the
 // previous level, numbered in class order, then slot order — with each
-// parent's sorted vertex set, and a hash table from vertex set to parent.
-// Every parent holds a distinct vertex set. A set's hash is the sum of its
-// vertices' vmix values, so the hash of a set with one vertex swapped is
-// one subtraction and one addition away.
+// parent's class and sorted vertex set, and a hash table from vertex set
+// to parent. Every parent holds a distinct vertex set. A set's hash is the
+// sum of its vertices' vmix values, so the hash of a set with one vertex
+// swapped is one subtraction and one addition away.
 type parentIndex struct {
 	k     int       // parent width
 	occs  [][]int32 // pattern-ordered occurrence of each parent
+	cls   []int32   // parent p's class, its index in the level
 	sets  []int32   // parent p's sorted vertex set at [p*k, (p+1)*k)
 	hash  []uint64  // parent p's set hash
 	slots []int32   // open addressing: parent + 1, 0 = empty
@@ -410,9 +448,12 @@ func (px *parentIndex) n() int { return len(px.occs) }
 // reset indexes the stored occurrences of level, each of width k.
 func (px *parentIndex) reset(level []*classState, k int) {
 	px.k = k
-	px.occs = px.occs[:0]
-	for _, cs := range level {
+	px.occs, px.cls = px.occs[:0], px.cls[:0]
+	for c, cs := range level {
 		px.occs = append(px.occs, cs.occs...)
+		for range cs.occs {
+			px.cls = append(px.cls, int32(c))
+		}
 	}
 	n := len(px.occs)
 	px.sets = slices.Grow(px.sets[:0], n*k)[:n*k]
