@@ -35,8 +35,9 @@ type Config struct {
 	// the similarity values (see DESIGN.md, "Parallel architecture").
 	Parallelism int
 	// Now, when set, enables clustering telemetry: each LabelOccurrences
-	// call brackets its agglomeration with this clock and accumulates the
-	// busy time readable via ClusterStats. The clock is injected rather
+	// call brackets its agglomeration, with the filling of its table of
+	// vertex similarities, with this clock and accumulates the busy time
+	// readable via ClusterStats. The clock is injected rather
 	// than read from time.Now because the labeling core is in the
 	// determinism scope (lamovet forbids wall-clock reads there); timing
 	// never influences output, only the reported stats. Nil disables
@@ -202,6 +203,10 @@ func (l *Labeler) LabelOccurrences(nv int, occurrences [][]int32, sym *Symmetry)
 		return nil
 	}
 
+	var t0 time.Time
+	if l.cfg.Now != nil {
+		t0 = l.cfg.Now()
+	}
 	// Each occurrence starts as its own cluster (Algorithm 1 line 4). Its
 	// label sets join the call's table, which then holds SV (Eq. 2) for
 	// every ordered pair of sets, so scoring a pair reads SV instead of
@@ -255,10 +260,6 @@ func (l *Labeler) LabelOccurrences(nv int, occurrences [][]int32, sym *Symmetry)
 	ids := make([]int, len(clusters))
 	for i := range ids {
 		ids[i] = i
-	}
-	var t0 time.Time
-	if l.cfg.Now != nil {
-		t0 = l.cfg.Now()
 	}
 	live := ag.Run(ids)
 	if l.cfg.Now != nil {
