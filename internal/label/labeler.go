@@ -213,6 +213,7 @@ func (l *Labeler) LabelOccurrences(nv int, occurrences [][]int32, sym *Symmetry)
 	// recomputing it: the few hundred distinct sets of a motif recur across
 	// millions of SO evaluations.
 	st := newSetTable(l.sim)
+	defer st.release()
 	clusters := make([]*clusterState, 0, len(occs))
 	for _, occ := range occs {
 		cs := &clusterState{occs: [][]int32{occ}, scheme: make([][]int32, nv), ids: make([]int32, nv)}

@@ -267,8 +267,25 @@ type setTable struct {
 	key  []byte
 }
 
+// setTables recycles tables across calls: a table's SV block reaches a few
+// hundred KB, and a build labels hundreds of motifs.
+var setTables = sync.Pool{New: func() any { return &setTable{ids: map[string]int32{}} }}
+
+// newSetTable returns an empty table scoring through sim. A recycled
+// table keeps its old SV entries: intern writes every entry between a new
+// set and the sets before it, so no entry is read before it is written.
 func newSetTable(sim *Sim) *setTable {
-	return &setTable{sim: sim, ids: map[string]int32{}}
+	st := setTables.Get().(*setTable)
+	st.sim = sim
+	return st
+}
+
+// release empties st and returns it to the pool.
+func (st *setTable) release() {
+	clear(st.ids)
+	clear(st.sets)
+	st.sets, st.sim = st.sets[:0], nil
+	setTables.Put(st)
 }
 
 // intern returns the number of the set ts. A new set is scored against

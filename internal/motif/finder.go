@@ -177,7 +177,7 @@ func newMiner(g *graph.Graph, cfg Config, rng *rand.Rand) *miner {
 	m.scratch = make([]*minerScratch, m.workers)
 	m.free = make(chan *minerScratch, m.workers)
 	for i := range m.scratch {
-		m.scratch[i] = &minerScratch{vs: make([]int32, cfg.MaxSize)}
+		m.scratch[i] = &minerScratch{vs: make([]int32, cfg.MaxSize), byKey: map[uint64]int32{}}
 		m.free <- m.scratch[i]
 	}
 	return m
@@ -190,9 +190,6 @@ func (m *miner) grow(level []*classState, size int) []*classState {
 	for _, sc := range m.scratch {
 		sc.cl = graph.NewClassifier()
 		sc.cands = sc.cands[:0]
-		if sc.byKey == nil {
-			sc.byKey = map[uint64]int32{}
-		}
 		clear(sc.byKey)
 	}
 	spans := make([]chunkSpan, par.NumChunks(m.px.n(), parentChunk))
