@@ -4,7 +4,7 @@ import "math"
 
 // This file keeps occurrence similarity SO and the Hungarian solver as they
 // stood before the allocation-free rewrite, verbatim apart from the ref
-// prefix, as the reference oracles for Sim.occurrence and
+// prefix, as the reference oracles for the SO core (svTable.occurrence) and
 // cluster.MaxAssignmentInto: the rewrite must return the same SO bits and
 // the same pairing, since SO values order the agglomeration's merges.
 

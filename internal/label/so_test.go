@@ -281,3 +281,138 @@ func equalInts(a, b []int) bool {
 	}
 	return true
 }
+
+// TestMaxAssignment2x2MatchesReference sweeps 2×2 problems, where the
+// solver answers in closed form, against the Hungarian solver it replaced:
+// every matrix over a five-value grid, where rows and differences tie
+// everywhere, and matrices whose entries lie within one ulp of a common
+// value, where the closed form's comparisons are closest to the reference's
+// own rounding. Assignment and total must match bit for bit.
+func TestMaxAssignment2x2MatchesReference(t *testing.T) {
+	sc := cluster.NewAssignScratch(2)
+	assign := make([]int, 2)
+	check := func(s []float64) {
+		t.Helper()
+		wantAssign, wantTotal := refMaxAssignment([][]float64{{s[0], s[1]}, {s[2], s[3]}})
+		total := cluster.MaxAssignmentInto(s, 2, assign, sc)
+		if math.Float64bits(total) != math.Float64bits(wantTotal) || !equalInts(assign, wantAssign) {
+			t.Fatalf("%v: got %v %v, want %v %v", s, assign, total, wantAssign, wantTotal)
+		}
+	}
+	grid := []float64{0, 0.25, 0.5, 0.75, 1}
+	s := make([]float64, 4)
+	for k := 0; k < 625; k++ {
+		for i, r := 0, k; i < 4; i, r = i+1, r/5 {
+			s[i] = grid[r%5]
+		}
+		check(s)
+	}
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 2000; trial++ {
+		base := grid[rng.Intn(len(grid))]
+		if trial%2 == 1 {
+			base = rng.Float64()
+		}
+		near := []float64{math.Nextafter(base, -1), base, math.Nextafter(base, 2)}
+		for k := 0; k < 81; k++ {
+			for i, r := 0, k; i < 4; i, r = i+1, r/3 {
+				s[i] = near[r%3]
+			}
+			check(s)
+		}
+	}
+}
+
+// TestLabelOccurrencesMatchesReference clusters random occurrence sets of
+// the MIPS corpus under star, cycle and random patterns, so both symmetry
+// paths run, at 1 and 4 workers, and requires the schemes of the labeler as
+// it stood before its label-set table (labeler_ref_test.go): the same
+// labels, occurrences and order.
+func TestLabelOccurrencesMatchesReference(t *testing.T) {
+	cfg := dataset.DefaultMIPSConfig()
+	cfg.Proteins, cfg.Edges = 200, 260
+	m := dataset.NewMIPS(cfg)
+	rng := rand.New(rand.NewSource(29))
+	var orbitPath, autPath, schemes int
+	for trial := 0; trial < 15; trial++ {
+		n := 4 + trial%4
+		d := graph.NewDense(n)
+		switch trial % 3 {
+		case 0: // star
+			for v := 1; v < n; v++ {
+				d.AddEdge(0, v)
+			}
+		case 1: // cycle
+			for v := 1; v < n; v++ {
+				d.AddEdge(v-1, v)
+			}
+			d.AddEdge(n-1, 0)
+		default:
+			d = soPattern(n, rng)
+		}
+		sym := NewSymmetry(d)
+		if sym.ExactOrbitPairing() {
+			orbitPath++
+		} else {
+			autPath++
+		}
+		occs := make([][]int32, 40+rng.Intn(80))
+		for i := range occs {
+			for _, p := range rng.Perm(cfg.Proteins)[:n] {
+				occs[i] = append(occs[i], int32(p))
+			}
+		}
+		for _, workers := range []int{1, 4} {
+			lcfg := DefaultConfig()
+			lcfg.Sigma, lcfg.MinDirect, lcfg.MaxOccurrences, lcfg.Parallelism = 2, 10, 0, workers
+			l := NewLabeler(m.Corpus, lcfg)
+			want := l.refLabelOccurrences(n, occs, sym)
+			got := l.LabelOccurrences(n, occs, sym)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d %v, %d workers: schemes differ from the reference", trial, d, workers)
+			}
+			schemes += len(got)
+		}
+	}
+	if orbitPath < 3 || autPath < 3 || schemes == 0 {
+		t.Fatalf("%d orbit-path and %d automorphism-path patterns, %d schemes; need both paths and some schemes", orbitPath, autPath, schemes)
+	}
+}
+
+// TestSetTableKeepsBothOrders finds label sets whose SV differs between
+// the two argument orders (Vertex multiplies its factors in argument
+// order, so the last bit can differ) and requires each table entry to hold
+// its own order's value. A table keeping one value per unordered pair
+// fails here.
+func TestSetTableKeepsBothOrders(t *testing.T) {
+	c := soCases(t)[1]
+	rng := rand.New(rand.NewSource(5))
+	st := newSetTable(c.sim)
+	draw := func() []int32 { // 2 to 5 terms: more factors, more rounding
+		ts := make([]int32, 2+rng.Intn(4))
+		for i := range ts {
+			ts[i] = c.terms[rng.Intn(len(c.terms))]
+		}
+		return ts
+	}
+	found := 0
+	for trial := 0; trial < 200_000; trial++ {
+		x, y := draw(), draw()
+		xy, yx := c.sim.Vertex(x, y), c.sim.Vertex(y, x)
+		if math.Float64bits(xy) == math.Float64bits(yx) {
+			continue
+		}
+		found++
+		ix, iy := st.intern(x), st.intern(y)
+		if got := st.at(ix, iy); math.Float64bits(got) != math.Float64bits(xy) {
+			t.Fatalf("table entry for %v then %v reads %v, want Vertex %v", x, y, got, xy)
+		}
+		if got := st.at(iy, ix); math.Float64bits(got) != math.Float64bits(yx) {
+			t.Fatalf("table entry for %v then %v reads %v, want Vertex %v", y, x, got, yx)
+		}
+	}
+	if found == 0 {
+		t.Fatal("no label sets with order-dependent SV; the test shows nothing")
+	}
+	t.Logf("%d order-dependent pairs, %d sets in the table", found, len(st.sets))
+}
