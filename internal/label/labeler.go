@@ -35,8 +35,8 @@ type Config struct {
 	// the similarity values (see DESIGN.md, "Parallel architecture").
 	Parallelism int
 	// Now, when set, enables clustering telemetry: each LabelOccurrences
-	// call brackets its agglomeration, with the filling of its table of
-	// vertex similarities, with this clock and accumulates the busy time
+	// call brackets its agglomeration and the filling of its vertex
+	// similarity table with this clock and accumulates the busy time
 	// readable via ClusterStats. The clock is injected rather
 	// than read from time.Now because the labeling core is in the
 	// determinism scope (lamovet forbids wall-clock reads there); timing

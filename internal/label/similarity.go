@@ -301,8 +301,7 @@ func (st *setTable) intern(ts []int32) int32 {
 	id := int32(len(st.sets))
 	st.ids[string(st.key)] = id
 	st.sets = append(st.sets, ts)
-	n := len(st.sets)
-	if n > st.stride {
+	if len(st.sets) > st.stride {
 		st.grow(max(2*st.stride, 16))
 	}
 	for a, other := range st.sets {
