@@ -109,8 +109,10 @@ func bruteForceMax(s [][]float64) float64 {
 }
 
 func TestAgglomerativeDriver(t *testing.T) {
-	// Clusters are sets of ints; merging unions them. ids index into store.
+	// Clusters are sets of ints; merging unions them into a fresh id. ids
+	// index into store.
 	store := map[int][]int{0: {0}, 1: {1}, 2: {2}, 3: {10}}
+	next := len(store)
 	sim := func(a, b int) float64 {
 		// similarity = -min gap between members
 		best := math.Inf(-1)
@@ -124,11 +126,14 @@ func TestAgglomerativeDriver(t *testing.T) {
 		return best
 	}
 	ag := &Agglomerative{
-		BatchSim: batchOf(sim),
+		Sim: sim,
 		Merge: func(a, b int) int {
-			store[a] = append(store[a], store[b]...)
+			id := next
+			next++
+			store[id] = append(append([]int(nil), store[a]...), store[b]...)
+			delete(store, a)
 			delete(store, b)
-			return a
+			return id
 		},
 		// Clusters more than 5 apart never merge.
 		CanMerge: func(a, b int) bool { return sim(a, b) >= -5 },
@@ -149,8 +154,8 @@ func TestAgglomerativeDriver(t *testing.T) {
 
 func TestAgglomerativeVeto(t *testing.T) {
 	ag := &Agglomerative{
-		BatchSim: batchOf(func(a, b int) float64 { return 1 }),
-		Merge:    func(a, b int) int { return a },
+		Sim:      func(a, b int) float64 { return 1 },
+		Merge:    func(a, b int) int { return 4 },
 		CanMerge: func(a, b int) bool { return false },
 	}
 	out := ag.Run([]int{1, 2, 3})

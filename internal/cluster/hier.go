@@ -6,19 +6,18 @@ import (
 )
 
 // Agglomerative performs generic bottom-up hierarchical clustering over n
-// items. BatchSim scores one current cluster, identified by its
-// representative id, against a row of others; Merge(a, b) combines two and
-// returns the id representing the merged cluster (one of a, b, or a fresh
-// id the caller manages); CanMerge may veto a proposed merge.
+// items. Sim scores two current clusters, identified by their ids;
+// Merge(a, b) combines two and returns a fresh id for the merged cluster;
+// CanMerge may veto a proposed merge.
 //
 // LaMoFinder uses this driver with occurrence-cluster ids, SO similarity,
 // and the border-informative-FC stopping rule.
 type Agglomerative struct {
-	// BatchSim computes the similarity of live cluster a against each id
-	// in bs, writing result i to out[i]. A cluster's whole row is scored
-	// at once, so callers can fan it out to a worker pool.
-	BatchSim func(a int, bs []int, out []float64)
-	// Merge fuses cluster b into cluster a (or returns a fresh id).
+	// Sim returns the similarity of live clusters a and b, scored in that
+	// direction.
+	Sim func(a, b int) float64
+	// Merge fuses clusters a and b and returns the merged cluster's id,
+	// which must be fresh: no input id and no id Merge returned before.
 	Merge func(a, b int) int
 	// CanMerge, if non-nil, vetoes merges (e.g. a stopping criterion per
 	// cluster). It must be stable: its verdict for a given pair of live
@@ -27,9 +26,8 @@ type Agglomerative struct {
 }
 
 // Run clusters the given live ids until no admissible pair remains, and
-// returns the surviving cluster ids (frozen and merged alike) in first-seen
-// order: input ids first, then merged ids in creation order. The input ids
-// must be distinct.
+// returns the surviving cluster ids (frozen and merged alike) in creation
+// order: input ids first, then merged ids. The input ids must be distinct.
 //
 // Each similarity is scored once, when the later of its two clusters
 // appears: the initial rows score each id against the admissible ids after
@@ -42,23 +40,15 @@ type Agglomerative struct {
 // merge costs one similarity row plus O(k) bookkeeping, and a rescan of
 // the row of each cluster whose best partner just merged.
 func (ag *Agglomerative) Run(ids []int) []int {
-	admissible := func(a, b int) bool {
-		return ag.CanMerge == nil || ag.CanMerge(a, b)
-	}
 	t := tables.Get().(*simTable)
 	defer tables.Put(t)
 	t.reset(ids)
 
-	// Initial pairwise rows: each id against the admissible ids after it.
-	for i, a := range ids {
-		t.bs, t.bslot = t.bs[:0], t.bslot[:0]
-		for j, b := range ids[i+1:] {
-			if admissible(a, b) {
-				t.bs = append(t.bs, b)
-				t.bslot = append(t.bslot, int32(i+1+j))
-			}
+	// Initial pairwise rows: each id against the ids after it.
+	for x, a := range ids {
+		for y := x + 1; y < len(ids); y++ {
+			t.score(ag, a, ids[y], int32(x), int32(y))
 		}
-		t.score(ag.BatchSim, a, int32(i))
 	}
 	for s := range ids {
 		t.rescan(int32(s))
@@ -74,25 +64,21 @@ func (ag *Agglomerative) Run(ids []int) []int {
 			a, b = b, a
 		}
 		merged := ag.Merge(a, b)
-		s := t.merge(x, y, merged)
+		t.merge(x, y, merged)
 
-		// The merged cluster's row: the live admissible ids in creation
-		// order (an id re-used by Merge appears once per creation).
-		t.bs, t.bslot = t.bs[:0], t.bslot[:0]
-		for i, id := range t.order {
-			cur := t.cur[t.first[i]]
-			if id != merged && cur >= 0 && admissible(merged, id) {
-				t.bs = append(t.bs, id)
-				t.bslot = append(t.bslot, cur)
+		// The merged cluster's row: the live ids created before it, in
+		// creation order.
+		for i, id := range t.order[:len(t.order)-1] {
+			if z := t.slot[i]; z >= 0 {
+				t.score(ag, merged, id, x, z)
 			}
 		}
-		t.score(ag.BatchSim, merged, s)
-		t.refresh(s)
+		t.refresh(x)
 	}
 
 	out := make([]int, 0, len(ids))
 	for i, id := range t.order {
-		if t.first[i] == int32(i) && t.cur[i] >= 0 {
+		if t.slot[i] >= 0 {
 			out = append(out, id)
 		}
 	}
@@ -113,19 +99,14 @@ type simTable struct {
 	sim  []float64
 	adm  []bool
 	id   []int   // slot -> cluster id
+	born []int32 // slot -> creation index of its cluster
 	best []int32 // slot -> slot of its best partner, -1 = none
 	live []bool  // slot -> holds a live cluster
 
-	// Creation order: order[i] is the id created i-th (input ids first),
-	// first[i] the creation index of that id's first appearance, and
-	// cur[first[i]] the slot of its live cluster, -1 when it has none.
+	// Creation order: order[i] is the id created i-th (input ids first)
+	// and slot[i] the slot of its cluster, -1 once it has merged away.
 	order []int
-	first []int32
-	cur   []int32
-
-	bs    []int     // row scratch: the ids scored
-	bslot []int32   // their slots
-	row   []float64 // their similarities
+	slot  []int32
 }
 
 // reset prepares t for the input ids, each in the slot of its index.
@@ -136,32 +117,29 @@ func (t *simTable) reset(ids []int) {
 	t.adm = slices.Grow(t.adm[:0], k*k)[:k*k]
 	clear(t.adm)
 	t.id = append(t.id[:0], ids...)
+	t.order = append(t.order[:0], ids...)
+	t.born, t.slot = t.born[:0], t.slot[:0]
 	t.best = slices.Grow(t.best[:0], k)[:k]
 	t.live = slices.Grow(t.live[:0], k)[:k]
-	t.order = append(t.order[:0], ids...)
-	t.first, t.cur = t.first[:0], t.cur[:0]
 	for i := range ids {
 		t.live[i] = true
-		t.first = append(t.first, int32(i))
-		t.cur = append(t.cur, int32(i))
+		t.born = append(t.born, int32(i))
+		t.slot = append(t.slot, int32(i))
 	}
 }
 
-// score runs batch for cluster a against t.bs and stores the row for slot s
-// against t.bslot into both halves of the table, marking those pairs
-// admissible. An empty row is not scored.
-func (t *simTable) score(batch func(a int, bs []int, out []float64), a int, s int32) {
-	if len(t.bs) == 0 {
+// score stores Sim(a, b) for the clusters in slots x and y into both
+// halves of the table and marks the pair admissible, unless CanMerge
+// vetoes it.
+func (t *simTable) score(ag *Agglomerative, a, b int, x, y int32) {
+	if ag.CanMerge != nil && !ag.CanMerge(a, b) {
 		return
 	}
-	t.row = slices.Grow(t.row[:0], len(t.bs))[:len(t.bs)]
-	batch(a, t.bs, t.row)
-	for i, y := range t.bslot {
-		t.sim[int(s)*t.k+int(y)] = t.row[i]
-		t.sim[int(y)*t.k+int(s)] = t.row[i]
-		t.adm[int(s)*t.k+int(y)] = true
-		t.adm[int(y)*t.k+int(s)] = true
-	}
+	s := ag.Sim(a, b)
+	t.sim[int(x)*t.k+int(y)] = s
+	t.sim[int(y)*t.k+int(x)] = s
+	t.adm[int(x)*t.k+int(y)] = true
+	t.adm[int(y)*t.k+int(x)] = true
 }
 
 // before reports whether the pair (x, y) orders before the pair (u, v):
@@ -224,43 +202,20 @@ func (t *simTable) bestPair() (int32, int32) {
 	return bx, by
 }
 
-// merge retires the clusters in slots x and y (and the live cluster of id
-// merged, should Merge have handed back another live id), records the
-// creation of merged, and returns the slot it takes: x's. Its admissible
-// flags are cleared for the row about to be stored.
-func (t *simTable) merge(x, y int32, merged int) int32 {
-	t.retire(x)
-	t.retire(y)
-	f := int32(len(t.order))
-	for i, id := range t.order {
-		if id == merged {
-			f = t.first[i]
-			if c := t.cur[f]; c >= 0 {
-				t.retire(c)
-			}
-			break
-		}
-	}
+// merge retires the clusters in slots x and y and records the creation of
+// merged in slot x, clearing its admissible flags for the row about to be
+// stored.
+func (t *simTable) merge(x, y int32, merged int) {
+	t.slot[t.born[x]] = -1
+	t.slot[t.born[y]] = -1
+	t.live[y] = false
+	t.born[x] = int32(len(t.order))
 	t.order = append(t.order, merged)
-	t.first = append(t.first, f)
-	t.cur = append(t.cur, -1)
-	t.cur[f] = x
+	t.slot = append(t.slot, x)
 	t.id[x] = merged
-	t.live[x] = true
 	for z := 0; z < t.k; z++ {
 		t.adm[int(x)*t.k+z] = false
 		t.adm[z*t.k+int(x)] = false
-	}
-	return x
-}
-
-// retire frees slot s: its cluster has merged away.
-func (t *simTable) retire(s int32) {
-	t.live[s] = false
-	for i, c := range t.cur {
-		if c == s {
-			t.cur[i] = -1
-		}
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 
 // This file keeps the lazy-heap agglomeration loop verbatim as the oracle
 // for Run: the table-based Run must make the same merges, return the same
-// survivors and score the same (a, bs) rows through BatchSim, in the same
-// order and direction.
+// survivors and score the same pairs through Sim, in the same order and
+// direction.
 
 // mergeCand is one candidate merge in the lazy max-heap. va and vb snapshot
 // the version of each cluster when the candidate was scored; a candidate
@@ -64,7 +64,6 @@ func (h *candHeap) Pop() any {
 // Ties are broken by the smaller id pair, so the result is a deterministic
 // function of the similarity values regardless of how rows are computed.
 func heapRun(ag *Agglomerative, ids []int) []int {
-	batch := ag.BatchSim
 	admissible := func(a, b int) bool {
 		return ag.CanMerge == nil || ag.CanMerge(a, b)
 	}
@@ -77,16 +76,16 @@ func heapRun(ag *Agglomerative, ids []int) []int {
 	}
 
 	h := &candHeap{}
-	// pushRow scores cluster a against every live peer in bs and pushes the
-	// admissible candidates. Rows are scored through batch so callers can
-	// parallelize them; results land in index-addressed slots, keeping the
-	// candidate set independent of the evaluation schedule.
+	// pushRow scores cluster a against every live peer in bs, in order,
+	// and pushes the admissible candidates.
 	pushRow := func(a int, bs []int) {
 		if len(bs) == 0 {
 			return
 		}
 		sims := make([]float64, len(bs))
-		batch(a, bs, sims)
+		for i, b := range bs {
+			sims[i] = ag.Sim(a, b)
+		}
 		for i, b := range bs {
 			x, y := a, b
 			if x > y {
@@ -150,36 +149,22 @@ func (m *aggloModel) asymSim(a, b int) float64 {
 	return m.sim(a, b) + float64((a*31+b*17)%3)*0.125
 }
 
-// mergeInto fuses b into a and hands back a's id, the re-used-id form of
-// Merge.
-func (m *aggloModel) mergeInto(a, b int) int {
-	m.members[a] = append(m.members[a], m.members[b]...)
-	delete(m.members, b)
-	m.merges = append(m.merges, a, b, a)
-	return a
-}
-
 // aggloTrace is what one clustering run exposes: the merge log, the
-// survivors and every BatchSim call as "a [bs...]".
+// survivors and every Sim call as "a b".
 type aggloTrace struct {
 	merges, survivors []int
-	rows              []string
+	pairs             []string
 }
 
 // traceRun builds seed's model with the asymmetric similarity and runs it
-// through drive, with fresh or re-used merge ids.
-func traceRun(seed int64, reuse bool, drive func(*Agglomerative, []int) []int) aggloTrace {
+// through drive.
+func traceRun(seed int64, drive func(*Agglomerative, []int) []int) aggloTrace {
 	m := newAggloModel(rand.New(rand.NewSource(seed)))
 	var tr aggloTrace
 	ag := m.driver()
-	ag.BatchSim = func(a int, bs []int, out []float64) {
-		tr.rows = append(tr.rows, fmt.Sprint(a, bs))
-		for i, b := range bs {
-			out[i] = m.asymSim(a, b)
-		}
-	}
-	if reuse {
-		ag.Merge = m.mergeInto
+	ag.Sim = func(a, b int) float64 {
+		tr.pairs = append(tr.pairs, fmt.Sprint(a, b))
+		return m.asymSim(a, b)
 	}
 	tr.survivors = drive(ag, m.ids())
 	tr.merges = m.merges
@@ -188,22 +173,20 @@ func traceRun(seed int64, reuse bool, drive func(*Agglomerative, []int) []int) a
 
 // TestAgglomerativeMatchesHeapReference runs Run and the verbatim heapRun
 // over the same randomized models with an asymmetric similarity and forced
-// ties, with fresh and with re-used merge ids, and requires the same merge
-// log, the same survivors, and the same (a, bs) sequence through BatchSim.
+// ties, and requires the same merge log, the same survivors, and the same
+// (a, b) sequence through Sim.
 func TestAgglomerativeMatchesHeapReference(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
-		for _, reuse := range []bool{false, true} {
-			got := traceRun(seed, reuse, (*Agglomerative).Run)
-			want := traceRun(seed, reuse, heapRun)
-			if !reflect.DeepEqual(got.merges, want.merges) {
-				t.Fatalf("seed %d reuse=%v: merges %v, want %v", seed, reuse, got.merges, want.merges)
-			}
-			if !reflect.DeepEqual(got.survivors, want.survivors) {
-				t.Fatalf("seed %d reuse=%v: survivors %v, want %v", seed, reuse, got.survivors, want.survivors)
-			}
-			if !reflect.DeepEqual(got.rows, want.rows) {
-				t.Fatalf("seed %d reuse=%v: BatchSim rows\n%v\nwant\n%v", seed, reuse, got.rows, want.rows)
-			}
+		got := traceRun(seed, (*Agglomerative).Run)
+		want := traceRun(seed, heapRun)
+		if !reflect.DeepEqual(got.merges, want.merges) {
+			t.Fatalf("seed %d: merges %v, want %v", seed, got.merges, want.merges)
+		}
+		if !reflect.DeepEqual(got.survivors, want.survivors) {
+			t.Fatalf("seed %d: survivors %v, want %v", seed, got.survivors, want.survivors)
+		}
+		if !reflect.DeepEqual(got.pairs, want.pairs) {
+			t.Fatalf("seed %d: Sim calls\n%v\nwant\n%v", seed, got.pairs, want.pairs)
 		}
 	}
 }

@@ -82,18 +82,9 @@ func (m *aggloModel) canMerge(a, b int) bool {
 
 func (m *aggloModel) driver() *Agglomerative {
 	return &Agglomerative{
-		BatchSim: batchOf(m.sim),
+		Sim:      m.sim,
 		Merge:    m.merge,
 		CanMerge: m.canMerge,
-	}
-}
-
-// batchOf scores a row through the pair function sim, one pair at a time.
-func batchOf(sim func(a, b int) float64) func(a int, bs []int, out []float64) {
-	return func(a int, bs []int, out []float64) {
-		for i, b := range bs {
-			out[i] = sim(a, b)
-		}
 	}
 }
 

@@ -28,11 +28,10 @@ type Config struct {
 	// MaxOccurrences caps the occurrences clustered per motif (0 = all);
 	// clustering is O(D^2) in this value.
 	MaxOccurrences int
-	// Parallelism caps the worker goroutines used for occurrence-similarity
-	// rows and per-motif labeling (0 = runtime.GOMAXPROCS(0)). Output is
-	// byte-identical at every setting: similarity rows land in
-	// index-addressed slots and merge order is a deterministic function of
-	// the similarity values (see DESIGN.md, "Parallel architecture").
+	// Parallelism caps LabelAll's worker goroutines, each labeling one
+	// motif at a time (0 = runtime.GOMAXPROCS(0)). Output is byte-identical
+	// at every setting: each motif's schemes land in the motif's own slot
+	// (see DESIGN.md, "Parallel architecture").
 	Parallelism int
 	// Now, when set, enables clustering telemetry: each LabelOccurrences
 	// call brackets its agglomeration and the filling of its vertex
@@ -226,29 +225,14 @@ func (l *Labeler) LabelOccurrences(nv int, occurrences [][]int32, sym *Symmetry)
 	}
 
 	// Agglomeration (Algorithm 1 lines 5-14) runs on the generic table
-	// driver: each cluster's similarity row is computed once, fanned out to
-	// the worker pool, and each merge takes the best of the live clusters'
-	// best partners. Results are identical at any worker count because the
-	// similarity values are pure functions of the schemes and the driver
-	// breaks ties by cluster id, not by evaluation order.
-	// Rows discard the pairing: each chunk of a row scores through one
-	// pooled scratch, so scoring allocates nothing per pair. Rows only read
-	// the set table; merges, which add to it, run between rows.
+	// driver: each similarity is scored once, and each merge takes the best
+	// of the live clusters' best partners. The driver breaks ties by
+	// cluster id, so the merges are a function of the similarity values
+	// alone. Scoring discards the pairing and works in the table's scratch,
+	// so it allocates nothing per pair.
 	ag := &cluster.Agglomerative{
-		BatchSim: func(a int, bs []int, out []float64) {
-			// Short rows are cheaper serial than the goroutine handoff; the
-			// threshold only moves work between schedules, never changes it.
-			workers := par.Workers(l.cfg.Parallelism)
-			if len(bs) < minParallelRow {
-				workers = 1
-			}
-			par.Chunks(len(bs), soChunk, workers, func(_, lo, hi int) {
-				sc := soPool.Get().(*soScratch)
-				for i := lo; i < hi; i++ {
-					out[i] = st.occurrence(clusters[a].ids, clusters[bs[i]].ids, sym, sc.pairing[:nv], sc)
-				}
-				soPool.Put(sc)
-			})
+		Sim: func(a, b int) float64 {
+			return st.occurrence(clusters[a].ids, clusters[b].ids, sym, st.sc.pairing[:nv], st.sc)
 		},
 		Merge: func(a, b int) int {
 			clusters = append(clusters, l.merge(st, clusters[a], clusters[b], sym))
@@ -296,10 +280,8 @@ func (l *Labeler) LabelOccurrences(nv int, occurrences [][]int32, sym *Symmetry)
 // re-ordering b's occurrences to a's vertex correspondence.
 func (l *Labeler) merge(st *setTable, a, b *clusterState, sym *Symmetry) *clusterState {
 	nv := len(a.scheme)
-	sc := soPool.Get().(*soScratch)
-	defer soPool.Put(sc)
-	pairing := sc.pairing[:nv]
-	st.occurrence(a.ids, b.ids, sym, pairing, sc)
+	pairing := st.sc.pairing[:nv]
+	st.occurrence(a.ids, b.ids, sym, pairing, st.sc)
 	m := &clusterState{scheme: make([][]int32, nv), ids: make([]int32, nv)}
 	for v := 0; v < nv; v++ {
 		m.scheme[v] = LeastGeneral(l.sim.lca, a.scheme[v], b.scheme[pairing[v]], l.cfg.MaxLabelsPerVertex)
@@ -331,18 +313,13 @@ func (l *Labeler) isFrozen(cs *clusterState) bool {
 	return 2*at >= n
 }
 
-// minParallelRow is the smallest similarity row fanned out to the worker
-// pool; shorter rows run serially to skip the goroutine handoff cost.
-const minParallelRow = 32
-
-// soChunk is the number of row entries scored per pooled scratch.
-const soChunk = 8
-
 // LabelAll runs LabelMotif over every motif and flattens the results in
-// motif order. Motifs are labeled concurrently (the Labeler is safe for
-// concurrent use: the term cache is sharded, everything else is read-only),
-// with each motif's schemes written to its own index so the flattened
-// output is independent of the schedule.
+// motif order. Motifs are labeled concurrently, each on one goroutine (the
+// Labeler is safe for concurrent use: the term cache is a dense atomic
+// table up to 1,536 terms and sharded maps above, the telemetry counters
+// are atomic, and everything else is read-only), with each motif's schemes
+// written to its own index so the flattened output is independent of the
+// schedule.
 func (l *Labeler) LabelAll(ms []*motif.Motif) []*LabeledMotif {
 	results := make([][]*LabeledMotif, len(ms))
 	par.Do(len(ms), par.Workers(l.cfg.Parallelism), func(i int) {

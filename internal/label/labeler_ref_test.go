@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"lamofinder/internal/cluster"
-	"lamofinder/internal/par"
 )
 
 // This file keeps LabelOccurrences, merge and the SO core as they stood
@@ -40,28 +39,15 @@ func (l *Labeler) refLabelOccurrences(nv int, occurrences [][]int32, sym *Symmet
 	}
 
 	// Agglomeration (Algorithm 1 lines 5-14) runs on the generic table
-	// driver: each cluster's similarity row is computed once, fanned out to
-	// the worker pool, and each merge takes the best of the live clusters'
-	// best partners. Results are identical at any worker count because the
-	// similarity values are pure functions of the schemes and the driver
+	// driver: each cluster's similarity row is computed once, and each
+	// merge takes the best of the live clusters' best partners. The driver
 	// breaks ties by cluster id, not by evaluation order.
-	// Rows discard the pairing: each chunk of a row scores through one
-	// pooled scratch, so scoring allocates nothing per pair.
+	// Scoring discards the pairing and works in one scratch, so it
+	// allocates nothing per pair.
+	sc := newSOScratch()
 	ag := &cluster.Agglomerative{
-		BatchSim: func(a int, bs []int, out []float64) {
-			// Short rows are cheaper serial than the goroutine handoff; the
-			// threshold only moves work between schedules, never changes it.
-			workers := par.Workers(l.cfg.Parallelism)
-			if len(bs) < minParallelRow {
-				workers = 1
-			}
-			par.Chunks(len(bs), soChunk, workers, func(_, lo, hi int) {
-				sc := soPool.Get().(*soScratch)
-				for i := lo; i < hi; i++ {
-					out[i] = l.sim.refOccurrenceInto(clusters[a].scheme, clusters[bs[i]].scheme, sym, sc.pairing[:nv], sc)
-				}
-				soPool.Put(sc)
-			})
+		Sim: func(a, b int) float64 {
+			return l.sim.refOccurrenceInto(clusters[a].scheme, clusters[b].scheme, sym, sc.pairing[:nv], sc)
 		},
 		Merge: func(a, b int) int {
 			clusters = append(clusters, l.refMerge(clusters[a], clusters[b], sym))
@@ -113,8 +99,7 @@ func (l *Labeler) refLabelOccurrences(nv int, occurrences [][]int32, sym *Symmet
 // vertex correspondence.
 func (l *Labeler) refMerge(a, b *clusterState, sym *Symmetry) *clusterState {
 	nv := len(a.scheme)
-	sc := soPool.Get().(*soScratch)
-	defer soPool.Put(sc)
+	sc := newSOScratch()
 	pairing := sc.pairing[:nv]
 	l.sim.refOccurrenceInto(a.scheme, b.scheme, sym, pairing, sc)
 	m := &clusterState{scheme: make([][]int32, nv)}

@@ -170,10 +170,7 @@ func (s *Sim) Occurrence(labelsA, labelsB [][]int32, sym *Symmetry) (so float64,
 		}
 	}
 	pairing = make([]int, nv)
-	sc := soPool.Get().(*soScratch)
-	so = t.occurrence(pos, pos, sym, pairing, sc)
-	soPool.Put(sc)
-	return so, pairing
+	return t.occurrence(pos, pos, sym, pairing, newSOScratch()), pairing
 }
 
 // svTable holds SV (Eq. 2) between numbered label sets, in both orders:
@@ -200,10 +197,10 @@ type soScratch struct {
 	hung    *cluster.AssignScratch
 }
 
-// soPool recycles SO scratch across evaluations and goroutines.
-var soPool = sync.Pool{New: func() any {
+// newSOScratch returns an SO scratch sized for any pattern.
+func newSOScratch() *soScratch {
 	return &soScratch{hung: cluster.NewAssignScratch(graph.MaxDense)}
-}}
+}
 
 // occurrence is the one SO core: it returns SO between the occurrences
 // whose vertex v carries the sets numbered ia[v] and ib[v] in t, writes
@@ -256,11 +253,12 @@ func (t *svTable) occurrence(ia, ib []int32, sym *Symmetry, pairing []int, sc *s
 }
 
 // setTable numbers the label sets of one LabelOccurrences call by their
-// exact term sequence and keeps SV between every ordered pair of them.
-// Only intern writes it, and the labeler calls intern outside similarity
-// rows, so the rows read it without locks.
+// exact term sequence and keeps SV between every ordered pair of them,
+// with the scratch that the call's SO evaluations work in. One call, on
+// one goroutine, owns it.
 type setTable struct {
 	svTable
+	sc   *soScratch
 	sim  *Sim
 	ids  map[string]int32
 	sets [][]int32
@@ -269,7 +267,7 @@ type setTable struct {
 
 // setTables recycles tables across calls: a table's SV block reaches a few
 // hundred KB, and a build labels hundreds of motifs.
-var setTables = sync.Pool{New: func() any { return &setTable{ids: map[string]int32{}} }}
+var setTables = sync.Pool{New: func() any { return &setTable{sc: newSOScratch(), ids: map[string]int32{}} }}
 
 // newSetTable returns an empty table scoring through sim. A recycled
 // table keeps its old SV entries: intern writes every entry between a new

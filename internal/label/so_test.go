@@ -10,6 +10,7 @@ import (
 	"lamofinder/internal/cluster"
 	"lamofinder/internal/dataset"
 	"lamofinder/internal/graph"
+	"lamofinder/internal/motif"
 )
 
 // soCase is one similarity calculator with the terms to label from.
@@ -66,10 +67,6 @@ func soPattern(n int, rng *rand.Rand) *graph.Dense {
 		}
 	}
 	return d
-}
-
-func newSOScratch() *soScratch {
-	return &soScratch{hung: cluster.NewAssignScratch(graph.MaxDense)}
 }
 
 // internAll interns each set of ls into st and returns their numbers.
@@ -186,9 +183,9 @@ func TestOccurrenceAllocs(t *testing.T) {
 }
 
 // TestOccurrenceConcurrent scores the same pairs from several goroutines
-// at once, each taking pooled scratch as the agglomeration's row chunks
-// do; under -race it certifies that no scratch is shared, and every SO and
-// pairing must match the serial result.
+// at once, sharing the term cache as LabelAll's workers do; under -race it
+// certifies that no scratch is shared, and every SO and pairing must match
+// the serial result.
 func TestOccurrenceConcurrent(t *testing.T) {
 	c := soCases(t)[1]
 	rng := rand.New(rand.NewSource(12))
@@ -227,46 +224,6 @@ func TestOccurrenceConcurrent(t *testing.T) {
 	close(errs)
 	if msg, ok := <-errs; ok {
 		t.Fatal(msg)
-	}
-}
-
-// TestLabelOccurrencesParallelRows clusters enough occurrences that the
-// similarity rows fan out in chunks across workers, and checks the schemes
-// match a single worker's on both symmetry paths.
-func TestLabelOccurrencesParallelRows(t *testing.T) {
-	cfg := dataset.DefaultMIPSConfig()
-	cfg.Proteins, cfg.Edges = 200, 260
-	m := dataset.NewMIPS(cfg)
-	rng := rand.New(rand.NewSource(4))
-	star, cycle := graph.NewDense(5), graph.NewDense(5)
-	for v := 1; v < 5; v++ {
-		star.AddEdge(0, v)
-		cycle.AddEdge(v-1, v)
-	}
-	cycle.AddEdge(4, 0)
-	occs := make([][]int32, 3*minParallelRow)
-	for i := range occs {
-		for _, p := range rng.Perm(cfg.Proteins)[:5] {
-			occs[i] = append(occs[i], int32(p))
-		}
-	}
-	for _, d := range []*graph.Dense{star, cycle} {
-		var want []*Scheme
-		for _, workers := range []int{1, 4} {
-			lcfg := DefaultConfig()
-			lcfg.Sigma, lcfg.MinDirect, lcfg.MaxOccurrences, lcfg.Parallelism = 2, 10, 0, workers
-			got := NewLabeler(m.Corpus, lcfg).LabelOccurrences(5, occs, NewSymmetry(d))
-			if workers == 1 {
-				if len(got) == 0 {
-					t.Fatalf("%v: no schemes", d)
-				}
-				want = got
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v: schemes differ between 1 and %d workers", d, workers)
-			}
-		}
 	}
 }
 
@@ -325,15 +282,20 @@ func TestMaxAssignment2x2MatchesReference(t *testing.T) {
 
 // TestLabelOccurrencesMatchesReference clusters random occurrence sets of
 // the MIPS corpus under star, cycle and random patterns, so both symmetry
-// paths run, at 1 and 4 workers, and requires the schemes of the labeler as
-// it stood before its label-set table (labeler_ref_test.go): the same
-// labels, occurrences and order.
+// paths run, and requires the schemes of the labeler as it stood before
+// its label-set table (labeler_ref_test.go): the same labels, occurrences
+// and order. LabelAll must then give the same schemes, in motif order, at
+// 1 and 4 workers.
 func TestLabelOccurrencesMatchesReference(t *testing.T) {
 	cfg := dataset.DefaultMIPSConfig()
 	cfg.Proteins, cfg.Edges = 200, 260
 	m := dataset.NewMIPS(cfg)
+	lcfg := DefaultConfig()
+	lcfg.Sigma, lcfg.MinDirect, lcfg.MaxOccurrences = 2, 10, 0
 	rng := rand.New(rand.NewSource(29))
-	var orbitPath, autPath, schemes int
+	var orbitPath, autPath int
+	var motifs []*motif.Motif
+	var want []*Scheme
 	for trial := 0; trial < 15; trial++ {
 		n := 4 + trial%4
 		d := graph.NewDense(n)
@@ -362,20 +324,26 @@ func TestLabelOccurrencesMatchesReference(t *testing.T) {
 				occs[i] = append(occs[i], int32(p))
 			}
 		}
-		for _, workers := range []int{1, 4} {
-			lcfg := DefaultConfig()
-			lcfg.Sigma, lcfg.MinDirect, lcfg.MaxOccurrences, lcfg.Parallelism = 2, 10, 0, workers
-			l := NewLabeler(m.Corpus, lcfg)
-			want := l.refLabelOccurrences(n, occs, sym)
-			got := l.LabelOccurrences(n, occs, sym)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d %v, %d workers: schemes differ from the reference", trial, d, workers)
-			}
-			schemes += len(got)
+		l := NewLabeler(m.Corpus, lcfg)
+		ref := l.refLabelOccurrences(n, occs, sym)
+		if got := l.LabelOccurrences(n, occs, sym); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("trial %d %v: schemes differ from the reference", trial, d)
 		}
+		motifs = append(motifs, &motif.Motif{Pattern: d, Occurrences: occs})
+		want = append(want, ref...)
 	}
-	if orbitPath < 3 || autPath < 3 || schemes == 0 {
-		t.Fatalf("%d orbit-path and %d automorphism-path patterns, %d schemes; need both paths and some schemes", orbitPath, autPath, schemes)
+	if orbitPath < 3 || autPath < 3 || len(want) == 0 {
+		t.Fatalf("%d orbit-path and %d automorphism-path patterns, %d schemes; need both paths and some schemes", orbitPath, autPath, len(want))
+	}
+	for _, workers := range []int{1, 4} {
+		lcfg.Parallelism = workers
+		var got []*Scheme
+		for _, lm := range NewLabeler(m.Corpus, lcfg).LabelAll(motifs) {
+			got = append(got, &Scheme{Labels: lm.Labels, Occurrences: lm.Occurrences})
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("LabelAll at %d workers: schemes differ from the reference", workers)
+		}
 	}
 }
 
