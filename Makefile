@@ -25,7 +25,7 @@ RACEPKGS = ./internal/par/... ./internal/label/... ./internal/cluster/... \
 	./internal/serve/... ./internal/fleet/... ./internal/artifact/... \
 	./internal/obs/... ./internal/analysis/... ./internal/query/...
 
-.PHONY: all build fmt vet govet lamovet vet-json lint test race alloc alloc-build paper-golden results fuzz bench-module bench-smoke e2e ci
+.PHONY: all build fmt vet govet lamovet vet-json lint test race alloc alloc-build paper-golden results fuzz bench-module bench-smoke e2e fma ci
 
 all: ci
 
@@ -182,4 +182,31 @@ e2e:
 	$(GO) vet -tags e2e ./e2e/
 	$(GO) test -tags e2e -count=1 ./e2e/
 
-ci: build fmt lint test race alloc alloc-build paper-golden fuzz bench-module bench-smoke e2e
+# fma fails if the compiler fused a floating-point multiply with an add or
+# subtract (FMADD, FMSUB, FNMADD, FNMSUB, any width) in any module function
+# of any command or example built for arm64 or ppc64le, and prints each
+# site once per architecture: function, file:line and instruction. The Go
+# spec lets the compiler fuse x*y + z, which rounds once instead of twice;
+# amd64 never does, arm64 and ppc64le do, so a fused product would compute
+# other bytes there than the amd64 gates pin. An explicit float64(...)
+# around the product forbids the fusion. The check reads the disassembly,
+# so it also sees a product fused into a later statement. -trimpath makes
+# every module file read lamofinder/..., main packages included. About
+# 1.5 min on 2 vCPUs.
+FMA_ARCHS = arm64 ppc64le
+fma:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for arch in $(FMA_ARCHS); do \
+		mkdir "$$tmp/$$arch"; \
+		GOOS=linux GOARCH=$$arch $(GO) build -trimpath -o "$$tmp/$$arch/" ./cmd/... ./examples/...; \
+		for bin in "$$tmp/$$arch"/*; do \
+			$(GO) tool objdump "$$bin" | awk -v arch=$$arch ' \
+				/^TEXT / { fn = $$2; sub(/\(SB\)$$/, "", fn); mod = ($$3 ~ /^lamofinder\//) } \
+				mod && $$4 ~ /^FN?M(ADD|SUB)[SD]?$$/ { print "fma: " arch " " fn " " $$1 " " $$4 }'; \
+		done; \
+	done | sort -u > "$$tmp/sites"; \
+	cat "$$tmp/sites"; \
+	[ ! -s "$$tmp/sites" ] || { echo "fma: fused multiply-add in module code; wrap the product in float64(...)"; exit 1; }; \
+	echo "fma: no fused multiply-add in module code on $(FMA_ARCHS)"
+
+ci: build fmt lint test race alloc alloc-build paper-golden fuzz bench-module bench-smoke e2e fma

@@ -74,7 +74,9 @@ func NeighborJoining(d [][]float64) *Tree {
 		for i := 0; i < m; i++ {
 			for j := i + 1; j < m; j++ {
 				d := dist[active[i]][active[j]]
-				q := float64(m-2)*d - r[i] - r[j]
+				// The conversions in this function round each product,
+				// so no architecture fuses it into a sum (make fma).
+				q := float64(float64(m-2)*d) - r[i] - r[j]
 				if q < best-1e-12 || (q < best+1e-12 && d < bestD) {
 					best, bestD, bi, bj = q, d, i, j
 				}
@@ -83,7 +85,7 @@ func NeighborJoining(d [][]float64) *Tree {
 		a, b := active[bi], active[bj]
 		dab := dist[a][b]
 		// Branch lengths.
-		la := 0.5*dab + (r[bi]-r[bj])/(2*float64(m-2))
+		la := float64(0.5*dab) + (r[bi]-r[bj])/(2*float64(m-2))
 		lb := dab - la
 		if la < 0 {
 			la, lb = 0, dab
@@ -120,12 +122,12 @@ func NeighborJoining(d [][]float64) *Tree {
 			if c == a || c == b {
 				continue
 			}
-			dist[u][c] = lambda*(dist[a][c]-la) + (1-lambda)*(dist[b][c]-lb)
+			dist[u][c] = float64(lambda*(dist[a][c]-la)) + float64((1-lambda)*(dist[b][c]-lb))
 			if dist[u][c] < 0 {
 				dist[u][c] = 0
 			}
 			dist[c][u] = dist[u][c]
-			vari[u][c] = lambda*vari[a][c] + (1-lambda)*vari[b][c] - lambda*(1-lambda)*vari[a][b]
+			vari[u][c] = float64(lambda*vari[a][c]) + float64((1-lambda)*vari[b][c]) - float64(lambda*(1-lambda)*vari[a][b])
 			vari[c][u] = vari[u][c]
 		}
 		// Replace a,b with u in the active list.

@@ -60,7 +60,10 @@ func AUC(t *predict.Task, s predict.Scorer) (perFunction []float64, macro float6
 			for j < len(rows) && floats.Eq(rows[j].v, rows[i].v) {
 				j++
 			}
-			mid := float64(i+j+1) / 2 // average 1-based rank of the tie group
+			// The average 1-based rank of the tie group. The conversion, here
+			// and below, keeps each product rounded on its own, so no
+			// architecture fuses it into the sum (make fma).
+			mid := float64(float64(i+j+1) / 2)
 			for k := i; k < j; k++ {
 				if rows[k].pos {
 					rankSum += mid
@@ -68,7 +71,7 @@ func AUC(t *predict.Task, s predict.Scorer) (perFunction []float64, macro float6
 			}
 			i = j
 		}
-		auc := (rankSum - float64(pos)*float64(pos+1)/2) / (float64(pos) * float64(neg))
+		auc := (rankSum - float64(float64(pos)*float64(pos+1)/2)) / (float64(pos) * float64(neg))
 		perFunction[f] = auc
 		macro += auc
 		used++

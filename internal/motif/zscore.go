@@ -79,7 +79,7 @@ func meanStd(xs []float64) (mean, std float64) {
 	mean /= float64(len(xs))
 	for _, x := range xs {
 		d := x - mean
-		std += d * d
+		std += float64(d * d) // no fused multiply-add (make fma)
 	}
 	std = math.Sqrt(std / float64(len(xs)))
 	return mean, std

@@ -140,7 +140,7 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 	if s.Count <= 0 {
 		return 0
 	}
-	rank := int64(q*float64(s.Count) + 0.5)
+	rank := int64(float64(q*float64(s.Count)) + 0.5) // no fused multiply-add (make fma)
 	if rank < 1 {
 		rank = 1
 	}

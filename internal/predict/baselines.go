@@ -45,7 +45,7 @@ func (c *ChiSquare) Scores(p int) []float64 {
 		return out
 	}
 	for f := range out {
-		e := float64(annotated) * c.priors[f]
+		e := float64(float64(annotated) * c.priors[f]) // no fused multiply-add (make fma)
 		if e <= 0 {
 			continue
 		}
@@ -103,11 +103,13 @@ func NewMRF(t *Task) *MRF {
 					y = 1
 				}
 				x1, x0 := rows[p].m1[f], rows[p].m0[f]
-				pr := sigmoid(a + b*x1 + c*x0)
+				// Each conversion rounds its product, so no architecture
+				// fuses it into the sum (make fma).
+				pr := sigmoid(a + float64(b*x1) + float64(c*x0))
 				g := y - pr
 				ga += g
-				gb += g * x1
-				gc += g * x0
+				gb += float64(g * x1)
+				gc += float64(g * x0)
 			}
 			if n == 0 {
 				break
@@ -132,7 +134,7 @@ func (m *MRF) Scores(p int) []float64 {
 		x1 := counts[f]
 		x0 := float64(annotated) - x1
 		pr := m.params[f]
-		out[f] = sigmoid(pr[0] + pr[1]*x1 + pr[2]*x0)
+		out[f] = sigmoid(pr[0] + float64(pr[1]*x1) + float64(pr[2]*x0)) // no fused multiply-add (make fma)
 	}
 	return out
 }

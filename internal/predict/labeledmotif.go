@@ -144,7 +144,9 @@ func (lp *LabeledMotif) Scores(p int) []float64 {
 				c -= inc.count
 			}
 			if c > 0 {
-				out[f] += c * w
+				// The conversion rounds the product, so no architecture
+				// fuses it into the sum (make fma).
+				out[f] += float64(c * w)
 			}
 		}
 	}
