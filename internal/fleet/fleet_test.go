@@ -448,6 +448,98 @@ func TestFleetHedging(t *testing.T) {
 	}
 }
 
+// TestGatewayRetriesTruncatedBody: a replica whose /v1/predict answer
+// declares a Content-Length it never sends, then closes, fails the
+// gateway's read with unexpected EOF. The gateway retries on the next
+// replica and relays its body, and answers 502 once every attempt
+// truncates, after at most maxAttempts of them. Hedging is off and the
+// probes never start, so the ring preference alone orders the attempts.
+func TestGatewayRetriesTruncatedBody(t *testing.T) {
+	dir := t.TempDir()
+	path, _ := saveExample(t, dir, "version a")
+	healthy := newReplica(t, path, dir)
+	truncating := func() string {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			conn, buf, err := http.NewResponseController(w).Hijack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer conn.Close()
+			_, _ = buf.WriteString("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 4096\r\n\r\n{\"protein\":")
+			_ = buf.Flush()
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	gateway := func(replicas []string) (*Router, *httptest.Server) {
+		rt, err := New(Config{Replicas: replicas, HedgeMax: -1, Logger: obs.NewLogger(io.Discard, obs.LevelOff)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rt.Close)
+		ts := httptest.NewServer(rt.Handler())
+		t.Cleanup(ts.Close)
+		return rt, ts
+	}
+
+	rt, ts := gateway([]string{healthy.ts.URL, truncating()})
+	// The ring sorts its members by address.
+	bi := 0
+	if rt.members[0].addr == healthy.ts.URL {
+		bi = 1
+	}
+	good, bad := rt.members[1-bi], rt.members[bi]
+	query := ""
+	var scratch [maxReplicas]int
+	for p := 1; p <= 22 && query == ""; p++ {
+		k := fmt.Sprintf("p%d", p)
+		if rt.ring.Preference(k, scratch[:0])[0] == bi {
+			query = "/v1/predict?protein=" + k + "&k=5"
+		}
+	}
+	if query == "" {
+		t.Fatal("no protein prefers the truncating replica; fixture assumption broken")
+	}
+	_, want := get(t, healthy.ts.URL+query)
+	status, body := get(t, ts.URL+query)
+	if status != http.StatusOK || !bytes.Equal(body, want) {
+		t.Fatalf("status %d body %s, want 200 and the healthy replica's %s", status, body, want)
+	}
+	if n := rt.met.retries.Load(); n != 1 {
+		t.Errorf("retries = %d, want 1", n)
+	}
+	if b, g := bad.errors.Load(), good.errors.Load(); b != 1 || g != 0 {
+		t.Errorf("errors: truncating replica %d, healthy %d; want 1 and 0", b, g)
+	}
+	if b, g := bad.requests.Load(), good.requests.Load(); b != 1 || g != 1 {
+		t.Errorf("requests: truncating replica %d, healthy %d; want 1 each", b, g)
+	}
+
+	// Every replica truncates, one more of them than maxAttempts, so the
+	// attempt cap, not the fleet size, ends the request.
+	urls := make([]string, maxAttempts+1)
+	for i := range urls {
+		urls[i] = truncating()
+	}
+	rt, ts = gateway(urls)
+	status, body = get(t, ts.URL+query)
+	if status != http.StatusBadGateway || !strings.Contains(string(body), "unexpected EOF") {
+		t.Fatalf("status %d body %s, want 502 naming unexpected EOF", status, body)
+	}
+	var attempts, errs int64
+	for _, m := range rt.members {
+		attempts += m.requests.Load()
+		errs += m.errors.Load()
+	}
+	if attempts != maxAttempts || errs != maxAttempts {
+		t.Errorf("%d attempts, %d errors; want %d each", attempts, errs, maxAttempts)
+	}
+	if n := rt.met.retries.Load(); n != maxAttempts-1 {
+		t.Errorf("retries = %d, want %d", n, maxAttempts-1)
+	}
+}
+
 // TestGatewayOversizedBodyRejected: the gateway route that reads a POST
 // body, the rollout, refuses one over serve.MaxBody with 413, as every
 // daemon route does (serve's TestOversizedBodyRejected), while a body of
