@@ -5,9 +5,10 @@
 GO ?= go
 
 # RACEPKGS are the concurrency-bearing packages: the par worker pool, the
-# sharded similarity cache and parallel labeler (internal/label), the
-# pooled similarity-table agglomerator driven by batch-parallel rows
-# (internal/cluster), the chunked ESU enumeration, chunk-parallel level-wise
+# shared term-similarity cache and per-motif parallel labeler
+# (internal/label), the pooled similarity tables of the agglomerator that
+# each labeling worker drives (internal/cluster), the chunked ESU
+# enumeration, chunk-parallel level-wise
 # miner and per-network uniqueness fan-outs (internal/motif)
 # on top of the randnet generators and the graph, ontology and directed-
 # motif packages they share, the serving stack (request handlers over one

@@ -76,6 +76,9 @@ type Figure6Result struct {
 	CountBySize map[int]int
 	// MinedBySize and UniqueBySize trace the pipeline per size.
 	MinedBySize, UniqueBySize map[int]int
+	// BeamWidth is the miner's class cap per size (0 = none). A size whose
+	// mined count reached it is bounded by the beam, not by the network.
+	BeamWidth int
 	// UnlabeledMotifs is the count of unique unlabeled motifs (paper: 1367).
 	UnlabeledMotifs int
 	// LabeledMotifs is the total labeled motif count (paper: 3842).
@@ -103,6 +106,7 @@ func Figure6(cfg Figure6Config) *Figure6Result {
 		CountBySize:       map[int]int{},
 		MinedBySize:       map[int]int{},
 		UniqueBySize:      map[int]int{},
+		BeamWidth:         cfg.Mine.BeamWidth,
 		UnlabeledMotifs:   len(unique),
 		MinedClasses:      len(mined),
 		Proteins:          y.Network.N(),
@@ -170,12 +174,20 @@ func (r *Figure6Result) WriteText(w io.Writer) error {
 	fmt.Fprintf(bw, "Figure 6: labeled network motif distribution (peak size %d, meso fraction %.2f)\n",
 		r.PeakSize, r.MesoFraction)
 	fmt.Fprintf(bw, "  pipeline by size (mined/unique/labeled):\n")
+	beamed := false
 	for size := 2; size <= 25; size++ {
 		if r.MinedBySize[size]+r.UniqueBySize[size]+r.CountBySize[size] == 0 {
 			continue
 		}
-		fmt.Fprintf(bw, "    size %2d: %4d / %4d / %4d\n",
-			size, r.MinedBySize[size], r.UniqueBySize[size], r.CountBySize[size])
+		mark := ""
+		if r.BeamWidth > 0 && r.MinedBySize[size] >= r.BeamWidth {
+			mark, beamed = " *", true
+		}
+		fmt.Fprintf(bw, "    size %2d: %4d / %4d / %4d%s\n",
+			size, r.MinedBySize[size], r.UniqueBySize[size], r.CountBySize[size], mark)
+	}
+	if beamed {
+		fmt.Fprintf(bw, "    * mined count reached the beam width %d: the beam, not the network, sets it\n", r.BeamWidth)
 	}
 	maxC := 1
 	maxSize := 0
