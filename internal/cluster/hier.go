@@ -117,10 +117,10 @@ func (t *simTable) reset(ids []int) {
 	t.adm = slices.Grow(t.adm[:0], k*k)[:k*k]
 	clear(t.adm)
 	t.id = append(t.id[:0], ids...)
-	t.order = append(t.order[:0], ids...)
-	t.born, t.slot = t.born[:0], t.slot[:0]
 	t.best = slices.Grow(t.best[:0], k)[:k]
 	t.live = slices.Grow(t.live[:0], k)[:k]
+	t.order = append(t.order[:0], ids...)
+	t.born, t.slot = t.born[:0], t.slot[:0]
 	for i := range ids {
 		t.live[i] = true
 		t.born = append(t.born, int32(i))
