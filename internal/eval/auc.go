@@ -60,9 +60,10 @@ func AUC(t *predict.Task, s predict.Scorer) (perFunction []float64, macro float6
 			for j < len(rows) && floats.Eq(rows[j].v, rows[i].v) {
 				j++
 			}
-			// The average 1-based rank of the tie group. The conversion, here
-			// and below, keeps each product rounded on its own, so no
-			// architecture fuses it into the sum (make fma).
+			// The average 1-based rank of the tie group. The compiler turns
+			// each halving, here and below, into a product by 0.5; the
+			// conversion rounds it on its own, so no architecture fuses it
+			// into the sum (make fma).
 			mid := float64(float64(i+j+1) / 2)
 			for k := i; k < j; k++ {
 				if rows[k].pos {
