@@ -155,30 +155,32 @@ func TestDensePermute(t *testing.T) {
 	}
 }
 
-// CanonicalKey returns a string that is identical for isomorphic graphs and
-// distinct for non-isomorphic ones, for graphs with at most canonExactMax
-// vertices: the exact canonical form the Classifier keys small graphs by
-// (canonRows), spelled out so the tests can compare it. It panics for
-// larger graphs.
-//
-// invariant: d.n <= canonExactMax — exact canonical search is factorial in
-// the vertex count, so a larger input is a caller bug (the miner routes
-// meso-scale patterns through Classifier), never a data-dependent state.
+// CanonicalKey returns the smallest raw adjacency-bit string of d over
+// all n! relabelings: identical for isomorphic graphs and distinct for
+// non-isomorphic ones. It is the brute-force oracle the classifier is
+// checked against, so keep n small.
 func CanonicalKey(d *Dense) string {
-	if d.n > canonExactMax {
-		panic("graph: CanonicalKey limited to 8 vertices; use Classifier")
+	perm := make([]int, d.n)
+	for i := range perm {
+		perm[i] = i
 	}
-	var rows [canonExactMax]uint32
-	canonRows(d, &rows)
-	best := NewDense(d.n)
-	for i := 0; i < d.n; i++ {
-		for p := 0; p < i; p++ {
-			if rows[i]&(1<<uint(p)) != 0 {
-				best.AddEdge(i, p)
+	best := ""
+	var rec func(k int)
+	rec = func(k int) {
+		if k == len(perm) {
+			if key := d.Permute(perm).bitsKey(); best == "" || key < best {
+				best = key
 			}
+			return
+		}
+		for i := k; i < len(perm); i++ {
+			perm[k], perm[i] = perm[i], perm[k]
+			rec(k + 1)
+			perm[k], perm[i] = perm[i], perm[k]
 		}
 	}
-	return best.bitsKey()
+	rec(0)
+	return best
 }
 
 // bitsKey packs the adjacency bits into a comparable string for a fixed
@@ -187,49 +189,55 @@ func (d *Dense) bitsKey() string {
 	return string(d.AppendBits(make([]byte, 0, d.n*4+1)))
 }
 
-// Isomorphic reports whether a and b are isomorphic: the canonical form up
-// to canonExactMax vertices, the isomorphism search above.
+// Isomorphic reports whether a and b are isomorphic, by the package's one
+// isomorphism search.
 func Isomorphic(a, b *Dense) bool {
-	if a.n != b.n || a.M() != b.M() {
-		return false
-	}
-	if Invariant(a) != Invariant(b) {
-		return false
-	}
-	if a.n <= canonExactMax {
-		return CanonicalKey(a) == CanonicalKey(b)
-	}
 	var mapping [MaxDense]int
 	return IsoMappingInto(a, b, mapping[:])
 }
 
-func TestCanonicalKeyIsomorphicPaths(t *testing.T) {
-	// Path 0-1-2-3 vs path relabeled arbitrarily.
-	a := NewDense(4)
-	a.AddEdge(0, 1)
-	a.AddEdge(1, 2)
-	a.AddEdge(2, 3)
-	b := NewDense(4)
-	b.AddEdge(2, 0)
-	b.AddEdge(0, 3)
-	b.AddEdge(3, 1)
-	if CanonicalKey(a) != CanonicalKey(b) {
-		t.Error("isomorphic paths got different canonical keys")
+// cycles returns the disjoint union of cycles of the given lengths.
+func cycles(lens ...int) *Dense {
+	n := 0
+	for _, l := range lens {
+		n += l
 	}
-	// Star is not isomorphic to the path.
-	c := NewDense(4)
-	c.AddEdge(0, 1)
-	c.AddEdge(0, 2)
-	c.AddEdge(0, 3)
-	if CanonicalKey(a) == CanonicalKey(c) {
-		t.Error("path and star share canonical key")
+	d := NewDense(n)
+	v := 0
+	for _, l := range lens {
+		for i := 0; i < l; i++ {
+			d.AddEdge(v+i, v+(i+1)%l)
+		}
+		v += l
 	}
+	return d
 }
 
-func TestCanonicalKeyRandomPermutations(t *testing.T) {
+// TestClassifierMatchesCanonicalKey checks the classifier against the
+// brute-force canonical key on small graphs: random graphs of 3–7
+// vertices, random relabelings of them, and regular graphs that share an
+// invariant without being isomorphic (C6 and two triangles, C7 and a
+// triangle beside a square), classified in random order. Two graphs get
+// the same class id exactly when their keys match.
+func TestClassifierMatchesCanonicalKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 200; trial++ {
-		n := 3 + rng.Intn(6) // 3..8
+	path := NewDense(4)
+	path.AddEdge(0, 1)
+	path.AddEdge(1, 2)
+	path.AddEdge(2, 3)
+	star := NewDense(4)
+	star.AddEdge(0, 1)
+	star.AddEdge(0, 2)
+	star.AddEdge(0, 3)
+	var gs []*Dense
+	add := func(d *Dense) {
+		gs = append(gs, d, d.Permute(rng.Perm(d.n)), d.Permute(rng.Perm(d.n)))
+	}
+	for _, d := range []*Dense{path, star, cycles(6), cycles(3, 3), cycles(7), cycles(3, 4)} {
+		add(d)
+	}
+	for trial := 0; trial < 120; trial++ {
+		n := 3 + rng.Intn(5) // 3..7
 		d := NewDense(n)
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
@@ -238,10 +246,20 @@ func TestCanonicalKeyRandomPermutations(t *testing.T) {
 				}
 			}
 		}
-		perm := rng.Perm(n)
-		p := d.Permute(perm)
-		if CanonicalKey(d) != CanonicalKey(p) {
-			t.Fatalf("trial %d: canonical keys differ for permuted copies of %v", trial, d)
+		add(d)
+	}
+	rng.Shuffle(len(gs), func(i, j int) { gs[i], gs[j] = gs[j], gs[i] })
+	cl := NewClassifier()
+	ids, keys := make([]int, len(gs)), make([]string, len(gs))
+	for i, d := range gs {
+		ids[i], keys[i] = cl.Classify(d), CanonicalKey(d)
+	}
+	for i := range gs {
+		for j := 0; j < i; j++ {
+			if (ids[i] == ids[j]) != (keys[i] == keys[j]) {
+				t.Fatalf("%v and %v: class ids %d, %d but canonical keys equal = %v",
+					gs[i], gs[j], ids[i], ids[j], keys[i] == keys[j])
+			}
 		}
 	}
 }
@@ -249,7 +267,7 @@ func TestCanonicalKeyRandomPermutations(t *testing.T) {
 func TestIsomorphicLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
-		n := 9 + rng.Intn(10) // beyond exact-canonical range
+		n := 9 + rng.Intn(10) // 9..18: meso-scale patterns
 		d := NewDense(n)
 		// random connected-ish graph
 		for i := 1; i < n; i++ {
@@ -303,8 +321,8 @@ func TestClassifier(t *testing.T) {
 	if cl.Classify(tri2) != id1 {
 		t.Error("relabeled triangle got a new class")
 	}
-	if cl.NumClasses() != 2 {
-		t.Errorf("NumClasses = %d, want 2", cl.NumClasses())
+	if cl.Classify(path) != id2 {
+		t.Error("re-classified path got a new class")
 	}
 	if cl.Rep(id1).M() != 3 {
 		t.Errorf("representative wrong: %v", cl.Rep(id1))
@@ -531,8 +549,8 @@ func TestIsoMappingWitness(t *testing.T) {
 }
 
 func TestIsomorphicViaInvariantPath(t *testing.T) {
-	// Graphs above canonExactMax route through the isomorphism search
-	// (IsoMappingInto); ensure mismatched edge counts short-circuit first.
+	// The isomorphism search (IsoMappingInto) rejects mismatched edge
+	// counts before it searches.
 	a := NewDense(12)
 	b := NewDense(12)
 	for v := 1; v < 12; v++ {
