@@ -89,13 +89,15 @@ const parentChunk = 256
 //     numbered in class order, then slot order) run in fixed-size chunks.
 //     Each candidate vertex set is decided new or not from the parent
 //     index alone (see parentIndex.reachedBefore), so no set of seen
-//     candidates is shared, and each new one is classified by the chunk
-//     worker's own classifier, keyed by the parent's class and the new
-//     vertex's attachment (see minerScratch.extend).
+//     candidates is shared, and each new one is recorded with the mask of
+//     its parent's positions the new vertex attaches to. Chunks classify
+//     nothing (see minerScratch.extend).
 //   - Merge: one serial pass over the chunks in order visits the new
-//     candidates in discovery order. It assigns global class ids and
-//     representatives in first-seen order, counts frequencies, and replays
-//     the single reservoir RNG, storing candidate references in the slots.
+//     candidates in discovery order. It classifies each (parent class,
+//     attachment mask) key once, at its first candidate, which assigns
+//     class ids and representatives in first-seen order; it counts
+//     frequencies and replays the single reservoir RNG, storing candidate
+//     references in the slots.
 //   - Materialize: after beam selection, the kept classes' slots become
 //     pattern-ordered occurrences, one class per task.
 //
@@ -155,29 +157,32 @@ func Find(g *graph.Graph, cfg Config) []*Motif {
 }
 
 // miner is the state Find carries across levels: the graph views, the
-// one reservoir RNG, the parent index, and the fixed free list of
+// one reservoir RNG, the parent index, the merge's map from (parent
+// class, attachment mask) key to class id, and the fixed free list of
 // per-worker scratch. par runs at most workers tasks at once, so a take
 // from free never blocks, and every scratch is reused for the whole run.
 type miner struct {
-	g       *graph.Graph
-	bits    *graph.AdjBits
-	cfg     Config
-	rng     *rand.Rand
-	workers int
-	scratch []*minerScratch
-	free    chan *minerScratch
-	px      parentIndex
+	g        *graph.Graph
+	bits     *graph.AdjBits
+	cfg      Config
+	rng      *rand.Rand
+	workers  int
+	scratch  []*minerScratch
+	free     chan *minerScratch
+	px       parentIndex
+	keyClass map[uint64]int32
 }
 
 // newMiner prepares the views and one scratch per worker for mining g.
 func newMiner(g *graph.Graph, cfg Config, rng *rand.Rand) *miner {
 	// The adjacency bit matrix answers the edge tests of induced-subgraph
 	// construction, the hottest inner loop at meso-scale, in O(1).
-	m := &miner{g: g, bits: graph.NewAdjBits(g), cfg: cfg, rng: rng, workers: par.Workers(0)}
+	m := &miner{g: g, bits: graph.NewAdjBits(g), cfg: cfg, rng: rng, workers: par.Workers(0),
+		keyClass: map[uint64]int32{}}
 	m.scratch = make([]*minerScratch, m.workers)
 	m.free = make(chan *minerScratch, m.workers)
 	for i := range m.scratch {
-		m.scratch[i] = &minerScratch{vs: make([]int32, cfg.MaxSize), byKey: map[uint64]int32{}}
+		m.scratch[i] = &minerScratch{vs: make([]int32, cfg.MaxSize)}
 		m.free <- m.scratch[i]
 	}
 	return m
@@ -188,9 +193,7 @@ func newMiner(g *graph.Graph, cfg Config, rng *rand.Rand) *miner {
 func (m *miner) grow(level []*classState, size int) []*classState {
 	m.px.reset(level, size-1)
 	for _, sc := range m.scratch {
-		sc.cl = graph.NewClassifier()
 		sc.cands = sc.cands[:0]
-		clear(sc.byKey)
 	}
 	spans := make([]chunkSpan, par.NumChunks(m.px.n(), parentChunk))
 	par.Chunks(m.px.n(), parentChunk, m.workers, func(c, lo, hi int) {
@@ -210,33 +213,31 @@ func (m *miner) grow(level []*classState, size int) []*classState {
 }
 
 // merge walks the chunks' new candidates in discovery order and returns
-// the level's classes, indexed by global id (dense, first-seen order),
-// with frequencies and reservoir slots. A worker class is one isomorphism
-// class, so the first candidate of each worker class (in chunk order) is
-// classified globally; the global first candidate of a class is always
-// such a candidate, which makes it the representative.
+// the level's classes, indexed by id (dense, first-seen order), with
+// frequencies and reservoir slots. A candidate's class is a function of
+// its (parent class, attachment mask) key, so only the first candidate of
+// each key builds its induced subgraph and runs the classifier. The first
+// candidate of a class is also the first of its key, so the classifier
+// meets the classes in discovery order: ids and representatives are those
+// of classifying every candidate.
 func (m *miner) merge(spans []chunkSpan) []*classState {
-	for _, sc := range m.scratch {
-		sc.gid = sc.gid[:0]
-		for i := 0; i < sc.cl.NumClasses(); i++ {
-			sc.gid = append(sc.gid, -1)
-		}
-	}
+	clear(m.keyClass)
 	cl := graph.NewClassifier()
 	var next []*classState
 	slots := m.cfg.MaxOccPerClass
 	buf := m.scratch[0] // no chunk runs during the merge
 	for _, sp := range spans {
 		for _, c := range sp.sc.cands[sp.lo:sp.hi] {
-			id := sp.sc.gid[c.class]
-			if id < 0 {
+			key := uint64(m.px.cls[c.parent])<<32 | uint64(c.mask)
+			id, ok := m.keyClass[key]
+			if !ok {
 				vs, _ := m.px.candidate(int(c.parent), c.w, buf.vs)
 				fillInduced(&buf.d, m.bits, vs)
 				id = int32(cl.Classify(&buf.d))
 				if int(id) == len(next) {
 					next = append(next, &classState{pattern: cl.Rep(int(id))})
 				}
-				sp.sc.gid[c.class] = id
+				m.keyClass[key] = id
 			}
 			ns := next[id]
 			ns.freq++
@@ -308,11 +309,12 @@ type occRef struct {
 	w      int32
 }
 
-// newCand is one new candidate of a chunk, with its class id in the chunk
-// worker's classifier.
+// newCand is one new candidate of a chunk, with the mask of its parent's
+// positions adjacent to the added vertex: the parent's class and the mask
+// fix the candidate's class.
 type newCand struct {
 	occRef
-	class int32
+	mask uint32
 }
 
 // chunkSpan locates one chunk's new candidates: sc.cands[lo:hi].
@@ -321,17 +323,11 @@ type chunkSpan struct {
 	lo, hi int
 }
 
-// minerScratch is one worker's state for a level: its classifier (a class
-// there is an isomorphism class, whatever its id), the classifier's id of
-// each (parent class, attachment mask) key seen, the new candidates of
-// every chunk it ran, in run order, and, during the merge, each of its
-// classes' global id (-1 until seen). The induced-subgraph and vertex-set
+// minerScratch is one worker's state for a level: the new candidates of
+// every chunk it ran, in run order. The induced-subgraph and vertex-set
 // buffers and the occurrence arena are reused for the whole run.
 type minerScratch struct {
-	cl    *graph.Classifier
-	byKey map[uint64]int32
 	cands []newCand
-	gid   []int32
 	d     graph.Dense
 	vs    []int32
 	arena graph.OccArena
@@ -339,17 +335,13 @@ type minerScratch struct {
 
 // extend grows the parents [lo, hi) by one adjacent vertex each, in the
 // serial miner's order (parent, then vertex in pattern order, then
-// neighbour), and records every new candidate.
+// neighbour), and records every new candidate with its attachment mask.
 //
 // A parent occurrence is pattern-ordered and induced: its vertex at
 // position j is its class representative's vertex j, edges included. So a
 // candidate P ∪ {w} is that representative plus one vertex attached to the
 // positions of P adjacent to w, and its class is a function of the
-// parent's class and that attachment mask. Only the first candidate of
-// each key builds its induced subgraph and runs the classifier. The first
-// candidate of an isomorphism class always misses (no key maps to the
-// class yet), so the classifier meets its classes in the same order as
-// when every candidate ran it, and hands out the same ids.
+// parent's class and that attachment mask, which merge classifies.
 func (sc *minerScratch) extend(g *graph.Graph, bits *graph.AdjBits, px *parentIndex, lo, hi int) {
 	for p := lo; p < hi; p++ {
 		occ := px.occs[p]
@@ -365,14 +357,7 @@ func (sc *minerScratch) extend(g *graph.Graph, bits *graph.AdjBits, px *parentIn
 				if px.reachedBefore(p, vs, wpos, px.hash[p]+vmix(w)) {
 					continue
 				}
-				key := uint64(px.cls[p])<<32 | uint64(attachMask(bits, occ, i, w))
-				id, ok := sc.byKey[key]
-				if !ok {
-					fillInduced(&sc.d, bits, vs)
-					id = int32(sc.cl.Classify(&sc.d))
-					sc.byKey[key] = id
-				}
-				sc.cands = append(sc.cands, newCand{occRef: occRef{parent: int32(p), w: w}, class: id})
+				sc.cands = append(sc.cands, newCand{occRef: occRef{parent: int32(p), w: w}, mask: attachMask(bits, occ, i, w)})
 			}
 		}
 	}
