@@ -8,10 +8,10 @@ import (
 
 // allocBudget is one benchmark's checked-in allocation ceiling. Budgets
 // carry 15% headroom over the largest numbers measured at GOMAXPROCS 1, 2,
-// 4 and 8 (EXPERIMENTS.md): the miner keeps a classifier and a key map per
-// worker, so the counts grow with the worker count and move a little
-// with the schedule; a trip past the headroom means the memory layout
-// actually regressed, not noise.
+// 4 and 8 (EXPERIMENTS.md): each worker keeps its own candidate list and
+// buffers, so the counts grow a little with the worker count and move a
+// little with the schedule; a trip past the headroom means the memory
+// layout actually regressed, not noise.
 type allocBudget struct {
 	AllocsPerOp int64 `json:"allocs_per_op"`
 	BytesPerOp  int64 `json:"bytes_per_op"`
