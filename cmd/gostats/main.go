@@ -4,12 +4,15 @@
 //
 // Usage:
 //
-//	gostats -obo go.obo -ann annotations.tsv -names proteins.txt [-mindirect 30] [-top N]
-//	gostats -obo go.obo -ann annotations.tsv -names proteins.txt -sim A,B
+//	gostats -obo go.obo -ann annotations.tsv -edges edges.tsv [-mindirect 30] [-top N]
+//	gostats -obo go.obo -ann annotations.tsv -edges edges.tsv -sim A,B
+//
+// It counts the annotations of the proteins the edge list names, as
+// lamod build -edges does, so both find the same border informative FC in
+// the same files.
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -23,21 +26,24 @@ import (
 func main() {
 	obo := flag.String("obo", "", "GO ontology in OBO format")
 	ann := flag.String("ann", "", "protein annotations (protein<TAB>term)")
-	namesFile := flag.String("names", "", "protein name list (one per line)")
+	edges := flag.String("edges", "", "interaction edge list (two protein names per line)")
 	minDirect := flag.Int("mindirect", 30, "informative-FC direct annotation threshold")
 	sim := flag.String("sim", "", "term pair \"A,B\" to score with Lin similarity")
 	top := flag.Int("top", 25, "terms to print")
 	flag.Parse()
 
-	if *obo == "" || *ann == "" || *namesFile == "" {
-		fatalf("need -obo, -ann and -names")
+	if *obo == "" || *ann == "" || *edges == "" {
+		fatalf("need -obo, -ann and -edges")
 	}
 	f, err := os.Open(*obo)
 	check(err)
 	defer func() { _ = f.Close() }() // read-only open; close error is unactionable
 	o, err := ontology.ParseOBO(f)
 	check(err)
-	names, err := readLines(*namesFile)
+	ef, err := os.Open(*edges)
+	check(err)
+	defer func() { _ = ef.Close() }() // read-only open; close error is unactionable
+	_, names, err := dataset.LoadEdgeList(ef)
 	check(err)
 	af, err := os.Open(*ann)
 	check(err)
@@ -98,23 +104,6 @@ func idList(o *ontology.Ontology, ts []int) string {
 		ids[i] = o.ID(t)
 	}
 	return strings.Join(ids, ", ")
-}
-
-func readLines(path string) ([]string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = f.Close() }() // read-only open; close error is unactionable
-	var out []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line != "" {
-			out = append(out, line)
-		}
-	}
-	return out, sc.Err()
 }
 
 func check(err error) {

@@ -14,8 +14,8 @@ import (
 var update = flag.Bool("update", false, "rewrite the goldens under testdata/examples/ and testdata/files/")
 
 // mips is the file fixture: the quick preset's MIPS network (edges.tsv),
-// its GO terms (go.obo), their annotations (annotations.tsv) and the
-// 600 protein names (proteins.txt), written once from the generator.
+// its GO terms (go.obo) and their annotations (annotations.tsv), written
+// once from the generator.
 const mips = "testdata/mips/"
 
 // goldens lists the programs TestExamples pins, each under the name of its
@@ -33,8 +33,9 @@ var goldens = []struct {
 	{"quickstart", "quickstart", nil},
 	{"motiffind_beam", "motiffind", []string{"-edges", mips + "edges.tsv", "-maxsize", "5", "-minfreq", "10", "-z"}},
 	{"motiffind_esu", "motiffind", []string{"-edges", mips + "edges.tsv", "-esu", "4", "-z", "-uniq", "0"}},
-	{"gostats", "gostats", []string{"-obo", mips + "go.obo", "-ann", mips + "annotations.tsv", "-names", mips + "proteins.txt"}},
-	{"gostats_sim", "gostats", []string{"-obo", mips + "go.obo", "-ann", mips + "annotations.tsv", "-names", mips + "proteins.txt",
+	{"gostats", "gostats", []string{"-obo", mips + "go.obo", "-ann", mips + "annotations.tsv", "-edges", mips + "edges.tsv",
+		"-mindirect", "10"}},
+	{"gostats_sim", "gostats", []string{"-obo", mips + "go.obo", "-ann", mips + "annotations.tsv", "-edges", mips + "edges.tsv",
 		"-sim", "FC:00.1,FC:00.2"}},
 }
 
