@@ -185,16 +185,17 @@ e2e:
 
 # fma fails if the compiler fused a floating-point multiply with an add or
 # subtract (FMADD, FMSUB, FNMADD, FNMSUB, any width) in any module function
-# of any command or example built for arm64 or ppc64le, and prints each
-# site once per architecture: function, file:line and instruction. The Go
-# spec lets the compiler fuse x*y + z, which rounds once instead of twice;
-# amd64 never does, arm64 and ppc64le do, so a fused product would compute
-# other bytes there than the amd64 gates pin. An explicit float64(...)
-# around the product forbids the fusion. The check reads the disassembly,
-# so it also sees a product fused into a later statement. -trimpath makes
-# every module file read lamofinder/..., main packages included. About
-# 30 s on 2 vCPUs with a warm build cache, 1.5 min cold.
-FMA_ARCHS = arm64 ppc64le
+# of any command or example built for arm64, ppc64le, riscv64 or loong64,
+# and prints each site once per architecture: function, file:line and
+# instruction. The Go spec lets the compiler fuse x*y + z, which rounds
+# once instead of twice; amd64 never does, those four do, so a fused
+# product would compute other bytes there than the amd64 gates pin. An
+# explicit float64(...) around the product forbids the fusion. The check
+# reads the disassembly, so it also sees a product fused into a later
+# statement. -trimpath makes every module file read lamofinder/..., main
+# packages included. About 1.5 min on 2 vCPUs with a warm build cache,
+# 3 min cold.
+FMA_ARCHS = arm64 ppc64le riscv64 loong64
 fma:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	for arch in $(FMA_ARCHS); do \
