@@ -264,6 +264,63 @@ func TestClassifierMatchesCanonicalKey(t *testing.T) {
 	}
 }
 
+func TestCanonicalKeyIsomorphicPaths(t *testing.T) {
+	// Path 0-1-2-3 vs path relabeled arbitrarily.
+	a := NewDense(4)
+	a.AddEdge(0, 1)
+	a.AddEdge(1, 2)
+	a.AddEdge(2, 3)
+	b := NewDense(4)
+	b.AddEdge(2, 0)
+	b.AddEdge(0, 3)
+	b.AddEdge(3, 1)
+	cl := NewClassifier()
+	if CanonicalKey(a) != CanonicalKey(b) {
+		t.Error("isomorphic paths got different canonical keys")
+	}
+	if cl.Classify(a) != cl.Classify(b) {
+		t.Error("isomorphic paths got different classes")
+	}
+	// Star is not isomorphic to the path.
+	c := NewDense(4)
+	c.AddEdge(0, 1)
+	c.AddEdge(0, 2)
+	c.AddEdge(0, 3)
+	if CanonicalKey(a) == CanonicalKey(c) {
+		t.Error("path and star share canonical key")
+	}
+	if cl.Classify(a) == cl.Classify(c) {
+		t.Error("path and star share a class")
+	}
+}
+
+// TestCanonicalKeyRandomPermutations relabels random graphs of 3–8
+// vertices, the sizes the classifier once keyed by an exact canonical
+// form, and requires each copy to keep its brute-force key and its class.
+func TestCanonicalKeyRandomPermutations(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	cl := NewClassifier()
+	for trial := 0; trial < 200; trial++ {
+		n := 3 + rng.Intn(6) // 3..8
+		d := NewDense(n)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Intn(2) == 0 {
+					d.AddEdge(i, j)
+				}
+			}
+		}
+		perm := rng.Perm(n)
+		p := d.Permute(perm)
+		if CanonicalKey(d) != CanonicalKey(p) {
+			t.Fatalf("trial %d: canonical keys differ for permuted copies of %v", trial, d)
+		}
+		if cl.Classify(d) != cl.Classify(p) {
+			t.Fatalf("trial %d: permuted copies of %v got different classes", trial, d)
+		}
+	}
+}
+
 func TestIsomorphicLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
